@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -45,6 +46,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(INPUT_ERROR)
+
+
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
+    return value
 
 
 def _write(text: str, out: str | None) -> None:
@@ -273,8 +284,8 @@ def _build_parser() -> _Parser:
     q.add_argument("--tol", type=float, default=1e-10)
     q.add_argument("--max-iter", type=int, default=100)
     q.add_argument("--svd-cutoff", type=float, default=1e-10)
-    q.add_argument("--time", type=float, default=50.0, help="flow horizon")
-    q.add_argument("--dt", type=float, default=0.01, help="flow step")
+    q.add_argument("--time", type=_positive_float, default=50.0, help="flow horizon")
+    q.add_argument("--dt", type=_positive_float, default=0.01, help="flow step")
     q.add_argument("--out")
 
     for name, fn, hlp in (

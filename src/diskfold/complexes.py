@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -258,8 +259,9 @@ class AugmentedDisk:
     def vertex_order(self) -> tuple:
         return self.vertices
 
-    @property
+    @cached_property
     def vertex_index(self) -> dict:
+        """Position of each vertex in vertex_order; shared, do not mutate."""
         return {v: i for i, v in enumerate(self.vertices)}
 
     @property

@@ -14,6 +14,14 @@ augmented sheet over the disk: disk faces enter with -1, augmented
 faces with +1, and the constant term is 2*pi at interior vertices, 0 at
 boundary vertices and -2*pi at the apex.  The total curvature vanishes
 identically.
+
+AngleSystem compiles a (complex, structure) pair into index arrays and
+evaluates each label in one pass (Evaluation): squared lengths once,
+then the edge and triangle checks, the angles and the curvature.  Every
+per-label quantity has this one code path.  Public methods coerce and
+copy their label with label_array; the solvers hand their own float
+iterates to evaluate_iterate, which trusts the array and only keeps
+the finiteness check.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ __all__ = [
     "StructureError",
     "InadmissibleLabelError",
     "AngleSystem",
+    "Evaluation",
     "MetricData",
     "attach_boundary_data",
     "edge_length",
@@ -112,12 +121,44 @@ def attach_boundary_data(
     return cs
 
 
+@dataclass(slots=True, eq=False)
+class Evaluation:
+    """One pass of an AngleSystem over one label.
+
+    ``violation`` is None for an admissible label, else the
+    (kind, simplex, values) triple of AngleSystem.violation.  A label
+    that passes the edge check keeps its ``lengths``; an admissible one
+    also gets its ``angles`` (a row per face, as AngleSystem.angles)
+    and its ``curvature``, unless ``degenerate`` holds the index of a
+    face whose angle cosine left [-1, 1] by more than COS_CLAMP_TOL.
+    AngleSystem.accept turns either failure into the error of angles().
+    ``terms`` keeps alpha e^{2f} at both ends and e^{f_u + f_v} per
+    edge for the Jacobian.
+    """
+
+    f: np.ndarray
+    terms: tuple
+    violation: tuple | None = None
+    degenerate: int | None = None
+    lengths: np.ndarray | None = None
+    angles: np.ndarray | None = None
+    curvature: np.ndarray | None = None
+
+
 class AngleSystem:
     """Array-compiled evaluator for one (complex, structure) pair.
 
     Bind once and reuse when evaluating many labels; the module-level
     functions build a fresh instance per call.  For a plain disk only
     the interior entries of curvature() are meaningful.
+
+    Every label goes through one pass, evaluate(): squared lengths once,
+    then the edge and triangle checks, the angles and the curvature.
+    violation, admissible, check_admissible, angles and curvature are
+    views on that pass, and jacobian reuses the lengths and angles of
+    the pass that accepted its label.  The solvers call
+    evaluate_iterate on their own iterates, which skips the coercion
+    and copy of label_array but keeps its finiteness verdict.
     """
 
     def __init__(self, complex_, cs: ConformalStructure):
@@ -162,13 +203,22 @@ class AngleSystem:
             self.curv_sign = -np.ones(len(faces))
             self.const = np.full(n, 2.0 * np.pi)
 
-        # scatter index arrays for the jacobian
-        rows = np.repeat(self.F[:, :, None], 3, axis=2)  # (F, corner, edge slot)
-        self._j_rows = rows.ravel()
-        eg = self.FE[:, None, :].repeat(3, axis=1)  # global edge per slot
-        self._j_edges = eg.ravel()
-        self._j_cols_u = self.E[self._j_edges, 0]
-        self._j_cols_v = self.E[self._j_edges, 1]
+        # evaluation index arrays: both ends of every edge, the opposite
+        # side of every corner and its two adjacent sides (each (F, 3)),
+        # and a scatter index over the const entries, then the corners
+        # in row-major order, so bincount sums K in np.add.at's order
+        self._ends = self.E.T.copy()
+        self._alpha_ends = self.alpha[self._ends]
+        self._two_eta = 2 * self.eta
+        self._sides = np.stack([self.FE, np.roll(self.FE, -1, axis=1), np.roll(self.FE, -2, axis=1)])
+        self._k_index = np.concatenate([np.arange(n), self.F.ravel()])
+
+        # scatter index for the jacobian: the u ends, then the v ends,
+        # flattened into the (n, n) matrix
+        rows = np.repeat(self.F[:, :, None], 3, axis=2).ravel()  # (F, corner, edge slot)
+        self._j_edges = self.FE[:, None, :].repeat(3, axis=1).ravel()  # global edge per slot
+        cols = self.E[self._j_edges]
+        self._j_index = np.concatenate([rows * n + cols[:, 0], rows * n + cols[:, 1]])
 
     def label_array(self, f) -> np.ndarray:
         if isinstance(self.complex, AugmentedDisk):
@@ -180,98 +230,124 @@ class AngleSystem:
             raise ValueError(f"label must have shape ({self.n_vertices},)")
         return arr
 
+    # -- the one pass -------------------------------------------------
+
+    def evaluate(self, f) -> Evaluation:
+        """Evaluate a label (a mapping or an aligned array) in one pass."""
+        return self._evaluate(self.label_array(f))
+
+    def evaluate_iterate(self, f: np.ndarray) -> Evaluation:
+        """evaluate() for a float array in vertex order that a solver built.
+
+        The array is neither coerced nor copied; non-finite entries
+        still raise the ValueError of label_array.
+        """
+        if not np.isfinite(f).all():
+            raise ValueError("label entries must be finite")
+        return self._evaluate(f)
+
+    def _length_terms(self, f: np.ndarray):
+        """Squared lengths, their square roots (nan where l^2 < 0) and the
+        terms alpha e^{2f} at both ends and e^{f_u + f_v}."""
+        fe = f[self._ends]
+        # wild labels overflow exp; the edge check treats non-finite as inadmissible
+        with np.errstate(over="ignore", invalid="ignore"):
+            ends = self._alpha_ends * np.exp(2 * fe)
+            cross = np.exp(fe[0] + fe[1])
+            l2 = ends[0] + ends[1] + self._two_eta * cross
+            return l2, np.sqrt(l2), (ends, cross)
+
+    def _evaluate(self, f: np.ndarray) -> Evaluation:
+        l2, l, terms = self._length_terms(f)
+        a, b, c = l[self._sides]
+        closed = b + c > a
+        # every edge is a side of some face, and a nan, infinite or zero
+        # side never closes its face: one check covers edges and faces
+        if not closed.all():
+            bad = ~np.isfinite(l2)
+            if not bad.any():
+                bad = ~(l2 > 0)
+            if bad.any():
+                i = int(np.argmax(bad))
+                return Evaluation(f, terms, violation=("edge", self.edge_order[i], float(l2[i])))
+            i = int(np.argmin(closed.all(axis=1)))
+            values = tuple(float(x) for x in a[i])
+            return Evaluation(f, terms, violation=("face", self.faces[i], values), lengths=l)
+        cosv = (b * b + c * c - a * a) / (2 * b * c)
+        if np.abs(cosv).max() > 1.0 + COS_CLAMP_TOL:
+            off = np.abs(cosv) > 1.0 + COS_CLAMP_TOL
+            col = int(np.argmax(off.any(axis=0)))
+            i = int(np.argmax(np.abs(cosv[:, col])))
+            return Evaluation(f, terms, degenerate=i, lengths=l)
+        th = np.arccos(cosv.clip(-1.0, 1.0, out=cosv), out=cosv)
+        w = np.concatenate([self.const, (self.curv_sign[:, None] * th).ravel()])
+        K = np.bincount(self._k_index, w)
+        return Evaluation(f, terms, lengths=l, angles=th, curvature=K)
+
+    def accept(self, ev: Evaluation) -> Evaluation:
+        """ev when it carries angles and curvature, else raise as angles() does."""
+        if ev.violation is not None:
+            raise self._violation_error(ev.violation)
+        if ev.degenerate is not None:
+            face = self.faces[ev.degenerate]
+            raise InadmissibleLabelError(f"degenerate angle in face {face}", simplex=face)
+        return ev
+
+    @staticmethod
+    def _violation_error(v) -> InadmissibleLabelError:
+        kind, simplex, values = v
+        if kind == "edge":
+            return InadmissibleLabelError(
+                f"squared length {values!r} on edge {simplex} is not positive",
+                simplex=simplex,
+            )
+        return InadmissibleLabelError(
+            f"triangle inequality fails on face {simplex}: lengths {values}",
+            simplex=simplex,
+        )
+
     # -- lengths ------------------------------------------------------
 
     def lengths_sq(self, f) -> np.ndarray:
-        f = self.label_array(f)
-        fu, fv = f[self.E[:, 0]], f[self.E[:, 1]]
-        au, av = self.alpha[self.E[:, 0]], self.alpha[self.E[:, 1]]
-        # wild labels overflow exp; callers treat non-finite as inadmissible
-        with np.errstate(over="ignore", invalid="ignore"):
-            return au * np.exp(2 * fu) + av * np.exp(2 * fv) + 2 * self.eta * np.exp(fu + fv)
+        return self._length_terms(self.label_array(f))[0]
 
     def lengths(self, f) -> np.ndarray:
-        l2 = self.lengths_sq(f)
+        l2, l, _ = self._length_terms(self.label_array(f))
         bad = np.nonzero(~(np.isfinite(l2) & (l2 > 0)))[0]
         if bad.size:
             e = self.edge_order[bad[0]]
             raise InadmissibleLabelError(
                 f"squared length {l2[bad[0]]!r} on edge {e} is not positive", simplex=e
             )
-        return np.sqrt(l2)
+        return l
+
+    # -- views on evaluate ------------------------------------------------
 
     def violation(self, f):
         """None if the label is admissible, else (kind, simplex, values)."""
-        f = self.label_array(f)
-        l2 = self.lengths_sq(f)
-        if not np.all(np.isfinite(l2)):
-            i = int(np.nonzero(~np.isfinite(l2))[0][0])
-            return ("edge", self.edge_order[i], float(l2[i]))
-        bad = np.nonzero(~(l2 > 0))[0]
-        if bad.size:
-            i = int(bad[0])
-            return ("edge", self.edge_order[i], float(l2[i]))
-        l = np.sqrt(l2)
-        L = l[self.FE]
-        a, b, c = L[:, 0], L[:, 1], L[:, 2]
-        ok = (a + b > c) & (b + c > a) & (a + c > b)
-        bad = np.nonzero(~ok)[0]
-        if bad.size:
-            i = int(bad[0])
-            return ("face", self.faces[i], tuple(float(x) for x in L[i]))
-        return None
+        return self.evaluate(f).violation
 
     def admissible(self, f) -> bool:
-        return self.violation(f) is None
+        return self.evaluate(f).violation is None
 
     def check_admissible(self, f) -> None:
-        v = self.violation(f)
-        if v is None:
-            return
-        kind, simplex, values = v
-        if kind == "edge":
-            raise InadmissibleLabelError(
-                f"squared length {values!r} on edge {simplex} is not positive",
-                simplex=simplex,
-            )
-        raise InadmissibleLabelError(
-            f"triangle inequality fails on face {simplex}: lengths {values}",
-            simplex=simplex,
-        )
-
-    # -- angles and curvature ------------------------------------------
+        v = self.evaluate(f).violation
+        if v is not None:
+            raise self._violation_error(v)
 
     def angles(self, f) -> np.ndarray:
         """Interior angles per face, column c at the corner faces[i][c]."""
-        self.check_admissible(f)
-        l = np.sqrt(self.lengths_sq(f))
-        L = l[self.FE]
-        th = np.empty_like(L)
-        for c in range(3):
-            a = L[:, c]
-            b = L[:, (c + 1) % 3]
-            cc = L[:, (c + 2) % 3]
-            cosv = (b * b + cc * cc - a * a) / (2 * b * cc)
-            if np.any(np.abs(cosv) > 1.0 + COS_CLAMP_TOL):
-                i = int(np.argmax(np.abs(cosv)))
-                raise InadmissibleLabelError(
-                    f"degenerate angle in face {self.faces[i]}",
-                    simplex=self.faces[i],
-                )
-            th[:, c] = np.arccos(np.clip(cosv, -1.0, 1.0))
-        return th
+        return self.accept(self.evaluate(f)).angles
 
     def curvature(self, f) -> np.ndarray:
-        th = self.angles(f)
-        K = self.const.copy()
-        np.add.at(K, self.F.ravel(), (self.curv_sign[:, None] * th).ravel())
-        return K
+        return self.accept(self.evaluate(f)).curvature
 
     def jacobian(self, f) -> np.ndarray:
         """dK/df, assembled from exact angle derivatives.
 
-        In a face with angles th_i opposite sides a = l_jk, b = l_ik,
-        c = l_ij and area A:
+        f is a label or an Evaluation of this system.  In a face with
+        angles th_i opposite sides a = l_jk, b = l_ik, c = l_ij and
+        area A:
 
             d th_i / d a = a / (2 A)
             d th_i / d b = -a cos(th_k) / (2 A)
@@ -280,14 +356,12 @@ class AngleSystem:
         combined with d l_uv / d f_u = (alpha_u e^{2 f_u}
         + eta_uv e^{f_u + f_v}) / l_uv.
         """
-        f = self.label_array(f)
-        th = self.angles(f)
-        l = np.sqrt(self.lengths_sq(f))
-        fu, fv = f[self.E[:, 0]], f[self.E[:, 1]]
-        au, av = self.alpha[self.E[:, 0]], self.alpha[self.E[:, 1]]
-        cross = self.eta * np.exp(fu + fv)
-        dl_du = (au * np.exp(2 * fu) + cross) / l
-        dl_dv = (av * np.exp(2 * fv) + cross) / l
+        ev = self.accept(f if isinstance(f, Evaluation) else self.evaluate(f))
+        th, l = ev.angles, ev.lengths
+        ends, cross = ev.terms
+        cross = self.eta * cross
+        dl_du = (ends[0] + cross) / l
+        dl_dv = (ends[1] + cross) / l
 
         L = l[self.FE]
         a, b, c = L[:, 0], L[:, 1], L[:, 2]
@@ -308,12 +382,11 @@ class AngleSystem:
         dth *= self.curv_sign[:, None, None]
 
         n = self.n_vertices
-        J = np.zeros((n, n))
         vals = dth.ravel()
         with np.errstate(invalid="ignore"):
-            np.add.at(J, (self._j_rows, self._j_cols_u), vals * dl_du[self._j_edges])
-            np.add.at(J, (self._j_rows, self._j_cols_v), vals * dl_dv[self._j_edges])
-        return J
+            w = np.concatenate([vals * dl_du[self._j_edges], vals * dl_dv[self._j_edges]])
+            J = np.bincount(self._j_index, w, minlength=n * n)
+        return J.reshape(n, n)
 
     # -- dictionary views ----------------------------------------------
 

@@ -106,17 +106,16 @@ def newton_flat(
     only for an inadmissible starting label.
     """
     sys = AngleSystem(aug, cs)
-    f = sys.label_array(f0) if f0 is not None else default_start(aug, cs)
-    sys.check_admissible(f)
+    ev = sys.accept(sys.evaluate(default_start(aug, cs) if f0 is None else f0))
+    f, K = ev.f, ev.curvature
 
     history = []
-    K = sys.curvature(f)
     residual = float(np.max(np.abs(K)))
     history.append(residual)
     for it in range(max_iter):
         if residual <= tol:
             return NewtonResult(f, K, residual, it, True, "converged", history)
-        J = sys.jacobian(f)
+        J = sys.jacobian(ev)
         if not np.all(np.isfinite(J)):
             # Heron area of some face rounded to zero: the angle
             # derivatives blew up and no sensible step exists
@@ -126,12 +125,12 @@ def newton_flat(
         step = -_pinv_apply(J, K, svd_cutoff, residual)
         t = 1.0
         for _ in range(max_backtracks):
-            fn = f + t * step
-            if sys.admissible(fn):
-                Kn = sys.curvature(fn)
+            trial = sys.evaluate_iterate(f + t * step)
+            if trial.violation is None:
+                Kn = sys.accept(trial).curvature
                 rn = float(np.max(np.abs(Kn)))
                 if rn < residual:
-                    f, K, residual = fn, Kn, rn
+                    ev, f, K, residual = trial, trial.f, Kn, rn
                     break
             t /= 2.0
         else:
@@ -159,33 +158,38 @@ def curvature_flow(
     toward zero curvature.  Samples are recorded on the dt grid; when a
     Runge-Kutta stage leaves the admissible set the grid step is
     integrated in halved substeps, up to ``max_halvings`` times before
-    giving up with a SolverError.
+    giving up with a SolverError.  Each step evaluates the label four
+    times: three inner stages and the new point, whose curvature is
+    also the recorded residual and the next step's first stage.
+    t_end and dt must be positive and finite (ValueError otherwise).
     """
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
     sys = AngleSystem(aug, cs)
-    f = sys.label_array(f0)
-    sys.check_admissible(f)
-    sign = np.full(len(f), -1.0)
+    sign = np.full(len(aug.vertices), -1.0)
     sign[-1] = 1.0
 
     def field_at(x) -> np.ndarray:
-        if not sys.admissible(x):
+        ev = sys.evaluate_iterate(x)
+        if ev.violation is not None:
             raise _StageError()
-        return sign * sys.curvature(x)
+        return sign * sys.accept(ev).curvature
 
-    def rk4(x, h):
-        k1 = field_at(x)
+    def rk4(x, k1, h):
+        # the field at the new point is the next step's k1
         k2 = field_at(x + 0.5 * h * k1)
         k3 = field_at(x + 0.5 * h * k2)
         k4 = field_at(x + h * k3)
         out = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not sys.admissible(out):
-            raise _StageError()
-        return out
+        return out, field_at(out)
 
+    ev = sys.accept(sys.evaluate(f0))
+    f, k = ev.f, sign * ev.curvature
     n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
     times = [0.0]
-    labels = [f.copy()]
-    residuals = [float(np.max(np.abs(sys.curvature(f))))]
+    labels = [f]
+    residuals = [float(np.max(np.abs(k)))]
     t = 0.0
     for i in range(n_steps):
         h_goal = min(dt, t_end - t)
@@ -194,7 +198,7 @@ def curvature_flow(
         h = h_goal
         while remaining > 1e-16 * t_end:
             try:
-                f = rk4(f, min(h, remaining))
+                f, k = rk4(f, k, min(h, remaining))
             except _StageError:
                 halvings += 1
                 if halvings > max_halvings:
@@ -207,8 +211,8 @@ def curvature_flow(
             remaining -= min(h, remaining)
         t += h_goal
         times.append(t)
-        labels.append(f.copy())
-        residuals.append(float(np.max(np.abs(sys.curvature(f)))))
+        labels.append(f)
+        residuals.append(float(np.max(np.abs(k))))
     return FlowResult(np.array(times), np.array(labels), np.array(residuals))
 
 

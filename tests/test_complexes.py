@@ -76,6 +76,13 @@ def test_bad_disks_rejected():
             validate_disk(vertices, faces)
 
 
+def test_vertex_index_is_built_once():
+    aug = augment(ring_lattice(2))
+    idx = aug.vertex_index
+    assert aug.vertex_index is idx
+    assert [idx[v] for v in aug.vertex_order] == list(range(len(aug.vertices)))
+
+
 def test_augment_is_a_sphere():
     for disk in (triangle_disk(), hex_flower(), ring_lattice(2)):
         aug = augment(disk)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from diskfold import (
     AngleSystem,
+    ConformalStructure,
     InadmissibleLabelError,
     StructureError,
     attach_boundary_data,
@@ -18,6 +19,7 @@ from diskfold import (
     metric_data,
 )
 from diskfold.presets import hex_flower, ring_lattice, scenario_data, triangle_disk
+from diskfold.solver import default_start
 
 from conftest import HEX_FLAT
 
@@ -167,6 +169,64 @@ def test_structure_validation():
     del eta[next(iter(eta))]
     with pytest.raises(StructureError):
         attach_boundary_data(aug, alpha, eta, mu)
+
+
+def _scalar_verdict_and_curvature(aug, cs, f):
+    """Verdict and K through edge_length / face_angles, one face at a time."""
+    fd = dict(zip(aug.vertex_order, f))
+    K = {v: 0.0 for v in aug.vertex_order}
+    for v in aug.disk.interior_vertices:
+        K[v] = 2.0 * np.pi
+    K[aug.apex] = -2.0 * np.pi
+    for i, face in enumerate(aug.faces):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):  # wide labels overflow exp
+                th = face_angles(cs, fd, face)
+        except InadmissibleLabelError:
+            return False, None
+        sign = -1.0 if i < aug.n_disk_faces else 1.0
+        for v, angle in zip(face, th):
+            K[v] += sign * angle
+    return True, np.array([K[v] for v in aug.vertex_order])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(["tangent", "orthogonal", "inscribed"]),
+       st.sampled_from([0.02, 0.3, 1.0, 4.0, 400.0]))
+def test_verdict_and_curvature_match_scalar_path(data, scenario, scale):
+    """admissible, check_admissible and curvature agree with the scalar
+    edge_length / face_angles path, admissible labels or not."""
+    aug, cs = _ring2(scenario)
+    sysm = AngleSystem(aug, cs)
+    n = len(aug.vertices)
+    noise = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array))
+    f = default_start(aug, cs) + scale * noise
+    ok, K_ref = _scalar_verdict_and_curvature(aug, cs, f)
+    assert sysm.admissible(f) == ok
+    if ok:
+        sysm.check_admissible(f)
+        assert np.max(np.abs(sysm.curvature(f) - K_ref)) <= 1e-14
+    else:
+        with pytest.raises(InadmissibleLabelError):
+            sysm.check_admissible(f)
+        with pytest.raises(InadmissibleLabelError):
+            sysm.curvature(f)
+
+
+def test_degenerate_angle_reported():
+    """Sides 1.45..., 1.5e-10 and 1.45... pass the strict triangle
+    inequality in floating point, but the cosine of the wide angle rounds
+    to -1 - 5e-8: the label is admissible and has no angles."""
+    disk = triangle_disk()
+    eta = {(0, 1): 1.052031767064613, (0, 2): 1.1811752847538073e-20, (1, 2): 1.052031766841666}
+    cs = ConformalStructure(alpha={v: 0.0 for v in disk.vertices}, eta=eta)  # l^2 = 2 eta at f = 0
+    sysm = AngleSystem(disk, cs)
+    f = np.zeros(3)
+    assert sysm.admissible(f)
+    assert sysm.evaluate(f).degenerate == 0
+    for view in (sysm.angles, sysm.curvature, sysm.jacobian):
+        with pytest.raises(InadmissibleLabelError, match="degenerate angle in face"):
+            view(f)
 
 
 def test_non_finite_labels_rejected():

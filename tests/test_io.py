@@ -141,6 +141,14 @@ def test_cli_solve_flow(perturbed_hex_file, capsys):
     assert out["final_residual"] < out["initial_residual"]
 
 
+@pytest.mark.parametrize("flag, value", [("--dt", "0"), ("--dt", "-0.1"), ("--time", "-1"), ("--time", "nan")])
+def test_cli_solve_flow_rejects_bad_time_arguments(hex_file, capsys, flag, value):
+    assert main(["solve", str(hex_file), "--method", "flow", flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be positive and finite" in err
+    assert "Traceback" not in err
+
+
 def test_cli_solve_budget_exhausted_is_numerical_error(perturbed_hex_file, capsys):
     assert main(["solve", str(perturbed_hex_file), "--max-iter", "1", "--tol", "1e-14"]) == 2
 

@@ -161,3 +161,75 @@ def test_flow_requires_admissible_start():
     aug, cs = build("hex_tangent")
     with pytest.raises(InadmissibleLabelError):
         curvature_flow(aug, cs, np.zeros(8), 1.0, 0.01)
+
+
+def test_flow_rejects_bad_time_arguments():
+    aug, cs = build("hex_tangent")
+    f0 = HEX_FLAT["hex_tangent"]
+    for t_end, dt in ((1.0, 0.0), (1.0, -0.1), (-1.0, 0.01), (0.0, 0.01),
+                      (np.nan, 0.01), (1.0, np.inf), (np.inf, 0.01), (1.0, np.nan)):
+        with pytest.raises(ValueError, match="positive and finite"):
+            curvature_flow(aug, cs, f0, t_end, dt)
+
+
+def _reference_flow(aug, cs, f0, t_end, dt, max_halvings=30):
+    """The RK4 flow written on AngleSystem.admissible and .curvature only.
+
+    Returns (times, labels, residuals, number of halvings).
+    """
+    sysm = AngleSystem(aug, cs)
+    sign = np.full(len(f0), -1.0)
+    sign[-1] = 1.0
+
+    def field(x):
+        if not sysm.admissible(x):
+            raise SolverError("stage left the admissible set")
+        return sign * sysm.curvature(x)
+
+    def step(x, h):
+        k1 = field(x)
+        k2 = field(x + 0.5 * h * k1)
+        k3 = field(x + 0.5 * h * k2)
+        k4 = field(x + h * k3)
+        out = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        if not sysm.admissible(out):
+            raise SolverError("step left the admissible set")
+        return out
+
+    f = np.array(f0, dtype=float)
+    times, labels = [0.0], [f]
+    residuals = [float(np.max(np.abs(sysm.curvature(f))))]
+    t, total_halvings = 0.0, 0
+    for _ in range(max(int(np.ceil(t_end / dt - 1e-12)), 1)):
+        h_goal = min(dt, t_end - t)
+        remaining, h, halvings = h_goal, h_goal, 0
+        while remaining > 1e-16 * t_end:
+            try:
+                f = step(f, min(h, remaining))
+            except SolverError:
+                halvings += 1
+                assert halvings <= max_halvings
+                h /= 2.0
+                continue
+            remaining -= min(h, remaining)
+        total_halvings += halvings
+        t += h_goal
+        times.append(t)
+        labels.append(f)
+        residuals.append(float(np.max(np.abs(sysm.curvature(f)))))
+    return np.array(times), np.array(labels), np.array(residuals), total_halvings
+
+
+@pytest.mark.parametrize("t_end, dt, halves", [(1.0, 0.01, False), (3.0, 1.5, True)])
+def test_flow_matches_reference_rk4_bit_for_bit(t_end, dt, halves):
+    """One evaluation per stage gives the same numbers as separate
+    admissible and curvature calls, with and without step halving."""
+    aug, cs = build("hex_tangent")
+    rng = np.random.default_rng(12)  # criterion 12's start
+    f0 = HEX_FLAT["hex_tangent"] + 0.05 * rng.standard_normal(8)
+    times, labels, residuals, halvings = _reference_flow(aug, cs, f0, t_end, dt)
+    assert (halvings > 0) == halves
+    fr = curvature_flow(aug, cs, f0, t_end, dt)
+    assert np.array_equal(fr.times, times)
+    assert np.array_equal(fr.labels, labels)
+    assert np.array_equal(fr.residuals, residuals)
