@@ -48,14 +48,27 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(INPUT_ERROR)
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text!r}")
-    return value
+def _checked(convert, ok, what: str):
+    """An argparse type: convert the text, then require ok(value)."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} value: {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_float = _checked(float, lambda x: math.isfinite(x) and x > 0, "positive and finite")
+# rank draws uniform(-x, x), whose range 2x must be finite as well
+_perturbation = _checked(float, lambda x: x >= 0 and math.isfinite(2 * x), "non-negative and finite")
+_cutoff = _checked(float, lambda x: math.isfinite(x) and 0 <= x < 1, "finite and in [0, 1)")
+_positive_int = _checked(int, lambda n: n > 0, "positive")
+_nonnegative_int = _checked(int, lambda n: n >= 0, "non-negative")
 
 
 def _write(text: str, out: str | None) -> None:
@@ -81,9 +94,9 @@ def _solved_label(prob, args) -> np.ndarray:
         prob.aug,
         prob.cs,
         prob.f_init,
-        tol=getattr(args, "tol", 1e-10),
-        max_iter=getattr(args, "max_iter", 100),
-        svd_cutoff=getattr(args, "svd_cutoff", 1e-10),
+        tol=args.tol,
+        max_iter=args.max_iter,
+        svd_cutoff=args.svd_cutoff,
     )
     if not res.converged:
         raise SolverError(f"newton did not converge: {res.status}, residual {res.residual!r}")
@@ -259,6 +272,12 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="diskfold", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
+    # the Newton flags of every command that may solve for a flat label
+    newton = argparse.ArgumentParser(add_help=False)
+    newton.add_argument("--tol", type=_positive_float, default=1e-10, help="target max |K|")
+    newton.add_argument("--max-iter", type=_nonnegative_int, default=100)
+    newton.add_argument("--svd-cutoff", type=_cutoff, default=1e-10, help="relative numerical-kernel cutoff")
+
     def add(name, fn, **kw):
         q = sub.add_parser(name, **kw)
         q.set_defaults(fn=fn)
@@ -270,7 +289,7 @@ def _build_parser() -> _Parser:
 
     q = add("preset", _cmd_preset, help="emit a built-in problem")
     q.add_argument("name", choices=presets.PRESET_NAMES)
-    q.add_argument("--rings", type=int, default=2, help="rings for ring_lattice")
+    q.add_argument("--rings", type=_positive_int, default=2, help="rings for ring_lattice")
     q.add_argument("--scenario", choices=presets.SCENARIOS, default="tangent")
     q.add_argument("--out")
 
@@ -278,12 +297,9 @@ def _build_parser() -> _Parser:
     q.add_argument("problem")
     q.add_argument("--out")
 
-    q = add("solve", _cmd_solve, help="find a flat label")
+    q = add("solve", _cmd_solve, parents=[newton], help="find a flat label")
     q.add_argument("problem")
     q.add_argument("--method", choices=("newton", "flow"), default="newton")
-    q.add_argument("--tol", type=float, default=1e-10)
-    q.add_argument("--max-iter", type=int, default=100)
-    q.add_argument("--svd-cutoff", type=float, default=1e-10)
     q.add_argument("--time", type=_positive_float, default=50.0, help="flow horizon")
     q.add_argument("--dt", type=_positive_float, default=0.01, help="flow step")
     q.add_argument("--out")
@@ -292,33 +308,24 @@ def _build_parser() -> _Parser:
         ("layout", _cmd_layout, "develop a flat label into the plane"),
         ("render", _cmd_render, "draw the layout as SVG"),
     ):
-        q = add(name, fn, help=hlp)
+        q = add(name, fn, parents=[newton], help=hlp)
         q.add_argument("problem")
         q.add_argument("--traversal", choices=("bfs", "dfs"), default="bfs")
         q.add_argument("--normalize", action="store_true", help="apex to the unit circle")
-        q.add_argument("--tol", type=float, default=1e-10)
-        q.add_argument("--max-iter", type=int, default=100)
-        q.add_argument("--svd-cutoff", type=float, default=1e-10)
         if name == "render":
-            q.add_argument("--size", type=int, default=640)
+            q.add_argument("--size", type=_positive_int, default=640)
         q.add_argument("--out")
 
-    q = add("rank", _cmd_rank, help="rank experiment at a solved label")
+    q = add("rank", _cmd_rank, parents=[newton], help="rank experiment at a solved label")
     q.add_argument("problem")
     q.add_argument("--jacobian", action="store_true", help="curvature Jacobian instead")
-    q.add_argument("--perturb", type=float, default=0.0, help="move off the flat label")
-    q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--tol", type=float, default=1e-10)
-    q.add_argument("--max-iter", type=int, default=100)
-    q.add_argument("--svd-cutoff", type=float, default=1e-10)
+    q.add_argument("--perturb", type=_perturbation, default=0.0, help="move off the flat label")
+    q.add_argument("--seed", type=_nonnegative_int, default=0)
     q.add_argument("--out")
 
-    q = add("mobius-check", _cmd_mobius_check, help="orbit check for the six generators")
+    q = add("mobius-check", _cmd_mobius_check, parents=[newton], help="orbit check for the six generators")
     q.add_argument("problem")
-    q.add_argument("--eps", type=float, nargs="+", default=[1e-3, 1e-4])
-    q.add_argument("--tol", type=float, default=1e-10)
-    q.add_argument("--max-iter", type=int, default=100)
-    q.add_argument("--svd-cutoff", type=float, default=1e-10)
+    q.add_argument("--eps", type=_positive_float, nargs="+", default=[1e-3, 1e-4])
     q.add_argument("--out")
 
     return p

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_array
 
 from .complexes import AugmentedDisk, CombinatorialDisk, Edge, edge_key, simplex_key
 
@@ -155,8 +156,9 @@ class AngleSystem:
     Every label goes through one pass, evaluate(): squared lengths once,
     then the edge and triangle checks, the angles and the curvature.
     violation, admissible, check_admissible, angles and curvature are
-    views on that pass, and jacobian reuses the lengths and angles of
-    the pass that accepted its label.  The solvers call
+    views on that pass, and bordered_jacobian (sparse, in a CSC pattern
+    compiled here) reuses the lengths and angles of the pass that
+    accepted its label; jacobian is its dense J block.  The solvers call
     evaluate_iterate on their own iterates, which skips the coercion
     and copy of label_array but keeps its finiteness verdict.
     """
@@ -213,12 +215,21 @@ class AngleSystem:
         self._sides = np.stack([self.FE, np.roll(self.FE, -1, axis=1), np.roll(self.FE, -2, axis=1)])
         self._k_index = np.concatenate([np.arange(n), self.F.ravel()])
 
-        # scatter index for the jacobian: the u ends, then the v ends,
-        # flattened into the (n, n) matrix
+        # CSC pattern of the bordered jacobian [[J, 1], [1^T, 0]]: every
+        # scatter entry (corner vertex row, edge end column; the u ends,
+        # then the v ends) maps to its data slot, so bincount sums each
+        # entry in scatter order; the border ones fill column n and row n
         rows = np.repeat(self.F[:, :, None], 3, axis=2).ravel()  # (F, corner, edge slot)
         self._j_edges = self.FE[:, None, :].repeat(3, axis=1).ravel()  # global edge per slot
         cols = self.E[self._j_edges]
-        self._j_index = np.concatenate([rows * n + cols[:, 0], rows * n + cols[:, 1]])
+        m = n + 1
+        border = np.arange(n)
+        keys = np.concatenate([cols[:, 0] * m + rows, cols[:, 1] * m + rows, n * m + border, border * m + n])
+        ukeys, slot = np.unique(keys, return_inverse=True)
+        self._j_slot = slot[: 2 * len(rows)]
+        self._border_slot = slot[2 * len(rows) :]
+        self._b_indices = (ukeys % m).astype(np.int32)
+        self._b_indptr = np.concatenate([[0], np.cumsum(np.bincount(ukeys // m, minlength=m))]).astype(np.int32)
 
     def label_array(self, f) -> np.ndarray:
         if isinstance(self.complex, AugmentedDisk):
@@ -343,18 +354,27 @@ class AngleSystem:
         return self.accept(self.evaluate(f)).curvature
 
     def jacobian(self, f) -> np.ndarray:
-        """dK/df, assembled from exact angle derivatives.
+        """dK/df as a dense (n, n) array: the J block of bordered_jacobian."""
+        n = self.n_vertices
+        return self.bordered_jacobian(f)[:n, :n].toarray(order="C")
 
-        f is a label or an Evaluation of this system.  In a face with
-        angles th_i opposite sides a = l_jk, b = l_ik, c = l_ij and
-        area A:
+    def bordered_jacobian(self, f) -> csc_array:
+        """The sparse (n + 1, n + 1) matrix [[J, 1], [1^T, 0]], J = dK/df.
+
+        f is a label or an Evaluation of this system.  J is assembled
+        from exact angle derivatives.  In a face with angles th_i
+        opposite sides a = l_jk, b = l_ik, c = l_ij and area A:
 
             d th_i / d a = a / (2 A)
             d th_i / d b = -a cos(th_k) / (2 A)
             d th_i / d c = -a cos(th_j) / (2 A)
 
         combined with d l_uv / d f_u = (alpha_u e^{2 f_u}
-        + eta_uv e^{f_u + f_v}) / l_uv.
+        + eta_uv e^{f_u + f_v}) / l_uv.  J 1 = 0 since curvature is
+        shift-invariant, and on an augmented disk 1^T J = 0 as well, since
+        the curvatures sum to zero; the border pins that gauge, so there
+        the matrix is regular away from the Mobius directions of a flat
+        label.
         """
         ev = self.accept(f if isinstance(f, Evaluation) else self.evaluate(f))
         th, l = ev.angles, ev.lengths
@@ -381,12 +401,13 @@ class AngleSystem:
                 dth[:, ci, (ci + 2) % 3] = -aa * cth[:, (ci + 1) % 3] / (2 * area)
         dth *= self.curv_sign[:, None, None]
 
-        n = self.n_vertices
         vals = dth.ravel()
+        m = self.n_vertices + 1
         with np.errstate(invalid="ignore"):
             w = np.concatenate([vals * dl_du[self._j_edges], vals * dl_dv[self._j_edges]])
-            J = np.bincount(self._j_index, w, minlength=n * n)
-        return J.reshape(n, n)
+            data = np.bincount(self._j_slot, w, minlength=len(self._b_indices))
+        data[self._border_slot] = 1.0
+        return csc_array((data, self._b_indices, self._b_indptr), shape=(m, m))
 
     # -- dictionary views ----------------------------------------------
 

@@ -2,8 +2,13 @@
 
 Flat means K_v = 0 at every vertex of the augmented disk.  The flat
 labels of a solvable structure form a three-parameter family (the
-Mobius deformations), so the curvature Jacobian is rank-deficient and
-the Newton step uses a pseudoinverse.
+Mobius deformations), so the curvature Jacobian J is singular: the
+constant vector spans its exact kernel at every label (a uniform shift
+changes no angle), and at a flat label the two Mobius translations join
+it.  Each Newton step factors the sparse bordered matrix
+[[J, 1], [1^T, 0]] once with splu, which pins the shift gauge, and uses
+the same factor to find the two Mobius directions by inverse iteration
+and drop them from the step when they are numerically null.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .complexes import AugmentedDisk
 from .conformal import AngleSystem, ConformalStructure
@@ -30,15 +36,79 @@ class SolverError(RuntimeError):
     """The iteration could not continue."""
 
 
-def _pinv_apply(J: np.ndarray, K: np.ndarray, svd_cutoff: float, residual: float) -> np.ndarray:
-    """Minimum-norm solution of J x = K with noise-aware truncation."""
-    u, s, vt = np.linalg.svd(J)
-    if s[0] == 0.0:
-        return np.zeros_like(K)
-    guard = min(residual, np.sqrt(np.finfo(float).eps) * s[0])
-    thr = max(svd_cutoff * s[0], guard)
-    inv = np.where(s > thr, 1.0 / np.where(s > thr, s, 1.0), 0.0)
-    return vt.T @ (inv * (u.T @ K))
+def _newton_step(A, K: np.ndarray, svd_cutoff: float, residual: float, start: np.ndarray) -> tuple:
+    """Truncated minimum-norm solution x of J x = K, and how many
+    near-kernel directions the truncation dropped.
+
+    A is the bordered matrix [[J, 1], [1^T, 0]] of
+    AngleSystem.bordered_jacobian and ``start`` two fixed vectors
+    orthogonal to the constant vector (_start_vectors).  One sparse LU
+    factor of A gives solutions orthogonal to the constant vector, J's
+    exact kernel; K sums to zero up to roundoff, so the system is
+    consistent.  The same factor runs two steps of block inverse
+    iteration from ``start``, and a Rayleigh-Ritz step on that block
+    gives the two directions v with the smallest |J v|: the Mobius
+    translations near a flat label.  Each v with |J v| <= thr is
+    projected out of K and of x, where
+    thr = max(svd_cutoff * s_max, min(residual, sqrt(eps) * s_max))
+    and s_max is J's largest singular value, estimated by power steps.
+    Raises RuntimeError when splu finds A exactly singular.
+    """
+    n = len(K)
+    lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+    y = np.zeros((n + 1, 2))
+    y[:n] = start
+    for _ in range(2):
+        y[:n] = _orthonormal(lu.solve(y)[:n])
+    _, sig, wt = np.linalg.svd((A @ y)[:n], full_matrices=False)
+
+    def threshold(s_max):
+        return max(svd_cutoff * s_max, min(residual, np.sqrt(np.finfo(float).eps) * s_max))
+
+    # thr grows with s_max and |J|_inf >= s_max (J is symmetric; each row
+    # of A carries one border 1), so the power steps only run when some
+    # Ritz value could be dropped
+    thr = threshold(np.bincount(A.indices, np.abs(A.data))[:n].max() - 1.0)
+    if sig[-1] <= thr:
+        thr = threshold(_power_estimate(A, start[:, 0]))
+    drop = y[:n] @ wt[sig <= thr].T
+
+    # J is symmetric, so projecting K as well keeps the solve from ever
+    # carrying the O(noise / sigma) component along a dropped direction
+    b = np.zeros(n + 1)
+    b[:n] = K - drop @ (drop.T @ K)
+    x = lu.solve(b)[:n]
+    return x - drop @ (drop.T @ x), drop.shape[1]
+
+
+#: Power steps behind the estimate of J's largest singular value.
+_POWER_STEPS = 8
+
+
+def _power_estimate(A, z: np.ndarray) -> float:
+    """|J z| / |z| after _POWER_STEPS power steps on J from z, which is
+    orthogonal to the constant vector, so the border adds nothing."""
+    n = len(z)
+    z = np.append(z, 0.0)
+    for _ in range(_POWER_STEPS):
+        z = A @ z
+        z /= np.linalg.norm(z)
+    return float(np.linalg.norm((A @ z)[:n]))
+
+
+def _orthonormal(y: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the span of y's two columns (Gram-Schmidt, twice)."""
+    a = y[:, 0] / np.linalg.norm(y[:, 0])
+    b = y[:, 1] - a * (a @ y[:, 1])
+    b -= a * (a @ b)
+    return np.column_stack([a, b / np.linalg.norm(b)])
+
+
+def _start_vectors(n: int) -> np.ndarray:
+    """Two fixed vectors orthogonal to the constant vector, shape (n, 2)."""
+    t = np.arange(n)
+    v = np.column_stack([np.cos(0.7 * t), np.sin(1.3 * t)])
+    return v - v.mean(axis=0)
 
 
 @dataclass
@@ -91,23 +161,45 @@ def newton_flat(
 ) -> NewtonResult:
     """Drive max |K| below tol by damped Newton steps.
 
-    Each step is the minimum-norm least-squares solution through a
-    truncated SVD and is halved until the label stays admissible and
-    the residual strictly decreases.  Two families of singular values
-    are treated as zero: those below ``svd_cutoff`` * s_max (the
-    numerical kernel), and those below the current residual (capped at
-    sqrt(eps) * s_max).  The latter guard matters near convergence: the
-    Mobius gauge directions shrink proportionally with the residual,
-    and dividing the roundoff noise of K by such a singular value would
-    inject a spurious gauge motion of order noise/sigma into the label.
+    Each step is the minimum-norm solution of J x = -K with noise-aware
+    truncation, and is halved until the label stays admissible and the
+    residual strictly decreases.  The step comes from one sparse LU
+    factor of the bordered matrix [[J, 1], [1^T, 0]], so it is always
+    orthogonal to the constant vector, J's exact kernel.  The same factor
+    gives, by two steps of block inverse iteration and a Rayleigh-Ritz
+    step, the two directions v with the smallest |J v|; near a flat label
+    these are the Mobius translations.  Such a v is projected out of the
+    step when |J v| <= thr, where
 
-    Returns a result with converged=False (status explains why) when
-    the line search stalls or the iteration budget runs out; raises
-    only for an inadmissible starting label.
+        thr = max(svd_cutoff * s_max, min(residual, sqrt(eps) * s_max))
+
+    and s_max is J's largest singular value, estimated by power steps.
+    So ``svd_cutoff`` is the relative size below which these two
+    directions count as numerical kernel; no other direction is ever
+    dropped.  The residual guard matters near convergence: the Mobius
+    directions shrink proportionally with the residual, and dividing
+    the roundoff noise of K by such a singular value would inject a
+    spurious gauge motion of order noise/sigma into the label.
+
+    tol must be positive and finite, max_iter >= 0, svd_cutoff finite
+    and in [0, 1), and max_backtracks >= 1 (ValueError otherwise).
+    Returns a result with converged=False (status explains why) when the
+    line search stalls, the iteration budget runs out, or the Jacobian
+    breaks down (a non-finite entry or an exactly singular factor);
+    raises only for bad parameters or an inadmissible starting label.
     """
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
+    if not (np.isfinite(svd_cutoff) and 0 <= svd_cutoff < 1):
+        raise ValueError(f"svd_cutoff must be finite and in [0, 1), got {svd_cutoff!r}")
+    if max_backtracks < 1:
+        raise ValueError(f"max_backtracks must be >= 1, got {max_backtracks!r}")
     sys = AngleSystem(aug, cs)
     ev = sys.accept(sys.evaluate(default_start(aug, cs) if f0 is None else f0))
     f, K = ev.f, ev.curvature
+    start = _start_vectors(len(f))
 
     history = []
     residual = float(np.max(np.abs(K)))
@@ -115,14 +207,17 @@ def newton_flat(
     for it in range(max_iter):
         if residual <= tol:
             return NewtonResult(f, K, residual, it, True, "converged", history)
-        J = sys.jacobian(ev)
-        if not np.all(np.isfinite(J)):
-            # Heron area of some face rounded to zero: the angle
-            # derivatives blew up and no sensible step exists
+        A = sys.bordered_jacobian(ev)
+        try:
+            # a Heron area rounded to zero blows up the angle derivatives,
+            # and splu raises RuntimeError for an exactly singular factor
+            if not np.isfinite(A.data).all():
+                raise RuntimeError("non-finite jacobian")
+            step = -_newton_step(A, K, svd_cutoff, residual, start)[0]
+        except RuntimeError:
             return NewtonResult(
                 f, K, residual, it, False, "jacobian breakdown", history
             )
-        step = -_pinv_apply(J, K, svd_cutoff, residual)
         t = 1.0
         for _ in range(max_backtracks):
             trial = sys.evaluate_iterate(f + t * step)

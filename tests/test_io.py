@@ -197,3 +197,56 @@ def test_cli_input_errors(tmp_path, capsys):
     # usage errors exit 1 as well, not argparse's default 2
     assert main(["solve"]) == 1
     assert main(["no-such-command"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        (command, flag, value, message)
+        for command in ("solve", "layout", "render", "rank", "mobius-check")
+        for flag, value, message in (
+            ("--tol", "nan", "must be positive and finite"),
+            ("--tol", "-1", "must be positive and finite"),
+            ("--max-iter", "-3", "must be non-negative"),
+            ("--svd-cutoff", "nan", "must be finite and in [0, 1)"),
+            ("--svd-cutoff", "-1", "must be finite and in [0, 1)"),
+            ("--svd-cutoff", "inf", "must be finite and in [0, 1)"),
+        )
+    ],
+)
+def test_cli_rejects_bad_newton_flags(hex_file, capsys, command, flag, value, message):
+    assert main([command, str(hex_file), flag, value]) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["rank", "HEX", "--jacobian", "--perturb", "nan"], "--perturb"),
+        (["rank", "HEX", "--jacobian", "--perturb", "inf"], "--perturb"),
+        (["rank", "HEX", "--jacobian", "--perturb", "-0.1"], "--perturb"),
+        (["rank", "HEX", "--jacobian", "--perturb", "1e308"], "--perturb"),
+        (["rank", "HEX", "--jacobian", "--perturb", "0.01", "--seed", "-1"], "--seed"),
+        (["render", "HEX", "--size", "0"], "--size"),
+        (["preset", "ring_lattice", "--rings", "0"], "--rings"),
+        (["mobius-check", "HEX", "--eps", "nan"], "--eps"),
+        (["mobius-check", "HEX", "--eps", "1e-3", "0"], "--eps"),
+    ],
+)
+def test_cli_bad_input_exits_1_without_traceback(hex_file, capsys, argv, flag):
+    argv = [str(hex_file) if a == "HEX" else a for a in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
+    assert "Traceback" not in err
+
+
+def test_cli_rank_jacobian_perturbed(hex_file, capsys):
+    assert main(["rank", str(hex_file), "--jacobian", "--perturb", "0.01"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["matrix"] == "curvature_jacobian"
+    assert out["shape"] == [8, 8]
+    # off the flat label only the shift direction stays in the kernel
+    assert out["rank"] == 7

@@ -1,4 +1,5 @@
-"""Newton solver and curvature flow against closed-form configurations."""
+"""Newton solver and curvature flow against closed-form configurations,
+and the sparse Newton step against a dense truncated-SVD reference."""
 
 import numpy as np
 import pytest
@@ -14,7 +15,15 @@ from diskfold import (
     gauge_normalize,
     newton_flat,
 )
-from diskfold.presets import build, ring_lattice, random_admissible, scenario_data, triangle_disk
+from diskfold import solver
+from diskfold.presets import (
+    SCENARIOS,
+    build,
+    ring_lattice,
+    random_admissible,
+    scenario_data,
+    triangle_disk,
+)
 
 from conftest import HEX_FLAT, HEX_GAP, boundary_gaps
 
@@ -115,6 +124,126 @@ def test_random_instances_fail_cleanly_or_converge():
         "max iterations reached",
         "jacobian breakdown",
     }
+
+
+def test_newton_rejects_bad_parameters():
+    aug, cs = build("hex_tangent")
+    bad = [
+        {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": np.inf},
+        {"max_iter": -3},
+        {"svd_cutoff": np.nan}, {"svd_cutoff": -1.0}, {"svd_cutoff": np.inf}, {"svd_cutoff": 1.0},
+        {"max_backtracks": 0},
+    ]
+    for kw in bad:
+        with pytest.raises(ValueError, match=next(iter(kw))):
+            newton_flat(aug, cs, **kw)
+    # the edges of the accepted ranges still solve
+    assert newton_flat(aug, cs, max_iter=0, svd_cutoff=0.0, max_backtracks=1).converged
+
+
+# -- the sparse step against the dense truncated SVD ----------------------
+
+
+def _pinv_apply(J: np.ndarray, K: np.ndarray, svd_cutoff: float, residual: float):
+    """Minimum-norm solution of J x = K with noise-aware truncation, by a
+    dense SVD: the reference for solver._newton_step.  Also returns how
+    many singular values beyond the always-null constant direction it
+    dropped."""
+    u, s, vt = np.linalg.svd(J)
+    if s[0] == 0.0:
+        return np.zeros_like(K), 0
+    guard = min(residual, np.sqrt(np.finfo(float).eps) * s[0])
+    thr = max(svd_cutoff * s[0], guard)
+    inv = np.where(s > thr, 1.0 / np.where(s > thr, s, 1.0), 0.0)
+    return vt.T @ (inv * (u.T @ K)), int(np.sum(s <= thr)) - 1
+
+
+def _steps(aug, cs, f, svd_cutoff=1e-10):
+    """(sparse step, dropped), (dense reference step, dropped) at label f."""
+    sysm = AngleSystem(aug, cs)
+    ev = sysm.accept(sysm.evaluate(f))
+    K = ev.curvature
+    residual = float(np.max(np.abs(K)))
+    start = solver._start_vectors(len(K))
+    got = solver._newton_step(sysm.bordered_jacobian(ev), K, svd_cutoff, residual, start)
+    return got, _pinv_apply(sysm.jacobian(ev), K, svd_cutoff, residual)
+
+
+def _assert_same_step(got, want):
+    (x, dropped), (x_ref, dropped_ref) = got, want
+    assert dropped == dropped_ref
+    assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+def test_step_matches_dense_reference_far_from_flat():
+    aug, cs = build("ring_lattice", n_rings=3)
+    got, want = _steps(aug, cs, default_start(aug, cs))
+    assert got[1] == 0
+    _assert_same_step(got, want)
+
+
+def test_step_drops_the_two_mobius_directions_near_flat():
+    aug, cs = build("ring_lattice", n_rings=3, scenario="inscribed")
+    near = newton_flat(aug, cs, tol=1e-9)  # stops one step short of 1e-10
+    assert 1e-10 < near.residual <= 1e-9
+    got, want = _steps(aug, cs, near.f)
+    assert got[1] == 2
+    _assert_same_step(got, want)
+
+
+def test_step_keeps_mobius_directions_just_above_the_threshold():
+    # sigma_Mobius ~1.8e-7 against thr ~9.5e-8; taking s_max = |J|_inf
+    # would raise thr to 1.87e-7 here and drop them
+    aug, cs = build("ring_lattice", n_rings=16, scenario="orthogonal")
+    near = newton_flat(aug, cs, tol=1e-4)
+    (x, dropped), (x_ref, dropped_ref) = _steps(aug, cs, near.f)
+    assert dropped == dropped_ref == 0
+    # kept near-null directions leave condition ~4e7, so ~1e-8 agreement
+    assert np.linalg.norm(x - x_ref) <= 1e-7 * np.linalg.norm(x_ref)
+
+
+def test_step_matches_dense_reference_on_random_structures():
+    rng = np.random.default_rng(2024)
+    for rings, n in ((3, 38), (4, 62)):
+        disk = ring_lattice(rings)
+        for _ in range(8):
+            aug, cs, f = random_admissible(disk, rng)
+            assert len(f) == n
+            _assert_same_step(*_steps(aug, cs, f))
+
+
+def _dense_step(A, K, svd_cutoff, residual, start):
+    n = len(K)
+    return _pinv_apply(A[:n, :n].toarray(), K, svd_cutoff, residual)
+
+
+@pytest.mark.parametrize(
+    "name, rings, scenario",
+    [("ring_lattice", r, s) for r in (1, 3, 6) for s in SCENARIOS]
+    + [(h, None, None) for h in ("hex_tangent", "hex_orthogonal", "hex_inscribed")],
+)
+def test_newton_matches_dense_reference_solver(monkeypatch, name, rings, scenario):
+    kw = {} if rings is None else {"n_rings": rings, "scenario": scenario}
+    aug, cs = build(name, **kw)
+    res = newton_flat(aug, cs)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_newton_step", _dense_step)
+        ref = newton_flat(aug, cs)
+    assert (res.status, res.iterations) == (ref.status, ref.iterations)
+    assert res.converged
+    diff = gauge_normalize(aug, res.f) - gauge_normalize(aug, ref.f)
+    assert np.max(np.abs(diff)) <= 1e-8
+
+
+def test_singular_factor_is_a_jacobian_breakdown(monkeypatch):
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(solver, "splu", singular)
+    aug, cs = build("hex_orthogonal")
+    res = newton_flat(aug, cs)
+    assert not res.converged
+    assert (res.status, res.iterations) == ("jacobian breakdown", 0)
 
 
 def test_gauge_normalize_pins_apex():
