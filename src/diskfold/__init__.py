@@ -22,16 +22,8 @@ from .conformal import (
     AngleSystem,
     ConformalStructure,
     InadmissibleLabelError,
-    MetricData,
     StructureError,
-    admissible,
     attach_boundary_data,
-    check_admissible,
-    curvature,
-    curvature_jacobian,
-    edge_length,
-    face_angles,
-    metric_data,
 )
 from .layout import (
     BoundaryReport,

@@ -211,8 +211,8 @@ def _cmd_render(args) -> int:
 def _cmd_rank(args) -> int:
     prob = _load(args.problem)
     f = _solved_label(prob, args)
-    sys_ = AngleSystem(prob.aug, prob.cs)
     if args.jacobian:
+        sys_ = AngleSystem(prob.aug, prob.cs)
         if args.perturb:
             rng = np.random.default_rng(args.seed)
             for _ in range(100):
@@ -244,12 +244,13 @@ def _cmd_rank(args) -> int:
 def _cmd_mobius_check(args) -> int:
     prob = _load(args.problem)
     f = _solved_label(prob, args)
+    lay = layout_augmented(prob.aug, prob.cs, f)
     names = ("a", "b", "c", "d", "t", "r")
     reports = []
     for name in names:
         gen = InfinitesimalMobius(**{name: 1.0})
         for eps in args.eps:
-            rep = mobius_orbit_check(prob.aug, prob.cs, f, gen, eps)
+            rep = mobius_orbit_check(prob.aug, prob.cs, f, lay, gen, eps)
             reports.append(
                 {
                     "generator": name,

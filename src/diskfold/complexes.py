@@ -9,6 +9,13 @@ orientation (the fold).
 
 Simplices are written as sorted vertex tuples: (v,) for vertices,
 (u, v) for edges, (u, v, w) for faces.
+
+Both kinds of complex carry one CompiledComplex, built on first use:
+the index arrays (edge ends, face corners, face sides, the faces of each
+edge), the fold sign of every face and the constant term of the
+curvature.  Every layer reads these shared, read-only arrays; none
+builds its own index.  Labels are coerced to vertex order by the one
+label_array of both complexes.
 """
 
 from __future__ import annotations
@@ -59,8 +66,102 @@ def _face_edges(face):
     return (edge_key(a, b), edge_key(b, c), edge_key(a, c))
 
 
+@dataclass(frozen=True, eq=False)
+class CompiledComplex:
+    """The index arrays of one complex, shared read-only by every layer.
+
+    Vertices, edges and faces are numbered in the complex's own order.
+    ``E`` (E, 2) holds the ends of each edge, ``F`` (F, 3) the corners
+    of each face and ``FE`` (F, 3) the side opposite each corner.
+    ``edge_faces`` (E, 2) lists the faces of each edge in face order,
+    -1 where an edge lies in one face only.  ``fold_sign`` is -1 on disk
+    faces and +1 on augmented ones: the sign of a face's angles in the
+    curvature; its negative is the orientation the development gives the
+    face and the face's standard multiplicity.  ``const`` is the
+    constant term of the curvature: 2*pi at interior vertices, 0 at
+    boundary vertices and -2*pi at the apex; on a plain disk 2*pi at
+    every vertex, of which only the interior entries are meaningful.
+    """
+
+    vertex_index: dict
+    E: np.ndarray
+    F: np.ndarray
+    FE: np.ndarray
+    edge_faces: np.ndarray
+    fold_sign: np.ndarray
+    const: np.ndarray
+
+
+def _compile(complex_) -> CompiledComplex:
+    if isinstance(complex_, AugmentedDisk):
+        n_disk = complex_.n_disk_faces
+        const = dict.fromkeys(complex_.disk.interior_vertices, 2.0 * np.pi)
+        const[complex_.apex] = -2.0 * np.pi
+    else:
+        n_disk = len(complex_.faces)
+        const = dict.fromkeys(complex_.vertices, 2.0 * np.pi)
+    vidx = {v: i for i, v in enumerate(complex_.vertices)}
+    eidx = {e: i for i, e in enumerate(complex_.edges)}
+    faces = complex_.faces
+    E = np.array([[vidx[u], vidx[v]] for u, v in complex_.edges])
+    F = np.array([[vidx[v] for v in f] for f in faces])
+    FE = np.array(
+        [[eidx[edge_key(f[(c + 1) % 3], f[(c + 2) % 3])] for c in range(3)] for f in faces]
+    )
+    # a stable sort of the face sides by edge keeps each edge's faces in
+    # face order; the first side of an edge goes to column 0
+    sides = FE.ravel()
+    order = np.argsort(sides, kind="stable")
+    by_edge = sides[order]
+    second = np.concatenate([[False], by_edge[1:] == by_edge[:-1]])
+    edge_faces = np.full((len(E), 2), -1)
+    edge_faces[by_edge, second.astype(int)] = order // 3
+    fold_sign = np.where(np.arange(len(faces)) < n_disk, -1.0, 1.0)
+    const = np.array([const.get(v, 0.0) for v in complex_.vertices])
+    arrays = (E, F, FE, edge_faces, fold_sign, const)
+    for a in arrays:
+        a.flags.writeable = False
+    return CompiledComplex(vidx, *arrays)
+
+
+class _Indexed:
+    """What both complexes share: the compiled index and label coercion."""
+
+    @cached_property
+    def compiled(self) -> CompiledComplex:
+        """The index arrays of this complex, built once on first use."""
+        return _compile(self)
+
+    @property
+    def vertex_index(self) -> dict:
+        """Position of each vertex in vertex order; shared, do not mutate."""
+        return self.compiled.vertex_index
+
+    def label_array(self, f) -> np.ndarray:
+        """Coerce a label (mapping or aligned array) to a fresh array in vertex order."""
+        if isinstance(f, dict):
+            missing = [v for v in self.vertices if v not in f]
+            if missing:
+                raise ValueError(f"label misses vertices {missing}")
+            arr = np.array([float(f[v]) for v in self.vertices])
+        else:
+            arr = np.asarray(f, dtype=float)
+            if arr.shape != (len(self.vertices),):
+                raise ValueError(
+                    f"label must have shape ({len(self.vertices)},), got {arr.shape}"
+                )
+            arr = arr.copy()
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("label entries must be finite")
+        return arr
+
+    def label_dict(self, f) -> dict:
+        arr = self.label_array(f)
+        return {v: float(arr[i]) for i, v in enumerate(self.vertices)}
+
+
 @dataclass(frozen=True)
-class CombinatorialDisk:
+class CombinatorialDisk(_Indexed):
     """A validated triangulated disk with a consistent face orientation.
 
     Faces are stored with the orientation produced by validate_disk:
@@ -238,7 +339,7 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
 
 
 @dataclass(frozen=True)
-class AugmentedDisk:
+class AugmentedDisk(_Indexed):
     """A disk together with the apex joined to its boundary.
 
     ``faces`` lists the disk faces first, then one augmented face
@@ -259,11 +360,6 @@ class AugmentedDisk:
     def vertex_order(self) -> tuple:
         return self.vertices
 
-    @cached_property
-    def vertex_index(self) -> dict:
-        """Position of each vertex in vertex_order; shared, do not mutate."""
-        return {v: i for i, v in enumerate(self.vertices)}
-
     @property
     def disk_faces(self) -> tuple:
         return self.faces[: self.n_disk_faces]
@@ -271,28 +367,6 @@ class AugmentedDisk:
     @property
     def augmented_faces(self) -> tuple:
         return self.faces[self.n_disk_faces:]
-
-    def label_array(self, f) -> np.ndarray:
-        """Coerce a label (mapping or aligned array) to vertex_order."""
-        if isinstance(f, dict):
-            missing = [v for v in self.vertices if v not in f]
-            if missing:
-                raise ValueError(f"label misses vertices {missing}")
-            arr = np.array([float(f[v]) for v in self.vertices])
-        else:
-            arr = np.asarray(f, dtype=float)
-            if arr.shape != (len(self.vertices),):
-                raise ValueError(
-                    f"label must have shape ({len(self.vertices)},), got {arr.shape}"
-                )
-            arr = arr.copy()
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("label entries must be finite")
-        return arr
-
-    def label_dict(self, f) -> dict:
-        arr = self.label_array(f)
-        return {v: float(arr[i]) for i, v in enumerate(self.vertices)}
 
 
 def augment(disk: CombinatorialDisk) -> AugmentedDisk:

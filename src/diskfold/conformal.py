@@ -15,13 +15,16 @@ faces with +1, and the constant term is 2*pi at interior vertices, 0 at
 boundary vertices and -2*pi at the apex.  The total curvature vanishes
 identically.
 
-AngleSystem compiles a (complex, structure) pair into index arrays and
-evaluates each label in one pass (Evaluation): squared lengths once,
-then the edge and triangle checks, the angles and the curvature.  Every
-per-label quantity has this one code path.  Public methods coerce and
-copy their label with label_array; the solvers hand their own float
-iterates to evaluate_iterate, which trusts the array and only keeps
-the finiteness check.
+AngleSystem binds a structure to a complex: it reads the complex's
+compiled index (complexes.CompiledComplex: edge ends, face sides, fold
+signs, curvature constants) and adds only the alpha/eta gathers and the
+Jacobian's sparse pattern.  It evaluates each label in one pass
+(Evaluation): squared lengths once, then the edge and triangle checks,
+the angles and the curvature.  Every per-label quantity has this one
+code path.  Public methods coerce and copy their label with the
+complex's label_array; the solvers hand their own float iterates to
+evaluate_iterate, which trusts the array and only keeps the finiteness
+check.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse import csc_array
 
-from .complexes import AugmentedDisk, CombinatorialDisk, Edge, edge_key, simplex_key
+from .complexes import AugmentedDisk, edge_key
 
 __all__ = [
     "ConformalStructure",
@@ -39,15 +42,7 @@ __all__ = [
     "InadmissibleLabelError",
     "AngleSystem",
     "Evaluation",
-    "MetricData",
     "attach_boundary_data",
-    "edge_length",
-    "face_angles",
-    "admissible",
-    "check_admissible",
-    "curvature",
-    "curvature_jacobian",
-    "metric_data",
 ]
 
 #: Slack allowed when clamping arccos arguments to [-1, 1].
@@ -149,9 +144,8 @@ class Evaluation:
 class AngleSystem:
     """Array-compiled evaluator for one (complex, structure) pair.
 
-    Bind once and reuse when evaluating many labels; the module-level
-    functions build a fresh instance per call.  For a plain disk only
-    the interior entries of curvature() are meaningful.
+    Bind once and reuse when evaluating many labels.  For a plain disk
+    only the interior entries of curvature() are meaningful.
 
     Every label goes through one pass, evaluate(): squared lengths once,
     then the edge and triangle checks, the angles and the curvature.
@@ -160,68 +154,39 @@ class AngleSystem:
     compiled here) reuses the lengths and angles of the pass that
     accepted its label; jacobian is its dense J block.  The solvers call
     evaluate_iterate on their own iterates, which skips the coercion
-    and copy of label_array but keeps its finiteness verdict.
+    and copy of the complex's label_array but keeps its finiteness
+    verdict.
     """
 
     def __init__(self, complex_, cs: ConformalStructure):
         cs.validate_for(complex_)
         self.complex = complex_
         self.cs = cs
-        verts = complex_.vertices
-        self.vertex_order = verts
-        self._vidx = {v: i for i, v in enumerate(verts)}
-        n = len(verts)
-        self.n_vertices = n
-
-        edges = complex_.edges
-        self.edge_order = edges
-        self._eidx = {e: i for i, e in enumerate(edges)}
-        self.alpha = np.array([cs.alpha[v] for v in verts])
-        self.eta = np.array([cs.eta[e] for e in edges])
-        self.E = np.array([[self._vidx[u], self._vidx[v]] for u, v in edges])
-
-        faces = complex_.faces
-        self.faces = faces
-        self.F = np.array([[self._vidx[v] for v in f] for f in faces])
-        self.FE = np.array(
-            [
-                [self._eidx[edge_key(f[(c + 1) % 3], f[(c + 2) % 3])] for c in range(3)]
-                for f in faces
-            ]
-        )
-
-        if isinstance(complex_, AugmentedDisk):
-            nd = complex_.n_disk_faces
-            self.curv_sign = np.concatenate(
-                [-np.ones(nd), np.ones(len(faces) - nd)]
-            )
-            const = np.zeros(n)
-            for v in complex_.disk.interior_vertices:
-                const[self._vidx[v]] = 2.0 * np.pi
-            const[self._vidx[complex_.apex]] = -2.0 * np.pi
-            self.const = const
-        else:
-            # plain disk: angle defect 2*pi - sum(theta), interior rows only
-            self.curv_sign = -np.ones(len(faces))
-            self.const = np.full(n, 2.0 * np.pi)
+        self.compiled = ix = complex_.compiled
+        self.vertex_order = complex_.vertices
+        self.edge_order = complex_.edges
+        self.faces = complex_.faces
+        n = self.n_vertices = len(self.vertex_order)
+        self.alpha = np.array([cs.alpha[v] for v in self.vertex_order])
+        self.eta = np.array([cs.eta[e] for e in self.edge_order])
 
         # evaluation index arrays: both ends of every edge, the opposite
         # side of every corner and its two adjacent sides (each (F, 3)),
         # and a scatter index over the const entries, then the corners
         # in row-major order, so bincount sums K in np.add.at's order
-        self._ends = self.E.T.copy()
+        self._ends = ix.E.T.copy()
         self._alpha_ends = self.alpha[self._ends]
         self._two_eta = 2 * self.eta
-        self._sides = np.stack([self.FE, np.roll(self.FE, -1, axis=1), np.roll(self.FE, -2, axis=1)])
-        self._k_index = np.concatenate([np.arange(n), self.F.ravel()])
+        self._sides = np.stack([ix.FE, np.roll(ix.FE, -1, axis=1), np.roll(ix.FE, -2, axis=1)])
+        self._k_index = np.concatenate([np.arange(n), ix.F.ravel()])
 
         # CSC pattern of the bordered jacobian [[J, 1], [1^T, 0]]: every
         # scatter entry (corner vertex row, edge end column; the u ends,
         # then the v ends) maps to its data slot, so bincount sums each
         # entry in scatter order; the border ones fill column n and row n
-        rows = np.repeat(self.F[:, :, None], 3, axis=2).ravel()  # (F, corner, edge slot)
-        self._j_edges = self.FE[:, None, :].repeat(3, axis=1).ravel()  # global edge per slot
-        cols = self.E[self._j_edges]
+        rows = np.repeat(ix.F[:, :, None], 3, axis=2).ravel()  # (F, corner, edge slot)
+        self._j_edges = ix.FE[:, None, :].repeat(3, axis=1).ravel()  # global edge per slot
+        cols = ix.E[self._j_edges]
         m = n + 1
         border = np.arange(n)
         keys = np.concatenate([cols[:, 0] * m + rows, cols[:, 1] * m + rows, n * m + border, border * m + n])
@@ -231,27 +196,17 @@ class AngleSystem:
         self._b_indices = (ukeys % m).astype(np.int32)
         self._b_indptr = np.concatenate([[0], np.cumsum(np.bincount(ukeys // m, minlength=m))]).astype(np.int32)
 
-    def label_array(self, f) -> np.ndarray:
-        if isinstance(self.complex, AugmentedDisk):
-            return self.complex.label_array(f)
-        if isinstance(f, dict):
-            return np.array([float(f[v]) for v in self.vertex_order])
-        arr = np.asarray(f, dtype=float)
-        if arr.shape != (self.n_vertices,):
-            raise ValueError(f"label must have shape ({self.n_vertices},)")
-        return arr
-
     # -- the one pass -------------------------------------------------
 
     def evaluate(self, f) -> Evaluation:
         """Evaluate a label (a mapping or an aligned array) in one pass."""
-        return self._evaluate(self.label_array(f))
+        return self._evaluate(self.complex.label_array(f))
 
     def evaluate_iterate(self, f: np.ndarray) -> Evaluation:
         """evaluate() for a float array in vertex order that a solver built.
 
         The array is neither coerced nor copied; non-finite entries
-        still raise the ValueError of label_array.
+        still raise the ValueError of the complex's label_array.
         """
         if not np.isfinite(f).all():
             raise ValueError("label entries must be finite")
@@ -291,7 +246,7 @@ class AngleSystem:
             i = int(np.argmax(np.abs(cosv[:, col])))
             return Evaluation(f, terms, degenerate=i, lengths=l)
         th = np.arccos(cosv.clip(-1.0, 1.0, out=cosv), out=cosv)
-        w = np.concatenate([self.const, (self.curv_sign[:, None] * th).ravel()])
+        w = np.concatenate([self.compiled.const, (self.compiled.fold_sign[:, None] * th).ravel()])
         K = np.bincount(self._k_index, w)
         return Evaluation(f, terms, lengths=l, angles=th, curvature=K)
 
@@ -320,10 +275,10 @@ class AngleSystem:
     # -- lengths ------------------------------------------------------
 
     def lengths_sq(self, f) -> np.ndarray:
-        return self._length_terms(self.label_array(f))[0]
+        return self._length_terms(self.complex.label_array(f))[0]
 
     def lengths(self, f) -> np.ndarray:
-        l2, l, _ = self._length_terms(self.label_array(f))
+        l2, l, _ = self._length_terms(self.complex.label_array(f))
         bad = np.nonzero(~(np.isfinite(l2) & (l2 > 0)))[0]
         if bad.size:
             e = self.edge_order[bad[0]]
@@ -383,7 +338,7 @@ class AngleSystem:
         dl_du = (ends[0] + cross) / l
         dl_dv = (ends[1] + cross) / l
 
-        L = l[self.FE]
+        L = l[self.compiled.FE]
         a, b, c = L[:, 0], L[:, 1], L[:, 2]
         s = (a + b + c) / 2
         area = np.sqrt(np.maximum(s * (s - a) * (s - b) * (s - c), 0.0))
@@ -399,7 +354,7 @@ class AngleSystem:
                 dth[:, ci, ci] = aa / (2 * area)
                 dth[:, ci, (ci + 1) % 3] = -aa * cth[:, (ci + 2) % 3] / (2 * area)
                 dth[:, ci, (ci + 2) % 3] = -aa * cth[:, (ci + 1) % 3] / (2 * area)
-        dth *= self.curv_sign[:, None, None]
+        dth *= self.compiled.fold_sign[:, None, None]
 
         vals = dth.ravel()
         m = self.n_vertices + 1
@@ -408,87 +363,3 @@ class AngleSystem:
             data = np.bincount(self._j_slot, w, minlength=len(self._b_indices))
         data[self._border_slot] = 1.0
         return csc_array((data, self._b_indices, self._b_indptr), shape=(m, m))
-
-    # -- dictionary views ----------------------------------------------
-
-    def lengths_dict(self, f) -> dict:
-        l = self.lengths(f)
-        return {e: float(l[i]) for i, e in enumerate(self.edge_order)}
-
-    def angles_dict(self, f) -> dict:
-        th = self.angles(f)
-        out = {}
-        for fi, face in enumerate(self.faces):
-            for c in range(3):
-                out[(face[c], simplex_key(face))] = float(th[fi, c])
-        return out
-
-
-@dataclass(frozen=True)
-class MetricData:
-    """Lengths per edge and angles per (vertex, face) for one label."""
-
-    lengths: dict
-    angles: dict
-
-    def length(self, u, v=None) -> float:
-        e = edge_key(u, v) if v is not None else edge_key(*u)
-        return self.lengths[e]
-
-    def angle(self, vertex, face) -> float:
-        return self.angles[(vertex, simplex_key(face))]
-
-
-def metric_data(complex_, cs: ConformalStructure, f) -> MetricData:
-    sys = AngleSystem(complex_, cs)
-    return MetricData(lengths=sys.lengths_dict(f), angles=sys.angles_dict(f))
-
-
-def edge_length(cs: ConformalStructure, f, edge: Edge) -> float:
-    """Length of one edge under the label.  f is a mapping here."""
-    u, v = edge
-    l2 = (
-        cs.alpha[u] * np.exp(2 * f[u])
-        + cs.alpha[v] * np.exp(2 * f[v])
-        + 2 * cs.eta[edge_key(u, v)] * np.exp(f[u] + f[v])
-    )
-    if not l2 > 0:
-        raise InadmissibleLabelError(
-            f"squared length {l2!r} on edge {edge} is not positive", simplex=edge
-        )
-    return float(np.sqrt(l2))
-
-
-def face_angles(cs: ConformalStructure, f, face) -> tuple:
-    """Angles of one face at its three corners, in face order."""
-    i, j, k = face
-    a = edge_length(cs, f, (j, k))
-    b = edge_length(cs, f, (i, k))
-    c = edge_length(cs, f, (i, j))
-    if not (a + b > c and b + c > a and a + c > b):
-        raise InadmissibleLabelError(
-            f"triangle inequality fails on face {face}: lengths {(a, b, c)}",
-            simplex=face,
-        )
-    out = []
-    for (op, s1, s2) in ((a, b, c), (b, a, c), (c, a, b)):
-        cosv = (s1 * s1 + s2 * s2 - op * op) / (2 * s1 * s2)
-        out.append(float(np.arccos(np.clip(cosv, -1.0, 1.0))))
-    return tuple(out)
-
-
-def admissible(complex_, cs: ConformalStructure, f) -> bool:
-    return AngleSystem(complex_, cs).admissible(f)
-
-
-def check_admissible(complex_, cs: ConformalStructure, f) -> None:
-    AngleSystem(complex_, cs).check_admissible(f)
-
-
-def curvature(complex_, cs: ConformalStructure, f) -> np.ndarray:
-    """Curvature at every vertex, in complex vertex order."""
-    return AngleSystem(complex_, cs).curvature(f)
-
-
-def curvature_jacobian(complex_, cs: ConformalStructure, f) -> np.ndarray:
-    return AngleSystem(complex_, cs).jacobian(f)

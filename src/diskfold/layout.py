@@ -6,7 +6,9 @@ chain, so breadth-first and depth-first traversals agree up to
 roundoff.  Disk faces are placed with positive orientation.  On an
 augmented disk the apex goes to the origin and the augmented faces are
 placed with negative orientation: the augmented sheet folds back over
-the disk.
+the disk.  Both cases run one development over the complex's compiled
+index: the faces of each edge, the side opposite each corner and the
+fold sign, whose negative is the orientation of a face.
 
 The layout lifts to Minkowski vectors
 
@@ -23,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import AugmentedDisk, CombinatorialDisk, edge_key
+from .complexes import AugmentedDisk, CombinatorialDisk
 from .conformal import AngleSystem, ConformalStructure
-from .minkowski import MPoint, canonical_lift, project
+from .minkowski import canonical_lift, project
 
 __all__ = [
     "LayoutError",
@@ -54,12 +56,14 @@ class PlaneLayout:
 
     consistency_residual is the largest distance between a placed
     vertex and its re-derivation from any single face, so it bounds the
-    monodromy deviation along arbitrary face chains.
+    monodromy deviation along arbitrary face chains.  ``lengths`` holds
+    the edge lengths the layout reproduces, in the complex's edge order.
     """
 
     positions: dict
     consistency_residual: float
     traversal: str
+    lengths: np.ndarray
 
     def diameter(self) -> float:
         pts = np.array([self.positions[v] for v in self.positions])
@@ -82,68 +86,91 @@ def _third_point(pa, pb, la, lb, orient):
     return pa + x * u + orient * h * perp
 
 
-_EVEN = ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+#: For a corner c: the other two corners a, b in face order, and +1 when
+#: (a, b, c) is an even permutation of the face.
+_OTHER_CORNERS = ((1, 2, 1.0), (0, 2, -1.0), (0, 1, 1.0))
 
 
-def _corner_orientation(face, a, b) -> float:
-    """+1 when (a, b, remaining) is an even permutation of the face."""
-    rest = [v for v in face if v != a and v != b][0]
-    perm = tuple(face.index(v) for v in (a, b, rest))
-    return 1.0 if perm in _EVEN else -1.0
+def _develop(ix, lengths, start, traversal):
+    """Walk the face adjacency graph, placing one vertex per new face.
 
-
-def _develop(faces, area_sign, lengths, start, seed_positions, traversal):
-    """Walk the face adjacency graph, placing one vertex per new face."""
+    ``ix`` is the complex's CompiledComplex and ``lengths`` a list indexed
+    by edge.  The seed face ``start`` is pinned: its first corner at the
+    origin, its second on the positive x axis.  Every face keeps the
+    orientation -fold_sign.  Returns positions keyed by vertex index, in
+    placement order, and the consistency residual.
+    """
     if traversal not in ("bfs", "dfs"):
         raise ValueError(f"traversal must be 'bfs' or 'dfs', got {traversal!r}")
-    edge_faces: dict = {}
-    for fi, f in enumerate(faces):
-        for i in range(3):
-            edge_faces.setdefault(edge_key(f[i], f[(i + 1) % 3]), []).append(fi)
+    F, FE, faces_of = ix.F.tolist(), ix.FE.tolist(), ix.edge_faces.tolist()
+    area_sign = (-ix.fold_sign).tolist()
 
-    positions = dict(seed_positions)
+    i0, i1, i2 = F[start]
+    se = FE[start]
+    positions = {i0: np.zeros(2), i1: np.array([lengths[se[2]], 0.0])}
+    positions[i2] = _third_point(
+        positions[i0], positions[i1], lengths[se[1]], lengths[se[0]], area_sign[start]
+    )
     queue = deque([start])
     visited = {start}
     while queue:
         fi = queue.popleft() if traversal == "bfs" else queue.pop()
-        f = faces[fi]
-        for i in range(3):
-            e = edge_key(f[i], f[(i + 1) % 3])
-            for fj in edge_faces[e]:
-                if fj in visited:
+        side = FE[fi]
+        # the sides (f0, f1), (f1, f2), (f2, f0), opposite corners 2, 0, 1
+        for e in (side[2], side[0], side[1]):
+            for fj in faces_of[e]:
+                if fj < 0 or fj in visited:
                     continue
-                g = faces[fj]
-                missing = [v for v in g if v not in positions]
+                g = F[fj]
+                missing = [c for c in range(3) if g[c] not in positions]
                 if len(missing) > 1:
                     continue
                 visited.add(fj)
                 if missing:
-                    m = missing[0]
-                    a, b = (v for v in g if v != m)
-                    la = lengths[edge_key(a, m)]
-                    lb = lengths[edge_key(b, m)]
-                    orient = area_sign[fj] * _corner_orientation(g, a, b)
-                    positions[m] = _third_point(positions[a], positions[b], la, lb, orient)
+                    ca, cb, parity = _OTHER_CORNERS[missing[0]]
+                    # the side from a to the new corner lies opposite b
+                    la = lengths[FE[fj][cb]]
+                    lb = lengths[FE[fj][ca]]
+                    orient = area_sign[fj] * parity
+                    positions[g[missing[0]]] = _third_point(
+                        positions[g[ca]], positions[g[cb]], la, lb, orient
+                    )
                 queue.append(fj)
-    if len(visited) != len(faces):
+    if len(visited) != len(F):
         raise LayoutError("face graph is not edge-connected")
 
     residual = 0.0
-    for fi, f in enumerate(faces):
+    for fi, f in enumerate(F):
         for c in range(3):
-            m = f[c]
-            a, b = f[(c + 1) % 3], f[(c + 2) % 3]
-            la = lengths[edge_key(a, m)]
-            lb = lengths[edge_key(b, m)]
-            orient = area_sign[fi] * _corner_orientation(f, a, b)
-            p = _third_point(positions[a], positions[b], la, lb, orient)
-            residual = max(residual, float(np.linalg.norm(p - positions[m])))
+            a, b = (c + 1) % 3, (c + 2) % 3
+            la = lengths[FE[fi][b]]
+            lb = lengths[FE[fi][a]]
+            p = _third_point(positions[f[a]], positions[f[b]], la, lb, area_sign[fi])
+            residual = max(residual, float(np.linalg.norm(p - positions[f[c]])))
     return positions, residual
 
 
-def _lengths_dict(sys: AngleSystem, f) -> dict:
-    l = sys.lengths(f)
-    return {e: float(l[i]) for i, e in enumerate(sys.edge_order)}
+def _layout(complex_, cs, f, start, traversal, flat_tol) -> PlaneLayout:
+    """Check flatness, then develop from face ``start``: the body of
+    layout_disk and layout_augmented."""
+    sys = AngleSystem(complex_, cs)
+    ev = sys.accept(sys.evaluate(f))
+    K = np.abs(ev.curvature)
+    if isinstance(complex_, AugmentedDisk):
+        worst = float(np.max(K))
+        if worst > flat_tol:
+            raise LayoutError(
+                f"label is not flat: max |K| = {worst!r}, |K(apex)| = {float(K[-1])!r}"
+            )
+    else:
+        interior = [complex_.vertex_index[v] for v in complex_.interior_vertices]
+        worst = float(np.max(K[interior], initial=0.0))
+        if worst > flat_tol:
+            raise LayoutError(f"interior curvature max |K| = {worst!r} is not flat")
+
+    positions, residual = _develop(complex_.compiled, ev.lengths.tolist(), start, traversal)
+    verts = complex_.vertices
+    return PlaneLayout({verts[i]: p for i, p in positions.items()}, residual, traversal, ev.lengths)
 
 
 def layout_disk(
@@ -160,26 +187,7 @@ def layout_disk(
     positive x axis, third in the upper half plane.  All faces keep
     positive orientation.
     """
-    sys = AngleSystem(disk, cs)
-    farr = sys.label_array(f)
-    sys.check_admissible(farr)
-    K = sys.curvature(farr)
-    index = {v: i for i, v in enumerate(sys.vertex_order)}
-    interior = [index[v] for v in disk.interior_vertices]
-    if interior:
-        worst = float(np.max(np.abs(K[interior])))
-        if worst > flat_tol:
-            raise LayoutError(f"interior curvature max |K| = {worst!r} is not flat")
-
-    lengths = _lengths_dict(sys, farr)
-    v0, v1, v2 = disk.faces[0]
-    seed = {v0: np.zeros(2), v1: np.array([lengths[edge_key(v0, v1)], 0.0])}
-    seed[v2] = _third_point(
-        seed[v0], seed[v1], lengths[edge_key(v0, v2)], lengths[edge_key(v1, v2)], 1.0
-    )
-    signs = np.ones(len(disk.faces))
-    positions, residual = _develop(disk.faces, signs, lengths, 0, seed, traversal)
-    return PlaneLayout(positions, residual, traversal)
+    return _layout(disk, cs, f, 0, traversal, flat_tol)
 
 
 def layout_augmented(
@@ -197,40 +205,16 @@ def layout_augmented(
     positive x axis.  Requires max |K| <= flat_tol at every vertex;
     a nonzero apex curvature would keep the boundary fan from closing.
     """
-    sys = AngleSystem(aug, cs)
-    farr = sys.label_array(f)
-    sys.check_admissible(farr)
-    K = sys.curvature(farr)
-    worst = float(np.max(np.abs(K)))
-    if worst > flat_tol:
-        k_apex = float(abs(K[-1]))
-        raise LayoutError(
-            f"label is not flat: max |K| = {worst!r}, |K(apex)| = {k_apex!r}"
-        )
-
-    lengths = _lengths_dict(sys, farr)
-    start = aug.n_disk_faces
-    apex, w, v = aug.faces[start]
-    seed = {apex: np.zeros(2), w: np.array([lengths[edge_key(apex, w)], 0.0])}
-    seed[v] = _third_point(
-        seed[apex], seed[w], lengths[edge_key(apex, v)], lengths[edge_key(w, v)], -1.0
-    )
-    signs = np.concatenate(
-        [np.ones(aug.n_disk_faces), -np.ones(len(aug.faces) - aug.n_disk_faces)]
-    )
-    positions, residual = _develop(aug.faces, signs, lengths, start, seed, traversal)
-    return PlaneLayout(positions, residual, traversal)
+    return _layout(aug, cs, f, aug.n_disk_faces, traversal, flat_tol)
 
 
-def layout_edge_error(complex_, cs: ConformalStructure, f, layout: PlaneLayout) -> float:
-    """Largest relative deviation between layout distances and lengths."""
-    sys = AngleSystem(complex_, cs)
-    lengths = _lengths_dict(sys, sys.label_array(f))
-    worst = 0.0
-    for (u, v), l in lengths.items():
-        d = float(np.linalg.norm(layout.positions[u] - layout.positions[v]))
-        worst = max(worst, abs(d - l) / l)
-    return worst
+def layout_edge_error(complex_, layout: PlaneLayout) -> float:
+    """Largest relative deviation between layout distances and the edge
+    lengths the layout was developed from."""
+    E = complex_.compiled.E
+    P = np.array([layout.positions[v] for v in complex_.vertices])
+    d = np.linalg.norm(P[E[:, 0]] - P[E[:, 1]], axis=1)
+    return float(np.max(np.abs(d - layout.lengths) / layout.lengths))
 
 
 def realize_mpoints(
@@ -272,7 +256,9 @@ def normalize_to_unit_disk(
     s = float(np.exp(-farr[-1]))
     center = layout.positions[aug.apex]
     positions = {v: s * (p - center) for v, p in layout.positions.items()}
-    new_layout = PlaneLayout(positions, layout.consistency_residual * s, layout.traversal)
+    new_layout = PlaneLayout(
+        positions, layout.consistency_residual * s, layout.traversal, layout.lengths * s
+    )
     new_f = farr - farr[-1]
     mpoints = realize_mpoints(aug, cs, new_f, new_layout)
     return UnitDiskRealization(new_layout, new_f, mpoints)

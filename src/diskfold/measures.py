@@ -10,6 +10,10 @@ mu gives
 With the standard assignment this reproduces the angle curvature of
 the folded disk exactly, and the map (subcomplex -> curvature) is a
 valuation: K(A u B) = K(A) + K(B) - K(A n B).
+
+The angles come as the (F, 3) array of AngleSystem.angles, and the
+curvature of all vertices is one scatter over the complex's compiled
+incidence (edge ends, face corners).
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from .complexes import (
     simplex_key,
     standard_multiplicities,
 )
-from .conformal import AngleSystem, ConformalStructure, MetricData, metric_data
+from .conformal import AngleSystem, ConformalStructure
 
 __all__ = [
     "measure_curvature",
@@ -34,35 +38,32 @@ __all__ = [
 ]
 
 
-def _contribution(simplex, vertex, mu: MultiplicityAssignment, metric: MetricData) -> float:
-    if vertex not in simplex:
-        return 0.0
-    d = len(simplex)
-    if d == 1:
-        return 2.0 * np.pi * mu(simplex)
-    if d == 2:
-        return np.pi * mu(simplex)
-    return (np.pi - metric.angle(vertex, simplex)) * mu(simplex)
+def measure_curvatures(
+    aug: AugmentedDisk, mu: MultiplicityAssignment, angles: np.ndarray
+) -> np.ndarray:
+    """Curvature of the weighted complex at every vertex, in vertex order.
+
+    ``angles`` is AngleSystem.angles(f): a row per face, column c at
+    the corner faces[i][c].  One scatter of every simplex's
+    contribution over the compiled incidence.
+    """
+    ix = aug.compiled
+    n = len(aug.vertices)
+    mv = np.array([mu((v,)) for v in aug.vertices], dtype=float)
+    me = np.array([mu(e) for e in aug.edges], dtype=float)
+    mf = np.array([mu(f) for f in aug.faces], dtype=float)
+    index = np.concatenate([np.arange(n), ix.E.ravel(), ix.F.ravel()])
+    w = np.concatenate(
+        [2.0 * np.pi * mv, np.repeat(np.pi * me, 2), ((np.pi - angles) * mf[:, None]).ravel()]
+    )
+    return np.bincount(index, w, minlength=n)
 
 
 def measure_curvature(
-    aug: AugmentedDisk, mu: MultiplicityAssignment, metric: MetricData, vertex
+    aug: AugmentedDisk, mu: MultiplicityAssignment, angles: np.ndarray, vertex
 ) -> float:
     """Curvature of the weighted complex at one vertex."""
-    total = _contribution((vertex,), vertex, mu, metric)
-    for e in aug.edges:
-        if vertex in e:
-            total += _contribution(e, vertex, mu, metric)
-    for f in aug.faces:
-        if vertex in f:
-            total += _contribution(simplex_key(f), vertex, mu, metric)
-    return total
-
-
-def measure_curvatures(
-    aug: AugmentedDisk, mu: MultiplicityAssignment, metric: MetricData
-) -> dict:
-    return {v: measure_curvature(aug, mu, metric, v) for v in aug.vertices}
+    return float(measure_curvatures(aug, mu, angles)[aug.vertex_index[vertex]])
 
 
 def measure_equivalence_check(aug: AugmentedDisk, cs: ConformalStructure, f) -> float:
@@ -72,13 +73,9 @@ def measure_equivalence_check(aug: AugmentedDisk, cs: ConformalStructure, f) -> 
     summation order, so the deviation is pure roundoff.
     """
     sys = AngleSystem(aug, cs)
-    K = sys.curvature(f)
-    metric = metric_data(aug, cs, f)
-    mu = standard_multiplicities(aug)
-    dev = 0.0
-    for i, v in enumerate(aug.vertices):
-        dev = max(dev, abs(measure_curvature(aug, mu, metric, v) - K[i]))
-    return dev
+    ev = sys.accept(sys.evaluate(f))
+    K = measure_curvatures(aug, standard_multiplicities(aug), ev.angles)
+    return float(np.max(np.abs(K - ev.curvature)))
 
 
 def closure(simplices) -> frozenset:
@@ -96,14 +93,10 @@ def closure(simplices) -> frozenset:
     return frozenset(out)
 
 
-def _subcomplex_curvature(X, vertex, mu, metric) -> float:
-    return sum(_contribution(s, vertex, mu, metric) for s in X)
-
-
 def valuation_defect(
     aug: AugmentedDisk,
     mu: MultiplicityAssignment,
-    metric: MetricData,
+    angles: np.ndarray,
     vertex,
     A,
     B,
@@ -111,7 +104,8 @@ def valuation_defect(
     """|K(A u B) - K(A) - K(B) + K(A n B)| at one vertex.
 
     A and B must be subcomplexes (closed under sub-simplices) of the
-    augmented disk; exact up to roundoff for any multiplicities.
+    augmented disk; exact up to roundoff for any multiplicities.  K(X)
+    is the measure curvature with mu restricted to X.
     """
     allowed = closure(aug.faces) | {simplex_key(e) for e in aug.edges} | {
         (v,) for v in aug.vertices
@@ -123,11 +117,11 @@ def valuation_defect(
             raise ValueError(f"{name} contains simplices outside the complex")
         if closure(X) != X:
             raise ValueError(f"{name} is not closed under sub-simplices")
-    ka = _subcomplex_curvature(A, vertex, mu, metric)
-    kb = _subcomplex_curvature(B, vertex, mu, metric)
-    ku = _subcomplex_curvature(A | B, vertex, mu, metric)
-    ki = _subcomplex_curvature(A & B, vertex, mu, metric)
-    return abs(ku - ka - kb + ki)
+
+    def k(X):
+        return measure_curvature(aug, MultiplicityAssignment({s: mu(s) for s in X}), angles, vertex)
+
+    return abs(k(A | B) - k(A) - k(B) + k(A & B))
 
 
 def _segment_distance(a, b, q) -> float:

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .complexes import AugmentedDisk, CombinatorialDisk, augment, edge_key, validate_disk
-from .conformal import AngleSystem, ConformalStructure, attach_boundary_data
+from .complexes import CombinatorialDisk, augment, validate_disk
+from .conformal import AngleSystem, attach_boundary_data
+from .problem_io import parse_problem, problem_dict
 
 __all__ = [
     "SCENARIOS",
@@ -89,20 +90,6 @@ def scenario_data(disk: CombinatorialDisk, scenario: str):
     return alpha, eta, mu
 
 
-def _problem_dict(disk: CombinatorialDisk, alpha, eta, mu, f_init=None) -> dict:
-    out = {
-        "vertices": list(disk.vertices),
-        "faces": [list(f) for f in disk.faces],
-        "alpha": {str(v): alpha[v] for v in disk.vertices},
-        "eta": {f"{e[0]}-{e[1]}": eta[e] for e in disk.edges},
-        "mu": {str(v): mu[v] for v in disk.boundary_cycle},
-    }
-    out["alpha"]["hat"] = 1.0
-    if f_init is not None:
-        out["f_init"] = f_init
-    return out
-
-
 def preset(name: str, n_rings: int = 2, scenario: str = "tangent") -> dict:
     """A named problem as a JSON-ready dictionary."""
     if name == "hex_tangent":
@@ -117,14 +104,11 @@ def preset(name: str, n_rings: int = 2, scenario: str = "tangent") -> dict:
         disk, scen = triangle_disk(), scenario
     else:
         raise ValueError(f"unknown preset {name!r}; choose from {PRESET_NAMES}")
-    alpha, eta, mu = scenario_data(disk, scen)
-    return _problem_dict(disk, alpha, eta, mu)
+    return problem_dict(disk, *scenario_data(disk, scen))
 
 
 def build(name: str, n_rings: int = 2, scenario: str = "tangent"):
     """(aug, cs) for a named preset."""
-    from .problem_io import parse_problem
-
     prob = parse_problem(preset(name, n_rings=n_rings, scenario=scenario))
     return prob.aug, prob.cs
 

@@ -234,17 +234,22 @@ def canonical_json(obj) -> str:
     return render(obj)
 
 
-def serialize_problem(problem: Problem, f=None) -> str:
-    """Canonical text of a problem; optionally with a label as f_init."""
-    disk = problem.disk
+def problem_dict(disk: CombinatorialDisk, alpha, eta, mu, apex_alpha: float = 1.0) -> dict:
+    """The JSON-ready problem object of disk data, without f_init."""
     data = {
         "vertices": list(disk.vertices),
         "faces": [list(fc) for fc in disk.faces],
-        "alpha": {str(v): problem.alpha[v] for v in disk.vertices},
-        "eta": {f"{e[0]}-{e[1]}": problem.eta[e] for e in disk.edges},
-        "mu": {str(v): problem.mu[v] for v in disk.boundary_cycle},
+        "alpha": {str(v): alpha[v] for v in disk.vertices},
+        "eta": {f"{e[0]}-{e[1]}": eta[e] for e in disk.edges},
+        "mu": {str(v): mu[v] for v in disk.boundary_cycle},
     }
-    data["alpha"]["hat"] = problem.apex_alpha
+    data["alpha"]["hat"] = apex_alpha
+    return data
+
+
+def serialize_problem(problem: Problem, f=None) -> str:
+    """Canonical text of a problem; optionally with a label as f_init."""
+    data = problem_dict(problem.disk, problem.alpha, problem.eta, problem.mu, problem.apex_alpha)
     if f is None and problem.f_init is not None:
         f = problem.f_init
     if f is not None:

@@ -17,8 +17,8 @@ import numpy as np
 
 from .complexes import AugmentedDisk
 from .conformal import AngleSystem, ConformalStructure
+from .layout import PlaneLayout, realize_mpoints
 from .minkowski import InfinitesimalMobius, induced_label_variation, infinitesimal_generator
-from .layout import layout_augmented, realize_mpoints
 
 __all__ = [
     "constraint_matrix",
@@ -37,17 +37,15 @@ def constraint_matrix(aug: AugmentedDisk, mpoints: dict) -> np.ndarray:
     are written without the symmetrization factor 2, which leaves the
     rank unchanged.
     """
-    verts = aug.vertices
-    vidx = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-    m = np.zeros((n + len(aug.edges), 4 * n))
-    for v in verts:
-        i = vidx[v]
-        m[i, 4 * i: 4 * i + 4] = mpoints[v].xi
-    for r, (u, v) in enumerate(aug.edges):
-        iu, iv = vidx[u], vidx[v]
-        m[n + r, 4 * iu: 4 * iu + 4] = mpoints[v].xi
-        m[n + r, 4 * iv: 4 * iv + 4] = mpoints[u].xi
+    E = aug.compiled.E
+    n = len(aug.vertices)
+    xi = np.array([mpoints[v].xi for v in aug.vertices])
+    block = 4 * np.arange(n)[:, None] + np.arange(4)  # the 4 columns of each vertex
+    rows = n + np.arange(len(E))[:, None]
+    m = np.zeros((n + len(E), 4 * n))
+    m[np.arange(n)[:, None], block] = xi
+    m[rows, block[E[:, 0]]] = xi[E[:, 1]]
+    m[rows, block[E[:, 1]]] = xi[E[:, 0]]
     return m
 
 
@@ -77,19 +75,21 @@ def mobius_orbit_check(
     aug: AugmentedDisk,
     cs: ConformalStructure,
     f,
+    layout: PlaneLayout,
     generator: InfinitesimalMobius,
     eps: float,
 ) -> OrbitReport:
     """Push a flat realization along I + eps*M(g) and recover the label.
 
-    The moved label is f'_v = -log(xi'_4 - xi'_3).  For a flat f the
-    report shows max |K(f')| of order eps^2 and the finite-difference
+    ``layout`` is the development of the flat label f, as from
+    layout_augmented; a caller checking several generators develops
+    once.  The moved label is f'_v = -log(xi'_4 - xi'_3).  For a flat f
+    the report shows max |K(f')| of order eps^2 and the finite-difference
     rate (f' - f)/eps close to the predicted variation
     (a + b, c + d) . P_v + t.  The perturbation matrix is applied
     directly: it is Lorentz only to first order, which is the point.
     """
-    lay = layout_augmented(aug, cs, f)
-    mpoints = realize_mpoints(aug, cs, f, lay)
+    mpoints = realize_mpoints(aug, cs, f, layout)
     L = infinitesimal_generator(generator, eps)
     farr = aug.label_array(f)
     sys = AngleSystem(aug, cs)
@@ -107,7 +107,7 @@ def mobius_orbit_check(
     K = sys.curvature(moved)
     rate = (moved - farr) / eps
     predicted = np.array(
-        [induced_label_variation(generator, lay.positions[v]) for v in aug.vertices]
+        [induced_label_variation(generator, layout.positions[v]) for v in aug.vertices]
     )
     return OrbitReport(
         generator=generator,

@@ -138,14 +138,15 @@ class FlowResult:
 
 
 def default_start(aug: AugmentedDisk, cs: ConformalStructure) -> np.ndarray:
-    """Zero on the disk, apex at log(2 * max boundary scale + 1).
+    """Zero on the disk, apex at log 3.
 
-    Places the apex circle safely outside the boundary scales so the
-    augmented faces start admissible in the common scenarios.
+    log(2 * max boundary scale + 1) with every boundary scale e^0 = 1:
+    the apex circle starts outside the boundary circles so the augmented
+    faces start admissible in the common scenarios.  The start does not
+    depend on the structure cs.
     """
     f = np.zeros(len(aug.vertices))
-    m = max(np.exp(f[aug.vertex_index[v]]) for v in aug.disk.boundary_cycle)
-    f[-1] = np.log(2.0 * m + 1.0)
+    f[-1] = np.log(3.0)
     return f
 
 

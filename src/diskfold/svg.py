@@ -81,8 +81,9 @@ def render_svg(
     ]
 
     parts.append("<g>")
+    fold_sign = aug.compiled.fold_sign
     for fi, face in enumerate(aug.faces):
-        style = _STYLE["disk_face"] if fi < aug.n_disk_faces else _STYLE["aug_face"]
+        style = _STYLE["disk_face"] if fold_sign[fi] < 0 else _STYLE["aug_face"]
         pts = " ".join(f"{X(pos[v][0])},{Y(pos[v][1])}" for v in face)
         parts.append(f'<polygon points="{pts}" {style}/>')
     parts.append("</g>")

@@ -187,11 +187,12 @@ def test_criterion_08_mobius_invariance():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
     fields = ("a", "b", "c", "d", "t", "r")
+    lay = layout_augmented(aug, cs, f)
     worst_k, worst_v = 0.0, 0.0
     for name in fields:
         g = InfinitesimalMobius(**{name: 1.0})
         for eps in (1e-3, 1e-4):
-            rep = mobius_orbit_check(aug, cs, f, g, eps)
+            rep = mobius_orbit_check(aug, cs, f, lay, g, eps)
             worst_k = max(worst_k, rep.max_abs_curvature / (100.0 * eps * eps))
             worst_v = max(worst_v, rep.max_variation_dev / (10.0 * eps))
     ok = worst_k <= 1.0 and worst_v <= 1.0
@@ -220,8 +221,8 @@ def test_criterion_09_traversal_independence(flat_instances):
         worst_pos = max(worst_pos, dev / (1e-9 * diameter))
         worst_edge = max(
             worst_edge,
-            layout_edge_error(aug, cs, f, bfs) / 1e-9,
-            layout_edge_error(aug, cs, f, dfs) / 1e-9,
+            layout_edge_error(aug, bfs) / 1e-9,
+            layout_edge_error(aug, dfs) / 1e-9,
         )
     ok = worst_pos <= 1.0 and worst_edge <= 1.0
     _line(

@@ -83,6 +83,49 @@ def test_vertex_index_is_built_once():
     assert [idx[v] for v in aug.vertex_order] == list(range(len(aug.vertices)))
 
 
+def test_compiled_index_is_shared_and_read_only():
+    aug = augment(hex_flower())
+    ix = aug.compiled
+    assert aug.compiled is ix
+    assert aug.vertex_index is ix.vertex_index
+    for a in (ix.E, ix.F, ix.FE, ix.edge_faces, ix.fold_sign, ix.const):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = a[0]
+
+
+@pytest.mark.parametrize("make", [triangle_disk, hex_flower, lambda: ring_lattice(2)])
+def test_compiled_index_matches_the_complex(make):
+    disk = make()
+    for cx in (disk, augment(disk)):
+        ix = cx.compiled
+        verts = cx.vertices
+        assert [(verts[u], verts[v]) for u, v in ix.E] == list(cx.edges)
+        assert [tuple(verts[i] for i in row) for row in ix.F] == list(cx.faces)
+        for fi, face in enumerate(cx.faces):
+            for c in range(3):
+                side = edge_key(face[(c + 1) % 3], face[(c + 2) % 3])
+                assert cx.edges[ix.FE[fi, c]] == side
+        for e, edge in enumerate(cx.edges):
+            in_face = [fi for fi, face in enumerate(cx.faces) if set(edge) <= set(face)]
+            assert [fi for fi in ix.edge_faces[e] if fi >= 0] == in_face
+    aug_ix = augment(disk).compiled
+    assert np.array_equal(disk.compiled.fold_sign, -np.ones(len(disk.faces)))
+    assert np.array_equal(disk.compiled.const, np.full(len(disk.vertices), 2 * np.pi))
+    assert aug_ix.const[-1] == -2 * np.pi
+    for v in disk.vertices:
+        want = 2 * np.pi if v in disk.interior_vertices else 0.0
+        assert aug_ix.const[disk.compiled.vertex_index[v]] == want
+
+
+def test_fold_sign_is_minus_the_standard_face_multiplicity():
+    aug = augment(ring_lattice(2))
+    mu = standard_multiplicities(aug)
+    fold = aug.compiled.fold_sign
+    assert [mu(face) for face in aug.faces] == [int(-s) for s in fold]
+    assert np.all(fold[: aug.n_disk_faces] == -1) and np.all(fold[aug.n_disk_faces:] == 1)
+
+
 def test_augment_is_a_sphere():
     for disk in (triangle_disk(), hex_flower(), ring_lattice(2)):
         aug = augment(disk)

@@ -11,13 +11,8 @@ from diskfold import (
     StructureError,
     attach_boundary_data,
     augment,
-    check_admissible,
-    curvature,
-    curvature_jacobian,
-    edge_length,
-    face_angles,
-    metric_data,
 )
+from diskfold.complexes import edge_key
 from diskfold.presets import hex_flower, ring_lattice, scenario_data, triangle_disk
 from diskfold.solver import default_start
 
@@ -50,9 +45,10 @@ def test_tangent_lengths_are_radius_sums():
     """alpha = eta = 1 makes every disk edge length e^{f_u} + e^{f_v}."""
     aug, cs = _hex()
     f = {v: 0.1 * v for v in aug.vertex_order}
+    lengths = dict(zip(aug.edges, AngleSystem(aug, cs).lengths(f)))
     for (u, v) in aug.disk.edges:
         expect = np.exp(f[u]) + np.exp(f[v])
-        assert edge_length(cs, f, (u, v)) == pytest.approx(expect, rel=1e-14)
+        assert lengths[(u, v)] == pytest.approx(expect, rel=1e-14)
 
 
 def test_apex_edges_use_folded_weights():
@@ -60,8 +56,9 @@ def test_apex_edges_use_folded_weights():
     aug, cs = _hex()
     f = {v: 0.0 for v in aug.vertex_order}
     f[aug.apex] = np.log(3.0)
+    lengths = dict(zip(aug.edges, AngleSystem(aug, cs).lengths(f)))
     for w in aug.disk.boundary_cycle:
-        assert edge_length(cs, f, (w, aug.apex)) == pytest.approx(2.0, rel=1e-14)
+        assert lengths[edge_key(w, aug.apex)] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_angles_sum_to_pi():
@@ -140,7 +137,7 @@ def test_inadmissible_labels_are_rejected():
     with pytest.raises(InadmissibleLabelError):
         sysm.angles(f)
     with pytest.raises(InadmissibleLabelError):
-        check_admissible(aug, cs, f)
+        sysm.check_admissible(f)
 
     # apex slightly larger: edges exist but the folded faces do not
     # close (e^0.5 - 1 twice against a disk edge of length 2)
@@ -169,6 +166,39 @@ def test_structure_validation():
     del eta[next(iter(eta))]
     with pytest.raises(StructureError):
         attach_boundary_data(aug, alpha, eta, mu)
+
+
+def edge_length(cs: ConformalStructure, f, edge) -> float:
+    """Scalar reference: the length of one edge under the label (a mapping)."""
+    u, v = edge
+    l2 = (
+        cs.alpha[u] * np.exp(2 * f[u])
+        + cs.alpha[v] * np.exp(2 * f[v])
+        + 2 * cs.eta[edge_key(u, v)] * np.exp(f[u] + f[v])
+    )
+    if not l2 > 0:
+        raise InadmissibleLabelError(
+            f"squared length {l2!r} on edge {edge} is not positive", simplex=edge
+        )
+    return float(np.sqrt(l2))
+
+
+def face_angles(cs: ConformalStructure, f, face) -> tuple:
+    """Scalar reference: the angles of one face at its corners, in face order."""
+    i, j, k = face
+    a = edge_length(cs, f, (j, k))
+    b = edge_length(cs, f, (i, k))
+    c = edge_length(cs, f, (i, j))
+    if not (a + b > c and b + c > a and a + c > b):
+        raise InadmissibleLabelError(
+            f"triangle inequality fails on face {face}: lengths {(a, b, c)}",
+            simplex=face,
+        )
+    out = []
+    for (op, s1, s2) in ((a, b, c), (b, a, c), (c, a, b)):
+        cosv = (s1 * s1 + s2 * s2 - op * op) / (2 * s1 * s2)
+        out.append(float(np.arccos(np.clip(cosv, -1.0, 1.0))))
+    return tuple(out)
 
 
 def _scalar_verdict_and_curvature(aug, cs, f):
@@ -281,18 +311,37 @@ def test_jacobian_is_symmetric_here():
     assert np.max(np.abs(J - J.T)) <= 1e-9 * max(1.0, np.max(np.abs(J)))
 
 
-def test_module_level_wrappers_agree():
-    aug, cs = _hex()
-    base = HEX_FLAT["hex_tangent"]
-    f = {v: base[i] + 0.01 * i for i, v in enumerate(aug.vertex_order)}
-    sysm = AngleSystem(aug, cs)
-    arr = aug.label_array(f)
-    assert np.array_equal(curvature(aug, cs, f), sysm.curvature(arr))
-    assert np.array_equal(curvature_jacobian(aug, cs, f), sysm.jacobian(arr))
-    md = metric_data(aug, cs, f)
-    face = aug.faces[0]
-    th = face_angles(cs, f, face)
-    for corner, angle in zip(face, th):
-        assert md.angle(corner, face) == pytest.approx(angle, abs=1e-14)
-    for e in aug.edges[:4]:
-        assert md.length(*e) == pytest.approx(edge_length(cs, f, e), abs=1e-14)
+
+# -- labels on a plain disk ---------------------------------------------
+
+
+def _plain_hex():
+    disk = hex_flower()
+    alpha, eta, _ = scenario_data(disk, "tangent")
+    return disk, AngleSystem(disk, ConformalStructure(alpha=alpha, eta=eta))
+
+
+def test_plain_disk_label_missing_vertex():
+    disk, sysm = _plain_hex()
+    f = {v: 0.0 for v in disk.vertices if v != 3}
+    with pytest.raises(ValueError, match=r"label misses vertices \[3\]"):
+        sysm.curvature(f)
+
+
+def test_plain_disk_label_not_finite():
+    disk, sysm = _plain_hex()
+    f = np.zeros(len(disk.vertices))
+    f[2] = np.nan
+    with pytest.raises(ValueError, match="label entries must be finite") as info:
+        sysm.curvature(f)
+    assert not isinstance(info.value, InadmissibleLabelError)
+
+
+def test_plain_disk_label_is_copied():
+    disk, sysm = _plain_hex()
+    f = np.zeros(len(disk.vertices))
+    ev = sysm.evaluate(f)
+    assert ev.f is not f and np.array_equal(ev.f, f)
+    arr = disk.label_array(f)
+    arr[0] = 1.0
+    assert f[0] == 0.0

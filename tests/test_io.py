@@ -10,6 +10,7 @@ from diskfold import (
     canonical_json,
     label_from_json,
     label_to_json,
+    layout_augmented,
     parse_problem,
     serialize_problem,
 )
@@ -187,6 +188,21 @@ def test_cli_mobius_check(hex_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["checks"]) == 6
     assert all(c["ok"] for c in out["checks"])
+
+
+def test_cli_mobius_check_develops_once(hex_file, capsys, monkeypatch):
+    import diskfold.cli as cli
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("traversal", "bfs"))
+        return layout_augmented(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "layout_augmented", counted)
+    assert main(["mobius-check", str(hex_file)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["checks"]) == 12
+    assert calls == ["bfs"]
 
 
 def test_cli_input_errors(tmp_path, capsys):

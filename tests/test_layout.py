@@ -32,7 +32,7 @@ def test_layout_reproduces_lengths():
     f = HEX_FLAT["hex_tangent"]
     lay = layout_augmented(aug, cs, f)
     assert lay.consistency_residual <= 1e-12
-    assert layout_edge_error(aug, cs, f, lay) <= 1e-12
+    assert layout_edge_error(aug, lay) <= 1e-12
 
 
 def test_fold_orientation():
@@ -84,6 +84,7 @@ def test_disk_only_layout():
     f_disk = {v: np.log(1.0 / 3.0) for v in disk.vertices}
     lay = layout_disk(disk, cs, f_disk)
     assert lay.consistency_residual <= 1e-12
+    assert layout_edge_error(disk, lay) <= 1e-12
     # regular hexagon around the center circle
     center = np.asarray(lay.positions[0])
     for v in disk.boundary_cycle:
@@ -109,6 +110,7 @@ def test_normalization_sends_apex_to_unit_circle():
     f = HEX_FLAT["hex_tangent"] + 0.37  # arbitrary global scale
     lay = layout_augmented(aug, cs, f)
     reali = normalize_to_unit_disk(aug, cs, f, lay)
+    assert layout_edge_error(aug, reali.layout) <= 1e-12
     apex_wp = project(reali.mpoints[aug.apex])
     assert apex_wp.x == pytest.approx(0.0, abs=1e-12)
     assert apex_wp.y == pytest.approx(0.0, abs=1e-12)

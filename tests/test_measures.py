@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from diskfold import (
+    AngleSystem,
+    MultiplicityAssignment,
     augment,
     attach_boundary_data,
     closure,
@@ -12,7 +14,6 @@ from diskfold import (
     measure_curvature,
     measure_curvatures,
     measure_equivalence_check,
-    metric_data,
     standard_multiplicities,
     valuation_defect,
 )
@@ -32,9 +33,9 @@ def _hex_tangent():
 def test_measure_curvature_vanishes_at_flat_label():
     aug, cs = _hex_tangent()
     mu = standard_multiplicities(aug)
-    md = metric_data(aug, cs, HEX_FLAT["hex_tangent"])
+    th = AngleSystem(aug, cs).angles(HEX_FLAT["hex_tangent"])
     for v in aug.vertex_order:
-        assert measure_curvature(aug, mu, md, v) == pytest.approx(0.0, abs=1e-13)
+        assert measure_curvature(aug, mu, th, v) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_equivalence_on_flat_and_perturbed_labels():
@@ -79,7 +80,7 @@ def test_valuation_property():
     mu = standard_multiplicities(aug)
     rng = np.random.default_rng(4)
     f = HEX_FLAT["hex_tangent"] + rng.uniform(-0.05, 0.05, 8)
-    md = metric_data(aug, cs, f)
+    th = AngleSystem(aug, cs).angles(f)
     apex = aug.apex
     pairs = [
         (closure([(0, 1, 2), (0, 2, 3)]), closure([(0, 3, 4), (0, 2, 3)])),
@@ -88,27 +89,43 @@ def test_valuation_property():
     ]
     for A, B in pairs:
         for v in (0, 1, 2):
-            assert valuation_defect(aug, mu, md, v, A, B) <= 1e-12
+            assert valuation_defect(aug, mu, th, v, A, B) <= 1e-12
 
 
 def test_valuation_rejects_non_subcomplexes():
     aug, cs = _hex_tangent()
     mu = standard_multiplicities(aug)
-    md = metric_data(aug, cs, HEX_FLAT["hex_tangent"])
+    th = AngleSystem(aug, cs).angles(HEX_FLAT["hex_tangent"])
     open_set = frozenset({(0, 1, 2)})  # faces without their edges
     with pytest.raises(ValueError):
-        valuation_defect(aug, mu, md, 0, open_set, open_set)
+        valuation_defect(aug, mu, th, 0, open_set, open_set)
+
+
+def _loop_measure_curvature(aug, mu, th, vertex):
+    """Reference: the contribution of every simplex containing the vertex."""
+    total = 2.0 * np.pi * mu((vertex,))
+    for e in aug.edges:
+        if vertex in e:
+            total += np.pi * mu(e)
+    for fi, face in enumerate(aug.faces):
+        if vertex in face:
+            total += (np.pi - th[fi, face.index(vertex)]) * mu(face)
+    return total
 
 
 def test_measure_curvatures_matches_scalar_calls():
     aug, cs = _hex_tangent()
-    mu = standard_multiplicities(aug)
     rng = np.random.default_rng(8)
     f = HEX_FLAT["hex_tangent"] + rng.uniform(-0.05, 0.05, 8)
-    md = metric_data(aug, cs, f)
-    allk = measure_curvatures(aug, mu, md)
-    for v in aug.vertex_order:
-        assert allk[v] == measure_curvature(aug, mu, md, v)
+    th = AngleSystem(aug, cs).angles(f)
+    # the standard weights, then arbitrary integer weights on every simplex
+    arbitrary = {s: int(rng.integers(-3, 4)) for s in sorted(closure(aug.faces))}
+    for mu in (standard_multiplicities(aug), MultiplicityAssignment(arbitrary)):
+        allk = measure_curvatures(aug, mu, th)
+        assert allk.shape == (len(aug.vertices),)
+        for i, v in enumerate(aug.vertex_order):
+            assert allk[i] == measure_curvature(aug, mu, th, v)
+            assert allk[i] == pytest.approx(_loop_measure_curvature(aug, mu, th, v), abs=1e-12)
 
 
 def test_layout_multiplicity_cancels_on_the_fold():

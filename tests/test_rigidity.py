@@ -27,10 +27,15 @@ GENERATORS = [
 
 
 @pytest.fixture(scope="module")
-def hex_realized():
+def hex_layout():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(aug, cs, f)
+    return aug, cs, f, layout_augmented(aug, cs, f)
+
+
+@pytest.fixture(scope="module")
+def hex_realized(hex_layout):
+    aug, cs, f, lay = hex_layout
     return aug, cs, f, realize_mpoints(aug, cs, f, lay)
 
 
@@ -76,33 +81,33 @@ def test_numerical_rank_on_simple_matrices():
     assert numerical_rank(m)[0] == 1
 
 
-def test_orbit_transport_stays_flat(hex_realized):
-    aug, cs, f, _ = hex_realized
+def test_orbit_transport_stays_flat(hex_layout):
+    aug, cs, f, lay = hex_layout
     for g in GENERATORS:
         for eps in (1e-3, 1e-4):
-            rep = mobius_orbit_check(aug, cs, f, g, eps)
+            rep = mobius_orbit_check(aug, cs, f, lay, g, eps)
             assert rep.eps == eps
             assert rep.max_abs_curvature <= 100.0 * eps * eps
             assert rep.max_variation_dev <= 10.0 * eps
 
 
-def test_orbit_variation_matches_position_formula(hex_realized):
-    aug, cs, f, _ = hex_realized
+def test_orbit_variation_matches_position_formula(hex_layout):
+    aug, cs, f, lay = hex_layout
     g = InfinitesimalMobius(a=0.5, c=-0.3, t=0.2)
-    rep = mobius_orbit_check(aug, cs, f, g, 1e-4)
+    rep = mobius_orbit_check(aug, cs, f, lay, g, 1e-4)
     assert rep.max_variation_dev <= 1e-3
     assert rep.f_moved.shape == f.shape
 
 
-def test_orbit_rejects_eps_leaving_proper_cone(hex_realized):
-    aug, cs, f, _ = hex_realized
+def test_orbit_rejects_eps_leaving_proper_cone(hex_layout):
+    aug, cs, f, lay = hex_layout
     with pytest.raises(ValueError):
-        mobius_orbit_check(aug, cs, f, InfinitesimalMobius(b=1.0), 5.0)
+        mobius_orbit_check(aug, cs, f, lay, InfinitesimalMobius(b=1.0), 5.0)
 
 
-def test_zero_generator_is_identity(hex_realized):
-    aug, cs, f, _ = hex_realized
-    rep = mobius_orbit_check(aug, cs, f, InfinitesimalMobius(), 1e-3)
+def test_zero_generator_is_identity(hex_layout):
+    aug, cs, f, lay = hex_layout
+    rep = mobius_orbit_check(aug, cs, f, lay, InfinitesimalMobius(), 1e-3)
     assert np.max(np.abs(rep.f_moved - f)) <= 1e-12
     assert rep.max_abs_curvature <= 1e-12
 
@@ -110,5 +115,6 @@ def test_zero_generator_is_identity(hex_realized):
 def test_solved_label_transports_too():
     aug, cs = build("hex_orthogonal")
     res = newton_flat(aug, cs, tol=1e-12)
-    rep = mobius_orbit_check(aug, cs, res.f, InfinitesimalMobius(b=0.7, r=0.4), 1e-3)
+    lay = layout_augmented(aug, cs, res.f)
+    rep = mobius_orbit_check(aug, cs, res.f, lay, InfinitesimalMobius(b=0.7, r=0.4), 1e-3)
     assert rep.max_abs_curvature <= 1e-4
