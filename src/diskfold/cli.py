@@ -8,6 +8,7 @@ of a non-flat label).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -17,12 +18,7 @@ import numpy as np
 from . import presets, problem_io
 from .complexes import DiskTopologyError
 from .conformal import AngleSystem, InadmissibleLabelError, StructureError
-from .layout import (
-    LayoutError,
-    layout_augmented,
-    normalize_to_unit_disk,
-    realize_mpoints,
-)
+from .layout import LayoutError, layout_augmented, normalize_layout, realize_mpoints
 from .minkowski import InfinitesimalMobius
 from .rigidity import constraint_matrix, mobius_orbit_check, numerical_rank
 from .solver import SolverError, curvature_flow, default_start, newton_flat
@@ -84,12 +80,13 @@ def _load(path: str) -> problem_io.Problem:
         return problem_io.parse_problem(fh)
 
 
-def _solved_label(prob, args) -> np.ndarray:
-    """f_init when it is already flat, otherwise a fresh Newton solve."""
+def _solved_label(prob, args):
+    """(f, system): f_init when it is already flat, otherwise a fresh
+    Newton solve, and the AngleSystem that checked it."""
     sys_ = AngleSystem(prob.aug, prob.cs)
     if prob.f_init is not None:
         if float(np.max(np.abs(sys_.curvature(prob.f_init)))) <= 1e-8:
-            return prob.f_init
+            return prob.f_init, sys_
     res = newton_flat(
         prob.aug,
         prob.cs,
@@ -100,7 +97,7 @@ def _solved_label(prob, args) -> np.ndarray:
     )
     if not res.converged:
         raise SolverError(f"newton did not converge: {res.status}, residual {res.residual!r}")
-    return res.f
+    return res.f, sys_
 
 
 def _cmd_validate(args) -> int:
@@ -172,18 +169,19 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _realized(prob, args):
-    f = _solved_label(prob, args)
+def _developed(prob, args):
+    """(f, layout) of the solved label, normalized with --normalize."""
+    f, _ = _solved_label(prob, args)
     lay = layout_augmented(prob.aug, prob.cs, f, traversal=args.traversal)
     if args.normalize:
-        norm = normalize_to_unit_disk(prob.aug, prob.cs, f, lay)
-        return norm.label, norm.layout, norm.mpoints
-    return f, lay, realize_mpoints(prob.aug, prob.cs, f, lay)
+        lay, f = normalize_layout(prob.aug, f, lay)
+    return f, lay
 
 
 def _cmd_layout(args) -> int:
     prob = _load(args.problem)
-    f, lay, mpoints = _realized(prob, args)
+    f, lay = _developed(prob, args)
+    mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
     out = {
         "positions": {
             ("hat" if v == prob.aug.apex else str(v)): [float(p[0]), float(p[1])]
@@ -203,16 +201,15 @@ def _cmd_layout(args) -> int:
 
 def _cmd_render(args) -> int:
     prob = _load(args.problem)
-    f, lay, _ = _realized(prob, args)
+    f, lay = _developed(prob, args)
     _write(render_svg(prob.aug, prob.cs, f, lay, size=args.size), args.out)
     return 0
 
 
 def _cmd_rank(args) -> int:
     prob = _load(args.problem)
-    f = _solved_label(prob, args)
+    f, sys_ = _solved_label(prob, args)
     if args.jacobian:
-        sys_ = AngleSystem(prob.aug, prob.cs)
         if args.perturb:
             rng = np.random.default_rng(args.seed)
             for _ in range(100):
@@ -243,14 +240,15 @@ def _cmd_rank(args) -> int:
 
 def _cmd_mobius_check(args) -> int:
     prob = _load(args.problem)
-    f = _solved_label(prob, args)
+    f, sys_ = _solved_label(prob, args)
     lay = layout_augmented(prob.aug, prob.cs, f)
+    mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
     names = ("a", "b", "c", "d", "t", "r")
     reports = []
     for name in names:
         gen = InfinitesimalMobius(**{name: 1.0})
         for eps in args.eps:
-            rep = mobius_orbit_check(prob.aug, prob.cs, f, lay, gen, eps)
+            rep = mobius_orbit_check(sys_, f, lay, mpoints, gen, eps)
             reports.append(
                 {
                     "generator": name,
@@ -269,7 +267,10 @@ def _cmd_mobius_check(args) -> int:
     return 0 if all(r["ok"] for r in reports) else NUMERICAL_ERROR
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args leaves it
+    unchanged and returns a fresh namespace on every call."""
     p = _Parser(prog="diskfold", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 

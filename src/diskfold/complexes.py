@@ -200,7 +200,7 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
 
     Raises DiskTopologyError when the complex is not a disk: duplicate
     or degenerate faces, edges in more than two faces, wrong Euler
-    characteristic, disconnected or pinched vertex links, or a boundary
+    characteristic, disconnected (pinched) vertex links, or a boundary
     that is not a single cycle.
     """
     vertices = tuple(vertices)
@@ -255,11 +255,8 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
     interior = set()
     for v in vertices:
         nbrs = link[v]
-        degs = {n: len(s) for n, s in nbrs.items()}
-        ends = [n for n, d in degs.items() if d == 1]
-        if any(d > 2 for d in degs.values()):
-            raise _err("pinched vertex link", vertex=v)
-        # connectivity of the link graph
+        # no edge lies in more than two faces, so link degrees are 1 or
+        # 2: a connected link is a cycle (no ends) or a path (two ends)
         start = next(iter(nbrs))
         stack, comp = [start], {start}
         while stack:
@@ -270,10 +267,8 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
                     stack.append(w)
         if comp != set(nbrs):
             raise _err("vertex link is not connected", vertex=v)
-        if not ends:
+        if all(len(s) == 2 for s in nbrs.values()):
             interior.add(v)
-        elif len(ends) != 2:
-            raise _err("vertex link is not a single path", vertex=v)
 
     # Orient faces consistently: neighbors traverse shared edges oppositely.
     directed = [None] * len(faces)

@@ -8,14 +8,20 @@ augmented disk the apex goes to the origin and the augmented faces are
 placed with negative orientation: the augmented sheet folds back over
 the disk.  Both cases run one development over the complex's compiled
 index: the faces of each edge, the side opposite each corner and the
-fold sign, whose negative is the orientation of a face.
+fold sign, whose negative is the orientation of a face.  Placement is
+sequential, one new vertex per face; the consistency residual then
+re-derives all 3F corners in one array pass.
 
 The layout lifts to Minkowski vectors
 
     xi_v = e^{-f_v} * lift(P_v, alpha_v e^{2 f_v})
 
 which reproduce the structure constants: <xi_v, xi_v> = alpha_v and
--<xi_v, xi_w> = eta_vw on edges.
+-<xi_v, xi_w> = eta_vw on edges.  realize_mpoints computes them for
+all vertices at once.  The array passes round exactly like the
+per-element formulas (_third_point, canonical_lift): a 2-vector dot
+product is taken as a stacked matmul, which rounds as ``a @ b`` does
+and differs from ``x*x + y*y``.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import numpy as np
 
 from .complexes import AugmentedDisk, CombinatorialDisk
 from .conformal import AngleSystem, ConformalStructure
-from .minkowski import canonical_lift, project
+from .minkowski import MPoint, canonical_lift, project
 
 __all__ = [
     "LayoutError",
@@ -38,6 +44,7 @@ __all__ = [
     "layout_augmented",
     "layout_edge_error",
     "realize_mpoints",
+    "normalize_layout",
     "normalize_to_unit_disk",
     "verify_boundary_condition",
 ]
@@ -138,16 +145,40 @@ def _develop(ix, lengths, start, traversal):
                 queue.append(fj)
     if len(visited) != len(F):
         raise LayoutError("face graph is not edge-connected")
+    return positions, _residual(ix, lengths, positions)
 
-    residual = 0.0
-    for fi, f in enumerate(F):
-        for c in range(3):
-            a, b = (c + 1) % 3, (c + 2) % 3
-            la = lengths[FE[fi][b]]
-            lb = lengths[FE[fi][a]]
-            p = _third_point(positions[f[a]], positions[f[b]], la, lb, area_sign[fi])
-            residual = max(residual, float(np.linalg.norm(p - positions[f[c]])))
-    return positions, residual
+
+def _dot2(a, b):
+    """Row-wise dot products of (n, 2) arrays, rounded as ``a[i] @ b[i]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _residual(ix, lengths, positions):
+    """Largest distance between a corner and its re-derivation from the
+    other two corners of its face, over all 3F corners at once.
+
+    Each corner c is rebuilt with _third_point's arithmetic, term for
+    term: from a = c+1 and b = c+2 at the lengths of the sides opposite
+    b and a, on the side -fold_sign of its face.
+    """
+    P = np.array([positions[i] for i in range(len(positions))])
+    a, b = [1, 2, 0], [2, 0, 1]
+    pa, pb, pc = P[ix.F[:, a]].reshape(-1, 2), P[ix.F[:, b]].reshape(-1, 2), P[ix.F].reshape(-1, 2)
+    L = np.asarray(lengths)[ix.FE]
+    la, lb = L[:, b].ravel(), L[:, a].ravel()
+    orient = np.repeat(-ix.fold_sign, 3)
+
+    ab = pb - pa
+    d2 = _dot2(ab, ab)
+    d = np.sqrt(d2)
+    x = (d2 + la * la - lb * lb) / (2.0 * d)
+    h = np.sqrt(np.maximum(la * la - x * x, 0.0))
+    u = ab / d[:, None]
+    perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
+    p = pa + x[:, None] * u + (orient * h)[:, None] * perp
+    dev = p - pc
+    # fmax skips NaN as the running max(residual, r) of a scalar loop does
+    return float(np.fmax.reduce(np.sqrt(_dot2(dev, dev)), initial=0.0))
 
 
 def _layout(complex_, cs, f, start, traversal, flat_tol) -> PlaneLayout:
@@ -223,15 +254,26 @@ def realize_mpoints(
     """Minkowski vector per vertex: e^{-f_v} times the canonical lift.
 
     The prefactor makes the self-products equal alpha_v and the edge
-    products equal -eta_vw, independent of the label gauge.
+    products equal -eta_vw, independent of the label gauge.  All
+    vertices are lifted and scaled at once, with canonical_lift's and
+    MPoint.scaled's arithmetic; a vertex that fails their checks (a
+    non-finite lift, a scale that underflows to 0, a non-finite or zero
+    vector) raises the error the per-vertex path raises for it.
     """
     farr = aug.label_array(f)
-    out = {}
-    for i, v in enumerate(aug.vertices):
-        p = layout.positions[v]
-        w = cs.alpha[v] * np.exp(2.0 * farr[i])
-        out[v] = canonical_lift(p, w).scaled(float(np.exp(-farr[i])))
-    return out
+    verts = aug.vertices
+    P = np.array([layout.positions[v] for v in verts])
+    W = np.array([cs.alpha[v] for v in verts]) * np.exp(2.0 * farr)
+    q = _dot2(P, P)
+    lift = np.column_stack([P, (q - W - 1.0) / 2.0, (q - W + 1.0) / 2.0])
+    s = np.exp(-farr)
+    xi = s[:, None] * lift
+    bad = ~np.isfinite(lift).all(1) | (s <= 0) | ~np.isfinite(xi).all(1) | ~xi.any(1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        canonical_lift(P[i], W[i]).scaled(float(s[i]))  # raises for the first offender
+    xi.setflags(write=False)
+    return {v: MPoint._checked(xi[i]) for i, v in enumerate(verts)}
 
 
 @dataclass
@@ -243,6 +285,22 @@ class UnitDiskRealization:
     mpoints: dict
 
 
+def normalize_layout(aug: AugmentedDisk, f, layout: PlaneLayout):
+    """(layout, label) with the apex circle moved to the unit circle.
+
+    The apex goes to the origin, the plane is scaled by e^{-f(apex)}
+    and the label shifted so that f(apex) = 0; no M-points are built.
+    """
+    farr = aug.label_array(f)
+    s = float(np.exp(-farr[-1]))
+    center = layout.positions[aug.apex]
+    positions = {v: s * (p - center) for v, p in layout.positions.items()}
+    new_layout = PlaneLayout(
+        positions, layout.consistency_residual * s, layout.traversal, layout.lengths * s
+    )
+    return new_layout, farr - farr[-1]
+
+
 def normalize_to_unit_disk(
     aug: AugmentedDisk, cs: ConformalStructure, f, layout: PlaneLayout
 ) -> UnitDiskRealization:
@@ -252,16 +310,8 @@ def normalize_to_unit_disk(
     the realization, so the normalized configuration represents the
     same solution with f(apex) = 0.
     """
-    farr = aug.label_array(f)
-    s = float(np.exp(-farr[-1]))
-    center = layout.positions[aug.apex]
-    positions = {v: s * (p - center) for v, p in layout.positions.items()}
-    new_layout = PlaneLayout(
-        positions, layout.consistency_residual * s, layout.traversal, layout.lengths * s
-    )
-    new_f = farr - farr[-1]
-    mpoints = realize_mpoints(aug, cs, new_f, new_layout)
-    return UnitDiskRealization(new_layout, new_f, mpoints)
+    new_layout, new_f = normalize_layout(aug, f, layout)
+    return UnitDiskRealization(new_layout, new_f, realize_mpoints(aug, cs, new_f, new_layout))
 
 
 @dataclass

@@ -100,6 +100,13 @@ class MPoint:
         xi.setflags(write=False)
         self.xi = xi
 
+    @classmethod
+    def _checked(cls, xi: np.ndarray) -> "MPoint":
+        """Wrap a read-only 4-vector that already passed __init__'s checks."""
+        mp = object.__new__(cls)
+        mp.xi = xi
+        return mp
+
     @property
     def is_proper(self) -> bool:
         return self.xi[3] - self.xi[2] > 0.0
@@ -384,7 +391,11 @@ def infinitesimal_generator(g: InfinitesimalMobius, eps: float) -> LorentzMap:
     return LorentzMap(m, tol=None)
 
 
-def induced_label_variation(g: InfinitesimalMobius, p) -> float:
-    """First-order change of the logarithmic label at plane position p."""
-    p = np.asarray(p, dtype=float).reshape(2)
-    return (g.a + g.b) * p[0] + (g.c + g.d) * p[1] + g.t
+def induced_label_variation(g: InfinitesimalMobius, p):
+    """First-order change of the logarithmic label at plane position p.
+
+    An (n, 2) array of positions gives the n changes as an array.
+    """
+    p = np.asarray(p, dtype=float)
+    x, y = p.T if p.ndim == 2 else p.reshape(2)
+    return (g.a + g.b) * x + (g.c + g.d) * y + g.t

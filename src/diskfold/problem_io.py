@@ -116,6 +116,7 @@ def parse_problem(source) -> Problem:
     except DiskTopologyError as exc:
         raise ProblemFormatError(f"not a triangulated disk: {exc}") from None
     aug = augment(disk)
+    known = set(disk.vertices)
 
     raw_alpha = data["alpha"]
     if not isinstance(raw_alpha, dict):
@@ -128,7 +129,7 @@ def parse_problem(source) -> Problem:
         if k == "hat":
             continue
         v = _vertex_id(k, "/alpha")
-        if v not in set(disk.vertices):
+        if v not in known:
             raise ProblemFormatError(f"/alpha/{k}: unknown vertex")
         alpha[v] = _num(val, f"/alpha/{k}")
     missing_a = [v for v in disk.vertices if v not in alpha]
@@ -182,7 +183,7 @@ def parse_problem(source) -> Problem:
             if k == "hat":
                 continue
             v = _vertex_id(k, "/f_init")
-            if v not in set(disk.vertices):
+            if v not in known:
                 raise ProblemFormatError(f"/f_init/{k}: unknown vertex")
             fd[v] = _num(val, f"/f_init/{k}")
         missing_f = [v for v in disk.vertices if v not in fd]

@@ -7,6 +7,11 @@ measures how large the space of product-preserving deformations is.
 The expectation is that only the Lorentz moves remain, which makes the
 (V + E) x 4V constraint matrix full rank whenever V + E <= 4V - 6.
 The rank is reported, never asserted: it is experimental evidence.
+
+The Mobius orbit check takes the caller's AngleSystem, layout and
+realization, so checking many generators compiles, develops and
+realizes once; each check moves every vertex with one stacked
+product.
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import AugmentedDisk
-from .conformal import AngleSystem, ConformalStructure
-from .layout import PlaneLayout, realize_mpoints
+from .conformal import AngleSystem
+from .layout import PlaneLayout
 from .minkowski import InfinitesimalMobius, induced_label_variation, infinitesimal_generator
 
 __all__ = [
@@ -72,43 +77,40 @@ class OrbitReport:
 
 
 def mobius_orbit_check(
-    aug: AugmentedDisk,
-    cs: ConformalStructure,
+    system: AngleSystem,
     f,
     layout: PlaneLayout,
+    mpoints: dict,
     generator: InfinitesimalMobius,
     eps: float,
 ) -> OrbitReport:
     """Push a flat realization along I + eps*M(g) and recover the label.
 
-    ``layout`` is the development of the flat label f, as from
-    layout_augmented; a caller checking several generators develops
+    ``system`` is the AngleSystem of the augmented disk and its
+    structure, ``layout`` the development of the flat label f (as from
+    layout_augmented) and ``mpoints`` its realization (as from
+    realize_mpoints); a caller checking several generators builds each
     once.  The moved label is f'_v = -log(xi'_4 - xi'_3).  For a flat f
     the report shows max |K(f')| of order eps^2 and the finite-difference
     rate (f' - f)/eps close to the predicted variation
     (a + b, c + d) . P_v + t.  The perturbation matrix is applied
     directly: it is Lorentz only to first order, which is the point.
     """
-    mpoints = realize_mpoints(aug, cs, f, layout)
+    verts = system.vertex_order
+    farr = system.complex.label_array(f)
     L = infinitesimal_generator(generator, eps)
-    farr = aug.label_array(f)
-    sys = AngleSystem(aug, cs)
+    X = np.array([mpoints[v].xi for v in verts])
+    # a stacked product rounds like the per-vertex L.m @ xi
+    xi = (L.m[None] @ X[:, :, None])[:, :, 0]
+    depth = xi[:, 3] - xi[:, 2]
+    if np.any(depth <= 0):
+        v = verts[int(np.argmax(depth <= 0))]
+        raise ValueError(f"eps={eps!r} pushes vertex {v} outside the representable range")
+    moved = -np.log(depth)
 
-    moved = np.empty_like(farr)
-    for i, v in enumerate(aug.vertices):
-        xi = L.m @ mpoints[v].xi
-        depth = xi[3] - xi[2]
-        if depth <= 0:
-            raise ValueError(
-                f"eps={eps!r} pushes vertex {v} outside the representable range"
-            )
-        moved[i] = -np.log(depth)
-
-    K = sys.curvature(moved)
+    K = system.curvature(moved)
     rate = (moved - farr) / eps
-    predicted = np.array(
-        [induced_label_variation(generator, layout.positions[v]) for v in aug.vertices]
-    )
+    predicted = induced_label_variation(generator, np.array([layout.positions[v] for v in verts]))
     return OrbitReport(
         generator=generator,
         eps=eps,

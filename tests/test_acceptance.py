@@ -188,11 +188,12 @@ def test_criterion_08_mobius_invariance():
     f = HEX_FLAT["hex_tangent"]
     fields = ("a", "b", "c", "d", "t", "r")
     lay = layout_augmented(aug, cs, f)
+    sys_, mp = AngleSystem(aug, cs), realize_mpoints(aug, cs, f, lay)
     worst_k, worst_v = 0.0, 0.0
     for name in fields:
         g = InfinitesimalMobius(**{name: 1.0})
         for eps in (1e-3, 1e-4):
-            rep = mobius_orbit_check(aug, cs, f, lay, g, eps)
+            rep = mobius_orbit_check(sys_, f, lay, mp, g, eps)
             worst_k = max(worst_k, rep.max_abs_curvature / (100.0 * eps * eps))
             worst_v = max(worst_v, rep.max_variation_dev / (10.0 * eps))
     ok = worst_k <= 1.0 and worst_v <= 1.0

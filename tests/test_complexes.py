@@ -62,17 +62,21 @@ def test_orientation_is_normalized():
 
 def test_bad_disks_rejected():
     bad = [
-        ([0, 1, 2, 3], [(0, 1, 2), (2, 1, 0)]),          # duplicate face
-        ([0, 1, 2], [(0, 1, 1)]),                        # degenerate face
-        ([0, 1, 2, 3, 4], [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),  # fat edge
-        ([0, 1, 2, 9], [(0, 1, 2)]),                     # isolated vertex
-        ([0, 1, 2, 3], [(0, 1, 2), (0, 3, 1), (1, 3, 2), (0, 2, 3)]),  # sphere
-        (list(range(6)), [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4), (2, 0, 5), (0, 3, 5)]),  # annulus
-        ([0, 1, 2, 3, 4], [(0, 1, 2), (0, 3, 4)]),       # pinched vertex
-        ([0, 1, 2, 3, 4, 5], [(0, 1, 2), (3, 4, 5)]),    # disconnected
+        ([0, 1, 2, 3], [(0, 1, 2), (2, 1, 0)], "duplicate face"),
+        ([0, 1, 2], [(0, 1, 1)], "face is not a triangle"),
+        ([0, 1, 2, 3, 4], [(0, 1, 2), (0, 1, 3), (0, 1, 4)], "edge lies in more than two faces"),
+        ([0, 1, 2, 9], [(0, 1, 2)], "isolated vertices"),
+        ([0, 1, 2, 3], [(0, 1, 2), (0, 3, 1), (1, 3, 2), (0, 2, 3)], "Euler characteristic is not 1"),  # sphere
+        (
+            list(range(6)),
+            [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4), (2, 0, 5), (0, 3, 5)],
+            "Euler characteristic is not 1",  # annulus
+        ),
+        ([0, 1, 2, 3, 4], [(0, 1, 2), (0, 3, 4)], "vertex link is not connected"),  # pinched vertex
+        ([0, 1, 2, 3, 4, 5], [(0, 1, 2), (3, 4, 5)], "Euler characteristic is not 1"),  # disconnected
     ]
-    for vertices, faces in bad:
-        with pytest.raises(DiskTopologyError):
+    for vertices, faces, reason in bad:
+        with pytest.raises(DiskTopologyError, match=f"^{reason}"):
             validate_disk(vertices, faces)
 
 

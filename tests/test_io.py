@@ -205,6 +205,73 @@ def test_cli_mobius_check_develops_once(hex_file, capsys, monkeypatch):
     assert calls == ["bfs"]
 
 
+def _patch_everywhere(monkeypatch, fn, wrap):
+    """Replace fn in every diskfold module that binds it with wrap(fn)."""
+    import sys
+
+    wrapped = wrap(fn)
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("diskfold") and getattr(mod, fn.__name__, None) is fn:
+            monkeypatch.setattr(mod, fn.__name__, wrapped)
+
+
+def test_cli_mobius_check_realizes_once(hex_file, capsys, monkeypatch):
+    from diskfold.conformal import AngleSystem
+    from diskfold.layout import realize_mpoints
+
+    realized, compiled = [], []
+    _patch_everywhere(monkeypatch, realize_mpoints, lambda fn: lambda *a: realized.append(1) or fn(*a))
+    init = AngleSystem.__init__
+    monkeypatch.setattr(AngleSystem, "__init__", lambda self, *a: compiled.append(1) or init(self, *a))
+    assert main(["mobius-check", str(hex_file)]) == 0
+    assert len(json.loads(capsys.readouterr().out)["checks"]) == 12
+    assert len(realized) == 1
+    assert len(compiled) <= 3
+
+
+@pytest.mark.parametrize("extra", [[], ["--normalize"]])
+def test_cli_render_builds_no_mpoints(hex_file, capsys, monkeypatch, extra):
+    from diskfold.layout import realize_mpoints
+
+    def refuse(fn):
+        def call(*args):
+            raise AssertionError("render realized M-points")
+
+        return call
+
+    _patch_everywhere(monkeypatch, realize_mpoints, refuse)
+    assert main(["render", str(hex_file), *extra]) == 0
+    assert capsys.readouterr().out.startswith("<svg ")
+
+
+def _fresh_main(argv, capsys):
+    """Output of main(argv) as the first call of a process: no parser yet."""
+    import diskfold.cli as cli
+
+    cli._build_parser.cache_clear()
+    return main(argv), capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (["mobius-check", "HEX", "--eps", "1e-3"], ["mobius-check", "HEX"]),
+        (["render", "HEX", "--size", "320"], ["render", "HEX"]),
+    ],
+)
+def test_cli_main_twice_in_one_process(hex_file, capsys, first, second):
+    import diskfold.cli as cli
+
+    first, second = ([str(hex_file) if a == "HEX" else a for a in argv] for argv in (first, second))
+    want = [_fresh_main(first, capsys), _fresh_main(second, capsys)]
+    cli._build_parser.cache_clear()
+    got = []
+    for argv in (first, second):
+        got.append((main(argv), capsys.readouterr()))
+    assert got == want
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_cli_input_errors(tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 1
     bad = tmp_path / "bad.json"

@@ -12,13 +12,16 @@ from diskfold import (
     layout_disk,
     layout_edge_error,
     mprod,
+    newton_flat,
     normalize_to_unit_disk,
     project,
     realize_mpoints,
     verify_boundary_condition,
 )
 from diskfold.complexes import edge_key
-from diskfold.presets import build, hex_flower, scenario_data, triangle_disk
+from diskfold.layout import _develop, _third_point, normalize_layout
+from diskfold.minkowski import canonical_lift
+from diskfold.presets import SCENARIOS, build, hex_flower, scenario_data, triangle_disk
 
 from conftest import HEX_FLAT
 
@@ -194,3 +197,101 @@ def test_triangle_apex_realization():
     for i in range(3):
         d = np.hypot(*(pts[i] - pts[(i + 1) % 3]))
         assert d == pytest.approx(np.sqrt(3.0), abs=1e-12)
+
+
+# -- array passes against the per-element code they replaced -----------
+
+
+def _realize_per_vertex(aug, cs, f, layout):
+    """realize_mpoints as a loop over vertices: the reference."""
+    farr = aug.label_array(f)
+    out = {}
+    for i, v in enumerate(aug.vertices):
+        w = cs.alpha[v] * np.exp(2.0 * farr[i])
+        out[v] = canonical_lift(layout.positions[v], w).scaled(float(np.exp(-farr[i])))
+    return out
+
+
+def _residual_per_corner(ix, lengths, positions):
+    """The consistency residual as one _third_point call per corner."""
+    F, FE = ix.F.tolist(), ix.FE.tolist()
+    area_sign = (-ix.fold_sign).tolist()
+    residual = 0.0
+    for fi, f in enumerate(F):
+        for c in range(3):
+            a, b = (c + 1) % 3, (c + 2) % 3
+            la, lb = lengths[FE[fi][b]], lengths[FE[fi][a]]
+            p = _third_point(positions[f[a]], positions[f[b]], la, lb, area_sign[fi])
+            residual = max(residual, float(np.linalg.norm(p - positions[f[c]])))
+    return residual
+
+
+_FLAT_CASES = [(f"hex_{s}", 2, s) for s in SCENARIOS]
+_FLAT_CASES += [("ring_lattice", n, s) for n in (2, 4) for s in SCENARIOS]
+
+
+@pytest.fixture(scope="module", params=_FLAT_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def flat_case(request):
+    name, rings, scenario = request.param
+    aug, cs = build(name, n_rings=rings, scenario=scenario)
+    if name.startswith("hex_"):
+        return aug, cs, HEX_FLAT[name]
+    res = newton_flat(aug, cs)
+    assert res.converged
+    return aug, cs, res.f
+
+
+def _same_bits(a: dict, b: dict) -> bool:
+    return list(a) == list(b) and all(a[v].xi.tobytes() == b[v].xi.tobytes() for v in a)
+
+
+@pytest.mark.parametrize("shift", [0.0, 0.37, -2.5])
+def test_realize_mpoints_matches_per_vertex_lift(flat_case, shift):
+    aug, cs, f = flat_case
+    f = f + shift
+    for traversal in ("bfs", "dfs"):
+        lay = layout_augmented(aug, cs, f, traversal=traversal)
+        assert _same_bits(realize_mpoints(aug, cs, f, lay), _realize_per_vertex(aug, cs, f, lay))
+        norm = normalize_to_unit_disk(aug, cs, f, lay)
+        assert _same_bits(norm.mpoints, _realize_per_vertex(aug, cs, norm.label, norm.layout))
+        nlay, nf = normalize_layout(aug, f, lay)
+        assert nlay.positions.keys() == norm.layout.positions.keys()
+        assert all(np.array_equal(nlay.positions[v], norm.layout.positions[v]) for v in nlay.positions)
+        assert np.array_equal(nf, norm.label)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("shift", [400.0, 750.0, -750.0])
+def test_realize_mpoints_raises_the_per_vertex_error(shift):
+    # exp overflows or underflows at these labels; the first vertex the
+    # loop rejects decides the message
+    aug, cs = build("hex_tangent")
+    f = HEX_FLAT["hex_tangent"]
+    lay = layout_augmented(aug, cs, f)
+    f = f + shift
+    with pytest.raises(ValueError) as want:
+        _realize_per_vertex(aug, cs, f, lay)
+    with pytest.raises(ValueError) as got:
+        realize_mpoints(aug, cs, f, lay)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+
+
+def test_realized_mpoints_are_read_only(flat_case):
+    aug, cs, f = flat_case
+    mp = realize_mpoints(aug, cs, f, layout_augmented(aug, cs, f))
+    with pytest.raises(ValueError):
+        mp[aug.apex].xi[0] = 1.0
+
+
+@pytest.mark.parametrize("traversal", ["bfs", "dfs"])
+def test_residual_matches_per_corner_loop(flat_case, traversal):
+    aug, cs, f = flat_case
+    lengths = AngleSystem(aug, cs).evaluate(f).lengths.tolist()
+    for start in (0, aug.n_disk_faces):
+        positions, residual = _develop(aug.compiled, lengths, start, traversal)
+        assert residual == _residual_per_corner(aug.compiled, lengths, positions)
+    # off the flat label the faces disagree and the residual is large
+    lengths = AngleSystem(aug, cs).evaluate(f + 0.01 * np.arange(len(f)) / len(f)).lengths.tolist()
+    positions, residual = _develop(aug.compiled, lengths, 0, traversal)
+    assert residual == _residual_per_corner(aug.compiled, lengths, positions)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from diskfold import (
+    AngleSystem,
     InfinitesimalMobius,
     constraint_matrix,
     layout_augmented,
@@ -12,6 +13,7 @@ from diskfold import (
     numerical_rank,
     realize_mpoints,
 )
+from diskfold.minkowski import induced_label_variation, infinitesimal_generator
 from diskfold.presets import build
 
 from conftest import HEX_FLAT
@@ -31,6 +33,13 @@ def hex_layout():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
     return aug, cs, f, layout_augmented(aug, cs, f)
+
+
+@pytest.fixture(scope="module")
+def hex_orbit(hex_layout):
+    """The arguments mobius_orbit_check takes before the generator."""
+    aug, cs, f, lay = hex_layout
+    return AngleSystem(aug, cs), f, lay, realize_mpoints(aug, cs, f, lay)
 
 
 @pytest.fixture(scope="module")
@@ -81,33 +90,30 @@ def test_numerical_rank_on_simple_matrices():
     assert numerical_rank(m)[0] == 1
 
 
-def test_orbit_transport_stays_flat(hex_layout):
-    aug, cs, f, lay = hex_layout
+def test_orbit_transport_stays_flat(hex_orbit):
     for g in GENERATORS:
         for eps in (1e-3, 1e-4):
-            rep = mobius_orbit_check(aug, cs, f, lay, g, eps)
+            rep = mobius_orbit_check(*hex_orbit, g, eps)
             assert rep.eps == eps
             assert rep.max_abs_curvature <= 100.0 * eps * eps
             assert rep.max_variation_dev <= 10.0 * eps
 
 
-def test_orbit_variation_matches_position_formula(hex_layout):
-    aug, cs, f, lay = hex_layout
+def test_orbit_variation_matches_position_formula(hex_orbit):
     g = InfinitesimalMobius(a=0.5, c=-0.3, t=0.2)
-    rep = mobius_orbit_check(aug, cs, f, lay, g, 1e-4)
+    rep = mobius_orbit_check(*hex_orbit, g, 1e-4)
     assert rep.max_variation_dev <= 1e-3
-    assert rep.f_moved.shape == f.shape
+    assert rep.f_moved.shape == hex_orbit[1].shape
 
 
-def test_orbit_rejects_eps_leaving_proper_cone(hex_layout):
-    aug, cs, f, lay = hex_layout
-    with pytest.raises(ValueError):
-        mobius_orbit_check(aug, cs, f, lay, InfinitesimalMobius(b=1.0), 5.0)
+def test_orbit_rejects_eps_leaving_proper_cone(hex_orbit):
+    with pytest.raises(ValueError, match="pushes vertex"):
+        mobius_orbit_check(*hex_orbit, InfinitesimalMobius(b=1.0), 5.0)
 
 
-def test_zero_generator_is_identity(hex_layout):
-    aug, cs, f, lay = hex_layout
-    rep = mobius_orbit_check(aug, cs, f, lay, InfinitesimalMobius(), 1e-3)
+def test_zero_generator_is_identity(hex_orbit):
+    f = hex_orbit[1]
+    rep = mobius_orbit_check(*hex_orbit, InfinitesimalMobius(), 1e-3)
     assert np.max(np.abs(rep.f_moved - f)) <= 1e-12
     assert rep.max_abs_curvature <= 1e-12
 
@@ -116,5 +122,34 @@ def test_solved_label_transports_too():
     aug, cs = build("hex_orthogonal")
     res = newton_flat(aug, cs, tol=1e-12)
     lay = layout_augmented(aug, cs, res.f)
-    rep = mobius_orbit_check(aug, cs, res.f, lay, InfinitesimalMobius(b=0.7, r=0.4), 1e-3)
+    mp = realize_mpoints(aug, cs, res.f, lay)
+    rep = mobius_orbit_check(AngleSystem(aug, cs), res.f, lay, mp, InfinitesimalMobius(b=0.7, r=0.4), 1e-3)
     assert rep.max_abs_curvature <= 1e-4
+
+
+def _orbit_per_vertex(aug, layout, mpoints, generator, eps):
+    """The moved label and predicted variation, one vertex at a time."""
+    L = infinitesimal_generator(generator, eps)
+    moved = np.empty(len(aug.vertices))
+    for i, v in enumerate(aug.vertices):
+        xi = L.m @ mpoints[v].xi
+        moved[i] = -np.log(xi[3] - xi[2])
+    predicted = np.array([induced_label_variation(generator, layout.positions[v]) for v in aug.vertices])
+    return moved, predicted
+
+
+@pytest.mark.parametrize("name", ["hex_tangent", "hex_orthogonal", "ring_lattice"])
+def test_orbit_arrays_match_per_vertex_loop(name):
+    aug, cs = build(name, n_rings=3, scenario="orthogonal")
+    f = HEX_FLAT[name] if name in HEX_FLAT else newton_flat(aug, cs).f
+    lay = layout_augmented(aug, cs, f)
+    mp = realize_mpoints(aug, cs, f, lay)
+    sys_ = AngleSystem(aug, cs)
+    rng = np.random.default_rng(3)
+    for g in GENERATORS + [InfinitesimalMobius(*rng.standard_normal(6)) for _ in range(4)]:
+        for eps in (1e-2, 1e-3, 1e-5):
+            rep = mobius_orbit_check(sys_, f, lay, mp, g, eps)
+            moved, predicted = _orbit_per_vertex(aug, lay, mp, g, eps)
+            assert rep.f_moved.tobytes() == moved.tobytes()
+            assert rep.predicted_variation.tobytes() == predicted.tobytes()
+            assert rep.variation_rate.tobytes() == ((moved - f) / eps).tobytes()
