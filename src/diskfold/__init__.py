@@ -33,6 +33,7 @@ from .layout import (
     layout_augmented,
     layout_disk,
     layout_edge_error,
+    normalize_layout,
     normalize_to_unit_disk,
     realize_mpoints,
     verify_boundary_condition,
@@ -86,7 +87,13 @@ from .problem_io import (
     parse_problem,
     serialize_problem,
 )
-from .rigidity import OrbitReport, constraint_matrix, mobius_orbit_check, numerical_rank
+from .rigidity import (
+    OrbitReport,
+    constraint_matrix,
+    mobius_orbit_check,
+    numerical_rank,
+    row_rank_certificate,
+)
 from .solver import (
     FlowResult,
     NewtonResult,

@@ -20,7 +20,13 @@ from .complexes import DiskTopologyError
 from .conformal import AngleSystem, InadmissibleLabelError, StructureError
 from .layout import LayoutError, layout_augmented, normalize_layout, realize_mpoints
 from .minkowski import InfinitesimalMobius
-from .rigidity import constraint_matrix, mobius_orbit_check, numerical_rank
+from .rigidity import (
+    N_SMALLEST,
+    constraint_matrix,
+    mobius_orbit_check,
+    numerical_rank,
+    row_rank_certificate,
+)
 from .solver import SolverError, curvature_flow, default_start, newton_flat
 from .svg import render_svg
 
@@ -94,6 +100,7 @@ def _solved_label(prob, args):
         tol=args.tol,
         max_iter=args.max_iter,
         svd_cutoff=args.svd_cutoff,
+        system=sys_,
     )
     if not res.converged:
         raise SolverError(f"newton did not converge: {res.status}, residual {res.residual!r}")
@@ -171,8 +178,8 @@ def _cmd_solve(args) -> int:
 
 def _developed(prob, args):
     """(f, layout) of the solved label, normalized with --normalize."""
-    f, _ = _solved_label(prob, args)
-    lay = layout_augmented(prob.aug, prob.cs, f, traversal=args.traversal)
+    f, sys_ = _solved_label(prob, args)
+    lay = layout_augmented(prob.aug, prob.cs, f, traversal=args.traversal, system=sys_)
     if args.normalize:
         lay, f = normalize_layout(prob.aug, f, lay)
     return f, lay
@@ -222,18 +229,25 @@ def _cmd_rank(args) -> int:
         m = sys_.jacobian(f)
         kind = "curvature_jacobian"
     else:
-        lay = layout_augmented(prob.aug, prob.cs, f)
+        lay = layout_augmented(prob.aug, prob.cs, f, system=sys_)
         mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
         m = constraint_matrix(prob.aug, mpoints)
         kind = "constraint_matrix"
-    rank, spectrum = numerical_rank(m, cutoff=args.svd_cutoff)
-    out = {
-        "matrix": kind,
-        "shape": list(m.shape),
-        "cutoff": args.svd_cutoff,
-        "rank": rank,
-        "singular_values": [float(s) for s in spectrum],
-    }
+    # J is rank-deficient by design, so only M tries the certificate
+    cert = None if args.jacobian or args.spectrum else row_rank_certificate(m, args.svd_cutoff)
+    if cert is not None:
+        rank, s_max, smallest = cert
+        how = "gram"
+    else:
+        rank, spectrum = numerical_rank(m, cutoff=args.svd_cutoff)
+        s_max, smallest, how = spectrum[0], spectrum[::-1][:N_SMALLEST], "svd"
+    out = {"matrix": kind, "shape": list(m.shape), "cutoff": args.svd_cutoff, "rank": rank}
+    if args.spectrum:
+        out["singular_values"] = [float(s) for s in spectrum]
+    else:
+        out["s_max"] = float(s_max)
+        out["smallest_singular_values"] = [float(s) for s in smallest]
+        out["certificate"] = how
     _write(problem_io.canonical_json(out), args.out)
     return 0
 
@@ -241,7 +255,7 @@ def _cmd_rank(args) -> int:
 def _cmd_mobius_check(args) -> int:
     prob = _load(args.problem)
     f, sys_ = _solved_label(prob, args)
-    lay = layout_augmented(prob.aug, prob.cs, f)
+    lay = layout_augmented(prob.aug, prob.cs, f, system=sys_)
     mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
     names = ("a", "b", "c", "d", "t", "r")
     reports = []
@@ -323,6 +337,7 @@ def _build_parser() -> _Parser:
     q.add_argument("--jacobian", action="store_true", help="curvature Jacobian instead")
     q.add_argument("--perturb", type=_perturbation, default=0.0, help="move off the flat label")
     q.add_argument("--seed", type=_nonnegative_int, default=0)
+    q.add_argument("--spectrum", action="store_true", help="every singular value, by dense SVD")
     q.add_argument("--out")
 
     q = add("mobius-check", _cmd_mobius_check, parents=[newton], help="orbit check for the six generators")

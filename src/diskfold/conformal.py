@@ -196,6 +196,15 @@ class AngleSystem:
         self._b_indices = (ukeys % m).astype(np.int32)
         self._b_indptr = np.concatenate([[0], np.cumsum(np.bincount(ukeys // m, minlength=m))]).astype(np.int32)
 
+    @classmethod
+    def reuse(cls, system, complex_, cs: ConformalStructure) -> "AngleSystem":
+        """``system`` when it binds (complex_, cs), a new system when it is None."""
+        if system is None:
+            return cls(complex_, cs)
+        if system.complex is not complex_ or system.cs is not cs:
+            raise ValueError("system was compiled for another complex or structure")
+        return system
+
     # -- the one pass -------------------------------------------------
 
     def evaluate(self, f) -> Evaluation:

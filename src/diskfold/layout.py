@@ -181,10 +181,10 @@ def _residual(ix, lengths, positions):
     return float(np.fmax.reduce(np.sqrt(_dot2(dev, dev)), initial=0.0))
 
 
-def _layout(complex_, cs, f, start, traversal, flat_tol) -> PlaneLayout:
+def _layout(complex_, cs, f, start, traversal, flat_tol, system=None) -> PlaneLayout:
     """Check flatness, then develop from face ``start``: the body of
     layout_disk and layout_augmented."""
-    sys = AngleSystem(complex_, cs)
+    sys = AngleSystem.reuse(system, complex_, cs)
     ev = sys.accept(sys.evaluate(f))
     K = np.abs(ev.curvature)
     if isinstance(complex_, AugmentedDisk):
@@ -228,6 +228,7 @@ def layout_augmented(
     *,
     traversal: str = "bfs",
     flat_tol: float = FLAT_TOL,
+    system: AngleSystem | None = None,
 ) -> PlaneLayout:
     """Develop the folded sphere of a flat label, apex at the origin.
 
@@ -235,8 +236,10 @@ def layout_augmented(
     augmented face is pinned with its boundary edge started along the
     positive x axis.  Requires max |K| <= flat_tol at every vertex;
     a nonzero apex curvature would keep the boundary fan from closing.
+    ``system``, the caller's AngleSystem of (aug, cs), saves compiling
+    another one.
     """
-    return _layout(aug, cs, f, aug.n_disk_faces, traversal, flat_tol)
+    return _layout(aug, cs, f, aug.n_disk_faces, traversal, flat_tol, system)
 
 
 def layout_edge_error(complex_, layout: PlaneLayout) -> float:

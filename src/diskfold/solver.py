@@ -159,6 +159,7 @@ def newton_flat(
     max_iter: int = 100,
     svd_cutoff: float = 1e-10,
     max_backtracks: int = 40,
+    system: AngleSystem | None = None,
 ) -> NewtonResult:
     """Drive max |K| below tol by damped Newton steps.
 
@@ -188,6 +189,8 @@ def newton_flat(
     line search stalls, the iteration budget runs out, or the Jacobian
     breaks down (a non-finite entry or an exactly singular factor);
     raises only for bad parameters or an inadmissible starting label.
+    ``system``, the caller's AngleSystem of (aug, cs), saves compiling
+    another one.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -197,7 +200,7 @@ def newton_flat(
         raise ValueError(f"svd_cutoff must be finite and in [0, 1), got {svd_cutoff!r}")
     if max_backtracks < 1:
         raise ValueError(f"max_backtracks must be >= 1, got {max_backtracks!r}")
-    sys = AngleSystem(aug, cs)
+    sys = AngleSystem.reuse(system, aug, cs)
     ev = sys.accept(sys.evaluate(default_start(aug, cs) if f0 is None else f0))
     f, K = ev.f, ev.curvature
     start = _start_vectors(len(f))

@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from diskfold import (
+    AngleSystem,
     ProblemFormatError,
     canonical_json,
+    constraint_matrix,
     label_from_json,
     label_to_json,
     layout_augmented,
+    newton_flat,
+    numerical_rank,
     parse_problem,
+    realize_mpoints,
     serialize_problem,
 )
 from diskfold.cli import main
@@ -177,10 +182,94 @@ def test_cli_layout_and_render(hex_file, tmp_path, capsys):
 
 
 def test_cli_rank(hex_file, capsys):
-    assert main(["rank", str(hex_file)]) == 0
+    assert main(["rank", str(hex_file), "--spectrum"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["shape"] == [26, 32]
     assert out["rank"] == len([s for s in out["singular_values"] if s > out["cutoff"] * out["singular_values"][0]])
+
+
+@pytest.fixture()
+def ring4_file(tmp_path):
+    p = tmp_path / "ring4.json"
+    p.write_text(canonical_json(preset("ring_lattice", n_rings=4)) + "\n")
+    return p
+
+
+def _spectrum_report(path) -> str:
+    """rank's full-spectrum report, built from library calls: the solved
+    label, its realization, then every singular value of M."""
+    prob = parse_problem(path.read_text())
+    f = prob.f_init
+    if f is None or np.max(np.abs(AngleSystem(prob.aug, prob.cs).curvature(f))) > 1e-8:
+        f = newton_flat(prob.aug, prob.cs, f).f
+    lay = layout_augmented(prob.aug, prob.cs, f)
+    m = constraint_matrix(prob.aug, realize_mpoints(prob.aug, prob.cs, f, lay))
+    rank, s = numerical_rank(m, 1e-10)
+    out = {"matrix": "constraint_matrix", "shape": list(m.shape), "cutoff": 1e-10, "rank": rank}
+    out["singular_values"] = [float(x) for x in s]
+    return canonical_json(out) + "\n"
+
+
+@pytest.mark.parametrize("which", ["hex", "ring4"])
+def test_cli_rank_spectrum_is_the_full_dense_report(hex_file, ring4_file, capsys, which):
+    path = hex_file if which == "hex" else ring4_file
+    assert main(["rank", str(path), "--spectrum"]) == 0
+    assert capsys.readouterr().out == _spectrum_report(path)
+
+
+@pytest.mark.parametrize("which", ["hex", "ring4"])
+def test_cli_rank_reports_the_certificate(hex_file, ring4_file, capsys, which):
+    path = hex_file if which == "hex" else ring4_file
+    assert main(["rank", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out) == {"matrix", "shape", "cutoff", "rank", "s_max", "smallest_singular_values", "certificate"}
+    assert out["certificate"] == "gram"
+    dense = json.loads(_spectrum_report(path))
+    assert out["rank"] == dense["rank"] == out["shape"][0]
+    s = dense["singular_values"]
+    assert out["s_max"] == pytest.approx(s[0], rel=1e-12)
+    assert out["smallest_singular_values"] == pytest.approx(s[::-1][:4], rel=1e-6)
+
+
+def test_cli_rank_falls_back_on_a_singular_factor(hex_file, capsys, monkeypatch):
+    import diskfold.rigidity as rigidity
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(rigidity, "splu", singular)
+    assert main(["rank", str(hex_file)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate"] == "svd"
+    assert out["rank"] == 26
+    s = json.loads(_spectrum_report(hex_file))["singular_values"]
+    assert out["s_max"] == s[0]
+    assert out["smallest_singular_values"] == s[::-1][:4]
+
+
+def test_cli_rank_falls_back_on_a_duplicated_row(hex_file, capsys, monkeypatch):
+    import diskfold.cli as cli
+
+    def duplicated(*args):
+        m = constraint_matrix(*args)
+        m[1] = m[0]
+        return m
+
+    monkeypatch.setattr(cli, "constraint_matrix", duplicated)
+    assert main(["rank", str(hex_file)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate"] == "svd"
+    assert out["shape"] == [26, 32]
+    assert out["rank"] == 25
+    assert out["smallest_singular_values"][0] <= 1e-10 * out["s_max"]
+
+
+def test_cli_rank_jacobian_keeps_the_dense_route(hex_file, capsys):
+    assert main(["rank", str(hex_file), "--jacobian"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["certificate"] == "svd"
+    # J's kernel at a flat label: the shift and the two Mobius translations
+    assert out["rank"] == 5
 
 
 def test_cli_mobius_check(hex_file, capsys):
@@ -226,7 +315,19 @@ def test_cli_mobius_check_realizes_once(hex_file, capsys, monkeypatch):
     assert main(["mobius-check", str(hex_file)]) == 0
     assert len(json.loads(capsys.readouterr().out)["checks"]) == 12
     assert len(realized) == 1
-    assert len(compiled) <= 3
+    assert len(compiled) == 1
+
+
+@pytest.mark.parametrize("command", ["layout", "render", "rank", "mobius-check"])
+@pytest.mark.parametrize("start", ["flat", "perturbed"])
+def test_cli_compiles_one_system(hex_file, perturbed_hex_file, capsys, monkeypatch, command, start):
+    compiled = []
+    init = AngleSystem.__init__
+    monkeypatch.setattr(AngleSystem, "__init__", lambda self, *a: compiled.append(1) or init(self, *a))
+    path = hex_file if start == "flat" else perturbed_hex_file
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    assert len(compiled) == 1
 
 
 @pytest.mark.parametrize("extra", [[], ["--normalize"]])

@@ -13,13 +13,14 @@ from diskfold import (
     layout_edge_error,
     mprod,
     newton_flat,
+    normalize_layout,
     normalize_to_unit_disk,
     project,
     realize_mpoints,
     verify_boundary_condition,
 )
 from diskfold.complexes import edge_key
-from diskfold.layout import _develop, _third_point, normalize_layout
+from diskfold.layout import _develop, _third_point
 from diskfold.minkowski import canonical_lift
 from diskfold.presets import SCENARIOS, build, hex_flower, scenario_data, triangle_disk
 
@@ -68,6 +69,19 @@ def test_unknown_traversal_rejected():
     aug, cs = build("hex_tangent")
     with pytest.raises(ValueError):
         layout_augmented(aug, cs, HEX_FLAT["hex_tangent"], traversal="walk")
+
+
+def test_layout_reuses_the_callers_system():
+    aug, cs = build("hex_tangent")
+    f = HEX_FLAT["hex_tangent"]
+    ref = layout_augmented(aug, cs, f)
+    lay = layout_augmented(aug, cs, f, system=AngleSystem(aug, cs))
+    assert lay.positions.keys() == ref.positions.keys()
+    assert all(np.array_equal(lay.positions[v], ref.positions[v]) for v in ref.positions)
+    other_aug, other_cs = build("hex_tangent")
+    for system in (AngleSystem(other_aug, cs), AngleSystem(aug, other_cs)):
+        with pytest.raises(ValueError, match="another complex or structure"):
+            layout_augmented(aug, cs, f, system=system)
 
 
 def test_non_flat_label_rejected():

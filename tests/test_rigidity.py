@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackNoConvergence
 
 from diskfold import (
     AngleSystem,
@@ -12,9 +13,10 @@ from diskfold import (
     newton_flat,
     numerical_rank,
     realize_mpoints,
+    row_rank_certificate,
 )
 from diskfold.minkowski import induced_label_variation, infinitesimal_generator
-from diskfold.presets import build
+from diskfold.presets import SCENARIOS, build
 
 from conftest import HEX_FLAT
 
@@ -88,6 +90,73 @@ def test_numerical_rank_on_simple_matrices():
     assert numerical_rank(np.eye(4))[0] == 4
     m = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
     assert numerical_rank(m)[0] == 1
+
+
+def _realized_constraint_matrix(name, **kw):
+    aug, cs = build(name, **kw)
+    res = newton_flat(aug, cs)
+    assert res.converged
+    lay = layout_augmented(aug, cs, res.f)
+    return constraint_matrix(aug, realize_mpoints(aug, cs, res.f, lay))
+
+
+CERTIFIED = [("hex_tangent", {}), ("hex_orthogonal", {}), ("hex_inscribed", {})] + [
+    ("ring_lattice", {"n_rings": n, "scenario": sc}) for n in range(1, 9) for sc in SCENARIOS
+]
+
+
+@pytest.mark.parametrize(
+    "name, kw", CERTIFIED, ids=[f"ring{kw['n_rings']}-{kw['scenario']}" if kw else n for n, kw in CERTIFIED]
+)
+def test_certificate_matches_dense_rank(name, kw):
+    m = _realized_constraint_matrix(name, **kw)
+    cert = row_rank_certificate(m, 1e-10)
+    assert cert is not None
+    rank, s_max, smallest = cert
+    dense_rank, s = numerical_rank(m, 1e-10)
+    assert rank == dense_rank == m.shape[0]
+    assert abs(s_max - s[0]) <= 1e-12 * s[0]
+    assert np.all(np.diff(smallest) >= 0)
+    # squaring M costs digits at the small end; the margin keeps them apart
+    assert np.allclose(smallest, s[::-1][:4], rtol=1e-4, atol=0)
+    again = row_rank_certificate(m, 1e-10)
+    assert again[1] == s_max and np.array_equal(again[2], smallest)
+
+
+@pytest.mark.parametrize(
+    "target, error",
+    [
+        ("splu", RuntimeError("Factor is exactly singular")),
+        ("eigsh", ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))),
+    ],
+)
+def test_certificate_refuses_a_failed_factor_or_lanczos(hex_realized, monkeypatch, target, error):
+    import diskfold.rigidity as rigidity
+
+    def fail(*args, **kwargs):
+        raise error
+
+    aug, _, _, mp = hex_realized
+    m = constraint_matrix(aug, mp)
+    assert row_rank_certificate(m) is not None
+    monkeypatch.setattr(rigidity, target, fail)
+    assert row_rank_certificate(m) is None
+
+
+def test_certificate_margin_follows_the_cutoff(hex_realized):
+    # (s_min / s_max)**2 is about 5.4e-3 here: the margin 1e3 * cutoff**2
+    # clears it at cutoff 1e-3 but not at 1e-2, where the dense rank
+    # still counts every row
+    aug, _, _, mp = hex_realized
+    m = constraint_matrix(aug, mp)
+    assert row_rank_certificate(m, 1e-3) is not None
+    assert row_rank_certificate(m, 1e-2) is None
+    assert numerical_rank(m, 1e-2)[0] == m.shape[0]
+
+
+def test_certificate_needs_more_rows_than_eigenvalues():
+    assert row_rank_certificate(np.eye(5)) is None
+    assert row_rank_certificate(np.eye(6))[0] == 6
 
 
 def test_orbit_transport_stays_flat(hex_orbit):

@@ -246,6 +246,16 @@ def test_singular_factor_is_a_jacobian_breakdown(monkeypatch):
     assert (res.status, res.iterations) == ("jacobian breakdown", 0)
 
 
+def test_newton_reuses_the_callers_system():
+    aug, cs = build("hex_tangent")
+    f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(3).standard_normal(8)
+    ref = newton_flat(aug, cs, f0)
+    res = newton_flat(aug, cs, f0, system=AngleSystem(aug, cs))
+    assert np.array_equal(res.f, ref.f) and res.history == ref.history
+    with pytest.raises(ValueError, match="another complex or structure"):
+        newton_flat(aug, cs, f0, system=AngleSystem(*build("hex_tangent")))
+
+
 def test_gauge_normalize_pins_apex():
     aug, cs = build("hex_tangent")
     f = np.linspace(0.0, 1.4, 8)
