@@ -130,8 +130,9 @@ def _cmd_preset(args) -> int:
 
 def _cmd_curvature(args) -> int:
     prob = _load(args.problem)
-    f = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs)
-    K = AngleSystem(prob.aug, prob.cs).curvature(f)
+    sys_ = AngleSystem(prob.aug, prob.cs)
+    f = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs, sys_)
+    K = sys_.curvature(f)
     out = {
         "curvature": problem_io.label_to_json(prob.aug, K),
         "max_abs": float(np.max(np.abs(K))),
@@ -162,8 +163,9 @@ def _cmd_solve(args) -> int:
         }
         _write(problem_io.canonical_json(out), args.out)
         return 0 if res.converged else NUMERICAL_ERROR
-    f0 = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs)
-    res = curvature_flow(prob.aug, prob.cs, f0, args.time, args.dt)
+    sys_ = AngleSystem(prob.aug, prob.cs)
+    f0 = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs, sys_)
+    res = curvature_flow(prob.aug, prob.cs, f0, args.time, args.dt, system=sys_)
     out = {
         "method": "flow",
         "time": float(res.times[-1]),

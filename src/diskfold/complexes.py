@@ -66,6 +66,11 @@ def _face_edges(face):
     return (edge_key(a, b), edge_key(b, c), edge_key(a, c))
 
 
+def _runs(face, a, b) -> bool:
+    """True when the triangle ``face`` traverses its edge from a to b."""
+    return face[(face.index(a) + 1) % 3] == b
+
+
 @dataclass(frozen=True, eq=False)
 class CompiledComplex:
     """The index arrays of one complex, shared read-only by every layer.
@@ -283,12 +288,10 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
     while queue:
         fi = queue.pop()
         f = directed[fi]
-        dir_edges = {(f[i], f[(i + 1) % 3]) for i in range(3)}
         for fj, e in face_adj[fi]:
             g = faces[fj]
-            g_dirs = {(g[i], g[(i + 1) % 3]) for i in range(3)}
-            same = any(d in g_dirs for d in dir_edges)
-            oriented = (g[0], g[2], g[1]) if same else g
+            # distinct faces share at most the one edge e
+            oriented = (g[0], g[2], g[1]) if _runs(f, *e) == _runs(g, *e) else g
             if fj in placed:
                 if directed[fj] != oriented and directed[fj] not in {
                     (oriented[1], oriented[2], oriented[0]),
@@ -313,13 +316,15 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
                 succ[a] = b
     start = min(succ)
     cyc = [start]
+    on_cycle = {start}
     while True:
         nxt = succ[cyc[-1]]
         if nxt == start:
             break
-        if nxt in cyc:
+        if nxt in on_cycle:
             raise _err("boundary is not a single cycle", vertex=nxt)
         cyc.append(nxt)
+        on_cycle.add(nxt)
     if len(cyc) != len(boundary_edges):
         raise _err("boundary has more than one cycle")
 

@@ -9,6 +9,12 @@ it.  Each Newton step factors the sparse bordered matrix
 [[J, 1], [1^T, 0]] once with splu, which pins the shift gauge, and uses
 the same factor to find the two Mobius directions by inverse iteration
 and drop them from the step when they are numerically null.
+
+newton_flat starts from default_start unless given a label: the disk
+at 0 and the apex entry found by a one-dimensional root find on the
+apex curvature, which carries the fold sheet's constant term -2*pi.  Newton
+steps are orthogonal to the constant vector, so a solved label keeps
+its start's mean.
 """
 
 from __future__ import annotations
@@ -137,16 +143,71 @@ class FlowResult:
         return float(self.residuals[-1])
 
 
-def default_start(aug: AugmentedDisk, cs: ConformalStructure) -> np.ndarray:
-    """Zero on the disk, apex at log 3.
+#: The start stops once |K_apex| is this small ...
+_START_TOL = 1e-12
+#: ... or after this many evaluations past the first.
+_START_EVALS = 100
 
-    log(2 * max boundary scale + 1) with every boundary scale e^0 = 1:
-    the apex circle starts outside the boundary circles so the augmented
-    faces start admissible in the common scenarios.  The start does not
-    depend on the structure cs.
+
+def default_start(aug: AugmentedDisk, cs: ConformalStructure, system: AngleSystem | None = None) -> np.ndarray:
+    """Zero on the disk, and the apex entry a that zeroes the apex curvature.
+
+    The apex carries the fold sheet's whole constant term -2 pi, so with
+    the disk at 0 a one-dimensional root find on K_apex(a) removes most
+    of the residual before Newton starts.  The search begins at
+    a = log 3 = log(2 * max boundary scale + 1), with every boundary
+    scale e^0 = 1, where the apex circle lies outside the boundary
+    circles; when that label is inadmissible it raises
+    InadmissibleLabelError.  K_apex falls as a grows, and a label that
+    fails the triangle inequality counts as "a too small".  Doubling
+    steps find a bracket, then a safeguarded secant (Illinois) narrows
+    it, bisecting when the secant point leaves the bracket or either end
+    has no curvature.  The search stops at |K_apex| <= _START_TOL, at a
+    collapsed bracket or after _START_EVALS evaluations, and returns the
+    admissible label with the smallest |K_apex| it evaluated, so it
+    never returns an inadmissible label.  ``system``, the caller's
+    AngleSystem of (aug, cs), saves compiling another one.
     """
+    sys = AngleSystem.reuse(system, aug, cs)
     f = np.zeros(len(aug.vertices))
-    f[-1] = np.log(3.0)
+    f[-1] = a = best = np.log(3.0)
+    k = best_k = float(sys.accept(sys.evaluate_iterate(f)).curvature[-1])
+    # lo: K > 0 or inadmissible (klo None); hi: K < 0; None while unbracketed
+    lo = hi = klo = khi = None
+    step, side = 1.0, 0
+    for _ in range(_START_EVALS):
+        if abs(best_k) <= _START_TOL:
+            break
+        if k is None or k > 0:
+            lo, klo = a, k
+            if side == 1 and khi is not None:
+                khi /= 2.0
+            side = 1
+        else:
+            hi, khi = a, k
+            if side == -1 and klo is not None:
+                klo /= 2.0
+            side = -1
+        if hi is None:
+            a = lo + step
+            step *= 2.0
+        elif lo is None:
+            a = hi - step
+            step *= 2.0
+        else:
+            a = 0.5 * (lo + hi)
+            if klo is not None:
+                sec = hi - khi * (hi - lo) / (khi - klo)
+                if lo < sec < hi:
+                    a = sec
+            if not lo < a < hi:
+                break
+        f[-1] = a
+        K = sys.evaluate_iterate(f).curvature
+        k = None if K is None else float(K[-1])
+        if k is not None and abs(k) < abs(best_k):
+            best, best_k = a, k
+    f[-1] = best
     return f
 
 
@@ -201,7 +262,7 @@ def newton_flat(
     if max_backtracks < 1:
         raise ValueError(f"max_backtracks must be >= 1, got {max_backtracks!r}")
     sys = AngleSystem.reuse(system, aug, cs)
-    ev = sys.accept(sys.evaluate(default_start(aug, cs) if f0 is None else f0))
+    ev = sys.accept(sys.evaluate(default_start(aug, cs, sys) if f0 is None else f0))
     f, K = ev.f, ev.curvature
     start = _start_vectors(len(f))
 
@@ -250,6 +311,7 @@ def curvature_flow(
     dt: float,
     *,
     max_halvings: int = 30,
+    system: AngleSystem | None = None,
 ) -> FlowResult:
     """Integrate df/dt = -K (apex: +K) with fixed-step RK4.
 
@@ -261,11 +323,13 @@ def curvature_flow(
     times: three inner stages and the new point, whose curvature is
     also the recorded residual and the next step's first stage.
     t_end and dt must be positive and finite (ValueError otherwise).
+    ``system``, the caller's AngleSystem of (aug, cs), saves compiling
+    another one.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    sys = AngleSystem(aug, cs)
+    sys = AngleSystem.reuse(system, aug, cs)
     sign = np.full(len(aug.vertices), -1.0)
     sign[-1] = 1.0
 

@@ -60,6 +60,26 @@ def test_orientation_is_normalized():
         assert len(directed) == len(set(directed))
 
 
+def test_orientation_of_scrambled_faces():
+    # ring 4 with faces rotated, half of them reversed, and shuffled: the
+    # first face keeps its direction, every other face is its input face
+    # or the reversal, no directed edge appears twice, and the boundary
+    # cycle runs along the directed boundary edges
+    rng = np.random.default_rng(11)
+    faces = [tuple(f) for f in ring_lattice(4).faces]
+    faces = [f[k:] + f[:k] for f, k in zip(faces, rng.integers(0, 3, len(faces)))]
+    faces = [f if keep else f[::-1] for f, keep in zip(faces, rng.integers(0, 2, len(faces)))]
+    faces = [faces[i] for i in rng.permutation(len(faces))]
+    disk = validate_disk(range(61), faces)
+    assert disk.faces[0] == faces[0]
+    for f, g in zip(faces, disk.faces):
+        assert g in (f, (f[0], f[2], f[1]))
+    directed = [(f[i], f[(i + 1) % 3]) for f in disk.faces for i in range(3)]
+    assert len(directed) == len(set(directed))
+    assert set(disk.directed_boundary()) <= set(directed)
+    assert len(disk.boundary_cycle) == len(set(disk.boundary_cycle)) == 24
+
+
 def test_bad_disks_rejected():
     bad = [
         ([0, 1, 2, 3], [(0, 1, 2), (2, 1, 0)], "duplicate face"),

@@ -330,6 +330,19 @@ def test_cli_compiles_one_system(hex_file, perturbed_hex_file, capsys, monkeypat
     assert len(compiled) == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["curvature"], ["solve"], ["solve", "--method", "flow", "--time", "0.1"]]
+)
+def test_cli_start_compiles_one_system(hex_file, capsys, monkeypatch, argv):
+    # hex_file has no f_init, so each command builds default_start first
+    compiled = []
+    init = AngleSystem.__init__
+    monkeypatch.setattr(AngleSystem, "__init__", lambda self, *a: compiled.append(1) or init(self, *a))
+    assert main([argv[0], str(hex_file), *argv[1:]]) == 0
+    capsys.readouterr()
+    assert len(compiled) == 1
+
+
 @pytest.mark.parametrize("extra", [[], ["--normalize"]])
 def test_cli_render_builds_no_mpoints(hex_file, capsys, monkeypatch, extra):
     from diskfold.layout import realize_mpoints

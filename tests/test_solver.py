@@ -28,6 +28,14 @@ from diskfold.presets import (
 from conftest import HEX_FLAT, HEX_GAP, boundary_gaps
 
 
+def _log3_start(aug):
+    """Disk at 0, apex at log 3: the first point of default_start's
+    search, off flat on every preset but hex_tangent."""
+    f = np.zeros(len(aug.vertices))
+    f[-1] = np.log(3.0)
+    return f
+
+
 def test_hexagonal_gaps_match_closed_forms():
     # residual drops to ~1e-15 but the label may drift ~1e-10 along the
     # translation gauge directions, which move individual gaps
@@ -75,13 +83,64 @@ def test_converged_label_is_gauge_equivalent_to_analytic():
     assert np.max(np.abs(got - want)) <= 1e-9
 
 
-def test_default_start_is_admissible():
-    for name in ("hex_tangent", "hex_orthogonal", "hex_inscribed"):
-        aug, cs = build(name)
-        f = default_start(aug, cs)
-        assert AngleSystem(aug, cs).admissible(f)
-    aug, cs = build("ring_lattice")
-    assert AngleSystem(aug, cs).admissible(default_start(aug, cs))
+def test_default_start_is_admissible(monkeypatch):
+    # disk at 0, admissible, flat at the apex, at most 15 evaluations and
+    # the same bits on a second call
+    evals = []
+    ev = AngleSystem.evaluate_iterate
+    monkeypatch.setattr(AngleSystem, "evaluate_iterate", lambda self, f: evals.append(1) or ev(self, f))
+    cases = [(h, {}) for h in ("hex_tangent", "hex_orthogonal", "hex_inscribed")]
+    cases += [("ring_lattice", {"n_rings": r, "scenario": s}) for r in range(1, 9) for s in SCENARIOS]
+    for name, kw in cases:
+        aug, cs = build(name, **kw)
+        sysm = AngleSystem(aug, cs)
+        evals.clear()
+        f = default_start(aug, cs, sysm)
+        assert len(evals) <= 15, (name, kw)
+        assert np.array_equal(f[:-1], np.zeros(len(f) - 1))
+        assert sysm.admissible(f)
+        assert abs(sysm.curvature(f)[-1]) <= 1e-12, (name, kw)
+        assert default_start(aug, cs).tobytes() == f.tobytes()
+
+
+def test_default_start_rejects_another_system():
+    aug, cs = build("hex_tangent")
+    with pytest.raises(ValueError, match="another complex or structure"):
+        default_start(aug, cs, AngleSystem(*build("hex_tangent")))
+
+
+def test_inadmissible_default_start_raises():
+    # mu = -2 makes every augmented edge's squared length negative at the
+    # first trial a = log 3: 1 + 9 - 2 * 2 * 3 = -2
+    disk = ring_lattice(1)
+    aug = augment(disk)
+    alpha, eta, _ = scenario_data(disk, "tangent")
+    cs = attach_boundary_data(aug, alpha, eta, {v: -2.0 for v in disk.boundary_cycle})
+    for solve in (default_start, newton_flat):
+        with pytest.raises(InadmissibleLabelError, match="is not positive"):
+            solve(aug, cs)
+
+
+@pytest.mark.parametrize(
+    "rings, scenario", [(10, "orthogonal")] + [(32, s) for s in SCENARIOS]
+)
+def test_newton_converges_from_the_default_start_on_large_lattices(rings, scenario):
+    aug, cs = build("ring_lattice", n_rings=rings, scenario=scenario)
+    res = newton_flat(aug, cs)
+    assert res.converged and res.residual <= 1e-10
+    assert res.iterations <= 10
+
+
+def test_newton_converges_on_the_fixed_random_sample():
+    # the 60 structures of the benchmark's random_newton, drawn the same way
+    rng = np.random.default_rng(0)
+    statuses = []
+    for rings in (3, 4):
+        disk = ring_lattice(rings)
+        for _ in range(30):
+            aug, cs, _ = random_admissible(disk, rng)
+            statuses.append(newton_flat(aug, cs).status)
+    assert statuses == ["converged"] * 60
 
 
 def test_inadmissible_start_raises():
@@ -102,7 +161,9 @@ def test_iteration_budget_respected():
 
 def test_residual_history_is_monotone():
     aug, cs = build("hex_orthogonal")
-    res = newton_flat(aug, cs, tol=1e-12)
+    # default_start is already flat here, so start off it to take steps
+    res = newton_flat(aug, cs, _log3_start(aug), tol=1e-12)
+    assert len(res.history) > 2
     assert all(b < a for a, b in zip(res.history, res.history[1:]))
 
 
@@ -177,7 +238,9 @@ def _assert_same_step(got, want):
 
 def test_step_matches_dense_reference_far_from_flat():
     aug, cs = build("ring_lattice", n_rings=3)
-    got, want = _steps(aug, cs, default_start(aug, cs))
+    f = _log3_start(aug)
+    assert np.max(np.abs(AngleSystem(aug, cs).curvature(f))) >= 1.0
+    got, want = _steps(aug, cs, f)
     assert got[1] == 0
     _assert_same_step(got, want)
 
@@ -225,10 +288,13 @@ def _dense_step(A, K, svd_cutoff, residual, start):
 def test_newton_matches_dense_reference_solver(monkeypatch, name, rings, scenario):
     kw = {} if rings is None else {"n_rings": rings, "scenario": scenario}
     aug, cs = build(name, **kw)
-    res = newton_flat(aug, cs)
+    # default_start is flat on the hex presets and ring 1, so start
+    # every case off it to compare steps
+    f0 = _log3_start(aug)
+    res = newton_flat(aug, cs, f0)
     with monkeypatch.context() as m:
         m.setattr(solver, "_newton_step", _dense_step)
-        ref = newton_flat(aug, cs)
+        ref = newton_flat(aug, cs, f0)
     assert (res.status, res.iterations) == (ref.status, ref.iterations)
     assert res.converged
     diff = gauge_normalize(aug, res.f) - gauge_normalize(aug, ref.f)
@@ -241,7 +307,8 @@ def test_singular_factor_is_a_jacobian_breakdown(monkeypatch):
 
     monkeypatch.setattr(solver, "splu", singular)
     aug, cs = build("hex_orthogonal")
-    res = newton_flat(aug, cs)
+    # default_start is already flat here, so start off it to reach a factor
+    res = newton_flat(aug, cs, _log3_start(aug))
     assert not res.converged
     assert (res.status, res.iterations) == ("jacobian breakdown", 0)
 
@@ -294,6 +361,16 @@ def test_flow_step_collapse_reported():
     # a huge step keeps overshooting the admissible set
     with pytest.raises(SolverError):
         curvature_flow(aug, cs, f0, 40.0, 40.0, max_halvings=2)
+
+
+def test_flow_reuses_the_callers_system():
+    aug, cs = build("hex_tangent")
+    f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(3).standard_normal(8)
+    ref = curvature_flow(aug, cs, f0, 1.0, 0.01)
+    res = curvature_flow(aug, cs, f0, 1.0, 0.01, system=AngleSystem(aug, cs))
+    assert np.array_equal(res.labels, ref.labels)
+    with pytest.raises(ValueError, match="another complex or structure"):
+        curvature_flow(aug, cs, f0, 1.0, 0.01, system=AngleSystem(*build("hex_tangent")))
 
 
 def test_flow_requires_admissible_start():
