@@ -1,5 +1,9 @@
 """Disk validation, augmentation, simplex classes and multiplicities."""
 
+import functools
+import hashlib
+import zlib
+
 import numpy as np
 import pytest
 
@@ -231,3 +235,145 @@ def test_pointwise_multiplicity_on_larger_disk():
     }
     for key, klass in cl.items():
         assert pointwise_multiplicity(aug, mu, key) == expect[klass]
+
+
+# -- every rejection, pinned with its full message ---------------------
+
+_HEX = [(0, i, i % 6 + 1) for i in range(1, 7)]
+# a second flower around 7 whose ring passes through vertex 1 of the first
+_HEX_AT_1 = [(7, a, b) for a, b in zip((1, 9, 10, 11, 12, 13), (9, 10, 11, 12, 13, 1))]
+_HEX_AT_1_VERTICES = [v for v in range(14) if v != 8]
+# the minimal triangulation of the projective plane: closed, chi = 1
+_RP2 = [(1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 6, 2),
+        (2, 3, 5), (3, 4, 6), (4, 5, 2), (5, 6, 3), (6, 2, 4)]
+_MOBIUS = [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 0), (4, 0, 1)]  # chi = 0
+_ANNULUS = [(0, 1, 3), (1, 4, 3), (1, 2, 4), (2, 5, 4), (2, 0, 5), (0, 3, 5)]  # chi = 0
+
+REJECTIONS = {
+    "duplicate vertex": ([0, 1, 1, 2], [(0, 1, 2)], "duplicate vertex ids"),
+    "no faces": ([0, 1, 2], [], "a disk needs at least one face"),
+    "two corners": ([0, 1, 2], [(0, 1)], "face is not a triangle (face=(0, 1))"),
+    "four corners": ([0, 1, 2, 3], [(0, 1, 2, 3)], "face is not a triangle (face=(0, 1, 2, 3))"),
+    "repeated corner": ([0, 1, 2], [(0, 1, 1)], "face is not a triangle (face=(0, 1, 1))"),
+    "unknown vertex": ([0, 1, 2], [(0, 1, 5)], "face references unknown vertex (face=(0, 1, 5))"),
+    "first offender": (
+        [0, 1, 2, 3], [(0, 1, 2), (2, 3, 9), (2, 1, 0), (3, 3, 9)],
+        "face references unknown vertex (face=(2, 3, 9))",
+    ),
+    "not a triangle before unknown": (
+        [0, 1, 2], [(0, 1, 2), (9, 9, 1)], "face is not a triangle (face=(9, 9, 1))",
+    ),
+    "duplicate face": ([0, 1, 2, 3], [(0, 1, 2), (2, 1, 0)], "duplicate face (face=(2, 1, 0))"),
+    "three faces on an edge": (
+        [0, 1, 2, 3, 4], [(0, 1, 2), (0, 1, 3), (0, 1, 4)],
+        "edge lies in more than two faces (edge=(0, 1))",
+    ),
+    "first crowded edge met": (
+        range(8), [(5, 3, 4), (0, 1, 2), (0, 1, 3), (0, 1, 4), (3, 4, 6), (4, 3, 7)],
+        "edge lies in more than two faces (edge=(3, 4))",
+    ),
+    "isolated vertices": ([0, 1, 2, 9, 7], [(0, 1, 2)], "isolated vertices (vertices=[7, 9])"),
+    "sphere": (
+        [0, 1, 2, 3], [(0, 1, 2), (0, 3, 1), (1, 3, 2), (0, 2, 3)],
+        "Euler characteristic is not 1 (chi=2)",
+    ),
+    "annulus": (range(6), _ANNULUS, "Euler characteristic is not 1 (chi=0)"),
+    "two triangles": (range(6), [(0, 1, 2), (3, 4, 5)], "Euler characteristic is not 1 (chi=2)"),
+    "closed": (range(1, 7), _RP2, "no boundary edges; the complex is closed"),
+    "pinched vertex": ([0, 1, 2, 3, 4], [(0, 1, 2), (0, 3, 4)], "vertex link is not connected (vertex=0)"),
+    "bow-tie boundary": (_HEX_AT_1_VERTICES, _HEX + _HEX_AT_1, "vertex link is not connected (vertex=1)"),
+    "first pinch in vertex order": (
+        [6, 5, 4, 3, 2, 1, 0], [(0, 1, 2), (2, 3, 4), (4, 5, 6)],
+        "vertex link is not connected (vertex=4)",
+    ),
+    "mobius strip": (range(8), _MOBIUS + [(5, 6, 7)], "faces cannot be oriented consistently"),
+    "triangle and mobius strip": (
+        range(8), [(5, 6, 7)] + _MOBIUS, "faces are not edge-connected",
+    ),
+    "triangle and annulus": (
+        range(9), [(6, 7, 8)] + _ANNULUS, "faces are not edge-connected",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_rejection_messages_are_pinned(case):
+    vertices, faces, message = REJECTIONS[case]
+    with pytest.raises(DiskTopologyError) as info:
+        validate_disk(vertices, faces)
+    assert str(info.value) == message
+
+
+def test_rejection_details_are_python_ints():
+    # details name the caller's own ids, never numpy scalars
+    with pytest.raises(DiskTopologyError) as info:
+        validate_disk(range(8), [(5, 3, 4), (0, 1, 2), (0, 1, 3), (0, 1, 4), (3, 4, 6), (4, 3, 7)])
+    assert "np." not in str(info.value)
+    with pytest.raises(DiskTopologyError) as info:
+        validate_disk(_HEX_AT_1_VERTICES, _HEX + _HEX_AT_1)
+    assert str(info.value).endswith("(vertex=1)")
+
+
+# -- the validated complex and its compiled index, pinned by digest -----
+
+
+def _scrambled(disk, seed):
+    """The disk with permuted odd ids, listed in shuffled order, and its
+    faces rotated, half reversed and shuffled."""
+    rng = np.random.default_rng(seed)
+    new = {v: 2 * int(p) + 1 for v, p in zip(disk.vertices, rng.permutation(len(disk.vertices)))}
+    faces = [[new[v] for v in f] for f in disk.faces]
+    faces = [f[k:] + f[:k] for f, k in zip(faces, rng.integers(0, 3, len(faces)))]
+    faces = [f if keep else f[::-1] for f, keep in zip(faces, rng.integers(0, 2, len(faces)))]
+    faces = [tuple(faces[i]) for i in rng.permutation(len(faces))]
+    vertices = [new[v] for v in disk.vertices]
+    return [vertices[i] for i in rng.permutation(len(vertices))], faces
+
+
+def _digest(disk):
+    aug = augment(disk)
+    parts = [
+        disk.vertices, disk.faces, disk.edges, disk.boundary_cycle,
+        sorted(disk.interior_vertices), sorted(disk.boundary_edges),
+        aug.apex, aug.vertices, aug.faces, aug.edges, aug.n_disk_faces,
+    ]
+    for cx in (disk, aug):
+        ix = cx.compiled
+        parts.append(sorted(ix.vertex_index.items()))
+        parts += [a.tolist() for a in (ix.E, ix.F, ix.FE, ix.edge_faces, ix.fold_sign, ix.const)]
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+_EQUIVALENCE_CASES = {"triangle": triangle_disk, "hex": hex_flower}
+_EQUIVALENCE_CASES.update({f"ring{n}": functools.partial(ring_lattice, n) for n in range(1, 17)})
+
+#: Digests of the validated, scrambled disks, recorded from the dict-based
+#: validation that preceded the array passes.
+EQUIVALENCE_DIGESTS = {
+    "hex": "46852c619cb1c62c683b5f90c5b38ed37575e8de29c7bfd92ec78f36ed252911",
+    "ring1": "d3405e3aad524f2ad83c0be02790b3ed2e662802a44a2a56943290a9862d95a3",
+    "ring10": "3e4db67a3ed672354cc1aa80919d36f1487e09b84421e93abbfefec248b32c9f",
+    "ring11": "e244ade370b22598753173876f31ff0f073d84305eb30d1fa716a1d2f0fac4c5",
+    "ring12": "e96d845d8ce16189de2ca7b1223d2103c136d7484fba965c07371938a19f2446",
+    "ring13": "f4d5792f0c2e4b270a1319b4f9c5c7500fe07dab55487ad034ec13096994b418",
+    "ring14": "092538878c36b5845d5afff45bbfb4b34786647737b5e0e0a5e60caf0df27d81",
+    "ring15": "cfcbd4a519cb39fc6c29128aaf819774cb39503a5a24dceb97398e70858c9c5e",
+    "ring16": "922f26ddbf4a62a3903391565c85e9623d59ee11e938797c160809b3f92a4324",
+    "ring2": "1f619136f02d16344afbf4afe450b7cbf06760902c2b0b638424595342edf49b",
+    "ring3": "17d0ee8a32bedb042f762f391b4567550f2602a01cb61838d2278004748b734b",
+    "ring4": "2c946cfa8e9cecb9ab31c6db32ede0a69c7777c5d250e8daff7a7702243fd16e",
+    "ring5": "72a2e1e946c2ab9faa9cab440834c4b7d7e4d999f601ce27be9ec00fdbb259b1",
+    "ring6": "bf9a23d09728cff229e9dd7671a03050ebbca9437509687c148d190b18f78e42",
+    "ring7": "8ffcd39173fee7be86760ad70dfe761434cf87002d072e21d81c0f2692733162",
+    "ring8": "325ab8d7f072632738b89770e3985a9a27085c8cb1419097b5abd36089d6dbf1",
+    "ring9": "db7c2600afaafe77423369f28999bb49c5711e41e580184c8bd80cb79d06424c",
+    "triangle": "bfcf9e017388745ee89ae7b95bc8c5bbc682d46c3942aa41420481204794fe89",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EQUIVALENCE_CASES))
+def test_validation_matches_recorded_digests(case):
+    disk = _EQUIVALENCE_CASES[case]()
+    seed = zlib.crc32(case.encode())
+    scrambled = validate_disk(*_scrambled(disk, seed))
+    assert (case, _digest(scrambled)) == (case, EQUIVALENCE_DIGESTS[case])

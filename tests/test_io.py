@@ -447,3 +447,144 @@ def test_cli_rank_jacobian_perturbed(hex_file, capsys):
     assert out["shape"] == [8, 8]
     # off the flat label only the shift direction stays in the kernel
     assert out["rank"] == 7
+
+
+# -- every schema rejection of parse_problem, pinned with its full message --
+
+
+def _drop(d, key):
+    d.pop(key)
+
+
+def _put(section, key, value):
+    def edit(d):
+        d[section][key] = value
+    return edit
+
+
+def _without(section, key):
+    return lambda d: d[section].pop(key)
+
+
+def _set(key, value):
+    return lambda d: d.__setitem__(key, value)
+
+
+def _with_f_init(edit=None):
+    def make(d):
+        d["f_init"] = {**{str(v): 0.0 for v in range(7)}, "hat": 1.0}
+        if edit is not None:
+            edit(d)
+    return make
+
+
+NAN = float("nan")
+# hex_tangent: vertices 0..6, interior vertex 0, boundary cycle 1..6
+PARSE_REJECTIONS = {
+    "faces not a list": (_set("faces", None), "/faces: must be a list"),
+    "missing keys": (lambda d: (_drop(d, "eta"), _drop(d, "mu")), "missing keys ['eta', 'mu']"),
+    "unknown keys": (_set("flavor", 1), "unknown keys ['flavor']"),
+    "empty vertices": (_set("vertices", []), "/vertices: must be a nonempty list"),
+    "vertices not a list": (_set("vertices", {"0": 0}), "/vertices: must be a nonempty list"),
+    "bool vertex": (lambda d: d["vertices"].__setitem__(3, True), "/vertices/3: must be a nonnegative integer"),
+    "negative vertex": (lambda d: d["vertices"].__setitem__(2, -2), "/vertices/2: must be a nonnegative integer"),
+    "string vertex": (lambda d: d["vertices"].__setitem__(1, "1"), "/vertices/1: must be a nonnegative integer"),
+    "float vertex": (lambda d: d["vertices"].__setitem__(4, 4.0), "/vertices/4: must be a nonnegative integer"),
+    "short face": (lambda d: d["faces"].__setitem__(2, [0, 3]), "/faces/2: must be a list of three vertex ids"),
+    "bool in face": (lambda d: d["faces"][1].__setitem__(0, False), "/faces/1: must be a list of three vertex ids"),
+    "string in face": (lambda d: d["faces"][5].__setitem__(2, "1"), "/faces/5: must be a list of three vertex ids"),
+    "face not a list": (lambda d: d["faces"].__setitem__(0, 7), "/faces/0: must be a list of three vertex ids"),
+    "not a disk": (
+        lambda d: d["faces"].__setitem__(1, list(d["faces"][0])),
+        "not a triangulated disk: duplicate face (face=(0, 1, 2))",
+    ),
+    "alpha not an object": (_set("alpha", [1.0]), "/alpha: must be an object"),
+    "alpha without hat": (_without("alpha", "hat"), '/alpha: missing the apex entry "hat"'),
+    "bool alpha hat": (_put("alpha", "hat", True), "/alpha/hat: expected a number, got True"),
+    "string alpha hat": (_put("alpha", "hat", "1"), "/alpha/hat: expected a number, got '1'"),
+    "nan alpha hat": (_put("alpha", "hat", NAN), "/alpha/hat: number must be finite"),
+    "alpha key 01": (_put("alpha", "01", 1.0), "/alpha: key '01' is not a vertex id"),
+    "alpha key x": (_put("alpha", "x", 1.0), "/alpha: key 'x' is not a vertex id"),
+    "alpha unknown vertex": (_put("alpha", "9", 1.0), "/alpha/9: unknown vertex"),
+    "bool alpha": (_put("alpha", "3", False), "/alpha/3: expected a number, got False"),
+    "string alpha": (_put("alpha", "3", "1.0"), "/alpha/3: expected a number, got '1.0'"),
+    "infinite alpha": (_put("alpha", "3", float("inf")), "/alpha/3: number must be finite"),
+    "null alpha": (_put("alpha", "5", None), "/alpha/5: expected a number, got None"),
+    "missing alpha": (
+        lambda d: (d["alpha"].pop("3"), d["alpha"].pop("0")), "/alpha: missing vertices [0, 3]",
+    ),
+    "eta not an object": (_set("eta", 1.0), "/eta: must be an object"),
+    "eta key 3-1": (_put("eta", "3-1", 1.0), "/eta/3-1: ids must satisfy i < j"),
+    "eta key 1-1": (_put("eta", "1-1", 1.0), "/eta/1-1: ids must satisfy i < j"),
+    "eta key 1-2-3": (_put("eta", "1-2-3", 1.0), "/eta/1-2-3: key must look like 'i-j'"),
+    "eta key x": (_put("eta", "x", 1.0), "/eta/x: key must look like 'i-j'"),
+    "eta key x-1": (_put("eta", "x-1", 1.0), "/eta/x-1: key 'x' is not a vertex id"),
+    "eta key 01-2": (_put("eta", "01-2", 1.0), "/eta/01-2: key '01' is not a vertex id"),
+    "eta key 1-02": (_put("eta", "1-02", 1.0), "/eta/1-02: key '02' is not a vertex id"),
+    "eta non-edge": (_put("eta", "1-4", 1.0), "/eta/1-4: not an edge of the disk"),
+    "eta unknown vertex": (_put("eta", "1-99", 1.0), "/eta/1-99: not an edge of the disk"),
+    "bool eta": (_put("eta", "0-1", True), "/eta/0-1: expected a number, got True"),
+    "string eta": (_put("eta", "0-1", "x"), "/eta/0-1: expected a number, got 'x'"),
+    "nan eta": (_put("eta", "1-2", NAN), "/eta/1-2: number must be finite"),
+    "missing eta": (
+        lambda d: (d["eta"].pop("1-6"), d["eta"].pop("0-1")), "/eta: missing edges [(0, 1), (1, 6)]",
+    ),
+    "mu not an object": (_set("mu", []), "/mu: must be an object"),
+    "mu interior vertex": (_put("mu", "0", 0.0), "/mu/0: not a boundary vertex"),
+    "mu unknown vertex": (_put("mu", "99", 0.0), "/mu/99: not a boundary vertex"),
+    "mu key 01": (_put("mu", "01", 0.0), "/mu: key '01' is not a vertex id"),
+    "mu key x": (_put("mu", "x", 0.0), "/mu: key 'x' is not a vertex id"),
+    "bool mu": (_put("mu", "2", True), "/mu/2: expected a number, got True"),
+    "string mu": (_put("mu", "2", "0"), "/mu/2: expected a number, got '0'"),
+    "infinite mu": (_put("mu", "2", float("-inf")), "/mu/2: number must be finite"),
+    "missing mu": (
+        lambda d: (d["mu"].pop("6"), d["mu"].pop("2")), "/mu: missing boundary vertices [2, 6]",
+    ),
+    "f_init not an object": (_set("f_init", [0.0]), "/f_init: must be an object"),
+    "f_init without hat": (_with_f_init(_without("f_init", "hat")), '/f_init: missing the apex entry "hat"'),
+    "bool f_init hat": (_with_f_init(_put("f_init", "hat", True)), "/f_init/hat: expected a number, got True"),
+    "nan f_init hat": (_with_f_init(_put("f_init", "hat", NAN)), "/f_init/hat: number must be finite"),
+    "f_init key 01": (_with_f_init(_put("f_init", "01", 0.0)), "/f_init: key '01' is not a vertex id"),
+    "f_init key x": (_with_f_init(_put("f_init", "x", 0.0)), "/f_init: key 'x' is not a vertex id"),
+    "f_init unknown vertex": (_with_f_init(_put("f_init", "7", 0.0)), "/f_init/7: unknown vertex"),
+    "string f_init": (_with_f_init(_put("f_init", "4", "0")), "/f_init/4: expected a number, got '0'"),
+    "infinite f_init": (_with_f_init(_put("f_init", "4", float("inf"))), "/f_init/4: number must be finite"),
+    "missing f_init": (_with_f_init(_without("f_init", "5")), "/f_init: missing vertices [5]"),
+    # the first offence wins: the sections in schema order, keys in file order
+    "alpha before eta": (
+        lambda d: (_put("eta", "x", 1.0)(d), _put("alpha", "x", 1.0)(d)), "/alpha: key 'x' is not a vertex id",
+    ),
+    "first key in file order": (
+        lambda d: d.__setitem__("mu", {"x": 0.0, **d["mu"], "0": True}), "/mu: key 'x' is not a vertex id",
+    ),
+    "bad entry before missing ones": (
+        lambda d: d.__setitem__("alpha", {"hat": 1.0, "2": "2"}), "/alpha/2: expected a number, got '2'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_REJECTIONS))
+def test_parse_rejection_messages_are_pinned(case):
+    edit, message = PARSE_REJECTIONS[case]
+    data = json.loads(json.dumps(preset("hex_tangent")))
+    edit(data)
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem(data)
+    assert str(info.value) == message
+    # the same problem as JSON text gives the same message
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem(json.dumps(data))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[1, 2]", "problem must be a JSON object"),
+        ('{"vertices": [0, 1, 2], "faces": [[0, 1, 2]], "alpha": {"0": NaN}}', "missing keys ['eta', 'mu']"),
+    ],
+)
+def test_parse_rejects_text(text, message):
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem(text)
+    assert str(info.value) == message
