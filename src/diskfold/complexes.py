@@ -10,19 +10,20 @@ orientation (the fold).
 Simplices are written as sorted vertex tuples: (v,) for vertices,
 (u, v) for edges, (u, v, w) for faces.
 
-Both kinds of complex carry one CompiledComplex, built on first use:
-the index arrays (edge ends, face corners, face sides, the faces of each
-edge), the fold sign of every face and the constant term of the
-curvature.  Every layer reads these shared, read-only arrays; none
-builds its own index.  Labels are coerced to vertex order by the one
-label_array of both complexes.
+Both kinds of complex carry one CompiledComplex: the index arrays (edge
+ends, face corners, face sides, the faces of each edge), the fold sign
+of every face and the constant term of the curvature.  validate_disk
+builds the disk's index in the integer-array passes that check the
+topology, and augment extends it by the apex; every layer reads these
+shared, read-only arrays, and none builds its own index.  Labels are
+coerced to vertex order by the one label_array of both complexes.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -61,16 +62,6 @@ def simplex_key(vertices) -> Simplex:
     return tuple(sorted(vertices))
 
 
-def _face_edges(face):
-    a, b, c = face
-    return (edge_key(a, b), edge_key(b, c), edge_key(a, c))
-
-
-def _runs(face, a, b) -> bool:
-    """True when the triangle ``face`` traverses its edge from a to b."""
-    return face[(face.index(a) + 1) % 3] == b
-
-
 @dataclass(frozen=True, eq=False)
 class CompiledComplex:
     """The index arrays of one complex, shared read-only by every layer.
@@ -96,46 +87,29 @@ class CompiledComplex:
     fold_sign: np.ndarray
     const: np.ndarray
 
+    def __post_init__(self):
+        for a in (self.E, self.F, self.FE, self.edge_faces, self.fold_sign, self.const):
+            a.flags.writeable = False
 
-def _compile(complex_) -> CompiledComplex:
-    if isinstance(complex_, AugmentedDisk):
-        n_disk = complex_.n_disk_faces
-        const = dict.fromkeys(complex_.disk.interior_vertices, 2.0 * np.pi)
-        const[complex_.apex] = -2.0 * np.pi
-    else:
-        n_disk = len(complex_.faces)
-        const = dict.fromkeys(complex_.vertices, 2.0 * np.pi)
-    vidx = {v: i for i, v in enumerate(complex_.vertices)}
-    eidx = {e: i for i, e in enumerate(complex_.edges)}
-    faces = complex_.faces
-    E = np.array([[vidx[u], vidx[v]] for u, v in complex_.edges])
-    F = np.array([[vidx[v] for v in f] for f in faces])
-    FE = np.array(
-        [[eidx[edge_key(f[(c + 1) % 3], f[(c + 2) % 3])] for c in range(3)] for f in faces]
-    )
-    # a stable sort of the face sides by edge keeps each edge's faces in
-    # face order; the first side of an edge goes to column 0
-    sides = FE.ravel()
-    order = np.argsort(sides, kind="stable")
-    by_edge = sides[order]
-    second = np.concatenate([[False], by_edge[1:] == by_edge[:-1]])
-    edge_faces = np.full((len(E), 2), -1)
-    edge_faces[by_edge, second.astype(int)] = order // 3
-    fold_sign = np.where(np.arange(len(faces)) < n_disk, -1.0, 1.0)
-    const = np.array([const.get(v, 0.0) for v in complex_.vertices])
-    arrays = (E, F, FE, edge_faces, fold_sign, const)
-    for a in arrays:
-        a.flags.writeable = False
-    return CompiledComplex(vidx, *arrays)
+
+def _id_rank(vertices: tuple):
+    """(ids, rank): the ids as an array (of objects past int64) and the
+    position of each vertex in increasing id order."""
+    ids = np.array(vertices)
+    if ids.dtype.kind != "i":
+        ids = np.array(vertices, dtype=object)
+    rank = np.empty(len(ids), dtype=np.intp)
+    rank[np.argsort(ids, kind="stable")] = np.arange(len(ids))
+    return ids, rank
+
+
+def _tuples(a: np.ndarray) -> tuple:
+    """The rows of a 2-d array as tuples of Python scalars."""
+    return tuple(zip(*a.T.tolist()))
 
 
 class _Indexed:
     """What both complexes share: the compiled index and label coercion."""
-
-    @cached_property
-    def compiled(self) -> CompiledComplex:
-        """The index arrays of this complex, built once on first use."""
-        return _compile(self)
 
     @property
     def vertex_index(self) -> dict:
@@ -181,6 +155,7 @@ class CombinatorialDisk(_Indexed):
     boundary_edges: frozenset
     boundary_cycle: tuple
     interior_vertices: frozenset
+    compiled: CompiledComplex = field(repr=False, compare=False)
 
     @property
     def boundary_vertices(self) -> frozenset:
@@ -200,23 +175,26 @@ def _err(reason, **details):
     return DiskTopologyError(f"{reason}" + (f" ({extra})" if extra else ""))
 
 
-def validate_disk(vertices, faces) -> CombinatorialDisk:
-    """Check that (vertices, faces) triangulates a disk and orient it.
+def _corners(vertex_index: dict, faces: list):
+    """(F, 3) vertex positions of the faces, or None when some face is not
+    a triangle of three known, distinct vertices."""
+    if set(map(len, faces)) != {3}:
+        return None
+    flat = map(vertex_index.get, chain.from_iterable(faces), repeat(-1))
+    F = np.fromiter(flat, dtype=np.intp, count=3 * len(faces)).reshape(-1, 3)
+    a, b, c = F.T
+    if F.min() < 0 or ((a == b) | (b == c) | (a == c)).any():
+        return None
+    return F
 
-    Raises DiskTopologyError when the complex is not a disk: duplicate
-    or degenerate faces, edges in more than two faces, wrong Euler
-    characteristic, disconnected (pinched) vertex links, or a boundary
-    that is not a single cycle.
-    """
-    vertices = tuple(vertices)
-    if len(set(vertices)) != len(vertices):
-        raise _err("duplicate vertex ids")
+
+def _reject_face(vertices: tuple, faces: list):
+    """Raise for the first face that is not a triangle of three known,
+    distinct vertices or repeats an earlier face."""
     vset = set(vertices)
-    faces = [tuple(f) for f in faces]
-    if not faces:
-        raise _err("a disk needs at least one face")
     seen = set()
     for f in faces:
+        f = tuple(f)
         if len(f) != 3 or len(set(f)) != 3:
             raise _err("face is not a triangle", face=f)
         if not set(f) <= vset:
@@ -226,116 +204,184 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
             raise _err("duplicate face", face=f)
         seen.add(k)
 
-    edge_faces: dict = {}
-    for fi, f in enumerate(faces):
-        for e in _face_edges(f):
-            edge_faces.setdefault(e, []).append(fi)
-    for e, fl in edge_faces.items():
-        if len(fl) > 2:
-            raise _err("edge lies in more than two faces", edge=e)
 
-    used = {v for f in faces for v in f}
-    if used != vset:
-        raise _err("isolated vertices", vertices=sorted(vset - used))
+def validate_disk(vertices, faces) -> CombinatorialDisk:
+    """Check that (vertices, faces) triangulates a disk and orient it.
 
-    edges = tuple(sorted(edge_faces))
-    if len(vertices) - len(edges) + len(faces) != 1:
-        raise _err(
-            "Euler characteristic is not 1",
-            chi=len(vertices) - len(edges) + len(faces),
-        )
+    Raises DiskTopologyError when the complex is not a disk: duplicate
+    or degenerate faces, edges in more than two faces, wrong Euler
+    characteristic, no boundary, disconnected (pinched) vertex links,
+    or faces that cannot be oriented consistently or are not
+    edge-connected.  A complex that passes all of these is a connected,
+    orientable surface with Euler characteristic 1: a disk, whose
+    boundary is one cycle.
 
-    boundary_edges = frozenset(e for e, fl in edge_faces.items() if len(fl) == 1)
-    if not boundary_edges:
+    Every check is a pass over integer arrays: the faces as an (F, 3)
+    array of vertex positions, their sides grouped by sorted edge keys,
+    and the orientation as the components of the two-sheeted cover of
+    the face-adjacency graph.  Vertex links (connected components of
+    half-edges joined at face corners) need a pass of their own only
+    when the orientation or the edge-connectivity check fails.  The
+    arrays become the disk's compiled index.
+    """
+    vertices = tuple(vertices)
+    n = len(vertices)
+    vertex_index = dict(zip(vertices, range(n)))
+    if len(vertex_index) != n:
+        raise _err("duplicate vertex ids")
+    faces = list(faces)
+    if not faces:
+        raise _err("a disk needs at least one face")
+    F = _corners(vertex_index, faces)
+    if F is None:
+        _reject_face(vertices, faces)
+    nf = len(F)
+    ids, rank = _id_rank(vertices)
+
+    # side c of a face joins corners c + 1 and c + 2; edges are numbered
+    # by their keys in id rank, so in sorted order of their id tuples.
+    # Sorting the sides by key groups the sides of each edge.
+    start, end = F[:, [1, 2, 0]], F[:, [2, 0, 1]]
+    r0, r1 = rank[start], rank[end]
+    side_keys = (np.minimum(r0, r1) * n + np.maximum(r0, r1)).ravel()
+    order = np.argsort(side_keys)
+    sorted_keys = side_keys[order]
+    first = np.empty(3 * nf, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    FE = np.empty(3 * nf, dtype=np.intp)
+    FE[order] = np.cumsum(first) - 1
+    FE = FE.reshape(nf, 3)
+    group = np.flatnonzero(first)
+    keys = sorted_keys[group]
+    count = np.diff(np.append(group, 3 * nf))
+    on_boundary = count == 1
+    # the first two sides of each edge, in face order; -1 for a lone side
+    a, b = order[group], order[np.minimum(group + 1, 3 * nf - 1)]
+    first_side = np.where(on_boundary, a, np.minimum(a, b))
+    second_side = np.where(on_boundary, -1, np.maximum(a, b))
+    if count.max() > 2:
+        _reject_face(vertices, faces)
+        crowded = set(np.flatnonzero(count > 2).tolist())
+        # the first crowded edge met, face by face, as the sides ab, bc, ac
+        for f, sides in zip(faces, FE[:, [2, 0, 1]].tolist()):
+            for e, (u, v) in zip(sides, ((f[0], f[1]), (f[1], f[2]), (f[0], f[2]))):
+                if e in crowded:
+                    raise _err("edge lies in more than two faces", edge=edge_key(u, v))
+    # two triangles on two common edges have the same corners
+    pairs = np.sort((first_side // 3 * nf + second_side // 3)[~on_boundary])
+    if (pairs[1:] == pairs[:-1]).any():
+        _reject_face(vertices, faces)
+
+    used = np.zeros(n, dtype=bool)
+    used[F.ravel()] = True
+    if not used.all():
+        raise _err("isolated vertices", vertices=sorted(vertices[i] for i in np.flatnonzero(~used).tolist()))
+
+    ne = len(keys)
+    if n - ne + nf != 1:
+        raise _err("Euler characteristic is not 1", chi=n - ne + nf)
+    if not on_boundary.any():
         raise _err("no boundary edges; the complex is closed")
 
-    # Each vertex link must be a single path (boundary) or cycle (interior).
-    link: dict = {v: {} for v in vertices}
-    for f in faces:
-        for i in range(3):
-            v = f[i]
-            a, b = f[(i + 1) % 3], f[(i + 2) % 3]
-            link[v].setdefault(a, set()).add(b)
-            link[v].setdefault(b, set()).add(a)
-    interior = set()
-    for v in vertices:
-        nbrs = link[v]
-        # no edge lies in more than two faces, so link degrees are 1 or
-        # 2: a connected link is a cycle (no ends) or a path (two ends)
-        start = next(iter(nbrs))
-        stack, comp = [start], {start}
-        while stack:
-            n = stack.pop()
-            for w in nbrs[n]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        if comp != set(nbrs):
-            raise _err("vertex link is not connected", vertex=v)
-        if all(len(s) == 2 for s in nbrs.values()):
-            interior.add(v)
+    by_rank = np.empty(n, dtype=np.intp)
+    by_rank[rank] = np.arange(n)
+    E = by_rank[np.stack([keys // n, keys % n], axis=1)]
 
-    # Orient faces consistently: neighbors traverse shared edges oppositely.
-    directed = [None] * len(faces)
-    face_adj: dict = {fi: [] for fi in range(len(faces))}
-    for e, fl in edge_faces.items():
-        if len(fl) == 2:
-            face_adj[fl[0]].append((fl[1], e))
-            face_adj[fl[1]].append((fl[0], e))
-    directed[0] = faces[0]
-    queue = [0]
-    placed = {0}
-    while queue:
-        fi = queue.pop()
-        f = directed[fi]
-        for fj, e in face_adj[fi]:
-            g = faces[fj]
-            # distinct faces share at most the one edge e
-            oriented = (g[0], g[2], g[1]) if _runs(f, *e) == _runs(g, *e) else g
-            if fj in placed:
-                if directed[fj] != oriented and directed[fj] not in {
-                    (oriented[1], oriented[2], oriented[0]),
-                    (oriented[2], oriented[0], oriented[1]),
-                }:
-                    raise _err("faces cannot be oriented consistently")
-                continue
-            directed[fj] = oriented
-            placed.add(fj)
-            queue.append(fj)
-    if len(placed) != len(faces):
+    # node 2f + t is face f, reversed when t = 1; two faces agree on an
+    # edge when they run it in opposite directions, so a shared edge joins
+    # (f, t) to (g, t) or to (g, 1 - t).  The faces orient consistently
+    # when face 0 and its reversal (nodes 0 and 1) lie in different
+    # components.
+    forward = (E[FE, 0] == start).ravel()
+    fa, fb = first_side[~on_boundary], second_side[~on_boundary]
+    same = (forward[fa] == forward[fb]).astype(np.intp)
+    fa, fb = 2 * (fa // 3), 2 * (fb // 3)
+    sheet = _components(np.concatenate([fa, fa + 1]), np.concatenate([fb + same, fb + 1 - same]), 2 * nf)
+    flip = sheet[1::2] == 0
+    if sheet[1] == 0 or not (flip | (sheet[0::2] == 0)).all():
+        # An edge-connected, orientable complex with edges in at most two
+        # faces, a boundary and chi = 1 has connected vertex links: cut
+        # each vertex into one per piece of its link, and the connected,
+        # orientable surface with boundary that results has chi at most
+        # 1, so nothing was cut.  Links are checked only here, first.
+        _reject_pinch(vertices, E, F, FE)
+        if sheet[1] == 0:
+            raise _err("faces cannot be oriented consistently")
         raise _err("faces are not edge-connected")
+    # the first face keeps its direction; a reversed face (a, b, c)
+    # becomes (a, c, b), whose sides opposite b and c trade places
+    if flip.any():
+        F = np.where(flip[:, None], F[:, [0, 2, 1]], F)
+        FE = np.where(flip[:, None], FE[:, [0, 2, 1]], FE)
 
-    # Boundary cycle, following the direction induced by the faces.
-    succ: dict = {}
-    for f in directed:
-        for i in range(3):
-            a, b = f[i], f[(i + 1) % 3]
-            if edge_key(a, b) in boundary_edges:
-                if a in succ:
-                    raise _err("boundary is not a single cycle", vertex=a)
-                succ[a] = b
-    start = min(succ)
-    cyc = [start]
-    on_cycle = {start}
-    while True:
-        nxt = succ[cyc[-1]]
-        if nxt == start:
-            break
-        if nxt in on_cycle:
-            raise _err("boundary is not a single cycle", vertex=nxt)
-        cyc.append(nxt)
-        on_cycle.add(nxt)
-    if len(cyc) != len(boundary_edges):
-        raise _err("boundary has more than one cycle")
+    # the boundary runs along the directed boundary sides, from its
+    # least id; every boundary vertex has one outgoing boundary side
+    side = on_boundary[FE]
+    src, dst = F[:, [1, 2, 0]][side], F[:, [2, 0, 1]][side]
+    succ = np.empty(n, dtype=np.intp)
+    succ[src] = dst
+    step = succ.tolist()
+    cycle = [int(src[np.argmin(rank[src])])]
+    for _ in range(len(src) - 1):
+        cycle.append(step[cycle[-1]])
+    interior = np.ones(n, dtype=bool)
+    interior[src] = False
 
+    edge_faces = np.stack([first_side, second_side], axis=1) // 3
+    compiled = CompiledComplex(
+        vertex_index, E, F, FE, edge_faces, np.full(nf, -1.0), np.full(n, 2.0 * np.pi)
+    )
     return CombinatorialDisk(
         vertices=vertices,
-        faces=tuple(directed),
-        edges=edges,
-        boundary_edges=boundary_edges,
-        boundary_cycle=tuple(cyc),
-        interior_vertices=frozenset(interior),
+        faces=_tuples(ids[F]),
+        edges=_tuples(ids[E]),
+        boundary_edges=frozenset(_tuples(ids[E[on_boundary]])),
+        boundary_cycle=tuple(ids[cycle].tolist()),
+        interior_vertices=frozenset(ids[interior].tolist()),
+        compiled=compiled,
     )
+
+
+def _reject_pinch(vertices: tuple, E: np.ndarray, F: np.ndarray, FE: np.ndarray) -> None:
+    """Raise for the first vertex, in vertex order, with a disconnected link.
+
+    Half-edge 2e + s is the edge e seen from its end E[e, s]; corner c
+    of a face joins its two sides through that corner, c + 1 and c + 2,
+    so the components of a vertex's half-edges are the pieces of its link.
+    """
+    s1, s2 = FE[:, [1, 2, 0]], FE[:, [2, 0, 1]]
+    h1 = (2 * s1 + (E[s1, 1] == F)).ravel()
+    h2 = (2 * s2 + (E[s2, 1] == F)).ravel()
+    comp = _components(h1, h2, 2 * len(E))
+    roots = comp == np.arange(len(comp))
+    pinched = np.bincount(E.ravel()[roots], minlength=len(vertices)) > 1
+    if pinched.any():
+        raise _err("vertex link is not connected", vertex=vertices[int(np.argmax(pinched))])
+
+
+def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """The least node of each node's component in the undirected graph
+    on n nodes with the edges (u, v).
+
+    Each round hooks every root to the least root next to it, then jumps
+    every node to its root.  A root that outlives two rounds took in all
+    of its neighbours in the first, so the roots left after round t + 2
+    number at most those hooked in round t: the rounds are logarithmic.
+    """
+    label = np.arange(n)
+    while True:
+        lu, lv = label[u], label[v]
+        apart = lu != lv
+        if not apart.any():
+            return label
+        lu, lv = lu[apart], lv[apart]
+        np.minimum.at(label, np.maximum(lu, lv), np.minimum(lu, lv))
+        while True:
+            up = label[label]
+            if np.array_equal(up, label):
+                break
+            label = up
 
 
 @dataclass(frozen=True)
@@ -346,7 +392,9 @@ class AugmentedDisk(_Indexed):
     (apex, w, v) per directed boundary edge (v, w); the reversal folds
     the augmented sheet over the disk.  ``vertex_order`` fixes the
     index convention used by all array-valued callers: disk vertices in
-    their original order, apex last.
+    their original order, apex last.  Edge i is entry ``edge_source[i]``
+    of the disk's edges followed by the apex edges (v, apex) in
+    boundary-cycle order.
     """
 
     disk: CombinatorialDisk
@@ -355,6 +403,8 @@ class AugmentedDisk(_Indexed):
     faces: tuple
     edges: tuple
     n_disk_faces: int
+    edge_source: np.ndarray = field(repr=False, compare=False)
+    compiled: CompiledComplex = field(repr=False, compare=False)
 
     @property
     def vertex_order(self) -> tuple:
@@ -372,19 +422,64 @@ class AugmentedDisk(_Indexed):
 def augment(disk: CombinatorialDisk) -> AugmentedDisk:
     """Join a new apex vertex to every boundary edge of the disk.
 
-    The result is a combinatorial sphere: chi = 2 and 3F = 2E.
+    The result is a combinatorial sphere: chi = 2 and 3F = 2E.  Its
+    compiled index extends the disk's: the apex is vertex n, and the
+    augmented faces (apex, w, v) follow the disk faces.
     """
+    ix = disk.compiled
+    n, nf, ne = len(disk.vertices), len(ix.F), len(ix.E)
     apex = max(disk.vertices) + 1
-    aug_faces = tuple((apex, w, v) for (v, w) in disk.directed_boundary())
-    faces = disk.faces + aug_faces
-    edges = tuple(sorted(set(disk.edges) | {edge_key(v, apex) for v in disk.boundary_cycle}))
+    nb = len(disk.boundary_cycle)
+    cyc = np.fromiter(map(ix.vertex_index.__getitem__, disk.boundary_cycle), dtype=np.intp, count=nb)
+    nxt = np.concatenate([cyc[1:], cyc[:1]])
+
+    # the apex has the largest id: rank it last, then sort the disk and
+    # apex edges together by their keys in id rank
+    m = n + 1
+    rank = np.append(_id_rank(disk.vertices)[1], n)
+    ends = np.concatenate([ix.E, np.stack([cyc, np.full(nb, n)], axis=1)])
+    keys = rank[ends[:, 0]] * m + rank[ends[:, 1]]
+    source = np.argsort(keys)
+    position = np.empty_like(source)
+    position[source] = np.arange(len(source))
+    r0, r1 = rank[cyc], rank[nxt]
+    boundary = np.searchsorted(keys[:ne], np.minimum(r0, r1) * m + np.maximum(r0, r1))
+    k = np.arange(nb)
+    # face (apex, w, v) over the boundary edge (v, w): the side opposite
+    # the apex is that edge, opposite w the apex edge of v, opposite v
+    # the apex edge of w
+    aug_FE = np.stack([boundary, ne + k, ne + (k + 1) % nb], axis=1)
+    FE = position[np.concatenate([ix.FE, aug_FE])]
+    # a boundary edge gains the face over it, and the apex edge of v lies
+    # in the faces over the boundary edges into and out of v
+    disk_faces = ix.edge_faces.copy()
+    disk_faces[boundary, 1] = nf + k
+    prev = (k - 1) % nb
+    apex_faces = nf + np.stack([np.minimum(prev, k), np.maximum(prev, k)], axis=1)
+    F = np.concatenate([ix.F, np.stack([np.full(nb, n), nxt, cyc], axis=1)])
+    const = np.full(m, 2.0 * np.pi)
+    const[cyc] = 0.0
+    const[n] = -2.0 * np.pi
+    source.flags.writeable = False
+    compiled = CompiledComplex(
+        {**ix.vertex_index, apex: n},
+        ends[source],
+        F,
+        FE,
+        np.concatenate([disk_faces, apex_faces])[source],
+        np.concatenate([ix.fold_sign, np.ones(nb)]),
+        const,
+    )
+    edges = disk.edges + tuple((v, apex) for v in disk.boundary_cycle)
     aug = AugmentedDisk(
         disk=disk,
         apex=apex,
         vertices=disk.vertices + (apex,),
-        faces=faces,
-        edges=edges,
-        n_disk_faces=len(disk.faces),
+        faces=disk.faces + tuple((apex, w, v) for (v, w) in disk.directed_boundary()),
+        edges=tuple(map(edges.__getitem__, source.tolist())),
+        n_disk_faces=nf,
+        edge_source=source,
+        compiled=compiled,
     )
     nv, ne, nf = len(aug.vertices), len(aug.edges), len(aug.faces)
     assert nv - ne + nf == 2 and 3 * nf == 2 * ne
@@ -426,6 +521,15 @@ class MultiplicityAssignment:
     def items(self):
         return self.mu.items()
 
+    def total(self, aug: "AugmentedDisk", vertices, edges, faces) -> int:
+        """Sum of mu over the vertices, edges and faces of aug that the
+        boolean masks (in the complex's own order) select."""
+        return (
+            sum(self((aug.vertices[i],)) for i in np.flatnonzero(vertices).tolist())
+            + sum(self(aug.edges[i]) for i in np.flatnonzero(edges).tolist())
+            + sum(self(aug.faces[i]) for i in np.flatnonzero(faces).tolist())
+        )
+
 
 #: Weight per (dimension, class) in the standard assignment.
 _STANDARD_TABLE = {
@@ -458,16 +562,16 @@ def pointwise_multiplicity(aug: AugmentedDisk, mu: MultiplicityAssignment, simpl
     For the standard assignment this is 1 on interior simplices, 0 on
     boundary ones and -1 on augmented ones: the two sheets of the fold
     counted with sign, as seen from the closed star of the simplex.
+    The cofaces are the rows of the compiled index that hold every
+    vertex of the simplex.
     """
+    ix = aug.compiled
     s = set(simplex)
-    total = 0
-    for v in aug.vertices:
-        if s <= {v}:
-            total += mu((v,))
-    for e in aug.edges:
-        if s <= set(e):
-            total += mu(e)
-    for f in aug.faces:
-        if s <= set(f):
-            total += mu(simplex_key(f))
-    return total
+    if not s <= ix.vertex_index.keys():
+        return 0
+    idx = [ix.vertex_index[v] for v in s]
+
+    def cofaces(rows):
+        return np.isin(rows, idx).sum(axis=1) == len(idx)
+
+    return mu.total(aug, cofaces(np.arange(len(aug.vertices))[:, None]), cofaces(ix.E), cofaces(ix.F))

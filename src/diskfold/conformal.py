@@ -17,8 +17,9 @@ identically.
 
 AngleSystem binds a structure to a complex: it reads the complex's
 compiled index (complexes.CompiledComplex: edge ends, face sides, fold
-signs, curvature constants) and adds only the alpha/eta gathers and the
-Jacobian's sparse pattern.  It evaluates each label in one pass
+signs, curvature constants) and the alpha/eta arrays that the structure
+checked for that complex (attach_boundary_data checks them once, as it
+builds the structure), and adds only the Jacobian's sparse pattern.  It evaluates each label in one pass
 (Evaluation): squared lengths once, then the edge and triangle checks,
 the angles and the curvature.  Every per-label quantity has this one
 code path.  Public methods coerce and copy their label with the
@@ -30,11 +31,12 @@ check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy.sparse import csc_array
 
-from .complexes import AugmentedDisk, edge_key
+from .complexes import AugmentedDisk
 
 __all__ = [
     "ConformalStructure",
@@ -67,27 +69,59 @@ class ConformalStructure:
 
     For an augmented disk the dictionaries cover the apex and the
     augmented edges as well; attach_boundary_data builds that extension
-    from boundary data mu.
+    from boundary data mu, and binds the checked values to the complex
+    as arrays in its vertex and edge order.
     """
 
     alpha: dict = field(default_factory=dict)
     eta: dict = field(default_factory=dict)
+    _bound: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def validate_for(self, complex_) -> None:
-        vertices = complex_.vertices
-        edges = complex_.edges
-        missing_a = [v for v in vertices if v not in self.alpha]
-        if missing_a:
-            raise StructureError(f"alpha misses vertices {missing_a}")
-        missing_e = [e for e in edges if e not in self.eta]
-        if missing_e:
-            raise StructureError(f"eta misses edges {missing_e}")
-        for v, a in self.alpha.items():
-            if not np.isfinite(a):
-                raise StructureError(f"alpha[{v}] is not finite")
-        for e, h in self.eta.items():
-            if not np.isfinite(h):
-                raise StructureError(f"eta[{e}] is not finite")
+    def validate_for(self, complex_):
+        """(alpha, eta) as read-only arrays in the complex's vertex and edge order.
+
+        Raises StructureError when an entry is missing or not finite.
+        A structure that attach_boundary_data bound to this complex was
+        checked there and returns its arrays at once.
+        """
+        if self._bound is not None and self._bound[0] is complex_:
+            return self._bound[1:]
+        a = _gather(self.alpha, complex_.vertices, "alpha misses vertices {}".format)
+        h = _gather(self.eta, complex_.edges, "eta misses edges {}".format)
+        _require_finite("alpha", self.alpha, np.fromiter(self.alpha.values(), float, len(self.alpha)))
+        _require_finite("eta", self.eta, np.fromiter(self.eta.values(), float, len(self.eta)))
+        return _frozen(a), _frozen(h)
+
+
+_MISSING = object()
+
+
+def _gather(values, keys, missing_message) -> np.ndarray:
+    """A mapping's values at keys as a float array, or an aligned array as floats.
+
+    ``missing_message`` makes the error text from the list of missing keys.
+    """
+    if not isinstance(values, np.ndarray):
+        got = list(map(values.get, keys, repeat(_MISSING)))
+        if any(x is _MISSING for x in got):
+            raise StructureError(missing_message([k for k, x in zip(keys, got) if x is _MISSING]))
+        values = got
+    out = np.array(values, dtype=float)
+    if out.shape != (len(keys),):
+        raise StructureError(f"expected {len(keys)} values, got shape {out.shape}")
+    return out
+
+
+def _require_finite(name: str, keys, values: np.ndarray) -> None:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        key = next(k for k, b in zip(keys, bad.tolist()) if b)
+        raise StructureError(f"{name}[{key}] is not finite")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def attach_boundary_data(
@@ -97,23 +131,22 @@ def attach_boundary_data(
 
     The boundary condition mu_v becomes the structure constant of the
     augmented edge (v, apex), and the apex gets weight ``apex_alpha``.
+    alpha, eta and mu are mappings over the disk's vertices, edges and
+    boundary vertices, or arrays in the disk's vertex, edge and
+    boundary-cycle order.  The structure comes back checked and bound
+    to ``aug``.
     """
     disk = aug.disk
-    missing = [v for v in disk.vertices if v not in alpha]
-    if missing:
-        raise StructureError(f"alpha misses vertices {missing}")
-    a = {v: float(alpha[v]) for v in disk.vertices}
-    a[aug.apex] = float(apex_alpha)
-    missing = [e for e in disk.edges if edge_key(*e) not in eta]
-    if missing:
-        raise StructureError(f"eta misses edges {missing}")
-    h = {edge_key(*e): float(eta[edge_key(*e)]) for e in disk.edges}
-    for v in disk.boundary_cycle:
-        if v not in mu:
-            raise StructureError(f"mu misses boundary vertex {v}")
-        h[edge_key(v, aug.apex)] = float(mu[v])
-    cs = ConformalStructure(alpha=a, eta=h)
-    cs.validate_for(aug)
+    a = np.append(_gather(alpha, disk.vertices, "alpha misses vertices {}".format), float(apex_alpha))
+    h = _gather(eta, disk.edges, "eta misses edges {}".format)
+    m = _gather(mu, disk.boundary_cycle, lambda missing: f"mu misses boundary vertex {missing[0]}")
+    h = np.concatenate([h, m])
+    # the dictionaries list the disk entries first, then the apex ones
+    edges = disk.edges + tuple((v, aug.apex) for v in disk.boundary_cycle)
+    _require_finite("alpha", aug.vertices, a)
+    _require_finite("eta", edges, h)
+    cs = ConformalStructure(alpha=dict(zip(aug.vertices, a.tolist())), eta=dict(zip(edges, h.tolist())))
+    object.__setattr__(cs, "_bound", (aug, _frozen(a), _frozen(h[aug.edge_source])))
     return cs
 
 
@@ -159,7 +192,7 @@ class AngleSystem:
     """
 
     def __init__(self, complex_, cs: ConformalStructure):
-        cs.validate_for(complex_)
+        self.alpha, self.eta = cs.validate_for(complex_)
         self.complex = complex_
         self.cs = cs
         self.compiled = ix = complex_.compiled
@@ -167,8 +200,6 @@ class AngleSystem:
         self.edge_order = complex_.edges
         self.faces = complex_.faces
         n = self.n_vertices = len(self.vertex_order)
-        self.alpha = np.array([cs.alpha[v] for v in self.vertex_order])
-        self.eta = np.array([cs.eta[e] for e in self.edge_order])
 
         # evaluation index arrays: both ends of every edge, the opposite
         # side of every corner and its two adjacent sides (each (F, 3)),
@@ -177,22 +208,25 @@ class AngleSystem:
         self._ends = ix.E.T.copy()
         self._alpha_ends = self.alpha[self._ends]
         self._two_eta = 2 * self.eta
-        self._sides = np.stack([ix.FE, np.roll(ix.FE, -1, axis=1), np.roll(ix.FE, -2, axis=1)])
+        self._sides = np.stack([ix.FE, ix.FE[:, [1, 2, 0]], ix.FE[:, [2, 0, 1]]])
         self._k_index = np.concatenate([np.arange(n), ix.F.ravel()])
 
         # CSC pattern of the bordered jacobian [[J, 1], [1^T, 0]]: every
         # scatter entry (corner vertex row, edge end column; the u ends,
         # then the v ends) maps to its data slot, so bincount sums each
-        # entry in scatter order; the border ones fill column n and row n
+        # entry in scatter order; the border ones fill column n and row n.
+        # An entry pairs two corners of one face, so the nonzeros are the
+        # diagonal, both directions of every edge and the border.
         rows = np.repeat(ix.F[:, :, None], 3, axis=2).ravel()  # (F, corner, edge slot)
         self._j_edges = ix.FE[:, None, :].repeat(3, axis=1).ravel()  # global edge per slot
         cols = ix.E[self._j_edges]
         m = n + 1
         border = np.arange(n)
-        keys = np.concatenate([cols[:, 0] * m + rows, cols[:, 1] * m + rows, n * m + border, border * m + n])
-        ukeys, slot = np.unique(keys, return_inverse=True)
-        self._j_slot = slot[: 2 * len(rows)]
-        self._border_slot = slot[2 * len(rows) :]
+        u, v = ix.E.T
+        border_keys = np.concatenate([n * m + border, border * m + n])
+        ukeys = np.sort(np.concatenate([border * (m + 1), u * m + v, v * m + u, border_keys]))
+        self._j_slot = np.searchsorted(ukeys, np.concatenate([cols[:, 0] * m + rows, cols[:, 1] * m + rows]))
+        self._border_slot = np.searchsorted(ukeys, border_keys)
         self._b_indices = (ukeys % m).astype(np.int32)
         self._b_indptr = np.concatenate([[0], np.cumsum(np.bincount(ukeys // m, minlength=m))]).astype(np.int32)
 

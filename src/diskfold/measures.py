@@ -124,26 +124,6 @@ def valuation_defect(
     return abs(k(A | B) - k(A) - k(B) + k(A & B))
 
 
-def _segment_distance(a, b, q) -> float:
-    ab = b - a
-    t = float(np.dot(q - a, ab) / max(np.dot(ab, ab), 1e-300))
-    t = min(max(t, 0.0), 1.0)
-    return float(np.linalg.norm(a + t * ab - q))
-
-
-def _in_triangle(a, b, c, q, tol) -> bool:
-    area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-    if area2 == 0.0:
-        return False
-    s = 1.0 if area2 > 0 else -1.0
-    for p0, p1 in ((a, b), (b, c), (c, a)):
-        e = p1 - p0
-        cross = (e[0] * (q[1] - p0[1]) - e[1] * (q[0] - p0[0])) * s
-        if cross < -tol * float(np.linalg.norm(e)):
-            return False
-    return True
-
-
 def layout_point_multiplicity(
     aug: AugmentedDisk,
     mu: MultiplicityAssignment,
@@ -157,18 +137,24 @@ def layout_point_multiplicity(
     contains the point (within tol).  With the standard multiplicities
     the two sheets of the fold cancel: the count is 0 wherever the
     configuration covers the point an equal number of times with each
-    sign, in particular at generic points of the folded image.
+    sign, in particular at generic points of the folded image.  Every
+    vertex, edge and face is tested at once over the compiled index.
     """
+    ix = aug.compiled
     q = np.asarray(point, dtype=float)
-    pos = {v: np.asarray(positions[v], dtype=float) for v in aug.vertices}
-    total = 0
-    for v in aug.vertices:
-        if float(np.linalg.norm(pos[v] - q)) <= tol:
-            total += mu((v,))
-    for e in aug.edges:
-        if _segment_distance(pos[e[0]], pos[e[1]], q) <= tol:
-            total += mu(e)
-    for fc in aug.faces:
-        if _in_triangle(pos[fc[0]], pos[fc[1]], pos[fc[2]], q, tol):
-            total += mu(simplex_key(fc))
-    return total
+    P = np.array([positions[v] for v in aug.vertices], dtype=float)
+    at_vertex = np.linalg.norm(P - q, axis=1) <= tol
+
+    a, ab = P[ix.E[:, 0]], P[ix.E[:, 1]] - P[ix.E[:, 0]]
+    t = ((q - a) * ab).sum(axis=1) / np.maximum((ab * ab).sum(axis=1), 1e-300)
+    on_edge = np.linalg.norm(a + np.clip(t, 0.0, 1.0)[:, None] * ab - q, axis=1) <= tol
+
+    A, B, C = P[ix.F[:, 0]], P[ix.F[:, 1]], P[ix.F[:, 2]]
+    area2 = (B[:, 0] - A[:, 0]) * (C[:, 1] - A[:, 1]) - (B[:, 1] - A[:, 1]) * (C[:, 0] - A[:, 0])
+    sign = np.where(area2 > 0, 1.0, -1.0)
+    in_face = area2 != 0.0
+    for p0, p1 in ((A, B), (B, C), (C, A)):
+        e = p1 - p0
+        cross = (e[:, 0] * (q[1] - p0[:, 1]) - e[:, 1] * (q[0] - p0[:, 0])) * sign
+        in_face &= ~(cross < -tol * np.linalg.norm(e, axis=1))
+    return mu.total(aug, at_vertex, on_edge, in_face)

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
-from .complexes import AugmentedDisk, CombinatorialDisk, DiskTopologyError, augment, edge_key, validate_disk
+from .complexes import AugmentedDisk, CombinatorialDisk, DiskTopologyError, augment, validate_disk
 from .conformal import ConformalStructure, attach_boundary_data
 
 __all__ = [
@@ -70,8 +71,103 @@ def _vertex_id(key: str, where: str) -> int:
     return v
 
 
+def _values(raw: dict, keys: list, n_other: int = 0):
+    """raw's values at keys as a float array in key order, or None unless
+    raw holds exactly those keys (and n_other more) with finite ints and
+    floats.  None sends the caller to its per-key loop, which names the
+    first offender."""
+    if len(raw) != len(keys) + n_other:
+        return None
+    vals = list(map(raw.get, keys))
+    if not set(map(type, vals)) <= {int, float}:
+        return None
+    out = np.array(vals, dtype=float)
+    return out if np.isfinite(out).all() else None
+
+
+def _object(data: dict, name: str) -> dict:
+    raw = data[name]
+    if not isinstance(raw, dict):
+        raise ProblemFormatError(f"/{name}: must be an object")
+    return raw
+
+
+def _vertex_section(data: dict, name: str, disk: CombinatorialDisk, keys: list):
+    """(values in vertex order, apex value) of a map over the vertices plus "hat"."""
+    raw = _object(data, name)
+    where = f"/{name}"
+    if "hat" not in raw:
+        raise ProblemFormatError(f'{where}: missing the apex entry "hat"')
+    hat = _num(raw["hat"], f"{where}/hat")
+    out = _values(raw, keys, 1)
+    if out is not None:
+        return out, hat
+    known = disk.vertex_index
+    got = {}
+    for k, val in raw.items():
+        if k == "hat":
+            continue
+        v = _vertex_id(k, where)
+        if v not in known:
+            raise ProblemFormatError(f"{where}/{k}: unknown vertex")
+        got[v] = _num(val, f"{where}/{k}")
+    missing = [v for v in disk.vertices if v not in got]
+    if missing:
+        raise ProblemFormatError(f"{where}: missing vertices {missing}")
+    return np.array([got[v] for v in disk.vertices]), hat
+
+
+def _eta_section(data: dict, disk: CombinatorialDisk) -> np.ndarray:
+    """eta in the disk's edge order."""
+    raw = _object(data, "eta")
+    out = _values(raw, [f"{u}-{v}" for u, v in disk.edges])
+    if out is not None:
+        return out
+    got = {}
+    disk_edges = set(disk.edges)
+    for k, val in raw.items():
+        parts = str(k).split("-")
+        if len(parts) != 2:
+            raise ProblemFormatError(f"/eta/{k}: key must look like 'i-j'")
+        u = _vertex_id(parts[0], f"/eta/{k}")
+        v = _vertex_id(parts[1], f"/eta/{k}")
+        if not u < v:
+            raise ProblemFormatError(f"/eta/{k}: ids must satisfy i < j")
+        if (u, v) not in disk_edges:
+            raise ProblemFormatError(f"/eta/{k}: not an edge of the disk")
+        got[(u, v)] = _num(val, f"/eta/{k}")
+    missing = [e for e in disk.edges if e not in got]
+    if missing:
+        raise ProblemFormatError(f"/eta: missing edges {missing}")
+    return np.array([got[e] for e in disk.edges])
+
+
+def _mu_section(data: dict, disk: CombinatorialDisk) -> np.ndarray:
+    """mu in boundary-cycle order."""
+    raw = _object(data, "mu")
+    out = _values(raw, list(map(str, disk.boundary_cycle)))
+    if out is not None:
+        return out
+    got = {}
+    boundary = set(disk.boundary_cycle)
+    for k, val in raw.items():
+        v = _vertex_id(k, "/mu")
+        if v not in boundary:
+            raise ProblemFormatError(f"/mu/{k}: not a boundary vertex")
+        got[v] = _num(val, f"/mu/{k}")
+    missing = [v for v in disk.boundary_cycle if v not in got]
+    if missing:
+        raise ProblemFormatError(f"/mu: missing boundary vertices {missing}")
+    return np.array([got[v] for v in disk.boundary_cycle])
+
+
 def parse_problem(source) -> Problem:
-    """Parse a problem from JSON text, a file object, or a dictionary."""
+    """Parse a problem from JSON text, a file object, or a dictionary.
+
+    Each section is read straight into an array in the compiled order
+    of the disk, edges or boundary cycle.  Only a section that fails
+    that one check is walked key by key, to name its first offender.
+    """
     if isinstance(source, str):
         try:
             data = json.loads(source)
@@ -98,107 +194,48 @@ def parse_problem(source) -> Problem:
     vertices = data["vertices"]
     if not isinstance(vertices, list) or not vertices:
         raise ProblemFormatError("/vertices: must be a nonempty list")
-    for i, v in enumerate(vertices):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ProblemFormatError(f"/vertices/{i}: must be a nonnegative integer")
+    if set(map(type, vertices)) != {int} or min(vertices) < 0:
+        for i, v in enumerate(vertices):
+            if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+                raise ProblemFormatError(f"/vertices/{i}: must be a nonnegative integer")
 
     faces = data["faces"]
     if not isinstance(faces, list):
         raise ProblemFormatError("/faces: must be a list")
-    for i, f in enumerate(faces):
-        if not isinstance(f, list) or len(f) != 3 or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in f
-        ):
-            raise ProblemFormatError(f"/faces/{i}: must be a list of three vertex ids")
+    if (
+        set(map(type, faces)) != {list}
+        or set(map(len, faces)) != {3}
+        or set(map(type, chain.from_iterable(faces))) != {int}
+    ):
+        for i, f in enumerate(faces):
+            if not isinstance(f, list) or len(f) != 3 or not all(
+                isinstance(x, int) and not isinstance(x, bool) for x in f
+            ):
+                raise ProblemFormatError(f"/faces/{i}: must be a list of three vertex ids")
 
     try:
-        disk = validate_disk(vertices, [tuple(f) for f in faces])
+        disk = validate_disk(vertices, faces)
     except DiskTopologyError as exc:
         raise ProblemFormatError(f"not a triangulated disk: {exc}") from None
     aug = augment(disk)
-    known = set(disk.vertices)
 
-    raw_alpha = data["alpha"]
-    if not isinstance(raw_alpha, dict):
-        raise ProblemFormatError("/alpha: must be an object")
-    if "hat" not in raw_alpha:
-        raise ProblemFormatError('/alpha: missing the apex entry "hat"')
-    apex_alpha = _num(raw_alpha["hat"], "/alpha/hat")
-    alpha = {}
-    for k, val in raw_alpha.items():
-        if k == "hat":
-            continue
-        v = _vertex_id(k, "/alpha")
-        if v not in known:
-            raise ProblemFormatError(f"/alpha/{k}: unknown vertex")
-        alpha[v] = _num(val, f"/alpha/{k}")
-    missing_a = [v for v in disk.vertices if v not in alpha]
-    if missing_a:
-        raise ProblemFormatError(f"/alpha: missing vertices {missing_a}")
-
-    raw_eta = data["eta"]
-    if not isinstance(raw_eta, dict):
-        raise ProblemFormatError("/eta: must be an object")
-    eta = {}
-    disk_edges = set(disk.edges)
-    for k, val in raw_eta.items():
-        parts = str(k).split("-")
-        if len(parts) != 2:
-            raise ProblemFormatError(f"/eta/{k}: key must look like 'i-j'")
-        u = _vertex_id(parts[0], f"/eta/{k}")
-        v = _vertex_id(parts[1], f"/eta/{k}")
-        if not u < v:
-            raise ProblemFormatError(f"/eta/{k}: ids must satisfy i < j")
-        e = edge_key(u, v)
-        if e not in disk_edges:
-            raise ProblemFormatError(f"/eta/{k}: not an edge of the disk")
-        eta[e] = _num(val, f"/eta/{k}")
-    missing_e = [e for e in disk.edges if e not in eta]
-    if missing_e:
-        raise ProblemFormatError(f"/eta: missing edges {missing_e}")
-
-    raw_mu = data["mu"]
-    if not isinstance(raw_mu, dict):
-        raise ProblemFormatError("/mu: must be an object")
-    mu = {}
-    boundary = set(disk.boundary_cycle)
-    for k, val in raw_mu.items():
-        v = _vertex_id(k, "/mu")
-        if v not in boundary:
-            raise ProblemFormatError(f"/mu/{k}: not a boundary vertex")
-        mu[v] = _num(val, f"/mu/{k}")
-    missing_m = [v for v in disk.boundary_cycle if v not in mu]
-    if missing_m:
-        raise ProblemFormatError(f"/mu: missing boundary vertices {missing_m}")
-
+    keys = list(map(str, disk.vertices))
+    alpha, apex_alpha = _vertex_section(data, "alpha", disk, keys)
+    eta = _eta_section(data, disk)
+    mu = _mu_section(data, disk)
     f_init = None
     if "f_init" in data:
-        raw_f = data["f_init"]
-        if not isinstance(raw_f, dict):
-            raise ProblemFormatError("/f_init: must be an object")
-        if "hat" not in raw_f:
-            raise ProblemFormatError('/f_init: missing the apex entry "hat"')
-        fd = {aug.apex: _num(raw_f["hat"], "/f_init/hat")}
-        for k, val in raw_f.items():
-            if k == "hat":
-                continue
-            v = _vertex_id(k, "/f_init")
-            if v not in known:
-                raise ProblemFormatError(f"/f_init/{k}: unknown vertex")
-            fd[v] = _num(val, f"/f_init/{k}")
-        missing_f = [v for v in disk.vertices if v not in fd]
-        if missing_f:
-            raise ProblemFormatError(f"/f_init: missing vertices {missing_f}")
-        f_init = aug.label_array(fd)
+        f, hat = _vertex_section(data, "f_init", disk, keys)
+        f_init = np.append(f, hat)
 
     cs = attach_boundary_data(aug, alpha, eta, mu, apex_alpha=apex_alpha)
     return Problem(
         disk=disk,
         aug=aug,
         cs=cs,
-        alpha=alpha,
-        eta=eta,
-        mu=mu,
+        alpha=dict(zip(disk.vertices, alpha.tolist())),
+        eta=dict(zip(disk.edges, eta.tolist())),
+        mu=dict(zip(disk.boundary_cycle, mu.tolist())),
         apex_alpha=apex_alpha,
         f_init=f_init,
     )

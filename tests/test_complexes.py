@@ -9,6 +9,7 @@ import pytest
 
 from diskfold import (
     DiskTopologyError,
+    MultiplicityAssignment,
     SimplexClass,
     augment,
     classify,
@@ -236,6 +237,55 @@ def test_pointwise_multiplicity_on_larger_disk():
     for key, klass in cl.items():
         assert pointwise_multiplicity(aug, mu, key) == expect[klass]
 
+
+
+def test_pointwise_multiplicity_with_arbitrary_weights():
+    # compare with the sum over every simplex whose vertex set holds the query
+    aug = augment(ring_lattice(2))
+    rng = np.random.default_rng(3)
+    simplices = [(v,) for v in aug.vertices] + list(aug.edges) + [simplex_key(f) for f in aug.faces]
+    mu = MultiplicityAssignment({s: int(rng.integers(-3, 4)) for s in simplices})
+    for query in simplices + [(), (99,), (0, 99)]:
+        want = sum(mu(s) for s in simplices if set(query) <= set(s))
+        assert pointwise_multiplicity(aug, mu, query) == want
+
+
+def test_ids_past_int64_validate_like_small_ids():
+    # an order-preserving relabelling onto ids numpy cannot hold as int64
+    disk = ring_lattice(2)
+    big = {v: 2**64 + 3 * v for v in disk.vertices}
+    back = {b: v for v, b in big.items()}
+    small = validate_disk(disk.vertices[::-1], disk.faces)
+    large = validate_disk([big[v] for v in disk.vertices[::-1]], [tuple(big[v] for v in f) for f in disk.faces])
+    assert [tuple(back[v] for v in f) for f in large.faces] == list(small.faces)
+    assert [tuple(back[v] for v in e) for e in large.edges] == list(small.edges)
+    assert [back[v] for v in large.boundary_cycle] == list(small.boundary_cycle)
+    for a, b in zip((augment(small), small), (augment(large), large)):
+        for name in ("E", "F", "FE", "edge_faces", "fold_sign", "const"):
+            assert np.array_equal(getattr(a.compiled, name), getattr(b.compiled, name))
+    assert augment(large).apex == big[max(disk.vertices)] + 1
+
+
+def test_components_are_least_nodes_of_scipy_components():
+    from scipy.sparse import coo_array
+    from scipy.sparse.csgraph import connected_components
+
+    from diskfold.complexes import _components
+
+    rng = np.random.default_rng(8)
+    graphs = [(np.arange(0), np.arange(0), 5)]
+    for n in (2, 7, 50, 400, 3000):
+        order = rng.permutation(n)
+        graphs.append((order[:-1], order[1:], n))  # a path in random order
+        graphs.append((np.zeros(n - 1, dtype=int), np.arange(1, n), n))  # a star
+        for m in (n // 3, n, 3 * n):
+            graphs.append((rng.integers(0, n, m), rng.integers(0, n, m), n))
+    for u, v, n in graphs:
+        label = _components(u, v, n)
+        k, ref = connected_components(coo_array((np.ones(len(u)), (u, v)), shape=(n, n)), directed=False)
+        least = np.full(k, n)
+        np.minimum.at(least, ref, np.arange(n))
+        assert np.array_equal(label, least[ref])
 
 # -- every rejection, pinned with its full message ---------------------
 

@@ -168,6 +168,85 @@ def test_structure_validation():
         attach_boundary_data(aug, alpha, eta, mu)
 
 
+def _drop_keys(d, *keys):
+    return {k: x for k, x in d.items() if k not in keys}
+
+
+def _with(d, key, value):
+    return {**d, key: value}
+
+
+NAN, INF = float("nan"), float("inf")
+# hex_flower: vertices 0..6, boundary cycle 1..6, apex 7
+STRUCTURE_REJECTIONS = {
+    "missing alpha": (lambda a, e, m: (_drop_keys(a, 3, 0), e, m, 1.0), "alpha misses vertices [0, 3]"),
+    "missing eta": (lambda a, e, m: (a, _drop_keys(e, (1, 6), (0, 2)), m, 1.0), "eta misses edges [(0, 2), (1, 6)]"),
+    "missing mu": (lambda a, e, m: (a, e, _drop_keys(m, 4, 2), 1.0), "mu misses boundary vertex 2"),
+    "alpha before eta": (lambda a, e, m: (_drop_keys(a, 5), _drop_keys(e, (0, 1)), m, 1.0), "alpha misses vertices [5]"),
+    "nan alpha": (lambda a, e, m: (_with(a, 5, NAN), e, m, 1.0), "alpha[5] is not finite"),
+    "infinite apex alpha": (lambda a, e, m: (a, e, m, INF), "alpha[7] is not finite"),
+    "nan eta": (lambda a, e, m: (a, _with(e, (1, 2), NAN), m, 1.0), "eta[(1, 2)] is not finite"),
+    "infinite mu": (lambda a, e, m: (a, e, _with(m, 3, -INF), 1.0), "eta[(3, 7)] is not finite"),
+    "alpha checked first": (lambda a, e, m: (_with(a, 6, NAN), _with(e, (0, 1), NAN), m, 1.0), "alpha[6] is not finite"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STRUCTURE_REJECTIONS))
+def test_structure_rejection_messages_are_pinned(case):
+    disk = hex_flower()
+    aug = augment(disk)
+    edit, message = STRUCTURE_REJECTIONS[case]
+    alpha, eta, mu, apex_alpha = edit(*scenario_data(disk, "tangent"))
+    with pytest.raises(StructureError) as info:
+        attach_boundary_data(aug, alpha, eta, mu, apex_alpha=apex_alpha)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda a, e: (_drop_keys(a, 7, 2), e), "alpha misses vertices [2, 7]"),
+        (lambda a, e: (a, _drop_keys(e, (6, 7))), "eta misses edges [(6, 7)]"),
+        (lambda a, e: (_with(a, 99, NAN), e), "alpha[99] is not finite"),
+        (lambda a, e: (a, _with(e, (0, 4), INF)), "eta[(0, 4)] is not finite"),
+    ],
+)
+def test_unbound_structure_rejection_messages_are_pinned(edit, message):
+    aug, cs = _hex()
+    alpha, eta = edit(dict(cs.alpha), dict(cs.eta))
+    with pytest.raises(StructureError) as info:
+        AngleSystem(aug, ConformalStructure(alpha=alpha, eta=eta))
+    assert str(info.value) == message
+
+
+def test_bound_structure_matches_its_dictionaries():
+    disk = ring_lattice(2)
+    aug = augment(disk)
+    rng = np.random.default_rng(4)
+    alpha = {v: rng.uniform(0.7, 1.4) for v in disk.vertices}
+    eta = {e: rng.uniform(0.9, 1.5) for e in disk.edges}
+    mu = {v: rng.uniform(-0.4, 0.4) for v in disk.boundary_cycle}
+    cs = attach_boundary_data(aug, alpha, eta, mu, apex_alpha=0.7)
+    a, h = cs.validate_for(aug)
+    assert a.tolist() == [cs.alpha[v] for v in aug.vertices]
+    assert h.tolist() == [cs.eta[e] for e in aug.edges]
+    assert not a.flags.writeable and not h.flags.writeable
+    # aligned arrays give the same structure
+    aligned = attach_boundary_data(
+        aug,
+        np.array([alpha[v] for v in disk.vertices]),
+        np.array([eta[e] for e in disk.edges]),
+        np.array([mu[v] for v in disk.boundary_cycle]),
+        apex_alpha=0.7,
+    )
+    assert aligned == cs
+    # another complex gathers from the dictionaries
+    a2, h2 = cs.validate_for(augment(disk))
+    assert np.array_equal(a2, a) and np.array_equal(h2, h)
+    with pytest.raises(StructureError, match=r"^expected 19 values, got shape \(3,\)$"):
+        attach_boundary_data(aug, np.zeros(3), eta, mu)
+
+
 def edge_length(cs: ConformalStructure, f, edge) -> float:
     """Scalar reference: the length of one edge under the label (a mapping)."""
     u, v = edge

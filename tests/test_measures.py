@@ -141,3 +141,42 @@ def test_layout_multiplicity_cancels_on_the_fold():
         assert layout_point_multiplicity(aug, mu, pos, tuple(c)) == 0
     # far outside everything
     assert layout_point_multiplicity(aug, mu, pos, (50.0, 0.0)) == 0
+
+
+def _loop_layout_point_multiplicity(aug, mu, positions, q, tol=1e-9):
+    """Scalar reference: test every simplex of the layout one by one."""
+    pos = {v: np.asarray(positions[v], dtype=float) for v in aug.vertices}
+    total = 0
+    for v in aug.vertices:
+        if np.linalg.norm(pos[v] - q) <= tol:
+            total += mu((v,))
+    for u, v in aug.edges:
+        a, ab = pos[u], pos[v] - pos[u]
+        t = min(max(float(np.dot(q - a, ab) / max(np.dot(ab, ab), 1e-300)), 0.0), 1.0)
+        if np.linalg.norm(a + t * ab - q) <= tol:
+            total += mu((u, v))
+    for face in aug.faces:
+        a, b, c = (pos[v] for v in face)
+        area2 = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+        s = 1.0 if area2 > 0 else -1.0
+        inside = area2 != 0.0 and all(
+            ((p1 - p0)[0] * (q[1] - p0[1]) - (p1 - p0)[1] * (q[0] - p0[0])) * s >= -tol * np.linalg.norm(p1 - p0)
+            for p0, p1 in ((a, b), (b, c), (c, a))
+        )
+        total += mu(face) if inside else 0
+    return total
+
+
+def test_layout_multiplicity_matches_a_scalar_count():
+    # arbitrary weights, so that vertices, edges and faces all count
+    aug, cs = _hex_tangent()
+    rng = np.random.default_rng(5)
+    mu = MultiplicityAssignment({s: int(rng.integers(-3, 4)) for s in sorted(closure(aug.faces))})
+    pos = layout_augmented(aug, cs, HEX_FLAT["hex_tangent"]).positions
+    points = [np.asarray(pos[v], dtype=float) for v in aug.vertices]
+    points += [(np.asarray(pos[u]) + pos[v]) / 2 for u, v in aug.edges]
+    points += [(np.asarray(pos[a]) + pos[b] + pos[c]) / 3 for a, b, c in aug.faces]
+    points += [np.array([50.0, 0.0]), np.array([0.013, -0.021])]
+    counts = [layout_point_multiplicity(aug, mu, pos, tuple(q)) for q in points]
+    assert counts == [_loop_layout_point_multiplicity(aug, mu, pos, q) for q in points]
+    assert any(counts)
