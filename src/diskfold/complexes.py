@@ -392,9 +392,7 @@ class AugmentedDisk(_Indexed):
     (apex, w, v) per directed boundary edge (v, w); the reversal folds
     the augmented sheet over the disk.  ``vertex_order`` fixes the
     index convention used by all array-valued callers: disk vertices in
-    their original order, apex last.  Edge i is entry ``edge_source[i]``
-    of the disk's edges followed by the apex edges (v, apex) in
-    boundary-cycle order.
+    their original order, apex last.
     """
 
     disk: CombinatorialDisk
@@ -403,7 +401,6 @@ class AugmentedDisk(_Indexed):
     faces: tuple
     edges: tuple
     n_disk_faces: int
-    edge_source: np.ndarray = field(repr=False, compare=False)
     compiled: CompiledComplex = field(repr=False, compare=False)
 
     @property
@@ -460,7 +457,6 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
     const = np.full(m, 2.0 * np.pi)
     const[cyc] = 0.0
     const[n] = -2.0 * np.pi
-    source.flags.writeable = False
     compiled = CompiledComplex(
         {**ix.vertex_index, apex: n},
         ends[source],
@@ -478,7 +474,6 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
         faces=disk.faces + tuple((apex, w, v) for (v, w) in disk.directed_boundary()),
         edges=tuple(map(edges.__getitem__, source.tolist())),
         n_disk_faces=nf,
-        edge_source=source,
         compiled=compiled,
     )
     nv, ne, nf = len(aug.vertices), len(aug.edges), len(aug.faces)

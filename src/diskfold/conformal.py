@@ -17,12 +17,12 @@ identically.
 
 AngleSystem binds a structure to a complex: it reads the complex's
 compiled index (complexes.CompiledComplex: edge ends, face sides, fold
-signs, curvature constants) and the alpha/eta arrays that the structure
-checked for that complex (attach_boundary_data checks them once, as it
-builds the structure), and adds only the Jacobian's sparse pattern.  It evaluates each label in one pass
-(Evaluation): squared lengths once, then the edge and triangle checks,
-the angles and the curvature.  Every per-label quantity has this one
-code path.  Public methods coerce and copy their label with the
+signs, curvature constants), gathers alpha and eta into arrays in the
+complex's vertex and edge order as it checks them (validate_for), and
+adds only the Jacobian's sparse pattern.  It evaluates each label in
+one pass (Evaluation): squared lengths once, then the edge and triangle
+checks, the angles and the curvature.  Every per-label quantity has
+this one code path.  Public methods coerce and copy their label with the
 complex's label_array; the solvers hand their own float iterates to
 evaluate_iterate, which trusts the array and only keeps the finiteness
 check.
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import repeat
+from operator import is_
 
 import numpy as np
 from scipy.sparse import csc_array
@@ -69,23 +70,17 @@ class ConformalStructure:
 
     For an augmented disk the dictionaries cover the apex and the
     augmented edges as well; attach_boundary_data builds that extension
-    from boundary data mu, and binds the checked values to the complex
-    as arrays in its vertex and edge order.
+    from boundary data mu.
     """
 
     alpha: dict = field(default_factory=dict)
     eta: dict = field(default_factory=dict)
-    _bound: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def validate_for(self, complex_):
         """(alpha, eta) as read-only arrays in the complex's vertex and edge order.
 
         Raises StructureError when an entry is missing or not finite.
-        A structure that attach_boundary_data bound to this complex was
-        checked there and returns its arrays at once.
         """
-        if self._bound is not None and self._bound[0] is complex_:
-            return self._bound[1:]
         a = _gather(self.alpha, complex_.vertices, "alpha misses vertices {}".format)
         h = _gather(self.eta, complex_.edges, "eta misses edges {}".format)
         _require_finite("alpha", self.alpha, np.fromiter(self.alpha.values(), float, len(self.alpha)))
@@ -103,7 +98,7 @@ def _gather(values, keys, missing_message) -> np.ndarray:
     """
     if not isinstance(values, np.ndarray):
         got = list(map(values.get, keys, repeat(_MISSING)))
-        if any(x is _MISSING for x in got):
+        if any(map(is_, got, repeat(_MISSING))):
             raise StructureError(missing_message([k for k, x in zip(keys, got) if x is _MISSING]))
         values = got
     out = np.array(values, dtype=float)
@@ -133,8 +128,7 @@ def attach_boundary_data(
     augmented edge (v, apex), and the apex gets weight ``apex_alpha``.
     alpha, eta and mu are mappings over the disk's vertices, edges and
     boundary vertices, or arrays in the disk's vertex, edge and
-    boundary-cycle order.  The structure comes back checked and bound
-    to ``aug``.
+    boundary-cycle order.  The structure comes back checked.
     """
     disk = aug.disk
     a = np.append(_gather(alpha, disk.vertices, "alpha misses vertices {}".format), float(apex_alpha))
@@ -145,9 +139,7 @@ def attach_boundary_data(
     edges = disk.edges + tuple((v, aug.apex) for v in disk.boundary_cycle)
     _require_finite("alpha", aug.vertices, a)
     _require_finite("eta", edges, h)
-    cs = ConformalStructure(alpha=dict(zip(aug.vertices, a.tolist())), eta=dict(zip(edges, h.tolist())))
-    object.__setattr__(cs, "_bound", (aug, _frozen(a), _frozen(h[aug.edge_source])))
-    return cs
+    return ConformalStructure(alpha=dict(zip(aug.vertices, a.tolist())), eta=dict(zip(edges, h.tolist())))
 
 
 @dataclass(slots=True, eq=False)

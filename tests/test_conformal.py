@@ -211,7 +211,7 @@ def test_structure_rejection_messages_are_pinned(case):
         (lambda a, e: (a, _with(e, (0, 4), INF)), "eta[(0, 4)] is not finite"),
     ],
 )
-def test_unbound_structure_rejection_messages_are_pinned(edit, message):
+def test_angle_system_rejection_messages_are_pinned(edit, message):
     aug, cs = _hex()
     alpha, eta = edit(dict(cs.alpha), dict(cs.eta))
     with pytest.raises(StructureError) as info:
@@ -219,7 +219,7 @@ def test_unbound_structure_rejection_messages_are_pinned(edit, message):
     assert str(info.value) == message
 
 
-def test_bound_structure_matches_its_dictionaries():
+def test_validate_for_gathers_in_complex_order():
     disk = ring_lattice(2)
     aug = augment(disk)
     rng = np.random.default_rng(4)
@@ -240,7 +240,7 @@ def test_bound_structure_matches_its_dictionaries():
         apex_alpha=0.7,
     )
     assert aligned == cs
-    # another complex gathers from the dictionaries
+    # another complex with the same ids gathers the same arrays
     a2, h2 = cs.validate_for(augment(disk))
     assert np.array_equal(a2, a) and np.array_equal(h2, h)
     with pytest.raises(StructureError, match=r"^expected 19 values, got shape \(3,\)$"):
