@@ -55,7 +55,10 @@ class Problem:
 def _num(x, where: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise ProblemFormatError(f"{where}: expected a number, got {x!r}")
-    v = float(x)
+    try:
+        v = float(x)
+    except OverflowError:
+        raise ProblemFormatError(f"{where}: number out of float range") from None
     if not np.isfinite(v):
         raise ProblemFormatError(f"{where}: number must be finite")
     return v
@@ -74,14 +77,18 @@ def _vertex_id(key: str, where: str) -> int:
 def _values(raw: dict, keys: list, n_other: int = 0):
     """raw's values at keys as a float array in key order, or None unless
     raw holds exactly those keys (and n_other more) with finite ints and
-    floats.  None sends the caller to its per-key loop, which names the
-    first offender."""
+    floats, an int too large for a float counting as not finite.  None
+    sends the caller to its per-key loop, which names the first
+    offender."""
     if len(raw) != len(keys) + n_other:
         return None
     vals = list(map(raw.get, keys))
     if not set(map(type, vals)) <= {int, float}:
         return None
-    out = np.array(vals, dtype=float)
+    try:
+        out = np.array(vals, dtype=float)
+    except OverflowError:
+        return None
     return out if np.isfinite(out).all() else None
 
 

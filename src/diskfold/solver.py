@@ -8,7 +8,10 @@ changes no angle), and at a flat label the two Mobius translations join
 it.  Each Newton step factors the sparse bordered matrix
 [[J, 1], [1^T, 0]] once with splu, which pins the shift gauge, and uses
 the same factor to find the two Mobius directions by inverse iteration
-and drop them from the step when they are numerically null.
+and drop each from the step when it is numerically null, or when the
+step along it would move the label by more than one log-unit (away from
+a flat label such a direction can take over the step and stall the
+line search).
 
 newton_flat starts from default_start unless given a label: the disk
 at 0 and the apex entry found by a one-dimensional root find on the
@@ -54,19 +57,46 @@ def _newton_step(A, K: np.ndarray, svd_cutoff: float, residual: float, start: np
     consistent.  The same factor runs two steps of block inverse
     iteration from ``start``, and a Rayleigh-Ritz step on that block
     gives the two directions v with the smallest |J v|: the Mobius
-    translations near a flat label.  Each v with |J v| <= thr is
-    projected out of K and of x, where
+    translations near a flat label.  Each v is projected out of K and of
+    x when |J v| <= thr, where
     thr = max(svd_cutoff * s_max, min(residual, sqrt(eps) * s_max))
-    and s_max is J's largest singular value, estimated by power steps.
+    and s_max is J's largest singular value, estimated by power steps,
+    or when |v^T K| > |J v|: then the step along v, |v^T K| / |J v|,
+    would move the label by more than one log-unit.  Near a flat label
+    v^T K is O(residual^2) and |J v| is O(residual), so the second test
+    only fires away from one, and only there do the inverse steps go on
+    (see _SETTLE_STEPS) until the directions it judges are accurate.
     Raises RuntimeError when splu finds A exactly singular.
     """
     n = len(K)
     lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
     y = np.zeros((n + 1, 2))
     y[:n] = start
-    for _ in range(2):
+
+    def inverse_step():
         y[:n] = _orthonormal(lu.solve(y)[:n])
-    _, sig, wt = np.linalg.svd((A @ y)[:n], full_matrices=False)
+
+    def ritz_pairs():
+        # (|J v|, the rows of wt with v = y wt_i, |v^T K|) for both Ritz vectors
+        _, sig, wt = np.linalg.svd((A @ y)[:n], full_matrices=False)
+        return sig, wt, np.abs((K @ y[:n]) @ wt.T)
+
+    inverse_step()
+    inverse_step()
+    sig, wt, kv = ritz_pairs()
+    # two steps leave a direction far from null off by about
+    # (sigma / sigma_3)^2, enough to misjudge its step length |v^T K| / sigma:
+    # iterate on while that step is not short, until those directions settle
+    for _ in range(_SETTLE_STEPS):
+        loose = kv > _SETTLE_LENGTH * sig
+        if not loose.any():
+            break
+        prev = y[:n] @ wt[loose].T
+        inverse_step()
+        sig, wt, kv = ritz_pairs()
+        cur = y[:n] @ wt[loose].T
+        if np.abs(prev - cur * np.sum(prev * cur, axis=0)).max() <= _SETTLE_TOL:
+            break
 
     def threshold(s_max):
         return max(svd_cutoff * s_max, min(residual, np.sqrt(np.finfo(float).eps) * s_max))
@@ -77,7 +107,7 @@ def _newton_step(A, K: np.ndarray, svd_cutoff: float, residual: float, start: np
     thr = threshold(np.bincount(A.indices, np.abs(A.data))[:n].max() - 1.0)
     if sig[-1] <= thr:
         thr = threshold(_power_estimate(A, start[:, 0]))
-    drop = y[:n] @ wt[sig <= thr].T
+    drop = y[:n] @ wt[(sig <= thr) | (kv > sig)].T
 
     # J is symmetric, so projecting K as well keeps the solve from ever
     # carrying the O(noise / sigma) component along a dropped direction
@@ -86,6 +116,15 @@ def _newton_step(A, K: np.ndarray, svd_cutoff: float, residual: float, start: np
     x = lu.solve(b)[:n]
     return x - drop @ (drop.T @ x), drop.shape[1]
 
+
+#: Inverse steps go on, up to _SETTLE_STEPS more, while the step along a
+#: Ritz direction is longer than _SETTLE_LENGTH log-units, until those
+#: directions move by at most _SETTLE_TOL per step.  Near a flat label
+#: the steps along the Mobius directions are O(residual), so no step is
+#: added there and the two-step directions are used as they are.
+_SETTLE_STEPS = 500
+_SETTLE_LENGTH = 0.1
+_SETTLE_TOL = 1e-13
 
 #: Power steps behind the estimate of J's largest singular value.
 _POWER_STEPS = 8
@@ -126,6 +165,9 @@ class NewtonResult:
     converged: bool
     status: str
     history: list = field(default_factory=list)
+    #: one (t, dropped) pair per accepted step: its length along the Newton
+    #: direction and how many Ritz directions _newton_step dropped from it
+    steps: list = field(default_factory=list)
 
 
 @dataclass
@@ -236,16 +278,27 @@ def newton_flat(
 
         thr = max(svd_cutoff * s_max, min(residual, sqrt(eps) * s_max))
 
-    and s_max is J's largest singular value, estimated by power steps.
-    So ``svd_cutoff`` is the relative size below which these two
-    directions count as numerical kernel; no other direction is ever
-    dropped.  The residual guard matters near convergence: the Mobius
-    directions shrink proportionally with the residual, and dividing
-    the roundoff noise of K by such a singular value would inject a
-    spurious gauge motion of order noise/sigma into the label.
+    and s_max is J's largest singular value, estimated by power steps,
+    or when |v^T K| > |J v|, that is when the step along the unit
+    vector v is longer than one log-unit.  So ``svd_cutoff``
+    is the relative size below which these two directions count as
+    numerical kernel; no other direction is ever dropped.  The residual
+    guard matters near convergence: the Mobius directions shrink
+    proportionally with the residual, and dividing the roundoff noise
+    of K by such a singular value would inject a spurious gauge motion
+    of order noise/sigma into the label.  The step-length test matters
+    away from a flat label, where |J v| can fall to 1e-7 while K still
+    has an O(1) component along v: the step would then be dominated by
+    a long move along v that the line search can only cut to a sliver.
+    Near a flat label v^T K is O(residual^2) and |J v| is O(residual),
+    so the test does not fire there and convergence stays quadratic.
 
     tol must be positive and finite, max_iter >= 0, svd_cutoff finite
     and in [0, 1), and max_backtracks >= 1 (ValueError otherwise).
+    The result's ``history`` holds the residual before the first step and
+    after every accepted one, and ``steps`` one (t, dropped) pair per
+    accepted step: the step length the line search accepted and how many
+    of the two directions were dropped.
     Returns a result with converged=False (status explains why) when the
     line search stalls, the iteration budget runs out, or the Jacobian
     breaks down (a non-finite entry or an exactly singular factor);
@@ -266,26 +319,26 @@ def newton_flat(
     f, K = ev.f, ev.curvature
     start = _start_vectors(len(f))
 
-    history = []
+    history, steps = [], []
     residual = float(np.max(np.abs(K)))
     history.append(residual)
     for it in range(max_iter):
         if residual <= tol:
-            return NewtonResult(f, K, residual, it, True, "converged", history)
+            return NewtonResult(f, K, residual, it, True, "converged", history, steps)
         A = sys.bordered_jacobian(ev)
         try:
             # a Heron area rounded to zero blows up the angle derivatives,
             # and splu raises RuntimeError for an exactly singular factor
             if not np.isfinite(A.data).all():
                 raise RuntimeError("non-finite jacobian")
-            step = -_newton_step(A, K, svd_cutoff, residual, start)[0]
+            step, dropped = _newton_step(A, K, svd_cutoff, residual, start)
         except RuntimeError:
             return NewtonResult(
-                f, K, residual, it, False, "jacobian breakdown", history
+                f, K, residual, it, False, "jacobian breakdown", history, steps
             )
         t = 1.0
         for _ in range(max_backtracks):
-            trial = sys.evaluate_iterate(f + t * step)
+            trial = sys.evaluate_iterate(f - t * step)
             if trial.violation is None:
                 Kn = sys.accept(trial).curvature
                 rn = float(np.max(np.abs(Kn)))
@@ -295,12 +348,13 @@ def newton_flat(
             t /= 2.0
         else:
             return NewtonResult(
-                f, K, residual, it, False, "line search stalled", history
+                f, K, residual, it, False, "line search stalled", history, steps
             )
         history.append(residual)
+        steps.append((t, dropped))
     converged = residual <= tol
     status = "converged" if converged else "max iterations reached"
-    return NewtonResult(f, K, residual, max_iter, converged, status, history)
+    return NewtonResult(f, K, residual, max_iter, converged, status, history, steps)
 
 
 def curvature_flow(

@@ -396,6 +396,18 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["no-such-command"]) == 1
 
 
+def test_cli_validate_rejects_an_int_too_large_for_a_float(tmp_path, capsys):
+    data = preset("hex_tangent")
+    data["alpha"]["hat"] = 10**400
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    assert '"hat": 1' + "0" * 400 + "}" in path.read_text()
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "/alpha/hat: number out of float range" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "command, flag, value, message",
     [
@@ -509,6 +521,8 @@ PARSE_REJECTIONS = {
     "bool alpha": (_put("alpha", "3", False), "/alpha/3: expected a number, got False"),
     "string alpha": (_put("alpha", "3", "1.0"), "/alpha/3: expected a number, got '1.0'"),
     "infinite alpha": (_put("alpha", "3", float("inf")), "/alpha/3: number must be finite"),
+    "huge int alpha hat": (_put("alpha", "hat", 10**400), "/alpha/hat: number out of float range"),
+    "huge int alpha": (_put("alpha", "3", -(10**400)), "/alpha/3: number out of float range"),
     "null alpha": (_put("alpha", "5", None), "/alpha/5: expected a number, got None"),
     "missing alpha": (
         lambda d: (d["alpha"].pop("3"), d["alpha"].pop("0")), "/alpha: missing vertices [0, 3]",
@@ -526,6 +540,7 @@ PARSE_REJECTIONS = {
     "bool eta": (_put("eta", "0-1", True), "/eta/0-1: expected a number, got True"),
     "string eta": (_put("eta", "0-1", "x"), "/eta/0-1: expected a number, got 'x'"),
     "nan eta": (_put("eta", "1-2", NAN), "/eta/1-2: number must be finite"),
+    "huge int eta": (_put("eta", "1-2", 10**400), "/eta/1-2: number out of float range"),
     "missing eta": (
         lambda d: (d["eta"].pop("1-6"), d["eta"].pop("0-1")), "/eta: missing edges [(0, 1), (1, 6)]",
     ),

@@ -143,6 +143,44 @@ def test_newton_converges_on_the_fixed_random_sample():
     assert statuses == ["converged"] * 60
 
 
+def _ring4_draw(seed, k):
+    """The k-th ring-4 structure of a random_newton-style sample: 30
+    random_admissible draws on ring 3, then the ring-4 draws."""
+    rng = np.random.default_rng(seed)
+    for _ in range(30):
+        random_admissible(ring_lattice(3), rng)
+    disk = ring_lattice(4)
+    for _ in range(k):
+        random_admissible(disk, rng)
+    aug, cs, _ = random_admissible(disk, rng)
+    return aug, cs
+
+
+def test_long_ritz_steps_are_dropped_off_the_plateau():
+    # keeping a near-null Ritz direction whose step is longer than one
+    # log-unit pinned this solve at residual 0.5818 for 17 iterations
+    # (35 in all); both directions go at the first step
+    res = newton_flat(*_ring4_draw(0, 10))
+    assert res.converged and res.iterations <= 8
+    assert res.history[0] > 1.0 and res.steps[0][1] == 2
+
+
+def test_held_out_draw_converges_without_stalling():
+    # before the step-length rule: "max iterations reached" at 100, the
+    # residual creeping from 0.599 to 0.585
+    res = newton_flat(*_ring4_draw(2, 2))
+    assert res.converged and res.iterations <= 8
+
+
+def test_steps_record_each_accepted_step():
+    aug, cs = build("hex_orthogonal")
+    for res in (newton_flat(aug, cs, _log3_start(aug), tol=1e-12), newton_flat(*_ring4_draw(0, 10))):
+        assert len(res.steps) == len(res.history) - 1 == res.iterations
+        assert all(0.0 < t <= 1.0 and dropped in (0, 1, 2) for t, dropped in res.steps)
+    budget = newton_flat(aug, cs, _log3_start(aug), max_iter=1, tol=1e-14)
+    assert len(budget.steps) == len(budget.history) - 1 == 1
+
+
 def test_inadmissible_start_raises():
     aug, cs = build("hex_tangent")
     with pytest.raises(InadmissibleLabelError):
@@ -207,16 +245,21 @@ def test_newton_rejects_bad_parameters():
 
 def _pinv_apply(J: np.ndarray, K: np.ndarray, svd_cutoff: float, residual: float):
     """Minimum-norm solution of J x = K with noise-aware truncation, by a
-    dense SVD: the reference for solver._newton_step.  Also returns how
-    many singular values beyond the always-null constant direction it
-    dropped."""
+    dense SVD: the reference for solver._newton_step.  Of the two
+    smallest singular values after the always-null constant direction,
+    each is also dropped when the step along it, |u^T K| / s, exceeds
+    one.  Also returns how many singular values beyond the constant
+    direction it dropped."""
     u, s, vt = np.linalg.svd(J)
     if s[0] == 0.0:
         return np.zeros_like(K), 0
     guard = min(residual, np.sqrt(np.finfo(float).eps) * s[0])
     thr = max(svd_cutoff * s[0], guard)
-    inv = np.where(s > thr, 1.0 / np.where(s > thr, s, 1.0), 0.0)
-    return vt.T @ (inv * (u.T @ K)), int(np.sum(s <= thr)) - 1
+    uk = u.T @ K
+    keep = s > thr
+    keep[-3:-1] &= np.abs(uk[-3:-1]) <= s[-3:-1]
+    inv = np.where(keep, 1.0 / np.where(keep, s, 1.0), 0.0)
+    return vt.T @ (inv * uk), int(np.sum(~keep)) - 1
 
 
 def _steps(aug, cs, f, svd_cutoff=1e-10):
