@@ -175,9 +175,9 @@ class AngleSystem:
     Every label goes through one pass, evaluate(): squared lengths once,
     then the edge and triangle checks, the angles and the curvature.
     violation, admissible, check_admissible, angles and curvature are
-    views on that pass, and bordered_jacobian (sparse, in a CSC pattern
+    views on that pass, and sparse_jacobian (J = dK/df in a CSC pattern
     compiled here) reuses the lengths and angles of the pass that
-    accepted its label; jacobian is its dense J block.  The solvers call
+    accepted its label; jacobian is its dense copy.  The solvers call
     evaluate_iterate on their own iterates, which skips the coercion
     and copy of the complex's label_array but keeps its finiteness
     verdict.
@@ -203,24 +203,19 @@ class AngleSystem:
         self._sides = np.stack([ix.FE, ix.FE[:, [1, 2, 0]], ix.FE[:, [2, 0, 1]]])
         self._k_index = np.concatenate([np.arange(n), ix.F.ravel()])
 
-        # CSC pattern of the bordered jacobian [[J, 1], [1^T, 0]]: every
-        # scatter entry (corner vertex row, edge end column; the u ends,
-        # then the v ends) maps to its data slot, so bincount sums each
-        # entry in scatter order; the border ones fill column n and row n.
-        # An entry pairs two corners of one face, so the nonzeros are the
-        # diagonal, both directions of every edge and the border.
+        # CSC pattern of J = dK/df: every scatter entry (corner vertex
+        # row, edge end column; the u ends, then the v ends) maps to its
+        # data slot, so bincount sums each entry in scatter order.  An
+        # entry pairs two corners of one face, so the nonzeros are the
+        # diagonal and both directions of every edge.
         rows = np.repeat(ix.F[:, :, None], 3, axis=2).ravel()  # (F, corner, edge slot)
         self._j_edges = ix.FE[:, None, :].repeat(3, axis=1).ravel()  # global edge per slot
         cols = ix.E[self._j_edges]
-        m = n + 1
-        border = np.arange(n)
-        u, v = ix.E.T
-        border_keys = np.concatenate([n * m + border, border * m + n])
-        ukeys = np.sort(np.concatenate([border * (m + 1), u * m + v, v * m + u, border_keys]))
-        self._j_slot = np.searchsorted(ukeys, np.concatenate([cols[:, 0] * m + rows, cols[:, 1] * m + rows]))
-        self._border_slot = np.searchsorted(ukeys, border_keys)
-        self._b_indices = (ukeys % m).astype(np.int32)
-        self._b_indptr = np.concatenate([[0], np.cumsum(np.bincount(ukeys // m, minlength=m))]).astype(np.int32)
+        d, (u, v) = np.arange(n), ix.E.T
+        keys = np.sort(np.concatenate([d * n + d, u * n + v, v * n + u]))
+        self._j_slot = np.searchsorted(keys, np.concatenate([cols[:, 0] * n + rows, cols[:, 1] * n + rows]))
+        self._j_indices = (keys % n).astype(np.int32)
+        self._j_indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(np.int32)
 
     @classmethod
     def reuse(cls, system, complex_, cs: ConformalStructure) -> "AngleSystem":
@@ -344,16 +339,17 @@ class AngleSystem:
         return self.accept(self.evaluate(f)).curvature
 
     def jacobian(self, f) -> np.ndarray:
-        """dK/df as a dense (n, n) array: the J block of bordered_jacobian."""
-        n = self.n_vertices
-        return self.bordered_jacobian(f)[:n, :n].toarray(order="C")
+        """dK/df as a dense (n, n) array: sparse_jacobian densified."""
+        return self.sparse_jacobian(f).toarray(order="C")
 
-    def bordered_jacobian(self, f) -> csc_array:
-        """The sparse (n + 1, n + 1) matrix [[J, 1], [1^T, 0]], J = dK/df.
+    def sparse_jacobian(self, f) -> csc_array:
+        """J = dK/df as a sparse (n, n) CSC matrix.
 
-        f is a label or an Evaluation of this system.  J is assembled
-        from exact angle derivatives.  In a face with angles th_i
-        opposite sides a = l_jk, b = l_ik, c = l_ij and area A:
+        f is a label or an Evaluation of this system.  The nonzeros are
+        the diagonal and both directions of every edge, so nnz is
+        n + 2E.  J is assembled from exact angle derivatives.  In a face
+        with angles th_i opposite sides a = l_jk, b = l_ik, c = l_ij and
+        area A:
 
             d th_i / d a = a / (2 A)
             d th_i / d b = -a cos(th_k) / (2 A)
@@ -361,10 +357,8 @@ class AngleSystem:
 
         combined with d l_uv / d f_u = (alpha_u e^{2 f_u}
         + eta_uv e^{f_u + f_v}) / l_uv.  J 1 = 0 since curvature is
-        shift-invariant, and on an augmented disk 1^T J = 0 as well, since
-        the curvatures sum to zero; the border pins that gauge, so there
-        the matrix is regular away from the Mobius directions of a flat
-        label.
+        shift-invariant, and on an augmented disk 1^T J = 0 as well,
+        since the curvatures sum to zero identically.
         """
         ev = self.accept(f if isinstance(f, Evaluation) else self.evaluate(f))
         th, l = ev.angles, ev.lengths
@@ -392,9 +386,8 @@ class AngleSystem:
         dth *= self.compiled.fold_sign[:, None, None]
 
         vals = dth.ravel()
-        m = self.n_vertices + 1
+        n = self.n_vertices
         with np.errstate(invalid="ignore"):
             w = np.concatenate([vals * dl_du[self._j_edges], vals * dl_dv[self._j_edges]])
-            data = np.bincount(self._j_slot, w, minlength=len(self._b_indices))
-        data[self._border_slot] = 1.0
-        return csc_array((data, self._b_indices, self._b_indptr), shape=(m, m))
+            data = np.bincount(self._j_slot, w, minlength=len(self._j_indices))
+        return csc_array((data, self._j_indices, self._j_indptr), shape=(n, n))

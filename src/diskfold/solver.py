@@ -5,13 +5,15 @@ labels of a solvable structure form a three-parameter family (the
 Mobius deformations), so the curvature Jacobian J is singular: the
 constant vector spans its exact kernel at every label (a uniform shift
 changes no angle), and at a flat label the two Mobius translations join
-it.  Each Newton step factors the sparse bordered matrix
-[[J, 1], [1^T, 0]] once with splu, which pins the shift gauge, and uses
-the same factor to find the two Mobius directions by inverse iteration
-and drop each from the step when it is numerically null, or when the
-step along it would move the label by more than one log-unit (away from
-a flat label such a direction can take over the step and stall the
-line search).
+it.  On an augmented disk the curvatures sum to zero identically, so
+1^T J = 0 as well: the apex's row of J is minus the sum of the others.
+Each Newton step therefore factors J grounded at the apex, without its
+last row and column, once with splu (see _newton_step), and uses the
+same factor to find the two Mobius directions by inverse iteration and
+drop each from the step when it is numerically null, or when the step
+along it would move the label by more than one log-unit (away from a
+flat label such a direction can take over the step and stall the line
+search).
 
 newton_flat starts from default_start unless given a label: the disk
 at 0 and the apex entry found by a one-dimensional root find on the
@@ -45,16 +47,19 @@ class SolverError(RuntimeError):
     """The iteration could not continue."""
 
 
-def _newton_step(A, K: np.ndarray, svd_cutoff: float, residual: float, start: np.ndarray) -> tuple:
+def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np.ndarray) -> tuple:
     """Truncated minimum-norm solution x of J x = K, and how many
     near-kernel directions the truncation dropped.
 
-    A is the bordered matrix [[J, 1], [1^T, 0]] of
-    AngleSystem.bordered_jacobian and ``start`` two fixed vectors
+    J is AngleSystem.sparse_jacobian and ``start`` two fixed vectors
     orthogonal to the constant vector (_start_vectors).  One sparse LU
-    factor of A gives solutions orthogonal to the constant vector, J's
-    exact kernel; K sums to zero up to roundoff, so the system is
-    consistent.  The same factor runs two steps of block inverse
+    factor of J grounded at the apex, J[:-1, :-1], gives solutions
+    orthogonal to the constant vector, J's exact kernel.  Every solve
+    first removes the right-hand side's mean: K sums to zero only up to
+    roundoff, and that sum would otherwise land on the apex row.  It
+    then solves the first n - 1 rows, sets the apex entry to 0 and
+    subtracts the solution's mean; since 1^T J = 0 the dropped apex row
+    holds as well.  The same factor runs two steps of block inverse
     iteration from ``start``, and a Rayleigh-Ritz step on that block
     gives the two directions v with the smallest |J v|: the Mobius
     translations near a flat label.  Each v is projected out of K and of
@@ -66,24 +71,23 @@ def _newton_step(A, K: np.ndarray, svd_cutoff: float, residual: float, start: np
     v^T K is O(residual^2) and |J v| is O(residual), so the second test
     only fires away from one, and only there do the inverse steps go on
     (see _SETTLE_STEPS) until the directions it judges are accurate.
-    Raises RuntimeError when splu finds A exactly singular.
+    Raises RuntimeError when splu finds the grounded J exactly singular.
     """
-    n = len(K)
-    lu = splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
-    y = np.zeros((n + 1, 2))
-    y[:n] = start
+    lu = splu(J[:-1, :-1], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
-    def inverse_step():
-        y[:n] = _orthonormal(lu.solve(y)[:n])
+    def solve(b):
+        # J grounded at the apex: b's mean would all land on the apex row
+        x = np.zeros_like(b)
+        x[:-1] = lu.solve(b[:-1] - b.sum(axis=0) / len(b))
+        return x - x.sum(axis=0) / len(x)
 
-    def ritz_pairs():
+    def ritz_pairs(y):
         # (|J v|, the rows of wt with v = y wt_i, |v^T K|) for both Ritz vectors
-        _, sig, wt = np.linalg.svd((A @ y)[:n], full_matrices=False)
-        return sig, wt, np.abs((K @ y[:n]) @ wt.T)
+        _, sig, wt = np.linalg.svd(J @ y, full_matrices=False)
+        return sig, wt, np.abs((K @ y) @ wt.T)
 
-    inverse_step()
-    inverse_step()
-    sig, wt, kv = ritz_pairs()
+    y = _orthonormal(solve(_orthonormal(solve(start))))
+    sig, wt, kv = ritz_pairs(y)
     # two steps leave a direction far from null off by about
     # (sigma / sigma_3)^2, enough to misjudge its step length |v^T K| / sigma:
     # iterate on while that step is not short, until those directions settle
@@ -91,29 +95,26 @@ def _newton_step(A, K: np.ndarray, svd_cutoff: float, residual: float, start: np
         loose = kv > _SETTLE_LENGTH * sig
         if not loose.any():
             break
-        prev = y[:n] @ wt[loose].T
-        inverse_step()
-        sig, wt, kv = ritz_pairs()
-        cur = y[:n] @ wt[loose].T
+        prev = y @ wt[loose].T
+        y = _orthonormal(solve(y))
+        sig, wt, kv = ritz_pairs(y)
+        cur = y @ wt[loose].T
         if np.abs(prev - cur * np.sum(prev * cur, axis=0)).max() <= _SETTLE_TOL:
             break
 
     def threshold(s_max):
         return max(svd_cutoff * s_max, min(residual, np.sqrt(np.finfo(float).eps) * s_max))
 
-    # thr grows with s_max and |J|_inf >= s_max (J is symmetric; each row
-    # of A carries one border 1), so the power steps only run when some
-    # Ritz value could be dropped
-    thr = threshold(np.bincount(A.indices, np.abs(A.data))[:n].max() - 1.0)
+    # thr grows with s_max and |J|_inf >= s_max (J is symmetric), so the
+    # power steps only run when some Ritz value could be dropped
+    thr = threshold(np.bincount(J.indices, np.abs(J.data)).max())
     if sig[-1] <= thr:
-        thr = threshold(_power_estimate(A, start[:, 0]))
-    drop = y[:n] @ wt[(sig <= thr) | (kv > sig)].T
+        thr = threshold(_power_estimate(J, start[:, 0]))
+    drop = y @ wt[(sig <= thr) | (kv > sig)].T
 
     # J is symmetric, so projecting K as well keeps the solve from ever
     # carrying the O(noise / sigma) component along a dropped direction
-    b = np.zeros(n + 1)
-    b[:n] = K - drop @ (drop.T @ K)
-    x = lu.solve(b)[:n]
+    x = solve(K - drop @ (drop.T @ K))
     return x - drop @ (drop.T @ x), drop.shape[1]
 
 
@@ -130,15 +131,12 @@ _SETTLE_TOL = 1e-13
 _POWER_STEPS = 8
 
 
-def _power_estimate(A, z: np.ndarray) -> float:
-    """|J z| / |z| after _POWER_STEPS power steps on J from z, which is
-    orthogonal to the constant vector, so the border adds nothing."""
-    n = len(z)
-    z = np.append(z, 0.0)
+def _power_estimate(J, z: np.ndarray) -> float:
+    """|J z| / |z| after _POWER_STEPS power steps on J from z."""
     for _ in range(_POWER_STEPS):
-        z = A @ z
+        z = J @ z
         z /= np.linalg.norm(z)
-    return float(np.linalg.norm((A @ z)[:n]))
+    return float(np.linalg.norm(J @ z))
 
 
 def _orthonormal(y: np.ndarray) -> np.ndarray:
@@ -269,12 +267,12 @@ def newton_flat(
     Each step is the minimum-norm solution of J x = -K with noise-aware
     truncation, and is halved until the label stays admissible and the
     residual strictly decreases.  The step comes from one sparse LU
-    factor of the bordered matrix [[J, 1], [1^T, 0]], so it is always
-    orthogonal to the constant vector, J's exact kernel.  The same factor
-    gives, by two steps of block inverse iteration and a Rayleigh-Ritz
-    step, the two directions v with the smallest |J v|; near a flat label
-    these are the Mobius translations.  Such a v is projected out of the
-    step when |J v| <= thr, where
+    factor of J grounded at the apex, exact since 1^T J = 0, and is
+    always orthogonal to the constant vector, J's exact kernel.  The
+    same factor gives, by two steps of block inverse iteration and a
+    Rayleigh-Ritz step, the two directions v with the smallest |J v|;
+    near a flat label these are the Mobius translations.  Such a v is
+    projected out of the step when |J v| <= thr, where
 
         thr = max(svd_cutoff * s_max, min(residual, sqrt(eps) * s_max))
 
@@ -325,13 +323,13 @@ def newton_flat(
     for it in range(max_iter):
         if residual <= tol:
             return NewtonResult(f, K, residual, it, True, "converged", history, steps)
-        A = sys.bordered_jacobian(ev)
+        J = sys.sparse_jacobian(ev)
         try:
             # a Heron area rounded to zero blows up the angle derivatives,
             # and splu raises RuntimeError for an exactly singular factor
-            if not np.isfinite(A.data).all():
+            if not np.isfinite(J.data).all():
                 raise RuntimeError("non-finite jacobian")
-            step, dropped = _newton_step(A, K, svd_cutoff, residual, start)
+            step, dropped = _newton_step(J, K, svd_cutoff, residual, start)
         except RuntimeError:
             return NewtonResult(
                 f, K, residual, it, False, "jacobian breakdown", history, steps

@@ -373,12 +373,24 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_jacobian_rows_sum_to_zero():
-    aug, cs = _hex()
-    sysm = AngleSystem(aug, cs)
+    # J 1 = 0 (shift invariance) and, on an augmented disk, 1^T J = 0:
+    # the identity that lets the Newton step ground J at the apex
     rng = np.random.default_rng(9)
-    f = HEX_FLAT["hex_tangent"] + rng.uniform(-0.08, 0.08, 8)
-    J = sysm.jacobian(f)
-    assert np.max(np.abs(J @ np.ones(8))) <= 1e-12
+    disk = ring_lattice(4)
+    ring = augment(disk)
+    ring_cs = attach_boundary_data(ring, *scenario_data(disk, "tangent"))
+    cases = [
+        (*_hex(), HEX_FLAT["hex_tangent"] + rng.uniform(-0.08, 0.08, 8)),
+        (ring, ring_cs, default_start(ring, ring_cs)),
+    ]
+    for aug, cs, f in cases:
+        sysm = AngleSystem(aug, cs)
+        J = sysm.jacobian(f)
+        n = len(f)
+        assert np.max(np.abs(J @ np.ones(n))) <= 1e-12
+        assert np.max(np.abs(np.ones(n) @ J)) <= 1e-12
+        # the diagonal and both directions of every edge, no border
+        assert sysm.sparse_jacobian(f).nnz == n + 2 * len(aug.edges)
 
 
 def test_jacobian_is_symmetric_here():

@@ -262,14 +262,16 @@ def _pinv_apply(J: np.ndarray, K: np.ndarray, svd_cutoff: float, residual: float
     return vt.T @ (inv * uk), int(np.sum(~keep)) - 1
 
 
-def _steps(aug, cs, f, svd_cutoff=1e-10):
-    """(sparse step, dropped), (dense reference step, dropped) at label f."""
+def _steps(aug, cs, f, svd_cutoff=1e-10, shift=0.0):
+    """(sparse step, dropped), (dense reference step, dropped) at label f,
+    both for the right-hand side K + shift * 1."""
     sysm = AngleSystem(aug, cs)
     ev = sysm.accept(sysm.evaluate(f))
     K = ev.curvature
     residual = float(np.max(np.abs(K)))
     start = solver._start_vectors(len(K))
-    got = solver._newton_step(sysm.bordered_jacobian(ev), K, svd_cutoff, residual, start)
+    K = K + shift
+    got = solver._newton_step(sysm.sparse_jacobian(ev), K, svd_cutoff, residual, start)
     return got, _pinv_apply(sysm.jacobian(ev), K, svd_cutoff, residual)
 
 
@@ -283,18 +285,22 @@ def test_step_matches_dense_reference_far_from_flat():
     aug, cs = build("ring_lattice", n_rings=3)
     f = _log3_start(aug)
     assert np.max(np.abs(AngleSystem(aug, cs).curvature(f))) >= 1.0
-    got, want = _steps(aug, cs, f)
-    assert got[1] == 0
-    _assert_same_step(got, want)
+    # J's left kernel holds the constant vector, so the step must ignore
+    # a constant added to K, as the reference does
+    for shift in (0.0, 1e-9):
+        got, want = _steps(aug, cs, f, shift=shift)
+        assert got[1] == 0
+        _assert_same_step(got, want)
 
 
 def test_step_drops_the_two_mobius_directions_near_flat():
     aug, cs = build("ring_lattice", n_rings=3, scenario="inscribed")
     near = newton_flat(aug, cs, tol=1e-9)  # stops one step short of 1e-10
     assert 1e-10 < near.residual <= 1e-9
-    got, want = _steps(aug, cs, near.f)
-    assert got[1] == 2
-    _assert_same_step(got, want)
+    for shift in (0.0, 1e-9):
+        got, want = _steps(aug, cs, near.f, shift=shift)
+        assert got[1] == 2
+        _assert_same_step(got, want)
 
 
 def test_step_keeps_mobius_directions_just_above_the_threshold():
@@ -318,9 +324,8 @@ def test_step_matches_dense_reference_on_random_structures():
             _assert_same_step(*_steps(aug, cs, f))
 
 
-def _dense_step(A, K, svd_cutoff, residual, start):
-    n = len(K)
-    return _pinv_apply(A[:n, :n].toarray(), K, svd_cutoff, residual)
+def _dense_step(J, K, svd_cutoff, residual, start):
+    return _pinv_apply(J.toarray(), K, svd_cutoff, residual)
 
 
 @pytest.mark.parametrize(
