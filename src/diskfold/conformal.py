@@ -166,6 +166,11 @@ class Evaluation:
     curvature: np.ndarray | None = None
 
 
+def _indptr(cols: np.ndarray, n: int) -> np.ndarray:
+    """CSC column pointers of n columns from the sorted column of every entry."""
+    return np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))]).astype(np.int32)
+
+
 class AngleSystem:
     """Array-compiled evaluator for one (complex, structure) pair.
 
@@ -177,10 +182,14 @@ class AngleSystem:
     violation, admissible, check_admissible, angles and curvature are
     views on that pass, and sparse_jacobian (J = dK/df in a CSC pattern
     compiled here) reuses the lengths and angles of the pass that
-    accepted its label; jacobian is its dense copy.  The solvers call
+    accepted its label; jacobian is its dense copy.  grounded_pattern
+    holds the pattern of J[:-1, :-1], J grounded at the apex (the data
+    mask of its entries in J, its indices and indptr), from which
+    Newton builds the matrix it factors.  The solvers call
     evaluate_iterate on their own iterates, which skips the coercion
     and copy of the complex's label_array but keeps its finiteness
-    verdict.
+    verdict.  Every pass writes its angle weights into one buffer of
+    the system, so a system serves one thread at a time.
     """
 
     def __init__(self, complex_, cs: ConformalStructure):
@@ -196,12 +205,17 @@ class AngleSystem:
         # evaluation index arrays: both ends of every edge, the opposite
         # side of every corner and its two adjacent sides (each (F, 3)),
         # and a scatter index over the const entries, then the corners
-        # in row-major order, so bincount sums K in np.add.at's order
+        # in row-major order, so bincount sums K in np.add.at's order.
+        # The weights it sums live in one buffer: const, then the signed
+        # angles, which each evaluation writes over as an (F, 3) view
         self._ends = ix.E.T.copy()
         self._alpha_ends = self.alpha[self._ends]
         self._two_eta = 2 * self.eta
         self._sides = np.stack([ix.FE, ix.FE[:, [1, 2, 0]], ix.FE[:, [2, 0, 1]]])
         self._k_index = np.concatenate([np.arange(n), ix.F.ravel()])
+        self._k_weights = np.concatenate([ix.const, np.zeros(ix.F.size)])
+        self._k_angles = self._k_weights[n:].reshape(ix.F.shape)
+        self._fold_col = ix.fold_sign[:, None]
 
         # CSC pattern of J = dK/df: every scatter entry (corner vertex
         # row, edge end column; the u ends, then the v ends) maps to its
@@ -215,7 +229,11 @@ class AngleSystem:
         keys = np.sort(np.concatenate([d * n + d, u * n + v, v * n + u]))
         self._j_slot = np.searchsorted(keys, np.concatenate([cols[:, 0] * n + rows, cols[:, 1] * n + rows]))
         self._j_indices = (keys % n).astype(np.int32)
-        self._j_indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n, minlength=n))]).astype(np.int32)
+        self._j_indptr = _indptr(keys // n, n)
+        # the same pattern grounded at the apex, J[:-1, :-1]: the mask of
+        # its entries in J's data, and its own indices and indptr
+        g = (keys // n < n - 1) & (keys % n < n - 1)
+        self.grounded_pattern = (g, self._j_indices[g], _indptr(keys[g] // n, n - 1))
 
     @classmethod
     def reuse(cls, system, complex_, cs: ConformalStructure) -> "AngleSystem":
@@ -275,9 +293,10 @@ class AngleSystem:
             col = int(np.argmax(off.any(axis=0)))
             i = int(np.argmax(np.abs(cosv[:, col])))
             return Evaluation(f, terms, degenerate=i, lengths=l)
-        th = np.arccos(cosv.clip(-1.0, 1.0, out=cosv), out=cosv)
-        w = np.concatenate([self.compiled.const, (self.compiled.fold_sign[:, None] * th).ravel()])
-        K = np.bincount(self._k_index, w)
+        np.maximum(cosv, -1.0, out=cosv)
+        th = np.arccos(np.minimum(cosv, 1.0, out=cosv), out=cosv)
+        np.multiply(self._fold_col, th, out=self._k_angles)
+        K = np.bincount(self._k_index, self._k_weights)
         return Evaluation(f, terms, lengths=l, angles=th, curvature=K)
 
     def accept(self, ev: Evaluation) -> Evaluation:

@@ -15,6 +15,12 @@ along it would move the label by more than one log-unit (away from a
 flat label such a direction can take over the step and stall the line
 search).
 
+curvature_flow integrates the flow with fixed-step RK4 on the dt grid.
+A full grid step is a deterministic function of its start label, so
+once a label repeats bit for bit (the flow has reached a floating-point
+fixed point or cycle) the flow replays the recorded steps instead of
+evaluating them again, with the same numbers.
+
 newton_flat starts from default_start unless given a label: the disk
 at 0 and the apex entry found by a one-dimensional root find on the
 apex curvature, which carries the fold sheet's constant term -2*pi.  Newton
@@ -27,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse import csc_array
 from scipy.sparse.linalg import splu
 
 from .complexes import AugmentedDisk
@@ -47,13 +54,14 @@ class SolverError(RuntimeError):
     """The iteration could not continue."""
 
 
-def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np.ndarray) -> tuple:
+def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np.ndarray, grounded) -> tuple:
     """Truncated minimum-norm solution x of J x = K, and how many
     near-kernel directions the truncation dropped.
 
-    J is AngleSystem.sparse_jacobian and ``start`` two fixed vectors
-    orthogonal to the constant vector (_start_vectors).  One sparse LU
-    factor of J grounded at the apex, J[:-1, :-1], gives solutions
+    J is AngleSystem.sparse_jacobian, ``start`` two fixed vectors
+    orthogonal to the constant vector (_start_vectors) and ``grounded``
+    the system's grounded_pattern.  One sparse LU factor of J grounded
+    at the apex, J[:-1, :-1], built from that pattern, gives solutions
     orthogonal to the constant vector, J's exact kernel.  Every solve
     first removes the right-hand side's mean: K sums to zero only up to
     roundoff, and that sum would otherwise land on the apex row.  It
@@ -73,7 +81,9 @@ def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np
     (see _SETTLE_STEPS) until the directions it judges are accurate.
     Raises RuntimeError when splu finds the grounded J exactly singular.
     """
-    lu = splu(J[:-1, :-1], permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+    mask, indices, indptr = grounded
+    G = csc_array((J.data[mask], indices, indptr), shape=(len(K) - 1, len(K) - 1))
+    lu = splu(G, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
     def solve(b):
         # J grounded at the apex: b's mean would all land on the apex row
@@ -173,6 +183,10 @@ class FlowResult:
     times: np.ndarray
     labels: np.ndarray
     residuals: np.ndarray
+    #: grid steps integrated; the others replayed a recorded step
+    integrated: int
+    #: stage halvings over the integrated steps
+    halvings: int
 
     @property
     def f(self) -> np.ndarray:
@@ -329,7 +343,7 @@ def newton_flat(
             # and splu raises RuntimeError for an exactly singular factor
             if not np.isfinite(J.data).all():
                 raise RuntimeError("non-finite jacobian")
-            step, dropped = _newton_step(J, K, svd_cutoff, residual, start)
+            step, dropped = _newton_step(J, K, svd_cutoff, residual, start, sys.grounded_pattern)
         except RuntimeError:
             return NewtonResult(
                 f, K, residual, it, False, "jacobian breakdown", history, steps
@@ -374,13 +388,26 @@ def curvature_flow(
     giving up with a SolverError.  Each step evaluates the label four
     times: three inner stages and the new point, whose curvature is
     also the recorded residual and the next step's first stage.
-    t_end and dt must be positive and finite (ValueError otherwise).
+
+    A full grid step (length dt) is a deterministic function of its
+    start label alone: its first stage is the field there, and halving
+    restarts from dt on every step.  So when a full step starts from a
+    label that an earlier full step started from, bit for bit, the flow
+    replays the recorded successor and residual instead of integrating;
+    a flow that settles into a floating-point fixed point or cycle
+    before t_end stops evaluating, with the same numbers.  The result's
+    ``integrated`` counts the grid steps integrated and ``halvings`` the
+    stage halvings they took.
+    t_end and dt must be positive and finite, and max_halvings >= 0
+    (ValueError otherwise).
     ``system``, the caller's AngleSystem of (aug, cs), saves compiling
     another one.
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if max_halvings < 0:
+        raise ValueError(f"max_halvings must be >= 0, got {max_halvings!r}")
     sys = AngleSystem.reuse(system, aug, cs)
     sign = np.full(len(aug.vertices), -1.0)
     sign[-1] = 1.0
@@ -405,30 +432,49 @@ def curvature_flow(
     times = [0.0]
     labels = [f]
     residuals = [float(np.max(np.abs(k)))]
+    # hash of the bytes of labels[i] -> i, for every integrated full step
+    starts = {}
     t = 0.0
+    integrated = halvings = 0
     for i in range(n_steps):
         h_goal = min(dt, t_end - t)
-        remaining = h_goal
-        halvings = 0
-        h = h_goal
-        while remaining > 1e-16 * t_end:
-            try:
-                f, k = rk4(f, k, min(h, remaining))
-            except _StageError:
-                halvings += 1
-                if halvings > max_halvings:
-                    raise SolverError(
-                        f"step collapse at t={t + h_goal - remaining!r}: "
-                        f"flow left the admissible set"
-                    ) from None
-                h /= 2.0
-                continue
-            remaining -= min(h, remaining)
+        j = None
+        if h_goal == dt:
+            # a full step is a function of its start label alone, so a
+            # label seen before bit for bit repeats that step's successor
+            raw = f.tobytes()
+            j = starts.get(hash(raw))
+            if j is None or labels[j].tobytes() != raw:
+                starts[hash(raw)], j = i, None
+        if j is not None:
+            f, k, r = labels[j + 1], None, residuals[j + 1]
+        else:
+            if k is None:
+                k = field_at(f)
+            remaining = h_goal
+            step_halvings = 0
+            h = h_goal
+            while remaining > 1e-16 * t_end:
+                try:
+                    f, k = rk4(f, k, min(h, remaining))
+                except _StageError:
+                    step_halvings += 1
+                    if step_halvings > max_halvings:
+                        raise SolverError(
+                            f"step collapse at t={t + h_goal - remaining!r}: "
+                            f"flow left the admissible set"
+                        ) from None
+                    h /= 2.0
+                    continue
+                remaining -= min(h, remaining)
+            integrated += 1
+            halvings += step_halvings
+            r = float(np.max(np.abs(k)))
         t += h_goal
         times.append(t)
         labels.append(f)
-        residuals.append(float(np.max(np.abs(k))))
-    return FlowResult(np.array(times), np.array(labels), np.array(residuals))
+        residuals.append(r)
+    return FlowResult(np.array(times), np.array(labels), np.array(residuals), integrated, halvings)
 
 
 class _StageError(Exception):

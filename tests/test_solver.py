@@ -16,9 +16,11 @@ from diskfold import (
     newton_flat,
 )
 from diskfold import solver
+from diskfold.problem_io import parse_problem
 from diskfold.presets import (
     SCENARIOS,
     build,
+    preset,
     ring_lattice,
     random_admissible,
     scenario_data,
@@ -271,7 +273,7 @@ def _steps(aug, cs, f, svd_cutoff=1e-10, shift=0.0):
     residual = float(np.max(np.abs(K)))
     start = solver._start_vectors(len(K))
     K = K + shift
-    got = solver._newton_step(sysm.sparse_jacobian(ev), K, svd_cutoff, residual, start)
+    got = solver._newton_step(sysm.sparse_jacobian(ev), K, svd_cutoff, residual, start, sysm.grounded_pattern)
     return got, _pinv_apply(sysm.jacobian(ev), K, svd_cutoff, residual)
 
 
@@ -324,7 +326,7 @@ def test_step_matches_dense_reference_on_random_structures():
             _assert_same_step(*_steps(aug, cs, f))
 
 
-def _dense_step(J, K, svd_cutoff, residual, start):
+def _dense_step(J, K, svd_cutoff, residual, start, grounded):
     return _pinv_apply(J.toarray(), K, svd_cutoff, residual)
 
 
@@ -436,6 +438,15 @@ def test_flow_rejects_bad_time_arguments():
             curvature_flow(aug, cs, f0, t_end, dt)
 
 
+def test_flow_rejects_negative_max_halvings():
+    aug, cs = build("hex_tangent")
+    with pytest.raises(ValueError, match="max_halvings must be >= 0"):
+        curvature_flow(aug, cs, HEX_FLAT["hex_tangent"], 1.0, 0.01, max_halvings=-1)
+    # zero is allowed: the flow runs until a stage would need a halving
+    fr = curvature_flow(aug, cs, HEX_FLAT["hex_tangent"], 1.0, 0.01, max_halvings=0)
+    assert fr.halvings == 0
+
+
 def _reference_flow(aug, cs, f0, t_end, dt, max_halvings=30):
     """The RK4 flow written on AngleSystem.admissible and .curvature only.
 
@@ -484,16 +495,73 @@ def _reference_flow(aug, cs, f0, t_end, dt, max_halvings=30):
     return np.array(times), np.array(labels), np.array(residuals), total_halvings
 
 
-@pytest.mark.parametrize("t_end, dt, halves", [(1.0, 0.01, False), (3.0, 1.5, True)])
-def test_flow_matches_reference_rk4_bit_for_bit(t_end, dt, halves):
-    """One evaluation per stage gives the same numbers as separate
-    admissible and curvature calls, with and without step halving."""
-    aug, cs = build("hex_tangent")
-    rng = np.random.default_rng(12)  # criterion 12's start
-    f0 = HEX_FLAT["hex_tangent"] + 0.05 * rng.standard_normal(8)
+def _relabelled(data: dict, rng) -> dict:
+    """The same problem with permuted vertex ids, rotated faces in
+    shuffled order: the relabelling of the benchmark's input files."""
+    verts = data["vertices"]
+    new = {v: int(p) for v, p in zip(verts, rng.permutation(len(verts)))}
+    faces = [[new[v] for v in f] for f in data["faces"]]
+    faces = [f[k:] + f[:k] for f, k in zip(faces, rng.integers(0, 3, len(faces)))]
+    faces = [faces[i] for i in rng.permutation(len(faces))]
+
+    def vmap(d):
+        return {k if k == "hat" else str(new[int(k)]): x for k, x in d.items()}
+
+    def emap(k):
+        a, b = sorted(new[int(x)] for x in k.split("-"))
+        return f"{a}-{b}"
+
+    return {
+        "vertices": sorted(new.values()),
+        "faces": faces,
+        "alpha": vmap(data["alpha"]),
+        "eta": {emap(k): x for k, x in data["eta"].items()},
+        "mu": vmap(data["mu"]),
+        "f_init": vmap(data["f_init"]),
+    }
+
+
+def _flow_start(start):
+    """(aug, cs, f0) of a named flow start."""
+    if start == "ring4":
+        aug, cs = build("ring_lattice", n_rings=4)
+        return aug, cs, default_start(aug, cs)
+    # criterion 12's start: the flat label plus 0.05 N(0, 1) from default_rng(12)
+    f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(12).standard_normal(8)
+    if start == "criterion12":
+        return (*build("hex_tangent"), f0)
+    # relabelled with default_rng(3), its flow ends in a two-step cycle
+    data = preset("hex_tangent")
+    data["f_init"] = {**{str(v): x for v, x in zip(data["vertices"], f0[:-1])}, "hat": f0[-1]}
+    prob = parse_problem(_relabelled(data, np.random.default_rng(3)))
+    return prob.aug, prob.cs, prob.f_init
+
+
+@pytest.mark.parametrize(
+    "start, t_end, dt, halves, recurs",
+    [
+        pytest.param("criterion12", 1.0, 0.01, False, False, id="1.0-0.01-False"),
+        pytest.param("criterion12", 3.0, 1.5, True, False, id="3.0-1.5-True"),
+        pytest.param("criterion12", 50.0, 0.01, False, True, id="criterion12-fixed-point"),
+        pytest.param("period2", 50.0, 0.01, False, True, id="two-step-cycle"),
+        pytest.param("period2", 50.005, 0.01, False, True, id="short-last-step"),
+        pytest.param("ring4", 5.0, 0.01, False, False, id="ring4-no-recurrence"),
+    ],
+)
+def test_flow_matches_reference_rk4_bit_for_bit(start, t_end, dt, halves, recurs):
+    """One evaluation per stage, and replaying the steps of a label that
+    repeats, give the same numbers as separate admissible and curvature
+    calls on every step, with and without step halving."""
+    aug, cs, f0 = _flow_start(start)
     times, labels, residuals, halvings = _reference_flow(aug, cs, f0, t_end, dt)
     assert (halvings > 0) == halves
     fr = curvature_flow(aug, cs, f0, t_end, dt)
     assert np.array_equal(fr.times, times)
     assert np.array_equal(fr.labels, labels)
     assert np.array_equal(fr.residuals, residuals)
+    n_steps = len(times) - 1
+    assert (fr.integrated < n_steps) == recurs
+    assert fr.integrated <= n_steps and fr.halvings == halvings
+    if start == "period2":
+        assert not np.array_equal(labels[-2], labels[-3])
+        assert np.array_equal(labels[-2], labels[-4])
