@@ -193,8 +193,8 @@ def _cmd_layout(args) -> int:
     mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
     out = {
         "positions": {
-            ("hat" if v == prob.aug.apex else str(v)): [float(p[0]), float(p[1])]
-            for v, p in lay.positions.items()
+            ("hat" if v == prob.aug.apex else str(v)): p
+            for v, p in zip(prob.aug.vertices, lay.positions.tolist())
         },
         "mpoints": {
             ("hat" if v == prob.aug.apex else str(v)): [float(x) for x in mp.xi]
@@ -257,7 +257,9 @@ def _cmd_rank(args) -> int:
 def _cmd_mobius_check(args) -> int:
     prob = _load(args.problem)
     f, sys_ = _solved_label(prob, args)
-    lay = layout_augmented(prob.aug, prob.cs, f, system=sys_)
+    # the bounds are absolute, so check the layout with the apex circle
+    # as the unit circle
+    lay, f = normalize_layout(prob.aug, f, layout_augmented(prob.aug, prob.cs, f, system=sys_))
     mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
     names = ("a", "b", "c", "d", "t", "r")
     reports = []

@@ -157,10 +157,6 @@ class CombinatorialDisk(_Indexed):
     interior_vertices: frozenset
     compiled: CompiledComplex = field(repr=False, compare=False)
 
-    @property
-    def boundary_vertices(self) -> frozenset:
-        return frozenset(self.boundary_cycle)
-
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.edges) + len(self.faces)
 

@@ -323,9 +323,6 @@ class AngleSystem:
 
     # -- lengths ------------------------------------------------------
 
-    def lengths_sq(self, f) -> np.ndarray:
-        return self._length_terms(self.complex.label_array(f))[0]
-
     def lengths(self, f) -> np.ndarray:
         l2, l, _ = self._length_terms(self.complex.label_array(f))
         bad = np.nonzero(~(np.isfinite(l2) & (l2 > 0)))[0]

@@ -9,8 +9,11 @@ placed with negative orientation: the augmented sheet folds back over
 the disk.  Both cases run one development over the complex's compiled
 index: the faces of each edge, the side opposite each corner and the
 fold sign, whose negative is the orientation of a face.  Placement is
-sequential, one new vertex per face; the consistency residual then
-re-derives all 3F corners in one array pass.
+sequential, one new vertex per face, written as a row of one (n, 2)
+array: row i is the position of ``complex_.vertices[i]``, the apex the
+last row on an augmented disk.  Every later layer reads that array as
+it is.  The consistency residual then re-derives all 3F corners in one
+array pass.
 
 The layout lifts to Minkowski vectors
 
@@ -61,22 +64,24 @@ class LayoutError(RuntimeError):
 class PlaneLayout:
     """Vertex positions plus the self-consistency of the development.
 
-    consistency_residual is the largest distance between a placed
+    ``positions`` is an (n, 2) array whose row i is the position of
+    ``complex_.vertices[i]``; on an augmented disk the apex is the last
+    row.  consistency_residual is the largest distance between a placed
     vertex and its re-derivation from any single face, so it bounds the
     monodromy deviation along arbitrary face chains.  ``lengths`` holds
     the edge lengths the layout reproduces, in the complex's edge order.
     """
 
-    positions: dict
+    positions: np.ndarray
     consistency_residual: float
     traversal: str
     lengths: np.ndarray
 
     def diameter(self) -> float:
-        pts = np.array([self.positions[v] for v in self.positions])
+        P = self.positions
         d = 0.0
-        for i in range(len(pts) - 1):
-            d = max(d, float(np.max(np.linalg.norm(pts[i + 1:] - pts[i], axis=1))))
+        for i in range(len(P) - 1):
+            d = max(d, float(np.max(np.linalg.norm(P[i + 1:] - P[i], axis=1))))
         return d
 
 
@@ -104,20 +109,21 @@ def _develop(ix, lengths, start, traversal):
     ``ix`` is the complex's CompiledComplex and ``lengths`` a list indexed
     by edge.  The seed face ``start`` is pinned: its first corner at the
     origin, its second on the positive x axis.  Every face keeps the
-    orientation -fold_sign.  Returns positions keyed by vertex index, in
-    placement order, and the consistency residual.
+    orientation -fold_sign.  Returns the (n, 2) array of positions, row
+    i for vertex index i, and the consistency residual.
     """
     if traversal not in ("bfs", "dfs"):
         raise ValueError(f"traversal must be 'bfs' or 'dfs', got {traversal!r}")
     F, FE, faces_of = ix.F.tolist(), ix.FE.tolist(), ix.edge_faces.tolist()
     area_sign = (-ix.fold_sign).tolist()
 
+    P = np.zeros((len(ix.const), 2))
+    placed = [False] * len(P)
     i0, i1, i2 = F[start]
     se = FE[start]
-    positions = {i0: np.zeros(2), i1: np.array([lengths[se[2]], 0.0])}
-    positions[i2] = _third_point(
-        positions[i0], positions[i1], lengths[se[1]], lengths[se[0]], area_sign[start]
-    )
+    P[i1, 0] = lengths[se[2]]
+    P[i2] = _third_point(P[i0], P[i1], lengths[se[1]], lengths[se[0]], area_sign[start])
+    placed[i0] = placed[i1] = placed[i2] = True
     queue = deque([start])
     visited = {start}
     while queue:
@@ -129,7 +135,7 @@ def _develop(ix, lengths, start, traversal):
                 if fj < 0 or fj in visited:
                     continue
                 g = F[fj]
-                missing = [c for c in range(3) if g[c] not in positions]
+                missing = [c for c in range(3) if not placed[g[c]]]
                 if len(missing) > 1:
                     continue
                 visited.add(fj)
@@ -139,13 +145,12 @@ def _develop(ix, lengths, start, traversal):
                     la = lengths[FE[fj][cb]]
                     lb = lengths[FE[fj][ca]]
                     orient = area_sign[fj] * parity
-                    positions[g[missing[0]]] = _third_point(
-                        positions[g[ca]], positions[g[cb]], la, lb, orient
-                    )
+                    P[g[missing[0]]] = _third_point(P[g[ca]], P[g[cb]], la, lb, orient)
+                    placed[g[missing[0]]] = True
                 queue.append(fj)
     if len(visited) != len(F):
         raise LayoutError("face graph is not edge-connected")
-    return positions, _residual(ix, lengths, positions)
+    return P, _residual(ix, lengths, P)
 
 
 def _dot2(a, b):
@@ -153,7 +158,7 @@ def _dot2(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _residual(ix, lengths, positions):
+def _residual(ix, lengths, P):
     """Largest distance between a corner and its re-derivation from the
     other two corners of its face, over all 3F corners at once.
 
@@ -161,7 +166,6 @@ def _residual(ix, lengths, positions):
     term: from a = c+1 and b = c+2 at the lengths of the sides opposite
     b and a, on the side -fold_sign of its face.
     """
-    P = np.array([positions[i] for i in range(len(positions))])
     a, b = [1, 2, 0], [2, 0, 1]
     pa, pb, pc = P[ix.F[:, a]].reshape(-1, 2), P[ix.F[:, b]].reshape(-1, 2), P[ix.F].reshape(-1, 2)
     L = np.asarray(lengths)[ix.FE]
@@ -200,8 +204,7 @@ def _layout(complex_, cs, f, start, traversal, flat_tol, system=None) -> PlaneLa
             raise LayoutError(f"interior curvature max |K| = {worst!r} is not flat")
 
     positions, residual = _develop(complex_.compiled, ev.lengths.tolist(), start, traversal)
-    verts = complex_.vertices
-    return PlaneLayout({verts[i]: p for i, p in positions.items()}, residual, traversal, ev.lengths)
+    return PlaneLayout(positions, residual, traversal, ev.lengths)
 
 
 def layout_disk(
@@ -245,8 +248,7 @@ def layout_augmented(
 def layout_edge_error(complex_, layout: PlaneLayout) -> float:
     """Largest relative deviation between layout distances and the edge
     lengths the layout was developed from."""
-    E = complex_.compiled.E
-    P = np.array([layout.positions[v] for v in complex_.vertices])
+    E, P = complex_.compiled.E, layout.positions
     d = np.linalg.norm(P[E[:, 0]] - P[E[:, 1]], axis=1)
     return float(np.max(np.abs(d - layout.lengths) / layout.lengths))
 
@@ -265,7 +267,7 @@ def realize_mpoints(
     """
     farr = aug.label_array(f)
     verts = aug.vertices
-    P = np.array([layout.positions[v] for v in verts])
+    P = layout.positions
     W = np.array([cs.alpha[v] for v in verts]) * np.exp(2.0 * farr)
     q = _dot2(P, P)
     lift = np.column_stack([P, (q - W - 1.0) / 2.0, (q - W + 1.0) / 2.0])
@@ -296,10 +298,9 @@ def normalize_layout(aug: AugmentedDisk, f, layout: PlaneLayout):
     """
     farr = aug.label_array(f)
     s = float(np.exp(-farr[-1]))
-    center = layout.positions[aug.apex]
-    positions = {v: s * (p - center) for v, p in layout.positions.items()}
+    P = layout.positions
     new_layout = PlaneLayout(
-        positions, layout.consistency_residual * s, layout.traversal, layout.lengths * s
+        s * (P - P[-1]), layout.consistency_residual * s, layout.traversal, layout.lengths * s
     )
     return new_layout, farr - farr[-1]
 

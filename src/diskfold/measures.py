@@ -133,6 +133,7 @@ def layout_point_multiplicity(
 ) -> int:
     """Signed count of layout simplices covering a plane point.
 
+    ``positions`` is a layout's (n, 2) array, row i for aug.vertices[i].
     Sums mu over every closed simplex whose image under the layout
     contains the point (within tol).  With the standard multiplicities
     the two sheets of the fold cancel: the count is 0 wherever the
@@ -142,7 +143,7 @@ def layout_point_multiplicity(
     """
     ix = aug.compiled
     q = np.asarray(point, dtype=float)
-    P = np.array([positions[v] for v in aug.vertices], dtype=float)
+    P = np.asarray(positions, dtype=float)
     at_vertex = np.linalg.norm(P - q, axis=1) <= tol
 
     a, ab = P[ix.E[:, 0]], P[ix.E[:, 1]] - P[ix.E[:, 0]]

@@ -45,10 +45,6 @@ class Problem:
     disk: CombinatorialDisk
     aug: AugmentedDisk
     cs: ConformalStructure
-    alpha: dict
-    eta: dict
-    mu: dict
-    apex_alpha: float
     f_init: np.ndarray | None
 
 
@@ -236,16 +232,7 @@ def parse_problem(source) -> Problem:
         f_init = np.append(f, hat)
 
     cs = attach_boundary_data(aug, alpha, eta, mu, apex_alpha=apex_alpha)
-    return Problem(
-        disk=disk,
-        aug=aug,
-        cs=cs,
-        alpha=dict(zip(disk.vertices, alpha.tolist())),
-        eta=dict(zip(disk.edges, eta.tolist())),
-        mu=dict(zip(disk.boundary_cycle, mu.tolist())),
-        apex_alpha=apex_alpha,
-        f_init=f_init,
-    )
+    return Problem(disk=disk, aug=aug, cs=cs, f_init=f_init)
 
 
 def _fmt(x: float) -> str:
@@ -294,7 +281,9 @@ def problem_dict(disk: CombinatorialDisk, alpha, eta, mu, apex_alpha: float = 1.
 
 def serialize_problem(problem: Problem, f=None) -> str:
     """Canonical text of a problem; optionally with a label as f_init."""
-    data = problem_dict(problem.disk, problem.alpha, problem.eta, problem.mu, problem.apex_alpha)
+    cs, apex = problem.cs, problem.aug.apex
+    mu = {v: cs.eta[(v, apex)] for v in problem.disk.boundary_cycle}
+    data = problem_dict(problem.disk, cs.alpha, cs.eta, mu, cs.alpha[apex])
     if f is None and problem.f_init is not None:
         f = problem.f_init
     if f is not None:

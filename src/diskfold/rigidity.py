@@ -171,7 +171,7 @@ def mobius_orbit_check(
 
     K = system.curvature(moved)
     rate = (moved - farr) / eps
-    predicted = induced_label_variation(generator, np.array([layout.positions[v] for v in verts]))
+    predicted = induced_label_variation(generator, layout.positions)
     return OrbitReport(
         generator=generator,
         eps=eps,

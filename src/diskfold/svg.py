@@ -3,8 +3,12 @@
 Faces are drawn as translucent polygons (augmented sheet in a warmer
 tone), disk edges solid, augmented edges dashed.  Vertices with a
 positive weight become circles of radius sqrt(alpha_v) e^{f_v}, weight
-zero becomes a dot, and the apex circle is stroked separately.  Output
-depends only on the inputs: fixed ordering, fixed number formatting.
+zero becomes a dot, and the apex circle is stroked separately.  Radii
+and bounds are computed over the layout's (n, 2) position array, and
+each vertex's coordinates are formatted once and shared by its faces,
+edges and circle.  Output depends only on the inputs: fixed ordering
+(the compiled faces and edges, then the vertices), fixed number
+formatting.
 """
 
 from __future__ import annotations
@@ -39,35 +43,23 @@ def render_svg(
 ) -> str:
     """Render one layout (and its vertex circles) as an SVG document."""
     farr = aug.label_array(f)
-    idx = aug.vertex_index
-    pos = {v: np.asarray(layout.positions[v], dtype=float) for v in aug.vertices}
+    P = layout.positions
+    alpha = np.array([cs.alpha[v] for v in aug.vertices])
+    radii = np.where(alpha > 0, np.sqrt(np.maximum(alpha, 0.0)) * np.exp(farr), 0.0)
 
-    radii = {}
-    for v in aug.vertices:
-        a = cs.alpha[v]
-        radii[v] = float(np.sqrt(a) * np.exp(farr[idx[v]])) if a > 0 else 0.0
-
-    xs, ys = [], []
-    for v in aug.vertices:
-        r = radii[v]
-        xs.extend([pos[v][0] - r, pos[v][0] + r])
-        ys.extend([pos[v][1] - r, pos[v][1] + r])
-    minx, maxx = min(xs), max(xs)
-    miny, maxy = min(ys), max(ys)
+    minx = float(np.min(P[:, 0] - radii))
+    maxx = float(np.max(P[:, 0] + radii))
+    miny = float(np.min(P[:, 1] - radii))
+    maxy = float(np.max(P[:, 1] + radii))
     span = max(maxx - minx, maxy - miny, 1e-12)
     pad = margin * span
     minx, maxx = minx - pad, maxx + pad
     miny, maxy = miny - pad, maxy + pad
     scale = size / max(maxx - minx, maxy - miny)
 
-    def X(x: float) -> str:
-        return f"{(x - minx) * scale:.9f}"
-
-    def Y(y: float) -> str:
-        return f"{(maxy - y) * scale:.9f}"
-
-    def R(r: float) -> str:
-        return f"{r * scale:.9f}"
+    xs = [f"{x:.9f}" for x in ((P[:, 0] - minx) * scale).tolist()]
+    ys = [f"{y:.9f}" for y in ((maxy - P[:, 1]) * scale).tolist()]
+    pts = [f"{x},{y}" for x, y in zip(xs, ys)]
 
     w = max(size / 640.0, 0.5)
     lw = f"{w:.9f}"
@@ -81,37 +73,30 @@ def render_svg(
     ]
 
     parts.append("<g>")
-    fold_sign = aug.compiled.fold_sign
-    for fi, face in enumerate(aug.faces):
-        style = _STYLE["disk_face"] if fold_sign[fi] < 0 else _STYLE["aug_face"]
-        pts = " ".join(f"{X(pos[v][0])},{Y(pos[v][1])}" for v in face)
-        parts.append(f'<polygon points="{pts}" {style}/>')
+    for face, sign in zip(aug.compiled.F.tolist(), aug.compiled.fold_sign.tolist()):
+        style = _STYLE["disk_face"] if sign < 0 else _STYLE["aug_face"]
+        parts.append(f'<polygon points="{" ".join(pts[i] for i in face)}" {style}/>')
     parts.append("</g>")
 
     parts.append("<g>")
-    for (u, v) in aug.edges:
-        if aug.apex in (u, v):
-            style = _STYLE["aug_edge"].format(w=lw, d1=dash1, d2=dash2)
-        else:
-            style = _STYLE["disk_edge"].format(w=lw)
-        parts.append(
-            f'<line x1="{X(pos[u][0])}" y1="{Y(pos[u][1])}" '
-            f'x2="{X(pos[v][0])}" y2="{Y(pos[v][1])}" {style}/>'
-        )
+    apex = len(P) - 1
+    dashed = _STYLE["aug_edge"].format(w=lw, d1=dash1, d2=dash2)
+    solid = _STYLE["disk_edge"].format(w=lw)
+    for u, v in aug.compiled.E.tolist():
+        style = dashed if apex in (u, v) else solid
+        parts.append(f'<line x1="{xs[u]}" y1="{ys[u]}" x2="{xs[v]}" y2="{ys[v]}" {style}/>')
     parts.append("</g>")
 
     parts.append("<g>")
-    dot_r = 0.008 * span
-    for v in aug.vertices:
-        cx, cy = X(pos[v][0]), Y(pos[v][1])
-        if radii[v] > 0:
-            if v == aug.apex:
-                style = _STYLE["apex_circle"].format(w=f"{1.6 * w:.9f}")
-            else:
-                style = _STYLE["circle"].format(w=lw)
-            parts.append(f'<circle cx="{cx}" cy="{cy}" r="{R(radii[v])}" {style}/>')
+    dot = f'r="{0.008 * span * scale:.9f}" {_STYLE["dot"]}'
+    apex_style = _STYLE["apex_circle"].format(w=f"{1.6 * w:.9f}")
+    circle_style = _STYLE["circle"].format(w=lw)
+    for i, r in enumerate(radii.tolist()):
+        if r > 0:
+            style = apex_style if i == apex else circle_style
+            parts.append(f'<circle cx="{xs[i]}" cy="{ys[i]}" r="{r * scale:.9f}" {style}/>')
         else:
-            parts.append(f'<circle cx="{cx}" cy="{cy}" r="{R(dot_r)}" {_STYLE["dot"]}/>')
+            parts.append(f'<circle cx="{xs[i]}" cy="{ys[i]}" {dot}/>')
     parts.append("</g>")
 
     parts.append("</svg>")

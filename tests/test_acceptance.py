@@ -173,8 +173,7 @@ def test_criterion_07_coordinate_kernel(flat_instances):
     for name, aug, cs, f in flat_instances:
         J = AngleSystem(aug, cs).jacobian(f)
         lay = layout_augmented(aug, cs, f)
-        x = np.array([lay.positions[v][0] for v in aug.vertices])
-        y = np.array([lay.positions[v][1] for v in aug.vertices])
+        x, y = lay.positions.T
         scale = np.linalg.norm(J, np.inf)
         dev = max(np.max(np.abs(J @ x)), np.max(np.abs(J @ y))) / scale
         worst = max(worst, dev)
@@ -211,14 +210,11 @@ def test_criterion_09_traversal_independence(flat_instances):
     for name, aug, cs, f in flat_instances:
         bfs = layout_augmented(aug, cs, f, traversal="bfs")
         dfs = layout_augmented(aug, cs, f, traversal="dfs")
-        pts = np.array([bfs.positions[v] for v in aug.vertices])
+        pts = bfs.positions
         diameter = max(
             float(np.linalg.norm(p - q)) for p in pts for q in pts
         )
-        dev = max(
-            float(np.linalg.norm(bfs.positions[v] - dfs.positions[v]))
-            for v in aug.vertices
-        )
+        dev = float(np.max(np.linalg.norm(bfs.positions - dfs.positions, axis=1)))
         worst_pos = max(worst_pos, dev / (1e-9 * diameter))
         worst_edge = max(
             worst_edge,

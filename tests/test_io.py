@@ -20,7 +20,7 @@ from diskfold import (
     serialize_problem,
 )
 from diskfold.cli import main
-from diskfold.presets import preset
+from diskfold.presets import SCENARIOS, preset
 
 from conftest import HEX_FLAT
 
@@ -52,10 +52,8 @@ def test_parse_round_trip():
     text = serialize_problem(prob)
     again = parse_problem(text)
     assert again.disk.faces == prob.disk.faces
-    assert again.alpha == prob.alpha
-    assert again.eta == prob.eta
-    assert again.mu == prob.mu
-    assert again.apex_alpha == prob.apex_alpha
+    assert again.cs.alpha == prob.cs.alpha
+    assert again.cs.eta == prob.cs.eta
 
 
 def test_canonical_json_is_deterministic():
@@ -181,6 +179,54 @@ def test_cli_layout_and_render(hex_file, tmp_path, capsys):
     assert text.count("<circle") >= 8
 
 
+def _relabelled(data: dict, rng) -> dict:
+    """The problem with vertex ids 2v+1 listed in shuffled order, faces
+    rotated and in shuffled order."""
+    verts = data["vertices"]
+    new = {v: 2 * int(p) + 1 for v, p in zip(verts, rng.permutation(len(verts)))}
+    faces = [[new[v] for v in f] for f in data["faces"]]
+    faces = [f[k:] + f[:k] for f, k in zip(faces, rng.integers(0, 3, len(faces)))]
+
+    def vmap(d):
+        return {k if k == "hat" else str(new[int(k)]): x for k, x in d.items()}
+
+    def emap(k):
+        a, b = sorted(new[int(x)] for x in k.split("-"))
+        return f"{a}-{b}"
+
+    return {
+        "vertices": [new[verts[i]] for i in rng.permutation(len(verts))],
+        "faces": [faces[i] for i in rng.permutation(len(faces))],
+        "alpha": vmap(data["alpha"]),
+        "eta": {emap(k): x for k, x in data["eta"].items()},
+        "mu": vmap(data["mu"]),
+    }
+
+
+def test_cli_layout_keeps_the_ids_of_a_relabelled_lattice(tmp_path, capsys):
+    data = _relabelled(preset("ring_lattice", n_rings=3, scenario="orthogonal"), np.random.default_rng(3))
+    path = tmp_path / "relabelled.json"
+    path.write_text(canonical_json(data) + "\n")
+    aug = parse_problem(path.read_text()).aug
+    ids = list(aug.disk.vertices)
+    assert ids != sorted(ids)
+    # solved to 1e-12, so that every face chain closes to that order
+    assert main(["layout", str(path), "--tol", "1e-12"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert set(out["positions"]) == {str(v) for v in data["vertices"]} | {"hat"}
+    # every edge of the file, the augmented ones (v, hat) included, at its length
+    pos = {k: np.array(p) for k, p in out["positions"].items()}
+    alpha, f = data["alpha"], out["f"]
+    eta = [(*k.split("-"), h) for k, h in data["eta"].items()] + [(v, "hat", m) for v, m in data["mu"].items()]
+    assert len(eta) == len(aug.edges)
+    worst = 0.0
+    for u, v, h in eta:
+        eu, ev = np.exp(f[u]), np.exp(f[v])
+        length = np.sqrt(alpha[u] * eu * eu + alpha[v] * ev * ev + 2.0 * h * eu * ev)
+        worst = max(worst, abs(float(np.linalg.norm(pos[u] - pos[v])) - length) / length)
+    assert worst <= 1e-12
+
+
 def test_cli_rank(hex_file, capsys):
     assert main(["rank", str(hex_file), "--spectrum"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -277,6 +323,17 @@ def test_cli_mobius_check(hex_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert len(out["checks"]) == 6
     assert all(c["ok"] for c in out["checks"])
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_cli_mobius_check_passes_on_ring4(tmp_path, capsys, scenario):
+    # the bounds are absolute, so the check runs on the normalized layout
+    # whatever the lattice's own scale
+    path = tmp_path / "ring4.json"
+    path.write_text(canonical_json(preset("ring_lattice", n_rings=4, scenario=scenario)) + "\n")
+    assert main(["mobius-check", str(path)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert len(checks) == 12 and all(c["ok"] for c in checks)
 
 
 def test_cli_mobius_check_develops_once(hex_file, capsys, monkeypatch):

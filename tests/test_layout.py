@@ -43,9 +43,9 @@ def test_fold_orientation():
     """Disk faces develop with positive area, apex faces with negative."""
     aug, cs = build("hex_tangent")
     lay = layout_augmented(aug, cs, HEX_FLAT["hex_tangent"])
-    pos = lay.positions
+    ix = aug.vertex_index
     for i, face in enumerate(aug.faces):
-        area = _signed_area(pos[face[0]], pos[face[1]], pos[face[2]])
+        area = _signed_area(*(lay.positions[ix[v]] for v in face))
         if i < aug.n_disk_faces:
             assert area > 0
         else:
@@ -58,10 +58,7 @@ def test_bfs_and_dfs_agree():
     a = layout_augmented(aug, cs, f, traversal="bfs")
     b = layout_augmented(aug, cs, f, traversal="dfs")
     assert a.traversal == "bfs" and b.traversal == "dfs"
-    dev = max(
-        float(np.hypot(*(np.asarray(a.positions[v]) - b.positions[v])))
-        for v in aug.vertex_order
-    )
+    dev = float(np.max(np.hypot(*(a.positions - b.positions).T)))
     assert dev <= 1e-9 * max(1.0, a.diameter())
 
 
@@ -76,8 +73,8 @@ def test_layout_reuses_the_callers_system():
     f = HEX_FLAT["hex_tangent"]
     ref = layout_augmented(aug, cs, f)
     lay = layout_augmented(aug, cs, f, system=AngleSystem(aug, cs))
-    assert lay.positions.keys() == ref.positions.keys()
-    assert all(np.array_equal(lay.positions[v], ref.positions[v]) for v in ref.positions)
+    assert lay.positions.shape == (len(aug.vertices), 2)
+    assert np.array_equal(lay.positions, ref.positions)
     other_aug, other_cs = build("hex_tangent")
     for system in (AngleSystem(other_aug, cs), AngleSystem(aug, other_cs)):
         with pytest.raises(ValueError, match="another complex or structure"):
@@ -103,9 +100,10 @@ def test_disk_only_layout():
     assert lay.consistency_residual <= 1e-12
     assert layout_edge_error(disk, lay) <= 1e-12
     # regular hexagon around the center circle
-    center = np.asarray(lay.positions[0])
+    ix = disk.vertex_index
+    center = lay.positions[ix[0]]
     for v in disk.boundary_cycle:
-        d = np.hypot(*(np.asarray(lay.positions[v]) - center))
+        d = np.hypot(*(lay.positions[ix[v]] - center))
         assert d == pytest.approx(2.0 / 3.0, abs=1e-12)
 
 
@@ -222,7 +220,7 @@ def _realize_per_vertex(aug, cs, f, layout):
     out = {}
     for i, v in enumerate(aug.vertices):
         w = cs.alpha[v] * np.exp(2.0 * farr[i])
-        out[v] = canonical_lift(layout.positions[v], w).scaled(float(np.exp(-farr[i])))
+        out[v] = canonical_lift(layout.positions[i], w).scaled(float(np.exp(-farr[i])))
     return out
 
 
@@ -269,8 +267,8 @@ def test_realize_mpoints_matches_per_vertex_lift(flat_case, shift):
         norm = normalize_to_unit_disk(aug, cs, f, lay)
         assert _same_bits(norm.mpoints, _realize_per_vertex(aug, cs, norm.label, norm.layout))
         nlay, nf = normalize_layout(aug, f, lay)
-        assert nlay.positions.keys() == norm.layout.positions.keys()
-        assert all(np.array_equal(nlay.positions[v], norm.layout.positions[v]) for v in nlay.positions)
+        assert nlay.positions.shape == lay.positions.shape
+        assert np.array_equal(nlay.positions, norm.layout.positions)
         assert np.array_equal(nf, norm.label)
 
 

@@ -134,10 +134,10 @@ def test_layout_multiplicity_cancels_on_the_fold():
     mu = standard_multiplicities(aug)
     f = HEX_FLAT["hex_tangent"]
     lay = layout_augmented(aug, cs, f)
-    pos = lay.positions
+    pos, ix = lay.positions, aug.vertex_index
     # generic points inside disk faces
     for face in aug.disk_faces[:3]:
-        c = (np.asarray(pos[face[0]]) + pos[face[1]] + pos[face[2]]) / 3.0
+        c = (pos[ix[face[0]]] + pos[ix[face[1]]] + pos[ix[face[2]]]) / 3.0
         assert layout_point_multiplicity(aug, mu, pos, tuple(c)) == 0
     # far outside everything
     assert layout_point_multiplicity(aug, mu, pos, (50.0, 0.0)) == 0
@@ -145,7 +145,7 @@ def test_layout_multiplicity_cancels_on_the_fold():
 
 def _loop_layout_point_multiplicity(aug, mu, positions, q, tol=1e-9):
     """Scalar reference: test every simplex of the layout one by one."""
-    pos = {v: np.asarray(positions[v], dtype=float) for v in aug.vertices}
+    pos = {v: np.asarray(positions[i], dtype=float) for i, v in enumerate(aug.vertices)}
     total = 0
     for v in aug.vertices:
         if np.linalg.norm(pos[v] - q) <= tol:
@@ -172,10 +172,10 @@ def test_layout_multiplicity_matches_a_scalar_count():
     aug, cs = _hex_tangent()
     rng = np.random.default_rng(5)
     mu = MultiplicityAssignment({s: int(rng.integers(-3, 4)) for s in sorted(closure(aug.faces))})
-    pos = layout_augmented(aug, cs, HEX_FLAT["hex_tangent"]).positions
-    points = [np.asarray(pos[v], dtype=float) for v in aug.vertices]
-    points += [(np.asarray(pos[u]) + pos[v]) / 2 for u, v in aug.edges]
-    points += [(np.asarray(pos[a]) + pos[b] + pos[c]) / 3 for a, b, c in aug.faces]
+    pos, ix = layout_augmented(aug, cs, HEX_FLAT["hex_tangent"]).positions, aug.vertex_index
+    points = list(pos)
+    points += [(pos[ix[u]] + pos[ix[v]]) / 2 for u, v in aug.edges]
+    points += [(pos[ix[a]] + pos[ix[b]] + pos[ix[c]]) / 3 for a, b, c in aug.faces]
     points += [np.array([50.0, 0.0]), np.array([0.013, -0.021])]
     counts = [layout_point_multiplicity(aug, mu, pos, tuple(q)) for q in points]
     assert counts == [_loop_layout_point_multiplicity(aug, mu, pos, q) for q in points]

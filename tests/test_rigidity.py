@@ -203,7 +203,7 @@ def _orbit_per_vertex(aug, layout, mpoints, generator, eps):
     for i, v in enumerate(aug.vertices):
         xi = L.m @ mpoints[v].xi
         moved[i] = -np.log(xi[3] - xi[2])
-    predicted = np.array([induced_label_variation(generator, layout.positions[v]) for v in aug.vertices])
+    predicted = np.array([induced_label_variation(generator, p) for p in layout.positions])
     return moved, predicted
 
 
