@@ -112,10 +112,10 @@ def _cmd_validate(args) -> int:
     disk = prob.disk
     info = {
         "vertices": len(disk.vertices),
-        "edges": len(disk.edges),
-        "faces": len(disk.faces),
+        "edges": len(disk.compiled.E),
+        "faces": len(disk.compiled.F),
         "boundary_vertices": len(disk.boundary_cycle),
-        "interior_vertices": len(disk.interior_vertices),
+        "interior_vertices": len(disk.vertices) - len(disk.boundary_cycle),
         "apex": prob.aug.apex,
     }
     _write(json.dumps(info, indent=2), args.out)

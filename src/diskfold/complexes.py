@@ -10,19 +10,20 @@ orientation (the fold).
 Simplices are written as sorted vertex tuples: (v,) for vertices,
 (u, v) for edges, (u, v, w) for faces.
 
-Both kinds of complex carry one CompiledComplex: the index arrays (edge
-ends, face corners, face sides, the faces of each edge), the fold sign
-of every face and the constant term of the curvature.  validate_disk
-builds the disk's index in the integer-array passes that check the
-topology, and augment extends it by the apex; every layer reads these
-shared, read-only arrays, and none builds its own index.  Labels are
-coerced to vertex order by the one label_array of both complexes.
+Both kinds of complex store one CompiledComplex: the vertex ids, the
+index arrays (edge ends, face corners, face sides, the faces of each
+edge), the fold signs and the curvature's constant term.  validate_disk
+builds it in the integer-array passes that check the topology, augment
+extends it by the apex, and every layer reads these shared, read-only
+arrays.  The id tuples (faces, edges, ...) are views built on first
+use.  Labels are coerced to vertex order by the one label_array.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 
 import numpy as np
@@ -67,8 +68,9 @@ class CompiledComplex:
     """The index arrays of one complex, shared read-only by every layer.
 
     Vertices, edges and faces are numbered in the complex's own order.
-    ``E`` (E, 2) holds the ends of each edge, ``F`` (F, 3) the corners
-    of each face and ``FE`` (F, 3) the side opposite each corner.
+    ``ids`` holds the vertex ids (objects past int64), ``E`` (E, 2) the
+    ends of each edge, ``F`` (F, 3) the corners of each face and ``FE``
+    (F, 3) the side opposite each corner.
     ``edge_faces`` (E, 2) lists the faces of each edge in face order,
     -1 where an edge lies in one face only.  ``fold_sign`` is -1 on disk
     faces and +1 on augmented ones: the sign of a face's angles in the
@@ -80,6 +82,7 @@ class CompiledComplex:
     """
 
     vertex_index: dict
+    ids: np.ndarray
     E: np.ndarray
     F: np.ndarray
     FE: np.ndarray
@@ -88,7 +91,7 @@ class CompiledComplex:
     const: np.ndarray
 
     def __post_init__(self):
-        for a in (self.E, self.F, self.FE, self.edge_faces, self.fold_sign, self.const):
+        for a in (self.ids, self.E, self.F, self.FE, self.edge_faces, self.fold_sign, self.const):
             a.flags.writeable = False
 
 
@@ -109,7 +112,17 @@ def _tuples(a: np.ndarray) -> tuple:
 
 
 class _Indexed:
-    """What both complexes share: the compiled index and label coercion."""
+    """What both complexes share: the compiled index, its id views and label coercion."""
+
+    @cached_property
+    def faces(self) -> tuple:
+        """The faces as id triples, in the compiled order."""
+        return _tuples(self.compiled.ids[self.compiled.F])
+
+    @cached_property
+    def edges(self) -> tuple:
+        """The edges as sorted id pairs, in the compiled order."""
+        return _tuples(self.compiled.ids[self.compiled.E])
 
     @property
     def vertex_index(self) -> dict:
@@ -139,31 +152,33 @@ class _Indexed:
         return {v: float(arr[i]) for i, v in enumerate(self.vertices)}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CombinatorialDisk(_Indexed):
     """A validated triangulated disk with a consistent face orientation.
 
     Faces are stored with the orientation produced by validate_disk:
     all faces traverse shared edges in opposite directions, and the
     boundary cycle follows the direction the faces induce on it.
-    Instances are immutable; build them through validate_disk.
+    Immutable and compared by identity; build them through validate_disk.
     """
 
     vertices: tuple
-    faces: tuple
-    edges: tuple
-    boundary_edges: frozenset
     boundary_cycle: tuple
-    interior_vertices: frozenset
-    compiled: CompiledComplex = field(repr=False, compare=False)
+    compiled: CompiledComplex = field(repr=False)
+
+    @cached_property
+    def boundary_edges(self) -> frozenset:
+        """The edges that lie in one face only, as sorted id pairs."""
+        return frozenset(e for e, (_, g) in zip(self.edges, self.compiled.edge_faces.tolist()) if g < 0)
+
+    @cached_property
+    def interior_vertices(self) -> frozenset:
+        """The ids of the vertices off the boundary cycle."""
+        boundary = set(self.boundary_cycle)
+        return frozenset(v for v in self.compiled.ids.tolist() if v not in boundary)
 
     def euler_characteristic(self) -> int:
-        return len(self.vertices) - len(self.edges) + len(self.faces)
-
-    def directed_boundary(self):
-        """Boundary edges (v, w) in cycle order, as their faces direct them."""
-        cyc = self.boundary_cycle
-        return tuple((cyc[i], cyc[(i + 1) % len(cyc)]) for i in range(len(cyc)))
+        return len(self.vertices) - len(self.compiled.E) + len(self.compiled.F)
 
 
 def _err(reason, **details):
@@ -321,22 +336,12 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
     cycle = [int(src[np.argmin(rank[src])])]
     for _ in range(len(src) - 1):
         cycle.append(step[cycle[-1]])
-    interior = np.ones(n, dtype=bool)
-    interior[src] = False
 
     edge_faces = np.stack([first_side, second_side], axis=1) // 3
     compiled = CompiledComplex(
-        vertex_index, E, F, FE, edge_faces, np.full(nf, -1.0), np.full(n, 2.0 * np.pi)
+        vertex_index, ids, E, F, FE, edge_faces, np.full(nf, -1.0), np.full(n, 2.0 * np.pi)
     )
-    return CombinatorialDisk(
-        vertices=vertices,
-        faces=_tuples(ids[F]),
-        edges=_tuples(ids[E]),
-        boundary_edges=frozenset(_tuples(ids[E[on_boundary]])),
-        boundary_cycle=tuple(ids[cycle].tolist()),
-        interior_vertices=frozenset(ids[interior].tolist()),
-        compiled=compiled,
-    )
+    return CombinatorialDisk(vertices, tuple(ids[cycle].tolist()), compiled)
 
 
 def _reject_pinch(vertices: tuple, E: np.ndarray, F: np.ndarray, FE: np.ndarray) -> None:
@@ -380,24 +385,25 @@ def _components(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
             label = up
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AugmentedDisk(_Indexed):
     """A disk together with the apex joined to its boundary.
 
     ``faces`` lists the disk faces first, then one augmented face
-    (apex, w, v) per directed boundary edge (v, w); the reversal folds
-    the augmented sheet over the disk.  ``vertex_order`` fixes the
+    (apex, w, v) per boundary edge (v, w) of the cycle; the reversal
+    folds the augmented sheet over the disk.  ``vertex_order`` fixes the
     index convention used by all array-valued callers: disk vertices in
-    their original order, apex last.
+    their original order, apex last.  Edge i is row ``source[i]`` of the
+    disk's edges followed by the edges (v, apex) in cycle order.
+    Instances compare by identity.
     """
 
     disk: CombinatorialDisk
     apex: int
     vertices: tuple
-    faces: tuple
-    edges: tuple
     n_disk_faces: int
-    compiled: CompiledComplex = field(repr=False, compare=False)
+    source: np.ndarray = field(repr=False)
+    compiled: CompiledComplex = field(repr=False)
 
     @property
     def vertex_order(self) -> tuple:
@@ -422,14 +428,15 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
     ix = disk.compiled
     n, nf, ne = len(disk.vertices), len(ix.F), len(ix.E)
     apex = max(disk.vertices) + 1
+    vertices = disk.vertices + (apex,)
     nb = len(disk.boundary_cycle)
     cyc = np.fromiter(map(ix.vertex_index.__getitem__, disk.boundary_cycle), dtype=np.intp, count=nb)
     nxt = np.concatenate([cyc[1:], cyc[:1]])
 
-    # the apex has the largest id: rank it last, then sort the disk and
+    # the apex has the largest id, so it ranks last; sort the disk and
     # apex edges together by their keys in id rank
     m = n + 1
-    rank = np.append(_id_rank(disk.vertices)[1], n)
+    ids, rank = _id_rank(vertices)
     ends = np.concatenate([ix.E, np.stack([cyc, np.full(nb, n)], axis=1)])
     keys = rank[ends[:, 0]] * m + rank[ends[:, 1]]
     source = np.argsort(keys)
@@ -453,8 +460,10 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
     const = np.full(m, 2.0 * np.pi)
     const[cyc] = 0.0
     const[n] = -2.0 * np.pi
+    source.flags.writeable = False
     compiled = CompiledComplex(
         {**ix.vertex_index, apex: n},
+        ids,
         ends[source],
         F,
         FE,
@@ -462,19 +471,8 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
         np.concatenate([ix.fold_sign, np.ones(nb)]),
         const,
     )
-    edges = disk.edges + tuple((v, apex) for v in disk.boundary_cycle)
-    aug = AugmentedDisk(
-        disk=disk,
-        apex=apex,
-        vertices=disk.vertices + (apex,),
-        faces=disk.faces + tuple((apex, w, v) for (v, w) in disk.directed_boundary()),
-        edges=tuple(map(edges.__getitem__, source.tolist())),
-        n_disk_faces=nf,
-        compiled=compiled,
-    )
-    nv, ne, nf = len(aug.vertices), len(aug.edges), len(aug.faces)
-    assert nv - ne + nf == 2 and 3 * nf == 2 * ne
-    return aug
+    assert m - len(ends) + len(F) == 2 and 3 * len(F) == 2 * len(ends)
+    return AugmentedDisk(disk, apex, vertices, nf, source, compiled)
 
 
 def classify(aug: AugmentedDisk):

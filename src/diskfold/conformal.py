@@ -15,14 +15,14 @@ faces with +1, and the constant term is 2*pi at interior vertices, 0 at
 boundary vertices and -2*pi at the apex.  The total curvature vanishes
 identically.
 
-AngleSystem binds a structure to a complex: it reads the complex's
-compiled index (complexes.CompiledComplex: edge ends, face sides, fold
-signs, curvature constants), gathers alpha and eta into arrays in the
-complex's vertex and edge order as it checks them (validate_for), and
-adds only the Jacobian's sparse pattern.  It evaluates each label in
-one pass (Evaluation): squared lengths once, then the edge and triangle
-checks, the angles and the curvature.  Every per-label quantity has
-this one code path.  Public methods coerce and copy their label with the
+AngleSystem binds a structure (alpha and eta as arrays in its
+complex's order) to a complex: it reads the complex's compiled index
+(complexes.CompiledComplex: edge ends, face sides, fold signs,
+curvature constants) and the structure's arrays, adds only the
+Jacobian's sparse pattern, and looks up ids only to name an offender.
+It evaluates each label in one pass (Evaluation): squared lengths once,
+then the edge and triangle checks, the angles and the curvature.  Every
+per-label quantity has this one code path.  Public methods coerce and copy their label with the
 complex's label_array; the solvers hand their own float iterates to
 evaluate_iterate, which trusts the array and only keeps the finiteness
 check.
@@ -30,9 +30,9 @@ check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import is_
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csc_array
@@ -64,54 +64,66 @@ class InadmissibleLabelError(ValueError):
         self.simplex = simplex
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConformalStructure:
-    """Vertex weights alpha and edge weights eta.  Treat as immutable.
+    """Vertex weights alpha and edge weights eta on one complex, stored
+    only as the read-only arrays ``alpha_array`` and ``eta_array`` in its
+    vertex and edge order; ``alpha`` and ``eta`` are id-keyed views built
+    on first use.  attach_boundary_data and ConformalStructure.on build
+    checked structures, which compare by identity."""
 
-    For an augmented disk the dictionaries cover the apex and the
-    augmented edges as well; attach_boundary_data builds that extension
-    from boundary data mu.
-    """
+    complex: object = field(repr=False)
+    alpha_array: np.ndarray
+    eta_array: np.ndarray
 
-    alpha: dict = field(default_factory=dict)
-    eta: dict = field(default_factory=dict)
+    @classmethod
+    def on(cls, complex_, alpha: dict, eta: dict) -> "ConformalStructure":
+        """The structure of id-keyed mappings on complex_.  Raises
+        StructureError when an entry is missing or a value is not finite."""
+        vertices = complex_.vertices
+        a = _gather(alpha, len(vertices), lambda: vertices, "alpha misses vertices {}".format)
+        h = _gather(eta, len(complex_.compiled.E), lambda: complex_.edges, "eta misses edges {}".format)
+        _require_finite("alpha", np.fromiter(alpha.values(), float, len(alpha)), lambda: list(alpha))
+        _require_finite("eta", np.fromiter(eta.values(), float, len(eta)), lambda: list(eta))
+        return cls(complex_, _frozen(a), _frozen(h))
+
+    @cached_property
+    def alpha(self) -> dict:
+        return dict(zip(self.complex.vertices, self.alpha_array.tolist()))
+
+    @cached_property
+    def eta(self) -> dict:
+        return dict(zip(self.complex.edges, self.eta_array.tolist()))
 
     def validate_for(self, complex_):
-        """(alpha, eta) as read-only arrays in the complex's vertex and edge order.
-
-        Raises StructureError when an entry is missing or not finite.
-        """
-        a = _gather(self.alpha, complex_.vertices, "alpha misses vertices {}".format)
-        h = _gather(self.eta, complex_.edges, "eta misses edges {}".format)
-        _require_finite("alpha", self.alpha, np.fromiter(self.alpha.values(), float, len(self.alpha)))
-        _require_finite("eta", self.eta, np.fromiter(self.eta.values(), float, len(self.eta)))
-        return _frozen(a), _frozen(h)
+        """(alpha, eta) as read-only arrays in the complex's vertex and edge
+        order: the structure's own, or gathered by id for another complex."""
+        if complex_ is not self.complex:
+            return ConformalStructure.on(complex_, self.alpha, self.eta).validate_for(complex_)
+        return self.alpha_array, self.eta_array
 
 
-_MISSING = object()
-
-
-def _gather(values, keys, missing_message) -> np.ndarray:
-    """A mapping's values at keys as a float array, or an aligned array as floats.
+def _gather(values, n: int, keys, missing_message) -> np.ndarray:
+    """n floats: an aligned array, or a mapping read at the ids keys().
 
     ``missing_message`` makes the error text from the list of missing keys.
     """
     if not isinstance(values, np.ndarray):
-        got = list(map(values.get, keys, repeat(_MISSING)))
-        if any(map(is_, got, repeat(_MISSING))):
-            raise StructureError(missing_message([k for k, x in zip(keys, got) if x is _MISSING]))
-        values = got
+        keys = keys()
+        missing = [k for k in keys if k not in values]
+        if missing:
+            raise StructureError(missing_message(missing))
+        values = list(map(values.__getitem__, keys))
     out = np.array(values, dtype=float)
-    if out.shape != (len(keys),):
-        raise StructureError(f"expected {len(keys)} values, got shape {out.shape}")
+    if out.shape != (n,):
+        raise StructureError(f"expected {n} values, got shape {out.shape}")
     return out
 
 
-def _require_finite(name: str, keys, values: np.ndarray) -> None:
+def _require_finite(name: str, values: np.ndarray, keys) -> None:
     bad = ~np.isfinite(values)
     if bad.any():
-        key = next(k for k, b in zip(keys, bad.tolist()) if b)
-        raise StructureError(f"{name}[{key}] is not finite")
+        raise StructureError(f"{name}[{keys()[int(np.argmax(bad))]}] is not finite")
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -131,23 +143,24 @@ def attach_boundary_data(
     boundary-cycle order.  The structure comes back checked.
     """
     disk = aug.disk
-    a = np.append(_gather(alpha, disk.vertices, "alpha misses vertices {}".format), float(apex_alpha))
-    h = _gather(eta, disk.edges, "eta misses edges {}".format)
-    m = _gather(mu, disk.boundary_cycle, lambda missing: f"mu misses boundary vertex {missing[0]}")
+    a = _gather(alpha, len(disk.vertices), lambda: disk.vertices, "alpha misses vertices {}".format)
+    a = np.append(a, float(apex_alpha))
+    h = _gather(eta, len(disk.compiled.E), lambda: disk.edges, "eta misses edges {}".format)
+    cyc = disk.boundary_cycle
+    m = _gather(mu, len(cyc), lambda: cyc, lambda missing: f"mu misses boundary vertex {missing[0]}")
+    # the disk edges, then the apex edges in boundary-cycle order, which aug.source sorts
     h = np.concatenate([h, m])
-    # the dictionaries list the disk entries first, then the apex ones
-    edges = disk.edges + tuple((v, aug.apex) for v in disk.boundary_cycle)
-    _require_finite("alpha", aug.vertices, a)
-    _require_finite("eta", edges, h)
-    return ConformalStructure(alpha=dict(zip(aug.vertices, a.tolist())), eta=dict(zip(edges, h.tolist())))
+    _require_finite("alpha", a, lambda: aug.vertices)
+    _require_finite("eta", h, lambda: disk.edges + tuple((v, aug.apex) for v in cyc))
+    return ConformalStructure(aug, _frozen(a), _frozen(h[aug.source]))
 
 
 @dataclass(slots=True, eq=False)
 class Evaluation:
     """One pass of an AngleSystem over one label.
 
-    ``violation`` is None for an admissible label, else the
-    (kind, simplex, values) triple of AngleSystem.violation.  A label
+    ``violation`` is None for an admissible label, else the triple of
+    AngleSystem.violation with the simplex's row for its ids.  A label
     that passes the edge check keeps its ``lengths``; an admissible one
     also gets its ``angles`` (a row per face, as AngleSystem.angles)
     and its ``curvature``, unless ``degenerate`` holds the index of a
@@ -179,17 +192,17 @@ class AngleSystem:
 
     Every label goes through one pass, evaluate(): squared lengths once,
     then the edge and triangle checks, the angles and the curvature.
-    violation, admissible, check_admissible, angles and curvature are
-    views on that pass, and sparse_jacobian (J = dK/df in a CSC pattern
-    compiled here) reuses the lengths and angles of the pass that
-    accepted its label; jacobian is its dense copy.  grounded_pattern
-    holds the pattern of J[:-1, :-1], J grounded at the apex (the data
-    mask of its entries in J, its indices and indptr), from which
-    Newton builds the matrix it factors.  The solvers call
-    evaluate_iterate on their own iterates, which skips the coercion
-    and copy of the complex's label_array but keeps its finiteness
-    verdict.  Every pass writes its angle weights into one buffer of
-    the system, so a system serves one thread at a time.
+    lengths, violation, admissible, check_admissible, angles and
+    curvature are views on that pass; sparse_jacobian (J = dK/df in a
+    CSC pattern compiled here) reuses the lengths and angles of the pass
+    that accepted its label, and jacobian is its dense copy.
+    grounded_pattern holds the pattern of J[:-1, :-1], J grounded at the
+    apex (the data mask of its entries in J, its indices and indptr),
+    from which Newton builds the matrix it factors.  The solvers call
+    evaluate_iterate on their own iterates, which skips the coercion and
+    copy of the complex's label_array but keeps its finiteness verdict.
+    Every pass writes its angle weights into one buffer of the system,
+    so a system serves one thread at a time.
     """
 
     def __init__(self, complex_, cs: ConformalStructure):
@@ -198,8 +211,6 @@ class AngleSystem:
         self.cs = cs
         self.compiled = ix = complex_.compiled
         self.vertex_order = complex_.vertices
-        self.edge_order = complex_.edges
-        self.faces = complex_.faces
         n = self.n_vertices = len(self.vertex_order)
 
         # evaluation index arrays: both ends of every edge, the opposite
@@ -283,10 +294,10 @@ class AngleSystem:
                 bad = ~(l2 > 0)
             if bad.any():
                 i = int(np.argmax(bad))
-                return Evaluation(f, terms, violation=("edge", self.edge_order[i], float(l2[i])))
+                return Evaluation(f, terms, violation=("edge", i, float(l2[i])))
             i = int(np.argmin(closed.all(axis=1)))
             values = tuple(float(x) for x in a[i])
-            return Evaluation(f, terms, violation=("face", self.faces[i], values), lengths=l)
+            return Evaluation(f, terms, violation=("face", i, values), lengths=l)
         cosv = (b * b + c * c - a * a) / (2 * b * c)
         if np.abs(cosv).max() > 1.0 + COS_CLAMP_TOL:
             off = np.abs(cosv) > 1.0 + COS_CLAMP_TOL
@@ -304,40 +315,32 @@ class AngleSystem:
         if ev.violation is not None:
             raise self._violation_error(ev.violation)
         if ev.degenerate is not None:
-            face = self.faces[ev.degenerate]
+            face = self.complex.faces[ev.degenerate]
             raise InadmissibleLabelError(f"degenerate angle in face {face}", simplex=face)
         return ev
 
-    @staticmethod
-    def _violation_error(v) -> InadmissibleLabelError:
-        kind, simplex, values = v
+    def _violation_error(self, v) -> InadmissibleLabelError:
+        kind, i, values = v
+        simplex = (self.complex.edges if kind == "edge" else self.complex.faces)[i]
         if kind == "edge":
-            return InadmissibleLabelError(
-                f"squared length {values!r} on edge {simplex} is not positive",
-                simplex=simplex,
-            )
-        return InadmissibleLabelError(
-            f"triangle inequality fails on face {simplex}: lengths {values}",
-            simplex=simplex,
-        )
-
-    # -- lengths ------------------------------------------------------
-
-    def lengths(self, f) -> np.ndarray:
-        l2, l, _ = self._length_terms(self.complex.label_array(f))
-        bad = np.nonzero(~(np.isfinite(l2) & (l2 > 0)))[0]
-        if bad.size:
-            e = self.edge_order[bad[0]]
-            raise InadmissibleLabelError(
-                f"squared length {l2[bad[0]]!r} on edge {e} is not positive", simplex=e
-            )
-        return l
+            verdict = "positive" if math.isfinite(values) else "finite"
+            message = f"squared length {values!r} on edge {simplex} is not {verdict}"
+        else:
+            message = f"triangle inequality fails on face {simplex}: lengths {values}"
+        return InadmissibleLabelError(message, simplex=simplex)
 
     # -- views on evaluate ------------------------------------------------
 
+    def lengths(self, f) -> np.ndarray:
+        ev = self.evaluate(f)
+        if ev.lengths is None:
+            raise self._violation_error(ev.violation)
+        return ev.lengths
+
     def violation(self, f):
         """None if the label is admissible, else (kind, simplex, values)."""
-        return self.evaluate(f).violation
+        v = self.evaluate(f).violation
+        return None if v is None else (v[0], self._violation_error(v).simplex, v[2])
 
     def admissible(self, f) -> bool:
         return self.evaluate(f).violation is None
@@ -392,7 +395,7 @@ class AngleSystem:
         # a face can pass the strict triangle inequality while Heron's
         # formula rounds its area to zero; entries then come out inf and
         # the caller decides what to do with a blown-up Jacobian
-        dth = np.empty((len(self.faces), 3, 3))
+        dth = np.empty((len(L), 3, 3))
         with np.errstate(divide="ignore", invalid="ignore"):
             for ci in range(3):
                 aa = L[:, ci]

@@ -268,7 +268,7 @@ def realize_mpoints(
     farr = aug.label_array(f)
     verts = aug.vertices
     P = layout.positions
-    W = np.array([cs.alpha[v] for v in verts]) * np.exp(2.0 * farr)
+    W = cs.validate_for(aug)[0] * np.exp(2.0 * farr)
     q = _dot2(P, P)
     lift = np.column_stack([P, (q - W - 1.0) / 2.0, (q - W + 1.0) / 2.0])
     s = np.exp(-farr)

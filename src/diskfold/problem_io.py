@@ -123,7 +123,8 @@ def _vertex_section(data: dict, name: str, disk: CombinatorialDisk, keys: list):
 def _eta_section(data: dict, disk: CombinatorialDisk) -> np.ndarray:
     """eta in the disk's edge order."""
     raw = _object(data, "eta")
-    out = _values(raw, [f"{u}-{v}" for u, v in disk.edges])
+    ix = disk.compiled
+    out = _values(raw, [f"{u}-{v}" for u, v in ix.ids[ix.E].tolist()])
     if out is not None:
         return out
     got = {}
@@ -171,16 +172,13 @@ def parse_problem(source) -> Problem:
     of the disk, edges or boundary cycle.  Only a section that fails
     that one check is walked key by key, to name its first offender.
     """
-    if isinstance(source, str):
+    if isinstance(source, str) or hasattr(source, "read"):
         try:
-            data = json.loads(source)
+            data = json.loads(source) if isinstance(source, str) else json.load(source)
         except json.JSONDecodeError as exc:
             raise ProblemFormatError(f"invalid JSON: {exc}") from None
-    elif hasattr(source, "read"):
-        try:
-            data = json.load(source)
-        except json.JSONDecodeError as exc:
-            raise ProblemFormatError(f"invalid JSON: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ProblemFormatError(f"cannot decode the file: {exc}") from None
     else:
         data = source
     if not isinstance(data, dict):

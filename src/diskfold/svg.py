@@ -44,7 +44,7 @@ def render_svg(
     """Render one layout (and its vertex circles) as an SVG document."""
     farr = aug.label_array(f)
     P = layout.positions
-    alpha = np.array([cs.alpha[v] for v in aug.vertices])
+    alpha = cs.validate_for(aug)[0]
     radii = np.where(alpha > 0, np.sqrt(np.maximum(alpha, 0.0)) * np.exp(farr), 0.0)
 
     minx = float(np.min(P[:, 0] - radii))

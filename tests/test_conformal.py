@@ -215,7 +215,7 @@ def test_angle_system_rejection_messages_are_pinned(edit, message):
     aug, cs = _hex()
     alpha, eta = edit(dict(cs.alpha), dict(cs.eta))
     with pytest.raises(StructureError) as info:
-        AngleSystem(aug, ConformalStructure(alpha=alpha, eta=eta))
+        AngleSystem(aug, ConformalStructure.on(aug, alpha, eta))
     assert str(info.value) == message
 
 
@@ -239,7 +239,7 @@ def test_validate_for_gathers_in_complex_order():
         np.array([mu[v] for v in disk.boundary_cycle]),
         apex_alpha=0.7,
     )
-    assert aligned == cs
+    assert aligned.alpha == cs.alpha and aligned.eta == cs.eta
     # another complex with the same ids gathers the same arrays
     a2, h2 = cs.validate_for(augment(disk))
     assert np.array_equal(a2, a) and np.array_equal(h2, h)
@@ -328,7 +328,7 @@ def test_degenerate_angle_reported():
     to -1 - 5e-8: the label is admissible and has no angles."""
     disk = triangle_disk()
     eta = {(0, 1): 1.052031767064613, (0, 2): 1.1811752847538073e-20, (1, 2): 1.052031766841666}
-    cs = ConformalStructure(alpha={v: 0.0 for v in disk.vertices}, eta=eta)  # l^2 = 2 eta at f = 0
+    cs = ConformalStructure.on(disk, {v: 0.0 for v in disk.vertices}, eta)  # l^2 = 2 eta at f = 0
     sysm = AngleSystem(disk, cs)
     f = np.zeros(3)
     assert sysm.admissible(f)
@@ -409,7 +409,7 @@ def test_jacobian_is_symmetric_here():
 def _plain_hex():
     disk = hex_flower()
     alpha, eta, _ = scenario_data(disk, "tangent")
-    return disk, AngleSystem(disk, ConformalStructure(alpha=alpha, eta=eta))
+    return disk, AngleSystem(disk, ConformalStructure.on(disk, alpha, eta))
 
 
 def test_plain_disk_label_missing_vertex():

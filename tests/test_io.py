@@ -203,6 +203,44 @@ def _relabelled(data: dict, rng) -> dict:
     }
 
 
+def test_the_solve_path_builds_no_id_views():
+    prob = parse_problem(preset("ring_lattice", n_rings=4))
+    res = newton_flat(prob.aug, prob.cs)
+    assert res.converged
+    label_to_json(prob.aug, res.f)
+    for complex_ in (prob.disk, prob.aug):
+        assert not {"faces", "edges", "boundary_edges", "interior_vertices"} & vars(complex_).keys()
+    assert not {"alpha", "eta"} & vars(prob.cs).keys()
+    # built when asked, from the arrays
+    assert prob.cs.eta[(0, 1)] == 1.0 and "eta" in vars(prob.cs) and "edges" in vars(prob.aug)
+
+
+def test_ids_past_int64_parse_solve_and_serialize():
+    small = preset("ring_lattice", n_rings=2)
+    big_id = {v: 2**64 + 3 * v for v in small["vertices"]}
+
+    def vmap(d):
+        return {k if k == "hat" else str(big_id[int(k)]): x for k, x in d.items()}
+
+    def emap(k):
+        u, v = (big_id[int(x)] for x in k.split("-"))
+        return f"{u}-{v}"
+
+    big = {
+        "vertices": [big_id[v] for v in small["vertices"]],
+        "faces": [[big_id[v] for v in f] for f in small["faces"]],
+        "alpha": vmap(small["alpha"]),
+        "eta": {emap(k): x for k, x in small["eta"].items()},
+        "mu": vmap(small["mu"]),
+    }
+    ps, pb = parse_problem(small), parse_problem(big)
+    assert pb.aug.compiled.ids.dtype == object
+    assert pb.aug.apex == 2**64 + 3 * (len(small["vertices"]) - 1) + 1
+    fs, fb = newton_flat(ps.aug, ps.cs).f, newton_flat(pb.aug, pb.cs).f
+    assert np.array_equal(fs, fb)
+    assert serialize_problem(pb, fb) == canonical_json({**big, "f_init": vmap(label_to_json(ps.aug, fs))})
+
+
 def test_cli_layout_keeps_the_ids_of_a_relabelled_lattice(tmp_path, capsys):
     data = _relabelled(preset("ring_lattice", n_rings=3, scenario="orthogonal"), np.random.default_rng(3))
     path = tmp_path / "relabelled.json"
@@ -448,6 +486,13 @@ def test_cli_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"vertices": [0, 1, 2]}')
     assert main(["validate", str(bad)]) == 1
+    # bytes that no text encoding of the file decodes are an input error too
+    undecodable = tmp_path / "undecodable.json"
+    undecodable.write_bytes(b"\xff\xfe\x00x")
+    capsys.readouterr()
+    assert main(["validate", str(undecodable)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("diskfold: input error:") and "Traceback" not in err
     # usage errors exit 1 as well, not argparse's default 2
     assert main(["solve"]) == 1
     assert main(["no-such-command"]) == 1

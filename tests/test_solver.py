@@ -123,6 +123,18 @@ def test_inadmissible_default_start_raises():
             solve(aug, cs)
 
 
+def test_overflowed_squared_length_is_not_finite():
+    # e^{2 * 1e308} overflows, so every squared length is inf
+    aug, cs = build("hex_tangent")
+    f = np.full(len(aug.vertices), 1e308)
+    system = AngleSystem(aug, cs)
+    for check in (system.check_admissible, system.lengths, lambda f: newton_flat(aug, cs, f)):
+        with pytest.raises(InadmissibleLabelError) as info:
+            check(f)
+        assert str(info.value) == "squared length inf on edge (0, 1) is not finite"
+        assert info.value.simplex == (0, 1)
+
+
 @pytest.mark.parametrize(
     "rings, scenario", [(10, "orthogonal")] + [(32, s) for s in SCENARIOS]
 )
