@@ -18,8 +18,9 @@ identically.
 AngleSystem binds a structure (alpha and eta as arrays in its
 complex's order) to a complex: it reads the complex's compiled index
 (complexes.CompiledComplex: edge ends, face sides, fold signs,
-curvature constants) and the structure's arrays, adds only the
-Jacobian's sparse pattern, and looks up ids only to name an offender.
+curvature constants) and the structure's arrays, compiles the
+Jacobian's sparse pattern on first use, and looks up ids only to name
+an offender.
 It evaluates each label in one pass (Evaluation): squared lengths once,
 then the edge and triangle checks, the angles and the curvature.  Every
 per-label quantity has this one code path.  Public methods coerce and copy their label with the
@@ -35,7 +36,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csc_array
 
 from .complexes import AugmentedDisk
 
@@ -184,6 +184,27 @@ def _indptr(cols: np.ndarray, n: int) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))]).astype(np.int32)
 
 
+@dataclass(frozen=True, slots=True)
+class JacobianPattern:
+    """CSC pattern of J = dK/df on one complex.
+
+    Every scatter entry (corner vertex row, edge end column; the u ends,
+    then the v ends) maps to its data slot ``slot``, so bincount sums
+    each entry in scatter order; ``edges`` is the global edge of each
+    (face, corner, side) entry.  An entry pairs two corners of one face,
+    so the nonzeros (``indices``, ``indptr``) are the diagonal and both
+    directions of every edge.  ``grounded`` is the same pattern grounded
+    at the apex, J[:-1, :-1]: the mask of its entries in J's data, and
+    its own indices and indptr.
+    """
+
+    edges: np.ndarray
+    slot: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    grounded: tuple
+
+
 class AngleSystem:
     """Array-compiled evaluator for one (complex, structure) pair.
 
@@ -193,14 +214,15 @@ class AngleSystem:
     Every label goes through one pass, evaluate(): squared lengths once,
     then the edge and triangle checks, the angles and the curvature.
     lengths, violation, admissible, check_admissible, angles and
-    curvature are views on that pass; sparse_jacobian (J = dK/df in a
-    CSC pattern compiled here) reuses the lengths and angles of the pass
-    that accepted its label, and jacobian is its dense copy.
-    grounded_pattern holds the pattern of J[:-1, :-1], J grounded at the
-    apex (the data mask of its entries in J, its indices and indptr),
-    from which Newton builds the matrix it factors.  The solvers call
-    evaluate_iterate on their own iterates, which skips the coercion and
-    copy of the complex's label_array but keeps its finiteness verdict.
+    curvature are views on that pass; sparse_jacobian (J = dK/df in the
+    CSC jacobian_pattern) reuses the lengths and angles of the pass that
+    accepted its label, and jacobian is its dense copy.  Newton builds
+    the matrix it factors, J grounded at the apex, from
+    jacobian_pattern.grounded.  The pattern is compiled on first use,
+    so a system that never assembles J never builds it.  The solvers
+    call evaluate_iterate on their own iterates, which skips the
+    coercion and copy of the complex's label_array but keeps its
+    finiteness verdict.
     Every pass writes its angle weights into one buffer of the system,
     so a system serves one thread at a time.
     """
@@ -228,23 +250,20 @@ class AngleSystem:
         self._k_angles = self._k_weights[n:].reshape(ix.F.shape)
         self._fold_col = ix.fold_sign[:, None]
 
-        # CSC pattern of J = dK/df: every scatter entry (corner vertex
-        # row, edge end column; the u ends, then the v ends) maps to its
-        # data slot, so bincount sums each entry in scatter order.  An
-        # entry pairs two corners of one face, so the nonzeros are the
-        # diagonal and both directions of every edge.
+    @cached_property
+    def jacobian_pattern(self) -> JacobianPattern:
+        """The CSC pattern of J, compiled on first use."""
+        ix, n = self.compiled, self.n_vertices
         rows = np.repeat(ix.F[:, :, None], 3, axis=2).ravel()  # (F, corner, edge slot)
-        self._j_edges = ix.FE[:, None, :].repeat(3, axis=1).ravel()  # global edge per slot
-        cols = ix.E[self._j_edges]
+        edges = ix.FE[:, None, :].repeat(3, axis=1).ravel()  # global edge per slot
+        cols = ix.E[edges]
         d, (u, v) = np.arange(n), ix.E.T
         keys = np.sort(np.concatenate([d * n + d, u * n + v, v * n + u]))
-        self._j_slot = np.searchsorted(keys, np.concatenate([cols[:, 0] * n + rows, cols[:, 1] * n + rows]))
-        self._j_indices = (keys % n).astype(np.int32)
-        self._j_indptr = _indptr(keys // n, n)
-        # the same pattern grounded at the apex, J[:-1, :-1]: the mask of
-        # its entries in J's data, and its own indices and indptr
+        slot = np.searchsorted(keys, np.concatenate([cols[:, 0] * n + rows, cols[:, 1] * n + rows]))
+        indices = (keys % n).astype(np.int32)
         g = (keys // n < n - 1) & (keys % n < n - 1)
-        self.grounded_pattern = (g, self._j_indices[g], _indptr(keys[g] // n, n - 1))
+        grounded = (g, indices[g], _indptr(keys[g] // n, n - 1))
+        return JacobianPattern(edges, slot, indices, _indptr(keys // n, n), grounded)
 
     @classmethod
     def reuse(cls, system, complex_, cs: ConformalStructure) -> "AngleSystem":
@@ -361,7 +380,7 @@ class AngleSystem:
         """dK/df as a dense (n, n) array: sparse_jacobian densified."""
         return self.sparse_jacobian(f).toarray(order="C")
 
-    def sparse_jacobian(self, f) -> csc_array:
+    def sparse_jacobian(self, f):
         """J = dK/df as a sparse (n, n) CSC matrix.
 
         f is a label or an Evaluation of this system.  The nonzeros are
@@ -379,6 +398,8 @@ class AngleSystem:
         shift-invariant, and on an augmented disk 1^T J = 0 as well,
         since the curvatures sum to zero identically.
         """
+        from scipy.sparse import csc_array
+
         ev = self.accept(f if isinstance(f, Evaluation) else self.evaluate(f))
         th, l = ev.angles, ev.lengths
         ends, cross = ev.terms
@@ -406,7 +427,8 @@ class AngleSystem:
 
         vals = dth.ravel()
         n = self.n_vertices
+        pat = self.jacobian_pattern
         with np.errstate(invalid="ignore"):
-            w = np.concatenate([vals * dl_du[self._j_edges], vals * dl_dv[self._j_edges]])
-            data = np.bincount(self._j_slot, w, minlength=len(self._j_indices))
-        return csc_array((data, self._j_indices, self._j_indptr), shape=(n, n))
+            w = np.concatenate([vals * dl_du[pat.edges], vals * dl_dv[pat.edges]])
+            data = np.bincount(pat.slot, w, minlength=len(pat.indices))
+        return csc_array((data, pat.indices, pat.indptr), shape=(n, n))

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "MPoint",
@@ -338,6 +337,8 @@ class LorentzMap:
     @classmethod
     def exp(cls, g: "InfinitesimalMobius", eps: float) -> "LorentzMap":
         """Exact Lorentz map exp(eps * M(g)) for a generator g."""
+        import scipy.linalg
+
         m = infinitesimal_generator(g, 1.0).m - np.eye(4)
         return cls(scipy.linalg.expm(eps * m))
 

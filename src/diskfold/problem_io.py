@@ -78,7 +78,11 @@ def _values(raw: dict, keys: list, n_other: int = 0):
     offender."""
     if len(raw) != len(keys) + n_other:
         return None
-    vals = list(map(raw.get, keys))
+    return _numbers(list(map(raw.get, keys)))
+
+
+def _numbers(vals: list):
+    """vals as a float array, or None unless all are finite ints and floats."""
     if not set(map(type, vals)) <= {int, float}:
         return None
     try:
@@ -120,11 +124,65 @@ def _vertex_section(data: dict, name: str, disk: CombinatorialDisk, keys: list):
     return np.array([got[v] for v in disk.vertices]), hat
 
 
+#: The most digits of an id that an edge key may carry and still fit int64.
+_ID_DIGITS = 18
+
+
+def _key_pairs(raw: dict):
+    """The ids (u, v) of raw's keys "u-v" as an (n, 2) int64 array in key
+    order, or None unless every key is two decimal ids in canonical form
+    (no sign, no leading zero, at most _ID_DIGITS digits) joined by one
+    "-"."""
+    try:
+        text = np.frombuffer(",".join(raw).encode(), np.uint8)
+    except (TypeError, UnicodeEncodeError):  # keys that are not text
+        return None
+    cut = np.flatnonzero((text < ord("0")) | (text > ord("9")))
+    # the keys hold no "," of their own and one "-" each: the cuts alternate
+    if len(cut) != 2 * len(raw) - 1 or (text[cut[::2]] != ord("-")).any() or (text[cut[1::2]] != ord(",")).any():
+        return None
+    starts = np.concatenate([[0], cut + 1])
+    lengths = np.append(cut, len(text)) - starts
+    if lengths.min() < 1 or lengths.max() > _ID_DIGITS or ((text[starts] == ord("0")) & (lengths > 1)).any():
+        return None
+    ids = np.zeros(len(starts), dtype=np.int64)
+    for k in range(lengths.max()):
+        # past its last digit an id reads its cut or the text's last byte
+        digit = text[np.minimum(starts + k, len(text) - 1)].astype(np.int64) - ord("0")
+        ids = np.where(lengths > k, 10 * ids + digit, ids)
+    return ids.reshape(-1, 2)
+
+
+def _eta_values(raw: dict, disk: CombinatorialDisk):
+    """raw's values in the disk's edge order, or None unless its keys are
+    exactly the disk's edges, written canonically, with finite ints and
+    floats as values."""
+    ix = disk.compiled
+    pairs = _key_pairs(raw)
+    if pairs is None or len(pairs) != len(ix.E) or ix.ids.dtype.kind != "i":
+        return None
+    m = int(ix.ids.max()) + 1
+    if m * m > np.iinfo(np.int64).max or pairs.max() >= m:
+        return None
+    # edges are numbered in sorted order of their id pairs, so their codes
+    # u * m + v ascend; distinct canonical keys give distinct codes
+    codes = ix.ids[ix.E[:, 0]] * m + ix.ids[ix.E[:, 1]]
+    keys = pairs[:, 0] * m + pairs[:, 1]
+    at = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
+    if (codes[at] != keys).any():
+        return None
+    vals = _numbers(list(raw.values()))
+    if vals is None:
+        return None
+    out = np.empty(len(codes))
+    out[at] = vals
+    return out
+
+
 def _eta_section(data: dict, disk: CombinatorialDisk) -> np.ndarray:
     """eta in the disk's edge order."""
     raw = _object(data, "eta")
-    ix = disk.compiled
-    out = _values(raw, [f"{u}-{v}" for u, v in ix.ids[ix.E].tolist()])
+    out = _eta_values(raw, disk)
     if out is not None:
         return out
     got = {}

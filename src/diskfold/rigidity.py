@@ -40,8 +40,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .complexes import AugmentedDisk
 from .conformal import AngleSystem
@@ -105,6 +103,9 @@ def row_rank_certificate(m, cutoff: float = 1e-10):
     the margin, or too few rows for the Lanczos calls; numerical_rank
     then decides.
     """
+    from scipy import sparse
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
+
     m = sparse.csr_array(m, dtype=float)
     rows = m.shape[0]
     if rows <= N_SMALLEST + 1:

@@ -33,8 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csc_array
-from scipy.sparse.linalg import splu
 
 from .complexes import AugmentedDisk
 from .conformal import AngleSystem, ConformalStructure
@@ -60,12 +58,12 @@ def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np
 
     J is AngleSystem.sparse_jacobian, ``start`` two fixed vectors
     orthogonal to the constant vector (_start_vectors) and ``grounded``
-    the system's grounded_pattern.  One sparse LU factor of J grounded
-    at the apex, J[:-1, :-1], built from that pattern, gives solutions
-    orthogonal to the constant vector, J's exact kernel.  Every solve
-    first removes the right-hand side's mean: K sums to zero only up to
-    roundoff, and that sum would otherwise land on the apex row.  It
-    then solves the first n - 1 rows, sets the apex entry to 0 and
+    the system's jacobian_pattern.grounded.  One sparse LU factor of J
+    grounded at the apex, J[:-1, :-1], built from that pattern, gives
+    solutions orthogonal to the constant vector, J's exact kernel.
+    Every solve first removes the right-hand side's mean: K sums to zero
+    only up to roundoff, and that sum would otherwise land on the apex
+    row.  It then solves the first n - 1 rows, sets the apex entry to 0 and
     subtracts the solution's mean; since 1^T J = 0 the dropped apex row
     holds as well.  The same factor runs two steps of block inverse
     iteration from ``start``, and a Rayleigh-Ritz step on that block
@@ -81,6 +79,9 @@ def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np
     (see _SETTLE_STEPS) until the directions it judges are accurate.
     Raises RuntimeError when splu finds the grounded J exactly singular.
     """
+    from scipy.sparse import csc_array
+    from scipy.sparse.linalg import splu
+
     mask, indices, indptr = grounded
     G = csc_array((J.data[mask], indices, indptr), shape=(len(K) - 1, len(K) - 1))
     lu = splu(G, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
@@ -343,7 +344,7 @@ def newton_flat(
             # and splu raises RuntimeError for an exactly singular factor
             if not np.isfinite(J.data).all():
                 raise RuntimeError("non-finite jacobian")
-            step, dropped = _newton_step(J, K, svd_cutoff, residual, start, sys.grounded_pattern)
+            step, dropped = _newton_step(J, K, svd_cutoff, residual, start, sys.jacobian_pattern.grounded)
         except RuntimeError:
             return NewtonResult(
                 f, K, residual, it, False, "jacobian breakdown", history, steps

@@ -402,6 +402,18 @@ def test_jacobian_is_symmetric_here():
     assert np.max(np.abs(J - J.T)) <= 1e-9 * max(1.0, np.max(np.abs(J)))
 
 
+def test_jacobian_pattern_is_compiled_on_first_use():
+    aug, cs = _hex()
+    sysm = AngleSystem(aug, cs)
+    f = HEX_FLAT["hex_tangent"]
+    sysm.curvature(f)
+    assert "jacobian_pattern" not in vars(sysm)
+    J = sysm.sparse_jacobian(f)
+    pattern = sysm.jacobian_pattern
+    assert np.array_equal(J.indices, pattern.indices) and np.array_equal(J.indptr, pattern.indptr)
+    assert np.array_equal(sysm.jacobian(f), J.toarray()) and sysm.jacobian_pattern is pattern
+
+
 
 # -- labels on a plain disk ---------------------------------------------
 

@@ -1,6 +1,7 @@
 """Problem files, canonical JSON, and the command line."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -316,12 +317,12 @@ def test_cli_rank_reports_the_certificate(hex_file, ring4_file, capsys, which):
 
 
 def test_cli_rank_falls_back_on_a_singular_factor(hex_file, capsys, monkeypatch):
-    import diskfold.rigidity as rigidity
+    import scipy.sparse.linalg
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(rigidity, "splu", singular)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     assert main(["rank", str(hex_file)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["certificate"] == "svd"
@@ -453,6 +454,60 @@ def test_cli_render_builds_no_mpoints(hex_file, capsys, monkeypatch, extra):
     assert capsys.readouterr().out.startswith("<svg ")
 
 
+#: Run in a fresh interpreter: the argv lists given as JSON in argv[1]
+#: go through cli.main in turn, and the report lists, after the import
+#: and after each command, its exit code and whether any scipy module
+#: is loaded.
+_SCIPY_PROBE = """
+import json, sys
+from diskfold.cli import main
+
+def scipy_loaded():
+    return any(name == "scipy" or name.startswith("scipy.") for name in sys.modules)
+
+report = [["import", 0, scipy_loaded()]]
+for argv in json.loads(sys.argv[1]):
+    report.append([argv[0], main(argv), scipy_loaded()])
+print(json.dumps(report))
+"""
+
+
+def _scipy_report(argvs) -> list:
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import diskfold
+
+    src = str(Path(diskfold.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    return json.loads(run.stdout)
+
+
+def test_only_newton_and_rank_load_scipy(perturbed_hex_file, tmp_path):
+    # every diskfold call is a fresh process, and importing scipy costs
+    # more than all the numpy work of these commands on small inputs
+    data = preset("hex_tangent")
+    data["f_init"] = label_to_json(parse_problem(data).aug, HEX_FLAT["hex_tangent"])
+    flat = tmp_path / "hex_flat.json"
+    flat.write_text(canonical_json(data) + "\n")
+    out = str(tmp_path / "out")
+    plain = [
+        ["validate", str(flat)],
+        ["curvature", str(flat)],
+        ["solve", str(perturbed_hex_file), "--method", "flow", "--time", "1"],
+        ["layout", str(flat), "--normalize"],
+        ["render", str(flat)],
+        ["mobius-check", str(flat)],
+    ]
+    newton = ["solve", str(perturbed_hex_file)]
+    report = _scipy_report([argv + ["--out", out] for argv in plain + [newton]])
+    assert report == [["import", 0, False]] + [[argv[0], 0, False] for argv in plain] + [["solve", 0, True]]
+    assert _scipy_report([["rank", str(flat), "--out", out]]) == [["import", 0, False], ["rank", 0, True]]
+
+
 def _fresh_main(argv, capsys):
     """Output of main(argv) as the first call of a process: no parser yet."""
     import diskfold.cli as cli
@@ -580,6 +635,10 @@ def _without(section, key):
     return lambda d: d[section].pop(key)
 
 
+def _rename(section, key, new):
+    return lambda d: d[section].__setitem__(new, d[section].pop(key))
+
+
 def _set(key, value):
     return lambda d: d.__setitem__(key, value)
 
@@ -637,6 +696,15 @@ PARSE_REJECTIONS = {
     "eta key x-1": (_put("eta", "x-1", 1.0), "/eta/x-1: key 'x' is not a vertex id"),
     "eta key 01-2": (_put("eta", "01-2", 1.0), "/eta/01-2: key '01' is not a vertex id"),
     "eta key 1-02": (_put("eta", "1-02", 1.0), "/eta/1-02: key '02' is not a vertex id"),
+    # a renamed key keeps the count of keys right, so only the keys tell
+    "eta key 01-2 for 1-2": (_rename("eta", "1-2", "01-2"), "/eta/01-2: key '01' is not a vertex id"),
+    "eta key +1-2 for 1-2": (_rename("eta", "1-2", "+1-2"), "/eta/+1-2: key '+1' is not a vertex id"),
+    "eta key 2-1 for 1-2": (_rename("eta", "1-2", "2-1"), "/eta/2-1: ids must satisfy i < j"),
+    "eta key 1-4 for 1-2": (_rename("eta", "1-2", "1-4"), "/eta/1-4: not an edge of the disk"),
+    "eta key 1-2,0-1 for 1-2": (_rename("eta", "1-2", "1-2,0-1"), "/eta/1-2,0-1: key must look like 'i-j'"),
+    "eta key \u0661-\u0662 for 1-2": (
+        _rename("eta", "1-2", "\u0661-\u0662"), "/eta/\u0661-\u0662: key '\u0661' is not a vertex id",
+    ),
     "eta non-edge": (_put("eta", "1-4", 1.0), "/eta/1-4: not an edge of the disk"),
     "eta unknown vertex": (_put("eta", "1-99", 1.0), "/eta/1-99: not an edge of the disk"),
     "bool eta": (_put("eta", "0-1", True), "/eta/0-1: expected a number, got True"),

@@ -285,7 +285,7 @@ def _steps(aug, cs, f, svd_cutoff=1e-10, shift=0.0):
     residual = float(np.max(np.abs(K)))
     start = solver._start_vectors(len(K))
     K = K + shift
-    got = solver._newton_step(sysm.sparse_jacobian(ev), K, svd_cutoff, residual, start, sysm.grounded_pattern)
+    got = solver._newton_step(sysm.sparse_jacobian(ev), K, svd_cutoff, residual, start, sysm.jacobian_pattern.grounded)
     return got, _pinv_apply(sysm.jacobian(ev), K, svd_cutoff, residual)
 
 
@@ -364,10 +364,12 @@ def test_newton_matches_dense_reference_solver(monkeypatch, name, rings, scenari
 
 
 def test_singular_factor_is_a_jacobian_breakdown(monkeypatch):
+    import scipy.sparse.linalg
+
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(solver, "splu", singular)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     aug, cs = build("hex_orthogonal")
     # default_start is already flat here, so start off it to reach a factor
     res = newton_flat(aug, cs, _log3_start(aug))
