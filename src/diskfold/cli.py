@@ -17,7 +17,7 @@ import numpy as np
 
 from . import presets, problem_io
 from .complexes import DiskTopologyError
-from .conformal import AngleSystem, InadmissibleLabelError, StructureError
+from .conformal import InadmissibleLabelError, StructureError
 from .layout import LayoutError, layout_augmented, normalize_layout, realize_mpoints
 from .minkowski import InfinitesimalMobius
 from .rigidity import (
@@ -87,12 +87,10 @@ def _load(path: str) -> problem_io.Problem:
 
 
 def _solved_label(prob, args):
-    """(f, system): f_init when it is already flat, otherwise a fresh
-    Newton solve, and the AngleSystem that checked it."""
-    sys_ = AngleSystem(prob.aug, prob.cs)
+    """f_init when it is already flat, otherwise a fresh Newton solve."""
     if prob.f_init is not None:
-        if float(np.max(np.abs(sys_.curvature(prob.f_init)))) <= 1e-8:
-            return prob.f_init, sys_
+        if float(np.max(np.abs(prob.cs.system.curvature(prob.f_init)))) <= 1e-8:
+            return prob.f_init
     res = newton_flat(
         prob.aug,
         prob.cs,
@@ -100,11 +98,10 @@ def _solved_label(prob, args):
         tol=args.tol,
         max_iter=args.max_iter,
         svd_cutoff=args.svd_cutoff,
-        system=sys_,
     )
     if not res.converged:
         raise SolverError(f"newton did not converge: {res.status}, residual {res.residual!r}")
-    return res.f, sys_
+    return res.f
 
 
 def _cmd_validate(args) -> int:
@@ -130,9 +127,8 @@ def _cmd_preset(args) -> int:
 
 def _cmd_curvature(args) -> int:
     prob = _load(args.problem)
-    sys_ = AngleSystem(prob.aug, prob.cs)
-    f = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs, sys_)
-    K = sys_.curvature(f)
+    f = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs)
+    K = prob.cs.system.curvature(f)
     out = {
         "curvature": problem_io.label_to_json(prob.aug, K),
         "max_abs": float(np.max(np.abs(K))),
@@ -163,9 +159,8 @@ def _cmd_solve(args) -> int:
         }
         _write(problem_io.canonical_json(out), args.out)
         return 0 if res.converged else NUMERICAL_ERROR
-    sys_ = AngleSystem(prob.aug, prob.cs)
-    f0 = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs, sys_)
-    res = curvature_flow(prob.aug, prob.cs, f0, args.time, args.dt, system=sys_)
+    f0 = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs)
+    res = curvature_flow(prob.aug, prob.cs, f0, args.time, args.dt)
     out = {
         "method": "flow",
         "time": float(res.times[-1]),
@@ -180,8 +175,8 @@ def _cmd_solve(args) -> int:
 
 def _developed(prob, args):
     """(f, layout) of the solved label, normalized with --normalize."""
-    f, sys_ = _solved_label(prob, args)
-    lay = layout_augmented(prob.aug, prob.cs, f, traversal=args.traversal, system=sys_)
+    f = _solved_label(prob, args)
+    lay = layout_augmented(prob.aug, prob.cs, f, traversal=args.traversal)
     if args.normalize:
         lay, f = normalize_layout(prob.aug, f, lay)
     return f, lay
@@ -217,21 +212,21 @@ def _cmd_render(args) -> int:
 
 def _cmd_rank(args) -> int:
     prob = _load(args.problem)
-    f, sys_ = _solved_label(prob, args)
+    f = _solved_label(prob, args)
     if args.jacobian:
         if args.perturb:
             rng = np.random.default_rng(args.seed)
             for _ in range(100):
                 cand = f + rng.uniform(-args.perturb, args.perturb, len(f))
-                if sys_.admissible(cand):
+                if prob.cs.system.admissible(cand):
                     f = cand
                     break
             else:
                 raise SolverError("could not find an admissible perturbed label")
-        m = sys_.jacobian(f)
+        m = prob.cs.system.jacobian(f)
         kind = "curvature_jacobian"
     else:
-        lay = layout_augmented(prob.aug, prob.cs, f, system=sys_)
+        lay = layout_augmented(prob.aug, prob.cs, f)
         mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
         m = constraint_matrix(prob.aug, mpoints)
         kind = "constraint_matrix"
@@ -256,17 +251,17 @@ def _cmd_rank(args) -> int:
 
 def _cmd_mobius_check(args) -> int:
     prob = _load(args.problem)
-    f, sys_ = _solved_label(prob, args)
+    f = _solved_label(prob, args)
     # the bounds are absolute, so check the layout with the apex circle
     # as the unit circle
-    lay, f = normalize_layout(prob.aug, f, layout_augmented(prob.aug, prob.cs, f, system=sys_))
+    lay, f = normalize_layout(prob.aug, f, layout_augmented(prob.aug, prob.cs, f))
     mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
     names = ("a", "b", "c", "d", "t", "r")
     reports = []
     for name in names:
         gen = InfinitesimalMobius(**{name: 1.0})
         for eps in args.eps:
-            rep = mobius_orbit_check(sys_, f, lay, mpoints, gen, eps)
+            rep = mobius_orbit_check(prob.cs.system, f, lay, mpoints, gen, eps)
             reports.append(
                 {
                     "generator": name,

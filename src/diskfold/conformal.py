@@ -26,7 +26,8 @@ then the edge and triangle checks, the angles and the curvature.  Every
 per-label quantity has this one code path.  Public methods coerce and copy their label with the
 complex's label_array; the solvers hand their own float iterates to
 evaluate_iterate, which trusts the array and only keeps the finiteness
-check.
+check.  A structure compiles its own system on first use
+(ConformalStructure.system), and every layer evaluates through it.
 """
 
 from __future__ import annotations
@@ -69,8 +70,9 @@ class ConformalStructure:
     """Vertex weights alpha and edge weights eta on one complex, stored
     only as the read-only arrays ``alpha_array`` and ``eta_array`` in its
     vertex and edge order; ``alpha`` and ``eta`` are id-keyed views built
-    on first use.  attach_boundary_data and ConformalStructure.on build
-    checked structures, which compare by identity."""
+    on first use, and so is its compiled ``system``.  attach_boundary_data
+    and ConformalStructure.on build checked structures, which compare by
+    identity."""
 
     complex: object = field(repr=False)
     alpha_array: np.ndarray
@@ -94,6 +96,20 @@ class ConformalStructure:
     @cached_property
     def eta(self) -> dict:
         return dict(zip(self.complex.edges, self.eta_array.tolist()))
+
+    @cached_property
+    def system(self) -> "AngleSystem":
+        """The AngleSystem of this structure on its own complex, compiled on
+        first use and shared by every later caller.  Its evaluations write
+        into one weight buffer, so it serves one thread at a time: a caller
+        that evaluates one structure from several threads builds one
+        AngleSystem per thread."""
+        return AngleSystem(self.complex, self)
+
+    def system_for(self, complex_) -> "AngleSystem":
+        """self.system on the structure's own complex, else a new AngleSystem
+        of complex_ with (alpha, eta) gathered by id (validate_for)."""
+        return self.system if complex_ is self.complex else AngleSystem(complex_, self)
 
     def validate_for(self, complex_):
         """(alpha, eta) as read-only arrays in the complex's vertex and edge
@@ -223,14 +239,12 @@ class AngleSystem:
     call evaluate_iterate on their own iterates, which skips the
     coercion and copy of the complex's label_array but keeps its
     finiteness verdict.
-    Every pass writes its angle weights into one buffer of the system,
-    so a system serves one thread at a time.
+    A structure's shared system is ConformalStructure.system.
     """
 
     def __init__(self, complex_, cs: ConformalStructure):
         self.alpha, self.eta = cs.validate_for(complex_)
         self.complex = complex_
-        self.cs = cs
         self.compiled = ix = complex_.compiled
         self.vertex_order = complex_.vertices
         n = self.n_vertices = len(self.vertex_order)
@@ -264,15 +278,6 @@ class AngleSystem:
         g = (keys // n < n - 1) & (keys % n < n - 1)
         grounded = (g, indices[g], _indptr(keys[g] // n, n - 1))
         return JacobianPattern(edges, slot, indices, _indptr(keys // n, n), grounded)
-
-    @classmethod
-    def reuse(cls, system, complex_, cs: ConformalStructure) -> "AngleSystem":
-        """``system`` when it binds (complex_, cs), a new system when it is None."""
-        if system is None:
-            return cls(complex_, cs)
-        if system.complex is not complex_ or system.cs is not cs:
-            raise ValueError("system was compiled for another complex or structure")
-        return system
 
     # -- the one pass -------------------------------------------------
 

@@ -15,6 +15,10 @@ last row on an augmented disk.  Every later layer reads that array as
 it is.  The consistency residual then re-derives all 3F corners in one
 array pass.
 
+The flatness check evaluates through ConformalStructure.system_for the
+complex being developed: the structure's own system, or a fresh one of
+another complex with the values gathered by id.
+
 The layout lifts to Minkowski vectors
 
     xi_v = e^{-f_v} * lift(P_v, alpha_v e^{2 f_v})
@@ -35,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import AugmentedDisk, CombinatorialDisk
-from .conformal import AngleSystem, ConformalStructure
+from .conformal import ConformalStructure
 from .minkowski import MPoint, canonical_lift, project
 
 __all__ = [
@@ -185,10 +189,10 @@ def _residual(ix, lengths, P):
     return float(np.fmax.reduce(np.sqrt(_dot2(dev, dev)), initial=0.0))
 
 
-def _layout(complex_, cs, f, start, traversal, flat_tol, system=None) -> PlaneLayout:
+def _layout(complex_, cs, f, start, traversal, flat_tol) -> PlaneLayout:
     """Check flatness, then develop from face ``start``: the body of
     layout_disk and layout_augmented."""
-    sys = AngleSystem.reuse(system, complex_, cs)
+    sys = cs.system_for(complex_)
     ev = sys.accept(sys.evaluate(f))
     K = np.abs(ev.curvature)
     if isinstance(complex_, AugmentedDisk):
@@ -219,7 +223,8 @@ def layout_disk(
 
     The first face is pinned: first vertex at the origin, second on the
     positive x axis, third in the upper half plane.  All faces keep
-    positive orientation.
+    positive orientation.  A structure of the augmented disk works too:
+    its values are gathered by id onto the disk.
     """
     return _layout(disk, cs, f, 0, traversal, flat_tol)
 
@@ -231,7 +236,6 @@ def layout_augmented(
     *,
     traversal: str = "bfs",
     flat_tol: float = FLAT_TOL,
-    system: AngleSystem | None = None,
 ) -> PlaneLayout:
     """Develop the folded sphere of a flat label, apex at the origin.
 
@@ -239,10 +243,8 @@ def layout_augmented(
     augmented face is pinned with its boundary edge started along the
     positive x axis.  Requires max |K| <= flat_tol at every vertex;
     a nonzero apex curvature would keep the boundary fan from closing.
-    ``system``, the caller's AngleSystem of (aug, cs), saves compiling
-    another one.
     """
-    return _layout(aug, cs, f, aug.n_disk_faces, traversal, flat_tol, system)
+    return _layout(aug, cs, f, aug.n_disk_faces, traversal, flat_tol)
 
 
 def layout_edge_error(complex_, layout: PlaneLayout) -> float:

@@ -26,7 +26,7 @@ from .complexes import (
     simplex_key,
     standard_multiplicities,
 )
-from .conformal import AngleSystem, ConformalStructure
+from .conformal import ConformalStructure
 
 __all__ = [
     "measure_curvature",
@@ -72,7 +72,7 @@ def measure_equivalence_check(aug: AugmentedDisk, cs: ConformalStructure, f) -> 
     Uses the standard multiplicities; the two definitions agree up to
     summation order, so the deviation is pure roundoff.
     """
-    sys = AngleSystem(aug, cs)
+    sys = cs.system_for(aug)
     ev = sys.accept(sys.evaluate(f))
     K = measure_curvatures(aug, standard_multiplicities(aug), ev.angles)
     return float(np.max(np.abs(K - ev.curvature)))

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import CombinatorialDisk, augment, validate_disk
-from .conformal import AngleSystem, attach_boundary_data
+from .conformal import attach_boundary_data
 from .problem_io import parse_problem, problem_dict
 
 __all__ = [
@@ -133,6 +133,6 @@ def random_admissible(
         mu = {v: rng.uniform(-0.4, 0.4) for v in disk.boundary_cycle}
         cs = attach_boundary_data(aug, alpha, eta, mu)
         f = np.concatenate([rng.uniform(-0.1, 0.1, nd), [rng.uniform(0.4, 0.9)]])
-        if AngleSystem(aug, cs).admissible(f):
+        if cs.system.admissible(f):
             return aug, cs, f
     raise RuntimeError(f"no admissible sample found in {max_tries} tries")

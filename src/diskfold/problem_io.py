@@ -233,7 +233,8 @@ def parse_problem(source) -> Problem:
     if isinstance(source, str) or hasattr(source, "read"):
         try:
             data = json.loads(source) if isinstance(source, str) else json.load(source)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested past the parser's depth
             raise ProblemFormatError(f"invalid JSON: {exc}") from None
         except UnicodeDecodeError as exc:
             raise ProblemFormatError(f"cannot decode the file: {exc}") from None
@@ -291,14 +292,6 @@ def parse_problem(source) -> Problem:
     return Problem(disk=disk, aug=aug, cs=cs, f_init=f_init)
 
 
-def _fmt(x: float) -> str:
-    if isinstance(x, bool):
-        raise TypeError("booleans are not numbers here")
-    if isinstance(x, int):
-        return str(x)
-    return format(float(x), ".17g")
-
-
 def canonical_json(obj) -> str:
     """JSON with sorted keys and 17-significant-digit numbers."""
 
@@ -314,7 +307,7 @@ def canonical_json(obj) -> str:
         if isinstance(x, (int, np.integer)):
             return str(int(x))
         if isinstance(x, (float, np.floating)):
-            return _fmt(float(x))
+            return format(float(x), ".17g")
         if isinstance(x, str):
             return json.dumps(x)
         raise TypeError(f"cannot serialize {type(x)!r}")

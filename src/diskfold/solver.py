@@ -25,7 +25,9 @@ newton_flat starts from default_start unless given a label: the disk
 at 0 and the apex entry found by a one-dimensional root find on the
 apex curvature, which carries the fold sheet's constant term -2*pi.  Newton
 steps are orthogonal to the constant vector, so a solved label keeps
-its start's mean.
+its start's mean.  The start, Newton and the flow evaluate through
+the structure's own system, ConformalStructure.system, which serves one
+thread at a time.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import AugmentedDisk
-from .conformal import AngleSystem, ConformalStructure
+from .conformal import ConformalStructure
 
 __all__ = [
     "SolverError",
@@ -204,7 +206,7 @@ _START_TOL = 1e-12
 _START_EVALS = 100
 
 
-def default_start(aug: AugmentedDisk, cs: ConformalStructure, system: AngleSystem | None = None) -> np.ndarray:
+def default_start(aug: AugmentedDisk, cs: ConformalStructure) -> np.ndarray:
     """Zero on the disk, and the apex entry a that zeroes the apex curvature.
 
     The apex carries the fold sheet's whole constant term -2 pi, so with
@@ -220,10 +222,9 @@ def default_start(aug: AugmentedDisk, cs: ConformalStructure, system: AngleSyste
     has no curvature.  The search stops at |K_apex| <= _START_TOL, at a
     collapsed bracket or after _START_EVALS evaluations, and returns the
     admissible label with the smallest |K_apex| it evaluated, so it
-    never returns an inadmissible label.  ``system``, the caller's
-    AngleSystem of (aug, cs), saves compiling another one.
+    never returns an inadmissible label.
     """
-    sys = AngleSystem.reuse(system, aug, cs)
+    sys = cs.system_for(aug)
     f = np.zeros(len(aug.vertices))
     f[-1] = a = best = np.log(3.0)
     k = best_k = float(sys.accept(sys.evaluate_iterate(f)).curvature[-1])
@@ -275,7 +276,6 @@ def newton_flat(
     max_iter: int = 100,
     svd_cutoff: float = 1e-10,
     max_backtracks: int = 40,
-    system: AngleSystem | None = None,
 ) -> NewtonResult:
     """Drive max |K| below tol by damped Newton steps.
 
@@ -316,8 +316,6 @@ def newton_flat(
     line search stalls, the iteration budget runs out, or the Jacobian
     breaks down (a non-finite entry or an exactly singular factor);
     raises only for bad parameters or an inadmissible starting label.
-    ``system``, the caller's AngleSystem of (aug, cs), saves compiling
-    another one.
     """
     if not (np.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -327,8 +325,8 @@ def newton_flat(
         raise ValueError(f"svd_cutoff must be finite and in [0, 1), got {svd_cutoff!r}")
     if max_backtracks < 1:
         raise ValueError(f"max_backtracks must be >= 1, got {max_backtracks!r}")
-    sys = AngleSystem.reuse(system, aug, cs)
-    ev = sys.accept(sys.evaluate(default_start(aug, cs, sys) if f0 is None else f0))
+    sys = cs.system_for(aug)
+    ev = sys.accept(sys.evaluate(default_start(aug, cs) if f0 is None else f0))
     f, K = ev.f, ev.curvature
     start = _start_vectors(len(f))
 
@@ -378,7 +376,6 @@ def curvature_flow(
     dt: float,
     *,
     max_halvings: int = 30,
-    system: AngleSystem | None = None,
 ) -> FlowResult:
     """Integrate df/dt = -K (apex: +K) with fixed-step RK4.
 
@@ -399,17 +396,17 @@ def curvature_flow(
     before t_end stops evaluating, with the same numbers.  The result's
     ``integrated`` counts the grid steps integrated and ``halvings`` the
     stage halvings they took.
-    t_end and dt must be positive and finite, and max_halvings >= 0
-    (ValueError otherwise).
-    ``system``, the caller's AngleSystem of (aug, cs), saves compiling
-    another one.
+    t_end and dt must be positive and finite, t_end / dt finite, and
+    max_halvings >= 0 (ValueError otherwise).
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not np.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
     if max_halvings < 0:
         raise ValueError(f"max_halvings must be >= 0, got {max_halvings!r}")
-    sys = AngleSystem.reuse(system, aug, cs)
+    sys = cs.system_for(aug)
     sign = np.full(len(aug.vertices), -1.0)
     sign[-1] = 1.0
 

@@ -414,6 +414,31 @@ def test_jacobian_pattern_is_compiled_on_first_use():
     assert np.array_equal(sysm.jacobian(f), J.toarray()) and sysm.jacobian_pattern is pattern
 
 
+def test_structure_compiles_one_system_for_the_library_chain(monkeypatch):
+    from diskfold.layout import layout_augmented, layout_disk
+    from diskfold.measures import measure_equivalence_check
+    from diskfold.solver import curvature_flow, newton_flat
+
+    compiled = []
+    init = AngleSystem.__init__
+    monkeypatch.setattr(AngleSystem, "__init__", lambda self, *a: compiled.append(a[0]) or init(self, *a))
+    aug, cs = _hex()
+    f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(3).standard_normal(8)
+    default_start(aug, cs)
+    res = newton_flat(aug, cs, f0)
+    assert res.converged
+    curvature_flow(aug, cs, f0, 1.0, 0.01)
+    layout_augmented(aug, cs, res.f)
+    assert measure_equivalence_check(aug, cs, res.f) <= 1e-12
+    assert compiled == [aug] and cs.system.complex is aug
+    # a structure of the augmented disk on the disk alone: a fresh system,
+    # its values gathered by id
+    disk = aug.disk
+    lay = layout_disk(disk, cs, res.f[:-1])
+    assert compiled == [aug, disk] and lay.consistency_residual <= 1e-12
+    assert cs.system.complex is aug
+
+
 
 # -- labels on a plain disk ---------------------------------------------
 

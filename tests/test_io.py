@@ -98,6 +98,23 @@ def test_parse_reports_paths():
         parse_problem("{not json")
 
 
+DEEP_JSON = "[" * 100000 + "]" * 100000
+DEEP_MESSAGE = r"^invalid JSON: maximum recursion depth exceeded"
+
+
+def test_deeply_nested_json_is_a_format_error(tmp_path, capsys):
+    with pytest.raises(ProblemFormatError, match=DEEP_MESSAGE):
+        parse_problem(DEEP_JSON)
+    path = tmp_path / "deep.json"
+    path.write_text(DEEP_JSON)
+    with open(path) as fh, pytest.raises(ProblemFormatError, match=DEEP_MESSAGE):
+        parse_problem(fh)
+    assert main(["validate", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("diskfold: input error: invalid JSON: maximum recursion depth exceeded")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_f_init_round_trip():
     data = preset("hex_tangent")
     prob = parse_problem(data)
@@ -152,6 +169,12 @@ def test_cli_solve_flow_rejects_bad_time_arguments(hex_file, capsys, flag, value
     err = capsys.readouterr().err
     assert f"argument {flag}: must be positive and finite" in err
     assert "Traceback" not in err
+
+
+def test_cli_solve_flow_rejects_a_step_count_that_overflows(hex_file, capsys):
+    assert main(["solve", str(hex_file), "--method", "flow", "--time", "1e300", "--dt", "1e-300"]) == 2
+    err = capsys.readouterr().err
+    assert err == "diskfold: numerical failure: t_end / dt must be finite, got 1e+300 / 1e-300\n"
 
 
 def test_cli_solve_budget_exhausted_is_numerical_error(perturbed_hex_file, capsys):

@@ -68,19 +68,6 @@ def test_unknown_traversal_rejected():
         layout_augmented(aug, cs, HEX_FLAT["hex_tangent"], traversal="walk")
 
 
-def test_layout_reuses_the_callers_system():
-    aug, cs = build("hex_tangent")
-    f = HEX_FLAT["hex_tangent"]
-    ref = layout_augmented(aug, cs, f)
-    lay = layout_augmented(aug, cs, f, system=AngleSystem(aug, cs))
-    assert lay.positions.shape == (len(aug.vertices), 2)
-    assert np.array_equal(lay.positions, ref.positions)
-    other_aug, other_cs = build("hex_tangent")
-    for system in (AngleSystem(other_aug, cs), AngleSystem(aug, other_cs)):
-        with pytest.raises(ValueError, match="another complex or structure"):
-            layout_augmented(aug, cs, f, system=system)
-
-
 def test_non_flat_label_rejected():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"].copy()
