@@ -86,19 +86,17 @@ def _load(path: str) -> problem_io.Problem:
         return problem_io.parse_problem(fh)
 
 
+def _newton(prob, args):
+    """newton_flat from f_init (or the default start) with the Newton flags."""
+    return newton_flat(prob.aug, prob.cs, prob.f_init, tol=args.tol, max_iter=args.max_iter, svd_cutoff=args.svd_cutoff)
+
+
 def _solved_label(prob, args):
     """f_init when it is already flat, otherwise a fresh Newton solve."""
     if prob.f_init is not None:
         if float(np.max(np.abs(prob.cs.system.curvature(prob.f_init)))) <= 1e-8:
             return prob.f_init
-    res = newton_flat(
-        prob.aug,
-        prob.cs,
-        prob.f_init,
-        tol=args.tol,
-        max_iter=args.max_iter,
-        svd_cutoff=args.svd_cutoff,
-    )
+    res = _newton(prob, args)
     if not res.converged:
         raise SolverError(f"newton did not converge: {res.status}, residual {res.residual!r}")
     return res.f
@@ -141,36 +139,27 @@ def _cmd_curvature(args) -> int:
 def _cmd_solve(args) -> int:
     prob = _load(args.problem)
     if args.method == "newton":
-        res = newton_flat(
-            prob.aug,
-            prob.cs,
-            prob.f_init,
-            tol=args.tol,
-            max_iter=args.max_iter,
-            svd_cutoff=args.svd_cutoff,
-        )
+        res = _newton(prob, args)
         out = {
             "method": "newton",
             "converged": res.converged,
             "status": res.status,
             "iterations": res.iterations,
             "residual": res.residual,
-            "f": problem_io.label_to_json(prob.aug, res.f),
         }
-        _write(problem_io.canonical_json(out), args.out)
-        return 0 if res.converged else NUMERICAL_ERROR
-    f0 = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs)
-    res = curvature_flow(prob.aug, prob.cs, f0, args.time, args.dt)
-    out = {
-        "method": "flow",
-        "time": float(res.times[-1]),
-        "dt": args.dt,
-        "initial_residual": float(res.residuals[0]),
-        "final_residual": res.final_residual,
-        "f": problem_io.label_to_json(prob.aug, res.f),
-    }
+    else:
+        f0 = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs)
+        res = curvature_flow(prob.aug, prob.cs, f0, args.time, args.dt)
+        out = {
+            "method": "flow",
+            "time": float(res.times[-1]),
+            "dt": args.dt,
+            "initial_residual": float(res.residuals[0]),
+            "final_residual": res.final_residual,
+        }
+    out["f"] = problem_io.label_to_json(prob.aug, res.f)
     _write(problem_io.canonical_json(out), args.out)
-    return 0
+    return NUMERICAL_ERROR if args.method == "newton" and not res.converged else 0
 
 
 def _developed(prob, args):
@@ -187,14 +176,8 @@ def _cmd_layout(args) -> int:
     f, lay = _developed(prob, args)
     mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
     out = {
-        "positions": {
-            ("hat" if v == prob.aug.apex else str(v)): p
-            for v, p in zip(prob.aug.vertices, lay.positions.tolist())
-        },
-        "mpoints": {
-            ("hat" if v == prob.aug.apex else str(v)): [float(x) for x in mp.xi]
-            for v, mp in mpoints.items()
-        },
+        "positions": problem_io.IdRows(prob.aug, lay.positions),
+        "mpoints": problem_io.IdRows(prob.aug, [mp.xi for mp in mpoints.values()]),
         "f": problem_io.label_to_json(prob.aug, f),
         "consistency_residual": lay.consistency_residual,
         "traversal": lay.traversal,

@@ -233,8 +233,8 @@ class AngleSystem:
     curvature are views on that pass; sparse_jacobian (J = dK/df in the
     CSC jacobian_pattern) reuses the lengths and angles of the pass that
     accepted its label, and jacobian is its dense copy.  Newton builds
-    the matrix it factors, J grounded at the apex, from
-    jacobian_pattern.grounded.  The pattern is compiled on first use,
+    the matrix it factors, J grounded at the apex, in
+    grounded_jacobian.  The pattern is compiled on first use,
     so a system that never assembles J never builds it.  The solvers
     call evaluate_iterate on their own iterates, which skips the
     coercion and copy of the complex's label_array but keeps its
@@ -278,6 +278,16 @@ class AngleSystem:
         g = (keys // n < n - 1) & (keys % n < n - 1)
         grounded = (g, indices[g], _indptr(keys[g] // n, n - 1))
         return JacobianPattern(edges, slot, indices, _indptr(keys // n, n), grounded)
+
+    @cached_property
+    def grounded_jacobian(self) -> tuple:
+        """(mask, G): the mask of J's entries in J grounded at the apex, and
+        that (n - 1, n - 1) CSC matrix, which Newton refills in place."""
+        from scipy.sparse import csc_array
+
+        mask, indices, indptr = self.jacobian_pattern.grounded
+        n = self.n_vertices - 1
+        return mask, csc_array((np.zeros(len(indices)), indices, indptr), shape=(n, n))
 
     # -- the one pass -------------------------------------------------
 

@@ -8,12 +8,13 @@ augmented disk the apex goes to the origin and the augmented faces are
 placed with negative orientation: the augmented sheet folds back over
 the disk.  Both cases run one development over the complex's compiled
 index: the faces of each edge, the side opposite each corner and the
-fold sign, whose negative is the orientation of a face.  Placement is
-sequential, one new vertex per face, written as a row of one (n, 2)
-array: row i is the position of ``complex_.vertices[i]``, the apex the
-last row on an augmented disk.  Every later layer reads that array as
-it is.  The consistency residual then re-derives all 3F corners in one
-array pass.
+fold sign, whose negative is the orientation of a face.  An integer
+walk over the faces fixes which corners place a new vertex, one per
+face at most; the vertices are then placed level by level, each level
+in one array pass, as rows of one (n, 2) array: row i is the position
+of ``complex_.vertices[i]``, the apex the last row on an augmented
+disk.  Every later layer reads that array as it is.  The consistency
+residual re-derives all 3F corners in one array pass.
 
 The flatness check evaluates through ConformalStructure.system_for the
 complex being developed: the structure's own system, or a fresh one of
@@ -26,9 +27,9 @@ The layout lifts to Minkowski vectors
 which reproduce the structure constants: <xi_v, xi_v> = alpha_v and
 -<xi_v, xi_w> = eta_vw on edges.  realize_mpoints computes them for
 all vertices at once.  The array passes round exactly like the
-per-element formulas (_third_point, canonical_lift): a 2-vector dot
-product is taken as a stacked matmul, which rounds as ``a @ b`` does
-and differs from ``x*x + y*y``.
+per-element formulas (one third point per vertex, canonical_lift): a
+2-vector dot product is taken as a stacked matmul, which rounds as
+``a @ b`` does and differs from ``x*x + y*y``.
 """
 
 from __future__ import annotations
@@ -89,71 +90,75 @@ class PlaneLayout:
         return d
 
 
-def _third_point(pa, pb, la, lb, orient):
-    """Point at distance la from pa and lb from pb, on the side ``orient``."""
-    ab = pb - pa
-    d2 = float(ab @ ab)
-    d = np.sqrt(d2)
-    x = (d2 + la * la - lb * lb) / (2.0 * d)
-    h2 = la * la - x * x
-    h = np.sqrt(max(h2, 0.0))
-    u = ab / d
-    perp = np.array([-u[1], u[0]])
-    return pa + x * u + orient * h * perp
-
-
 #: For a corner c: the other two corners a, b in face order, and +1 when
 #: (a, b, c) is an even permutation of the face.
-_OTHER_CORNERS = ((1, 2, 1.0), (0, 2, -1.0), (0, 1, 1.0))
+_CA, _CB, _PARITY = np.array([1, 0, 0]), np.array([2, 2, 1]), np.array([1.0, -1.0, 1.0])
+
+
+def _walk(ix, start, traversal):
+    """The corners 3 * face + c that a development from face ``start``
+    places, in walk order, the seed's third corner first.  A face reached
+    across a side of a visited face has both ends of that side placed,
+    so only its corner opposite that side can be new."""
+    if traversal not in ("bfs", "dfs"):
+        raise ValueError(f"traversal must be 'bfs' or 'dfs', got {traversal!r}")
+    # per face side (f0, f1), (f1, f2), (f2, f0): the face across it (-1
+    # across the boundary) and that face's corner opposite it
+    side = ix.FE[:, [2, 0, 1]]
+    across = ix.edge_faces[side]
+    fj = np.where(across[:, :, 0] == np.arange(len(side))[:, None], across[:, :, 1], across[:, :, 0])
+    opposite = (3 * fj + (ix.FE[fj] == side[:, :, None]).argmax(axis=2)).ravel().tolist()
+    fj, corner_vertex = fj.ravel().tolist(), ix.F.ravel().tolist()
+
+    placed, visited = [False] * len(ix.const), [False] * len(side)
+    for i in ix.F[start].tolist():
+        placed[i] = True
+    visited[start], corners = True, [3 * start + 2]
+    queue = deque([start])
+    pop = queue.popleft if traversal == "bfs" else queue.pop
+    while queue:
+        t = 3 * pop()
+        for s in range(t, t + 3):
+            g, k = fj[s], opposite[s]
+            if g < 0 or visited[g]:
+                continue
+            visited[g] = True
+            queue.append(g)
+            if not placed[corner_vertex[k]]:
+                placed[corner_vertex[k]] = True
+                corners.append(k)
+    if not all(visited):
+        raise LayoutError("face graph is not edge-connected")
+    return np.array(corners)
 
 
 def _develop(ix, lengths, start, traversal):
-    """Walk the face adjacency graph, placing one vertex per new face.
+    """Positions (n, 2), row i for vertex index i, and the consistency
+    residual of the development from face ``start``.
 
-    ``ix`` is the complex's CompiledComplex and ``lengths`` a list indexed
-    by edge.  The seed face ``start`` is pinned: its first corner at the
-    origin, its second on the positive x axis.  Every face keeps the
-    orientation -fold_sign.  Returns the (n, 2) array of positions, row
-    i for vertex index i, and the consistency residual.
+    Its first corner goes to the origin and its second on the positive x
+    axis.  A new corner c is placed from corners a, b = _CA[c], _CB[c]
+    of its face at the lengths of the sides opposite b and a, on the
+    side -fold_sign * _PARITY[c].  Its level is 1 + the larger level of
+    a and b (the pinned pair has level 0); each level is one array pass.
     """
-    if traversal not in ("bfs", "dfs"):
-        raise ValueError(f"traversal must be 'bfs' or 'dfs', got {traversal!r}")
-    F, FE, faces_of = ix.F.tolist(), ix.FE.tolist(), ix.edge_faces.tolist()
-    area_sign = (-ix.fold_sign).tolist()
+    f, c = np.divmod(_walk(ix, start, traversal), 3)
+    v, a, b = ix.F[f, c], ix.F[f, _CA[c]], ix.F[f, _CB[c]]
+    level = [0] * len(ix.const)
+    for vi, ai, bi in zip(v.tolist(), a.tolist(), b.tolist()):
+        level[vi] = 1 + max(level[ai], level[bi])
+    level = np.array(level)[v]
+    order = np.argsort(level, kind="stable")
+    f, c, v, a, b, level = f[order], c[order], v[order], a[order], b[order], level[order]
+    L2 = np.square(lengths)
+    la2, lb2 = L2[ix.FE[f, _CB[c]], None], L2[ix.FE[f, _CA[c]], None]
+    orient = (-ix.fold_sign[f] * _PARITY[c])[:, None]
 
     P = np.zeros((len(ix.const), 2))
-    placed = [False] * len(P)
-    i0, i1, i2 = F[start]
-    se = FE[start]
-    P[i1, 0] = lengths[se[2]]
-    P[i2] = _third_point(P[i0], P[i1], lengths[se[1]], lengths[se[0]], area_sign[start])
-    placed[i0] = placed[i1] = placed[i2] = True
-    queue = deque([start])
-    visited = {start}
-    while queue:
-        fi = queue.popleft() if traversal == "bfs" else queue.pop()
-        side = FE[fi]
-        # the sides (f0, f1), (f1, f2), (f2, f0), opposite corners 2, 0, 1
-        for e in (side[2], side[0], side[1]):
-            for fj in faces_of[e]:
-                if fj < 0 or fj in visited:
-                    continue
-                g = F[fj]
-                missing = [c for c in range(3) if not placed[g[c]]]
-                if len(missing) > 1:
-                    continue
-                visited.add(fj)
-                if missing:
-                    ca, cb, parity = _OTHER_CORNERS[missing[0]]
-                    # the side from a to the new corner lies opposite b
-                    la = lengths[FE[fj][cb]]
-                    lb = lengths[FE[fj][ca]]
-                    orient = area_sign[fj] * parity
-                    P[g[missing[0]]] = _third_point(P[g[ca]], P[g[cb]], la, lb, orient)
-                    placed[g[missing[0]]] = True
-                queue.append(fj)
-    if len(visited) != len(F):
-        raise LayoutError("face graph is not edge-connected")
+    P[ix.F[start, 1], 0] = lengths[ix.FE[start, 2]]
+    cuts = [0, *(np.flatnonzero(np.diff(level)) + 1).tolist(), len(v)]
+    for i, j in zip(cuts[:-1], cuts[1:]):
+        P[v[i:j]] = _third_points(P[a[i:j]], P[b[i:j]], la2[i:j], lb2[i:j], orient[i:j])
     return P, _residual(ix, lengths, P)
 
 
@@ -162,29 +167,33 @@ def _dot2(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _third_points(pa, pb, la2, lb2, orient):
+    """Row i: the point at distance la from pa[i] and lb from pb[i], on
+    the side orient[i] of the line through them, for (k, 1) columns
+    la2 = la * la, lb2 = lb * lb and orient.  Each row rounds like the
+    scalar construction: ``ab @ ab``, then term for term."""
+    ab = pb - pa
+    d2 = _dot2(ab, ab)[:, None]
+    d = np.sqrt(d2)
+    x = (d2 + la2 - lb2) / (2.0 * d)
+    h = np.sqrt(np.maximum(la2 - x * x, 0.0))
+    u = ab / d
+    # the unit normal (-u_y, u_x), by an exact negation
+    return pa + x * u + (orient * h) * (u[:, ::-1] * np.array([-1.0, 1.0]))
+
+
 def _residual(ix, lengths, P):
     """Largest distance between a corner and its re-derivation from the
     other two corners of its face, over all 3F corners at once.
 
-    Each corner c is rebuilt with _third_point's arithmetic, term for
-    term: from a = c+1 and b = c+2 at the lengths of the sides opposite
-    b and a, on the side -fold_sign of its face.
+    Each corner c is rebuilt from a = c+1 and b = c+2 at the lengths of
+    the sides opposite b and a, on the side -fold_sign of its face.
     """
     a, b = [1, 2, 0], [2, 0, 1]
-    pa, pb, pc = P[ix.F[:, a]].reshape(-1, 2), P[ix.F[:, b]].reshape(-1, 2), P[ix.F].reshape(-1, 2)
-    L = np.asarray(lengths)[ix.FE]
-    la, lb = L[:, b].ravel(), L[:, a].ravel()
-    orient = np.repeat(-ix.fold_sign, 3)
-
-    ab = pb - pa
-    d2 = _dot2(ab, ab)
-    d = np.sqrt(d2)
-    x = (d2 + la * la - lb * lb) / (2.0 * d)
-    h = np.sqrt(np.maximum(la * la - x * x, 0.0))
-    u = ab / d[:, None]
-    perp = np.stack([-u[:, 1], u[:, 0]], axis=1)
-    p = pa + x[:, None] * u + (orient * h)[:, None] * perp
-    dev = p - pc
+    L2 = np.square(lengths)[ix.FE]
+    pa, pb = P[ix.F[:, a]].reshape(-1, 2), P[ix.F[:, b]].reshape(-1, 2)
+    orient = np.repeat(-ix.fold_sign, 3)[:, None]
+    dev = _third_points(pa, pb, L2[:, b].reshape(-1, 1), L2[:, a].reshape(-1, 1), orient) - P[ix.F].reshape(-1, 2)
     # fmax skips NaN as the running max(residual, r) of a scalar loop does
     return float(np.fmax.reduce(np.sqrt(_dot2(dev, dev)), initial=0.0))
 
@@ -207,7 +216,7 @@ def _layout(complex_, cs, f, start, traversal, flat_tol) -> PlaneLayout:
         if worst > flat_tol:
             raise LayoutError(f"interior curvature max |K| = {worst!r} is not flat")
 
-    positions, residual = _develop(complex_.compiled, ev.lengths.tolist(), start, traversal)
+    positions, residual = _develop(complex_.compiled, ev.lengths, start, traversal)
     return PlaneLayout(positions, residual, traversal, ev.lengths)
 
 

@@ -17,8 +17,11 @@ reproduces a canonically written file byte for byte.
 from __future__ import annotations
 
 import json
+import weakref
+from collections.abc import Mapping
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, starmap
+from operator import itemgetter
 
 import numpy as np
 
@@ -31,6 +34,7 @@ __all__ = [
     "parse_problem",
     "serialize_problem",
     "canonical_json",
+    "IdRows",
     "label_to_json",
     "label_from_json",
 ]
@@ -92,9 +96,9 @@ def _numbers(vals: list):
     return out if np.isfinite(out).all() else None
 
 
-def _object(data: dict, name: str) -> dict:
+def _object(data: dict, name: str) -> Mapping:
     raw = data[name]
-    if not isinstance(raw, dict):
+    if not isinstance(raw, Mapping):
         raise ProblemFormatError(f"/{name}: must be an object")
     return raw
 
@@ -292,27 +296,86 @@ def parse_problem(source) -> Problem:
     return Problem(disk=disk, aug=aug, cs=cs, f_init=f_init)
 
 
+#: Per augmented disk: IdRows' key index, sorted-key order and key heads.
+_ID_KEYS = weakref.WeakKeyDictionary()
+
+
+class IdRows(Mapping):
+    """The rows of an array keyed by vertex, read-only: row i, a float or
+    a list of floats, under the key str(v) of ``aug.vertices[i]`` ("hat"
+    for the apex).  canonical_json writes it with one tolist() and one
+    format per row, in the sorted-key order worked out once per disk,
+    each key written once as '"key": '."""
+
+    def __init__(self, aug: AugmentedDisk, rows):
+        if aug not in _ID_KEYS:
+            keys = [*map(str, aug.disk.vertices), "hat"]
+            order = sorted(range(len(keys)), key=keys.__getitem__)
+            _ID_KEYS[aug] = dict(zip(keys, range(len(keys)))), order, [_encode(keys[i]) + ": " for i in order]
+        self.rows = np.asarray(rows, dtype=float)
+        self._index, self._order, self._heads = _ID_KEYS[aug]
+
+    def __getitem__(self, key):
+        return self.rows[self._index[key]].tolist()
+
+    def __iter__(self):
+        return iter(self._index)
+
+    def __len__(self) -> int:
+        return len(self._index)
+
+    def _json(self) -> str:
+        rows = self.rows.tolist()
+        if self.rows.ndim == 1:
+            cells = list(map(_float, rows))
+        else:
+            cells = list(starmap(("[" + ", ".join(["{:.17g}"] * self.rows.shape[1]) + "]").format, rows))
+        return "{" + ", ".join([head + cells[i] for head, i in zip(self._heads, self._order)]) + "}"
+
+
 def canonical_json(obj) -> str:
-    """JSON with sorted keys and 17-significant-digit numbers."""
+    """JSON with sorted keys and 17-significant-digit numbers.
 
-    def render(x):
-        if isinstance(x, dict):
-            items = sorted(x.items(), key=lambda kv: str(kv[0]))
-            inner = ", ".join(f"{json.dumps(str(k))}: {render(v)}" for k, v in items)
-            return "{" + inner + "}"
-        if isinstance(x, (list, tuple)):
-            return "[" + ", ".join(render(v) for v in x) + "]"
-        if isinstance(x, bool) or x is None:
-            return json.dumps(x)
-        if isinstance(x, (int, np.integer)):
-            return str(int(x))
-        if isinstance(x, (float, np.floating)):
-            return format(float(x), ".17g")
-        if isinstance(x, str):
-            return json.dumps(x)
-        raise TypeError(f"cannot serialize {type(x)!r}")
+    Each value is written by the writer in _WRITERS of its type or of the
+    nearest base class that has one; IdRows row by row."""
+    return _render(obj)
 
-    return render(obj)
+
+def _render(x) -> str:
+    for kind in type(x).__mro__:
+        write = _WRITERS.get(kind)
+        if write is not None:
+            return write(x)
+    raise TypeError(f"cannot serialize {type(x)!r}")
+
+
+#: The C encoder json.dumps uses for a str.
+_encode = json.encoder.encode_basestring_ascii
+_float = "{:.17g}".format
+
+
+def _dict_json(x) -> str:
+    items = sorted(zip(map(str, x), x.values()), key=itemgetter(0))
+    return "{" + ", ".join([f"{_encode(k)}: {_render(v)}" for k, v in items]) + "}"
+
+
+def _list_json(x) -> str:
+    return "[" + ", ".join(map(_render, x)) + "]"
+
+
+def _int_json(x) -> str:
+    return str(int(x))
+
+
+def _float_json(x) -> str:
+    return _float(float(x))
+
+
+_WRITERS = {
+    IdRows: IdRows._json, dict: _dict_json, list: _list_json, tuple: _list_json, str: _encode,
+    bool: lambda x: "true" if x else "false", type(None): lambda x: "null",
+    int: _int_json, np.integer: _int_json, float: _float_json, np.floating: _float_json,
+}
 
 
 def problem_dict(disk: CombinatorialDisk, alpha, eta, mu, apex_alpha: float = 1.0) -> dict:
@@ -340,11 +403,9 @@ def serialize_problem(problem: Problem, f=None) -> str:
     return canonical_json(data)
 
 
-def label_to_json(aug: AugmentedDisk, f) -> dict:
-    arr = aug.label_array(f)
-    out = {str(v): float(arr[i]) for i, v in enumerate(aug.disk.vertices)}
-    out["hat"] = float(arr[-1])
-    return out
+def label_to_json(aug: AugmentedDisk, f) -> IdRows:
+    """The label as an id-keyed JSON section."""
+    return IdRows(aug, aug.label_array(f))
 
 
 def label_from_json(aug: AugmentedDisk, data: dict) -> np.ndarray:

@@ -60,8 +60,8 @@ def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np
 
     J is AngleSystem.sparse_jacobian, ``start`` two fixed vectors
     orthogonal to the constant vector (_start_vectors) and ``grounded``
-    the system's jacobian_pattern.grounded.  One sparse LU factor of J
-    grounded at the apex, J[:-1, :-1], built from that pattern, gives
+    the system's grounded_jacobian.  One sparse LU factor of J grounded
+    at the apex, J[:-1, :-1], refilled into that matrix, gives
     solutions orthogonal to the constant vector, J's exact kernel.
     Every solve first removes the right-hand side's mean: K sums to zero
     only up to roundoff, and that sum would otherwise land on the apex
@@ -81,11 +81,10 @@ def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np
     (see _SETTLE_STEPS) until the directions it judges are accurate.
     Raises RuntimeError when splu finds the grounded J exactly singular.
     """
-    from scipy.sparse import csc_array
     from scipy.sparse.linalg import splu
 
-    mask, indices, indptr = grounded
-    G = csc_array((J.data[mask], indices, indptr), shape=(len(K) - 1, len(K) - 1))
+    mask, G = grounded
+    np.compress(mask, J.data, out=G.data)
     lu = splu(G, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
     def solve(b):
@@ -342,7 +341,7 @@ def newton_flat(
             # and splu raises RuntimeError for an exactly singular factor
             if not np.isfinite(J.data).all():
                 raise RuntimeError("non-finite jacobian")
-            step, dropped = _newton_step(J, K, svd_cutoff, residual, start, sys.jacobian_pattern.grounded)
+            step, dropped = _newton_step(J, K, svd_cutoff, residual, start, sys.grounded_jacobian)
         except RuntimeError:
             return NewtonResult(
                 f, K, residual, it, False, "jacobian breakdown", history, steps

@@ -2,9 +2,12 @@
 
 import json
 import os
+from collections import OrderedDict
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diskfold import (
     AngleSystem,
@@ -22,6 +25,7 @@ from diskfold import (
 )
 from diskfold.cli import main
 from diskfold.presets import SCENARIOS, preset
+from diskfold.problem_io import IdRows
 
 from conftest import HEX_FLAT
 
@@ -63,6 +67,100 @@ def test_canonical_json_is_deterministic():
     assert a == b
     # round-tripping floats through repr-precision text is lossless
     assert json.loads(a) == json.loads(b)
+
+
+def _canonical_json_reference(obj) -> str:
+    """The recursive isinstance writer canonical_json replaced: the
+    reference for its text."""
+
+    def render(x):
+        if isinstance(x, dict):
+            items = sorted(x.items(), key=lambda kv: str(kv[0]))
+            inner = ", ".join(f"{json.dumps(str(k))}: {render(v)}" for k, v in items)
+            return "{" + inner + "}"
+        if isinstance(x, (list, tuple)):
+            return "[" + ", ".join(render(v) for v in x) + "]"
+        if isinstance(x, bool) or x is None:
+            return json.dumps(x)
+        if isinstance(x, (int, np.integer)):
+            return str(int(x))
+        if isinstance(x, (float, np.floating)):
+            return format(float(x), ".17g")
+        if isinstance(x, str):
+            return json.dumps(x)
+        raise TypeError(f"cannot serialize {type(x)!r}")
+
+    return render(obj)
+
+
+_FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308]))
+_SCALARS = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.integers(),
+    st.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max).map(np.int64),
+    st.booleans(),
+    st.none(),
+    st.text(),
+)
+# int and str keys, often 1 and "1" in one object: they tie in the sort
+_SMALL = st.integers(-9, 9)
+_KEYS = st.one_of(_SMALL, _SMALL.map(str), st.text(max_size=3))
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(_KEYS, inner, max_size=6),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_canonical_json_matches_the_recursive_writer(obj):
+    assert canonical_json(obj) == _canonical_json_reference(obj)
+
+
+def test_canonical_json_subclasses_and_unknown_types():
+    obj = OrderedDict([("b", np.float32(0.1)), ("a", [np.int32(3), (True, None)])])
+    assert canonical_json(obj) == _canonical_json_reference(obj)
+    for bad in (np.bool_(True), object(), {1.5}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            canonical_json(bad)
+
+
+def test_id_rows_write_like_an_id_keyed_dict():
+    """IdRows write the text of the dict {str(v) or "hat": row} of the
+    writer it replaced, and read as that mapping."""
+    data = _relabelled(preset("ring_lattice", n_rings=3), np.random.default_rng(5))
+    aug = parse_problem(data).aug
+    keys = [str(v) for v in aug.disk.vertices] + ["hat"]
+    rng = np.random.default_rng(0)
+    for rows in (rng.normal(size=len(keys)), rng.normal(size=(len(keys), 2)), rng.normal(size=(len(keys), 4))):
+        ref = dict(zip(keys, rows.tolist()))
+        got = IdRows(aug, rows)
+        assert canonical_json(got) == _canonical_json_reference(ref)
+        assert canonical_json({"x": got, "y": 1}) == _canonical_json_reference({"x": ref, "y": 1})
+        assert list(got) == keys and dict(got.items()) == ref and len(got) == len(keys)
+        with pytest.raises(KeyError):
+            got[str(aug.apex)]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("traversal", ["bfs", "dfs"])
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_cli_layout_matches_golden(tmp_path, scenario, traversal):
+    """`diskfold layout --normalize` of ring_lattice --rings 2, byte for
+    byte as written before the output stage moved to array passes."""
+    problem, out = tmp_path / "r2.json", tmp_path / "layout.json"
+    assert main(["preset", "ring_lattice", "--rings", "2", "--scenario", scenario, "--out", str(problem)]) == 0
+    argv = ["layout", str(problem), "--normalize", "--traversal", traversal, "--out", str(out)]
+    assert main(argv) == 0
+    assert out.read_bytes() == (GOLDEN / f"layout_ring2_{scenario}_{traversal}.json").read_bytes()
 
 
 def test_parse_reports_paths():

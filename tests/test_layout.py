@@ -1,5 +1,7 @@
 """Plane development, M-point realization and boundary verification."""
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from diskfold import (
     verify_boundary_condition,
 )
 from diskfold.complexes import edge_key
-from diskfold.layout import _develop, _third_point
+from diskfold.layout import _develop
 from diskfold.minkowski import canonical_lift
 from diskfold.presets import SCENARIOS, build, hex_flower, scenario_data, triangle_disk
 
@@ -211,6 +213,66 @@ def _realize_per_vertex(aug, cs, f, layout):
     return out
 
 
+def _third_point(pa, pb, la, lb, orient):
+    """Point at distance la from pa and lb from pb, on the side ``orient``."""
+    ab = pb - pa
+    d2 = float(ab @ ab)
+    d = np.sqrt(d2)
+    x = (d2 + la * la - lb * lb) / (2.0 * d)
+    h2 = la * la - x * x
+    h = np.sqrt(max(h2, 0.0))
+    u = ab / d
+    perp = np.array([-u[1], u[0]])
+    return pa + x * u + orient * h * perp
+
+
+#: For a corner c: the other two corners a, b in face order, and +1 when
+#: (a, b, c) is an even permutation of the face.
+_OTHER_CORNERS = ((1, 2, 1.0), (0, 2, -1.0), (0, 1, 1.0))
+
+
+def _develop_sequential(ix, lengths, start, traversal):
+    """The development as one _third_point call per new vertex, placed
+    as the walk reaches it: the reference for layout._develop.  Returns
+    the (n, 2) positions."""
+    F, FE, faces_of = ix.F.tolist(), ix.FE.tolist(), ix.edge_faces.tolist()
+    area_sign = (-ix.fold_sign).tolist()
+
+    P = np.zeros((len(ix.const), 2))
+    placed = [False] * len(P)
+    i0, i1, i2 = F[start]
+    se = FE[start]
+    P[i1, 0] = lengths[se[2]]
+    P[i2] = _third_point(P[i0], P[i1], lengths[se[1]], lengths[se[0]], area_sign[start])
+    placed[i0] = placed[i1] = placed[i2] = True
+    queue = deque([start])
+    visited = {start}
+    while queue:
+        fi = queue.popleft() if traversal == "bfs" else queue.pop()
+        side = FE[fi]
+        # the sides (f0, f1), (f1, f2), (f2, f0), opposite corners 2, 0, 1
+        for e in (side[2], side[0], side[1]):
+            for fj in faces_of[e]:
+                if fj < 0 or fj in visited:
+                    continue
+                g = F[fj]
+                missing = [c for c in range(3) if not placed[g[c]]]
+                # the side fj shares with fi has both ends placed
+                assert len(missing) <= 1
+                visited.add(fj)
+                if missing:
+                    ca, cb, parity = _OTHER_CORNERS[missing[0]]
+                    # the side from a to the new corner lies opposite b
+                    la = lengths[FE[fj][cb]]
+                    lb = lengths[FE[fj][ca]]
+                    orient = area_sign[fj] * parity
+                    P[g[missing[0]]] = _third_point(P[g[ca]], P[g[cb]], la, lb, orient)
+                    placed[g[missing[0]]] = True
+                queue.append(fj)
+    assert len(visited) == len(F)
+    return P
+
+
 def _residual_per_corner(ix, lengths, positions):
     """The consistency residual as one _third_point call per corner."""
     F, FE = ix.F.tolist(), ix.FE.tolist()
@@ -293,4 +355,44 @@ def test_residual_matches_per_corner_loop(flat_case, traversal):
     # off the flat label the faces disagree and the residual is large
     lengths = AngleSystem(aug, cs).evaluate(f + 0.01 * np.arange(len(f)) / len(f)).lengths.tolist()
     positions, residual = _develop(aug.compiled, lengths, 0, traversal)
+    assert positions.tobytes() == _develop_sequential(aug.compiled, lengths, 0, traversal).tobytes()
     assert residual == _residual_per_corner(aug.compiled, lengths, positions)
+
+
+_WALK_CASES = [(f"hex_{s}", 2, s) for s in SCENARIOS]
+_WALK_CASES += [("ring_lattice", n, s) for n in (1, 2, 3, 4, 6, 8) for s in SCENARIOS]
+
+
+def _flat_label(aug, cs, name):
+    if name.startswith("hex_"):
+        return HEX_FLAT[name]
+    res = newton_flat(aug, cs)
+    assert res.converged
+    return res.f
+
+
+@pytest.mark.parametrize("case", _WALK_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
+def test_levels_place_like_the_sequential_walk(case):
+    """Placing level by level gives the bits of one _third_point call per
+    vertex in walk order."""
+    name, rings, scenario = case
+    aug, cs = build(name, n_rings=rings, scenario=scenario)
+    f = _flat_label(aug, cs, name)
+    lengths = cs.system.evaluate(f).lengths.tolist()
+    for traversal in ("bfs", "dfs"):
+        lay = layout_augmented(aug, cs, f, traversal=traversal)
+        want = _develop_sequential(aug.compiled, lengths, aug.n_disk_faces, traversal)
+        assert lay.positions.tobytes() == want.tobytes()
+        assert lay.consistency_residual == _residual_per_corner(aug.compiled, lengths, want)
+
+
+@pytest.mark.parametrize("name, rings", [("hex_tangent", 2), ("ring_lattice", 4)])
+def test_disk_levels_place_like_the_sequential_walk(name, rings):
+    aug, cs = build(name, n_rings=rings)
+    disk, f = aug.disk, _flat_label(aug, cs, name)[:-1]
+    lengths = cs.system_for(disk).evaluate(f).lengths.tolist()
+    for traversal in ("bfs", "dfs"):
+        lay = layout_disk(disk, cs, f, traversal=traversal)
+        want = _develop_sequential(disk.compiled, lengths, 0, traversal)
+        assert lay.positions.tobytes() == want.tobytes()
+        assert lay.consistency_residual == _residual_per_corner(disk.compiled, lengths, want)

@@ -278,7 +278,7 @@ def _steps(aug, cs, f, svd_cutoff=1e-10, shift=0.0):
     residual = float(np.max(np.abs(K)))
     start = solver._start_vectors(len(K))
     K = K + shift
-    got = solver._newton_step(sysm.sparse_jacobian(ev), K, svd_cutoff, residual, start, sysm.jacobian_pattern.grounded)
+    got = solver._newton_step(sysm.sparse_jacobian(ev), K, svd_cutoff, residual, start, sysm.grounded_jacobian)
     return got, _pinv_apply(sysm.jacobian(ev), K, svd_cutoff, residual)
 
 
