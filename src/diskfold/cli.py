@@ -174,10 +174,9 @@ def _developed(prob, args):
 def _cmd_layout(args) -> int:
     prob = _load(args.problem)
     f, lay = _developed(prob, args)
-    mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
     out = {
         "positions": problem_io.IdRows(prob.aug, lay.positions),
-        "mpoints": problem_io.IdRows(prob.aug, [mp.xi for mp in mpoints.values()]),
+        "mpoints": problem_io.IdRows(prob.aug, realize_mpoints(prob.aug, prob.cs, f, lay)),
         "f": problem_io.label_to_json(prob.aug, f),
         "consistency_residual": lay.consistency_residual,
         "traversal": lay.traversal,
@@ -210,8 +209,7 @@ def _cmd_rank(args) -> int:
         kind = "curvature_jacobian"
     else:
         lay = layout_augmented(prob.aug, prob.cs, f)
-        mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
-        m = constraint_matrix(prob.aug, mpoints)
+        m = constraint_matrix(prob.aug, realize_mpoints(prob.aug, prob.cs, f, lay))
         kind = "constraint_matrix"
     # J is rank-deficient by design, so only M tries the certificate
     cert = None if args.jacobian or args.spectrum else row_rank_certificate(m, args.svd_cutoff)

@@ -15,8 +15,8 @@ index arrays (edge ends, face corners, face sides, the faces of each
 edge), the fold signs and the curvature's constant term.  validate_disk
 builds it in the integer-array passes that check the topology, augment
 extends it by the apex, and every layer reads these shared, read-only
-arrays.  The id tuples (faces, edges, ...) are views built on first
-use.  Labels are coerced to vertex order by the one label_array.
+arrays.  The id views (faces, edges, vertex_index, ...) are built on
+first use.  Labels are coerced to vertex order by the one label_array.
 """
 
 from __future__ import annotations
@@ -81,7 +81,6 @@ class CompiledComplex:
     every vertex, of which only the interior entries are meaningful.
     """
 
-    vertex_index: dict
     ids: np.ndarray
     E: np.ndarray
     F: np.ndarray
@@ -124,10 +123,10 @@ class _Indexed:
         """The edges as sorted id pairs, in the compiled order."""
         return _tuples(self.compiled.ids[self.compiled.E])
 
-    @property
+    @cached_property
     def vertex_index(self) -> dict:
         """Position of each vertex in vertex order; shared, do not mutate."""
-        return self.compiled.vertex_index
+        return dict(zip(self.vertices, range(len(self.vertices))))
 
     def label_array(self, f) -> np.ndarray:
         """Coerce a label (mapping or aligned array) to a fresh array in vertex order."""
@@ -338,10 +337,10 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
         cycle.append(step[cycle[-1]])
 
     edge_faces = np.stack([first_side, second_side], axis=1) // 3
-    compiled = CompiledComplex(
-        vertex_index, ids, E, F, FE, edge_faces, np.full(nf, -1.0), np.full(n, 2.0 * np.pi)
-    )
-    return CombinatorialDisk(vertices, tuple(ids[cycle].tolist()), compiled)
+    compiled = CompiledComplex(ids, E, F, FE, edge_faces, np.full(nf, -1.0), np.full(n, 2.0 * np.pi))
+    disk = CombinatorialDisk(vertices, tuple(ids[cycle].tolist()), compiled)
+    disk.__dict__["vertex_index"] = vertex_index  # hand over the view built above
+    return disk
 
 
 def _reject_pinch(vertices: tuple, E: np.ndarray, F: np.ndarray, FE: np.ndarray) -> None:
@@ -430,7 +429,7 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
     apex = max(disk.vertices) + 1
     vertices = disk.vertices + (apex,)
     nb = len(disk.boundary_cycle)
-    cyc = np.fromiter(map(ix.vertex_index.__getitem__, disk.boundary_cycle), dtype=np.intp, count=nb)
+    cyc = np.fromiter(map(disk.vertex_index.__getitem__, disk.boundary_cycle), dtype=np.intp, count=nb)
     nxt = np.concatenate([cyc[1:], cyc[:1]])
 
     # the apex has the largest id, so it ranks last; sort the disk and
@@ -462,7 +461,6 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
     const[n] = -2.0 * np.pi
     source.flags.writeable = False
     compiled = CompiledComplex(
-        {**ix.vertex_index, apex: n},
         ids,
         ends[source],
         F,
@@ -556,9 +554,9 @@ def pointwise_multiplicity(aug: AugmentedDisk, mu: MultiplicityAssignment, simpl
     """
     ix = aug.compiled
     s = set(simplex)
-    if not s <= ix.vertex_index.keys():
+    if not s <= aug.vertex_index.keys():
         return 0
-    idx = [ix.vertex_index[v] for v in s]
+    idx = [aug.vertex_index[v] for v in s]
 
     def cofaces(rows):
         return np.isin(rows, idx).sum(axis=1) == len(idx)

@@ -26,10 +26,12 @@ The layout lifts to Minkowski vectors
 
 which reproduce the structure constants: <xi_v, xi_v> = alpha_v and
 -<xi_v, xi_w> = eta_vw on edges.  realize_mpoints computes them for
-all vertices at once.  The array passes round exactly like the
-per-element formulas (one third point per vertex, canonical_lift): a
-2-vector dot product is taken as a stacked matmul, which rounds as
-``a @ b`` does and differs from ``x*x + y*y``.
+all vertices at once, as one read-only (n, 4) array with the rows of
+the positions; every later layer reads it as it is.  The array passes
+round exactly like the per-element formulas (one third point per
+vertex, canonical_lift, project): a 2-vector dot product is taken as a
+stacked matmul, which rounds as ``a @ b`` does and differs from
+``x*x + y*y``.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 
 from .complexes import AugmentedDisk, CombinatorialDisk
 from .conformal import ConformalStructure
-from .minkowski import MPoint, canonical_lift, project
+from .minkowski import canonical_lift, project
 
 __all__ = [
     "LayoutError",
@@ -266,8 +268,10 @@ def layout_edge_error(complex_, layout: PlaneLayout) -> float:
 
 def realize_mpoints(
     aug: AugmentedDisk, cs: ConformalStructure, f, layout: PlaneLayout
-) -> dict:
-    """Minkowski vector per vertex: e^{-f_v} times the canonical lift.
+) -> np.ndarray:
+    """The Minkowski vectors of the vertices, e^{-f_v} times the
+    canonical lift, as a read-only (n, 4) array: row i is
+    ``aug.vertices[i]``, the apex the last row.
 
     The prefactor makes the self-products equal alpha_v and the edge
     products equal -eta_vw, independent of the label gauge.  All
@@ -277,7 +281,6 @@ def realize_mpoints(
     vector) raises the error the per-vertex path raises for it.
     """
     farr = aug.label_array(f)
-    verts = aug.vertices
     P = layout.positions
     W = cs.validate_for(aug)[0] * np.exp(2.0 * farr)
     q = _dot2(P, P)
@@ -289,16 +292,17 @@ def realize_mpoints(
         i = int(np.argmax(bad))
         canonical_lift(P[i], W[i]).scaled(float(s[i]))  # raises for the first offender
     xi.setflags(write=False)
-    return {v: MPoint._checked(xi[i]) for i, v in enumerate(verts)}
+    return xi
 
 
 @dataclass
 class UnitDiskRealization:
-    """A layout rescaled so the apex circle is the unit circle."""
+    """A layout rescaled so the apex circle is the unit circle, its
+    label and its (n, 4) array of M-points."""
 
     layout: PlaneLayout
     label: np.ndarray
-    mpoints: dict
+    mpoints: np.ndarray
 
 
 def normalize_layout(aug: AugmentedDisk, f, layout: PlaneLayout):
@@ -345,7 +349,7 @@ _SCENARIOS = ("tangent", "orthogonal", "inscribed")
 
 
 def verify_boundary_condition(
-    aug: AugmentedDisk, mpoints: dict, scenario: str, tol: float = 1e-9
+    aug: AugmentedDisk, mpoints, scenario: str, tol: float = 1e-9
 ) -> BoundaryReport:
     """Check each boundary circle against the apex circle.
 
@@ -353,27 +357,34 @@ def verify_boundary_condition(
     orthogonal:  |dist^2 - r_apex^2 - r_v^2|
     inscribed:   boundary points on the apex circle, ||p_v - p_apex| - r_apex|
 
+    ``mpoints`` is realize_mpoints' array, or a mapping from every vertex
+    to its MPoint.  The rows are projected at once; an improper one raises
+    project's error, the apex first, then the boundary in cycle order.
     Meant for normalized realizations (apex = unit circle); the checks
     are absolute with the given tolerance.
     """
     if scenario not in _SCENARIOS:
         raise ValueError(f"scenario must be one of {_SCENARIOS}")
-    hat = project(mpoints[aug.apex])
+    if isinstance(mpoints, dict):
+        mpoints = [mpoints[v].xi for v in aug.vertices]
+    # the last corners of the augmented faces (apex, w, v) run along the cycle
+    X = np.asarray(mpoints, dtype=float)[np.append(aug.compiled.F[aug.n_disk_faces:, 2], -1)]
+    B, hat = X[:-1], project(X[-1])
     r_hat = hat.radius
-    residuals = {}
-    for v in aug.disk.boundary_cycle:
-        wp = project(mpoints[v])
-        dist = float(np.linalg.norm(wp.p - hat.p))
-        if scenario == "tangent":
-            # weight-0 points come back as W = -eps from roundoff; a
-            # genuinely imaginary radius cannot be tangent to anything
-            if wp.W < -tol:
-                residuals[v] = float("inf")
-            else:
-                residuals[v] = abs(dist + np.sqrt(max(wp.W, 0.0)) - r_hat)
-        elif scenario == "orthogonal":
-            residuals[v] = abs(dist * dist - r_hat * r_hat - wp.W)
-        else:
-            residuals[v] = abs(dist - r_hat)
+    d = B[:, 3] - B[:, 2]
+    if (d <= 0.0).any():
+        project(B[np.argmax(d <= 0.0)])  # raises for the first improper row
+    dp = B[:, :2] / d[:, None] - hat.p
+    dist = np.sqrt(_dot2(dp, dp))
+    W = (B[:, 0] * B[:, 0] + B[:, 1] * B[:, 1] + B[:, 2] * B[:, 2] - B[:, 3] * B[:, 3]) / (d * d)
+    if scenario == "tangent":
+        # weight-0 points come back as W = -eps from roundoff; a
+        # genuinely imaginary radius cannot be tangent to anything
+        res = np.where(W < -tol, np.inf, np.abs(dist + np.sqrt(np.maximum(W, 0.0)) - r_hat))
+    elif scenario == "orthogonal":
+        res = np.abs(dist * dist - r_hat * r_hat - W)
+    else:
+        res = np.abs(dist - r_hat)
+    residuals = dict(zip(aug.disk.boundary_cycle, res.tolist()))
     worst = max(residuals.values())
     return BoundaryReport(scenario, residuals, worst, tol)

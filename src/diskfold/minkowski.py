@@ -99,13 +99,6 @@ class MPoint:
         xi.setflags(write=False)
         self.xi = xi
 
-    @classmethod
-    def _checked(cls, xi: np.ndarray) -> "MPoint":
-        """Wrap a read-only 4-vector that already passed __init__'s checks."""
-        mp = object.__new__(cls)
-        mp.xi = xi
-        return mp
-
     @property
     def is_proper(self) -> bool:
         return self.xi[3] - self.xi[2] > 0.0

@@ -31,8 +31,8 @@ orthogonal scenarios fall back.
 
 The Mobius orbit check takes the caller's AngleSystem, layout and
 realization, so checking many generators compiles, develops and
-realizes once; each check moves every vertex with one stacked
-product.
+realizes once; each check moves every row of the realization's (n, 4)
+array with one stacked product.
 """
 
 from __future__ import annotations
@@ -55,24 +55,23 @@ __all__ = [
 ]
 
 
-def constraint_matrix(aug: AugmentedDisk, mpoints: dict) -> np.ndarray:
+def constraint_matrix(aug: AugmentedDisk, mpoints: np.ndarray) -> np.ndarray:
     """Derivative of the product constraints, one row per constraint.
 
     Velocities are stacked per vertex in aug.vertex_order.  The row of
     vertex v carries xi_v in the block of v; the row of edge (u, v)
     carries xi_v in the block of u and xi_u in the block of v.  Rows
     are written without the symmetrization factor 2, which leaves the
-    rank unchanged.
+    rank unchanged.  ``mpoints`` is the (n, 4) array of realize_mpoints.
     """
     E = aug.compiled.E
     n = len(aug.vertices)
-    xi = np.array([mpoints[v].xi for v in aug.vertices])
     block = 4 * np.arange(n)[:, None] + np.arange(4)  # the 4 columns of each vertex
     rows = n + np.arange(len(E))[:, None]
     m = np.zeros((n + len(E), 4 * n))
-    m[np.arange(n)[:, None], block] = xi
-    m[rows, block[E[:, 0]]] = xi[E[:, 1]]
-    m[rows, block[E[:, 1]]] = xi[E[:, 0]]
+    m[np.arange(n)[:, None], block] = mpoints
+    m[rows, block[E[:, 0]]] = mpoints[E[:, 1]]
+    m[rows, block[E[:, 1]]] = mpoints[E[:, 0]]
     return m
 
 
@@ -142,7 +141,7 @@ def mobius_orbit_check(
     system: AngleSystem,
     f,
     layout: PlaneLayout,
-    mpoints: dict,
+    mpoints: np.ndarray,
     generator: InfinitesimalMobius,
     eps: float,
 ) -> OrbitReport:
@@ -150,23 +149,21 @@ def mobius_orbit_check(
 
     ``system`` is the AngleSystem of the augmented disk and its
     structure, ``layout`` the development of the flat label f (as from
-    layout_augmented) and ``mpoints`` its realization (as from
-    realize_mpoints); a caller checking several generators builds each
+    layout_augmented) and ``mpoints`` its realization, the (n, 4) array
+    of realize_mpoints; a caller checking several generators builds each
     once.  The moved label is f'_v = -log(xi'_4 - xi'_3).  For a flat f
     the report shows max |K(f')| of order eps^2 and the finite-difference
     rate (f' - f)/eps close to the predicted variation
     (a + b, c + d) . P_v + t.  The perturbation matrix is applied
     directly: it is Lorentz only to first order, which is the point.
     """
-    verts = system.vertex_order
     farr = system.complex.label_array(f)
     L = infinitesimal_generator(generator, eps)
-    X = np.array([mpoints[v].xi for v in verts])
     # a stacked product rounds like the per-vertex L.m @ xi
-    xi = (L.m[None] @ X[:, :, None])[:, :, 0]
+    xi = (L.m[None] @ mpoints[:, :, None])[:, :, 0]
     depth = xi[:, 3] - xi[:, 2]
     if np.any(depth <= 0):
-        v = verts[int(np.argmax(depth <= 0))]
+        v = system.vertex_order[int(np.argmax(depth <= 0))]
         raise ValueError(f"eps={eps!r} pushes vertex {v} outside the representable range")
     moved = -np.log(depth)
 

@@ -76,9 +76,9 @@ def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np
     and s_max is J's largest singular value, estimated by power steps,
     or when |v^T K| > |J v|: then the step along v, |v^T K| / |J v|,
     would move the label by more than one log-unit.  Near a flat label
-    v^T K is O(residual^2) and |J v| is O(residual), so the second test
-    only fires away from one, and only there do the inverse steps go on
-    (see _SETTLE_STEPS) until the directions it judges are accurate.
+    v^T K is O(residual^2) and |J v| is O(residual), or both are roundoff
+    and v is below thr, so only away from one do the inverse steps go on
+    (see _SETTLE_STEPS), for the v above the first Ritz values' thr.
     Raises RuntimeError when splu finds the grounded J exactly singular.
     """
     from scipy.sparse.linalg import splu
@@ -98,13 +98,23 @@ def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np
         _, sig, wt = np.linalg.svd(J @ y, full_matrices=False)
         return sig, wt, np.abs((K @ y) @ wt.T)
 
+    def threshold(s_max):
+        return max(svd_cutoff * s_max, min(residual, np.sqrt(np.finfo(float).eps) * s_max))
+
+    def drop_threshold(sig):
+        # thr grows with s_max and |J|_inf >= s_max (J is symmetric), so the
+        # power steps only run when some Ritz value could be dropped
+        thr = threshold(np.bincount(J.indices, np.abs(J.data)).max())
+        return threshold(_power_estimate(J, start[:, 0])) if sig[-1] <= thr else thr
+
     y = _orthonormal(solve(_orthonormal(solve(start))))
     sig, wt, kv = ritz_pairs(y)
     # two steps leave a direction far from null off by about
     # (sigma / sigma_3)^2, enough to misjudge its step length |v^T K| / sigma:
     # iterate on while that step is not short, until those directions settle
+    first, thr = sig, drop_threshold(sig)
     for _ in range(_SETTLE_STEPS):
-        loose = kv > _SETTLE_LENGTH * sig
+        loose = (kv > _SETTLE_LENGTH * sig) & (sig > thr)
         if not loose.any():
             break
         prev = y @ wt[loose].T
@@ -113,15 +123,8 @@ def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np
         cur = y @ wt[loose].T
         if np.abs(prev - cur * np.sum(prev * cur, axis=0)).max() <= _SETTLE_TOL:
             break
-
-    def threshold(s_max):
-        return max(svd_cutoff * s_max, min(residual, np.sqrt(np.finfo(float).eps) * s_max))
-
-    # thr grows with s_max and |J|_inf >= s_max (J is symmetric), so the
-    # power steps only run when some Ritz value could be dropped
-    thr = threshold(np.bincount(J.indices, np.abs(J.data)).max())
-    if sig[-1] <= thr:
-        thr = threshold(_power_estimate(J, start[:, 0]))
+    if sig is not first:  # the drop decision reads the settled Ritz values
+        thr = drop_threshold(sig)
     drop = y @ wt[(sig <= thr) | (kv > sig)].T
 
     # J is symmetric, so projecting K as well keeps the solve from ever
@@ -131,10 +134,10 @@ def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np
 
 
 #: Inverse steps go on, up to _SETTLE_STEPS more, while the step along a
-#: Ritz direction is longer than _SETTLE_LENGTH log-units, until those
-#: directions move by at most _SETTLE_TOL per step.  Near a flat label
-#: the steps along the Mobius directions are O(residual), so no step is
-#: added there and the two-step directions are used as they are.
+#: Ritz direction above thr is longer than _SETTLE_LENGTH log-units, until
+#: those directions move by at most _SETTLE_TOL per step.  Near a flat
+#: label the Mobius directions' steps are O(residual) or their |J v| is
+#: below thr, so no step is added and the two-step directions are used.
 _SETTLE_STEPS = 500
 _SETTLE_LENGTH = 0.1
 _SETTLE_TOL = 1e-13

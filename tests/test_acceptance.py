@@ -235,14 +235,14 @@ def test_criterion_10_realized_products(flat_instances):
     worst = 0.0
     for name, aug, cs, f in flat_instances:
         lay = layout_augmented(aug, cs, f)
-        mp = realize_mpoints(aug, cs, f, lay)
+        mp, ix = realize_mpoints(aug, cs, f, lay), aug.vertex_index
         for v in aug.vertices:
             a = cs.alpha[v]
-            dev = abs(mprod(mp[v].xi, mp[v].xi) - a) / max(1.0, abs(a))
+            dev = abs(mprod(mp[ix[v]], mp[ix[v]]) - a) / max(1.0, abs(a))
             worst = max(worst, dev)
         for u, v in aug.edges:
             e = cs.eta[edge_key(u, v)]
-            dev = abs(-mprod(mp[u].xi, mp[v].xi) - e) / max(1.0, abs(e))
+            dev = abs(-mprod(mp[ix[u]], mp[ix[v]]) - e) / max(1.0, abs(e))
             worst = max(worst, dev)
     ok = worst <= 1e-10
     _line(10, ok, f"max relative product deviation = {worst:.2e}")

@@ -23,7 +23,7 @@ from diskfold import (
 )
 from diskfold.complexes import edge_key
 from diskfold.layout import _develop
-from diskfold.minkowski import canonical_lift
+from diskfold.minkowski import ImproperVectorError, MPoint, canonical_lift
 from diskfold.presets import SCENARIOS, build, hex_flower, scenario_data, triangle_disk
 
 from conftest import HEX_FLAT
@@ -100,12 +100,13 @@ def test_realized_products_reproduce_structure():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
     lay = layout_augmented(aug, cs, f)
-    mp = realize_mpoints(aug, cs, f, lay)
+    mp, ix = realize_mpoints(aug, cs, f, lay), aug.vertex_index
+    assert mp.shape == (len(aug.vertices), 4)
     for v in aug.vertex_order:
-        got = mprod(mp[v].xi, mp[v].xi)
+        got = mprod(mp[ix[v]], mp[ix[v]])
         assert got == pytest.approx(cs.alpha[v], abs=1e-12)
     for e in aug.edges:
-        got = -mprod(mp[e[0]].xi, mp[e[1]].xi)
+        got = -mprod(mp[ix[e[0]]], mp[ix[e[1]]])
         assert got == pytest.approx(cs.eta[edge_key(*e)], abs=1e-12)
 
 
@@ -115,7 +116,7 @@ def test_normalization_sends_apex_to_unit_circle():
     lay = layout_augmented(aug, cs, f)
     reali = normalize_to_unit_disk(aug, cs, f, lay)
     assert layout_edge_error(aug, reali.layout) <= 1e-12
-    apex_wp = project(reali.mpoints[aug.apex])
+    apex_wp = project(reali.mpoints[-1])
     assert apex_wp.x == pytest.approx(0.0, abs=1e-12)
     assert apex_wp.y == pytest.approx(0.0, abs=1e-12)
     assert apex_wp.W == pytest.approx(1.0, abs=1e-12)
@@ -169,7 +170,7 @@ def test_boundary_geometry_tangent():
     lay = layout_augmented(aug, cs, f)
     reali = normalize_to_unit_disk(aug, cs, f, lay)
     for v in aug.disk.boundary_cycle:
-        wp = project(reali.mpoints[v])
+        wp = project(reali.mpoints[aug.vertex_index[v]])
         assert np.hypot(wp.x, wp.y) + wp.radius == pytest.approx(1.0, abs=1e-12)
 
 
@@ -179,7 +180,7 @@ def test_boundary_geometry_inscribed():
     lay = layout_augmented(aug, cs, f)
     reali = normalize_to_unit_disk(aug, cs, f, lay)
     for v in aug.disk.boundary_cycle:
-        wp = project(reali.mpoints[v])
+        wp = project(reali.mpoints[aug.vertex_index[v]])
         assert np.hypot(wp.x, wp.y) == pytest.approx(1.0, abs=1e-12)
         assert wp.W == pytest.approx(0.0, abs=1e-12)
 
@@ -194,7 +195,7 @@ def test_triangle_apex_realization():
     rep = verify_boundary_condition(aug, reali.mpoints, "inscribed")
     assert rep.passed
     # boundary points form an equilateral triangle of side sqrt(3)
-    pts = [project(reali.mpoints[v]).p for v in disk.boundary_cycle]
+    pts = [project(reali.mpoints[aug.vertex_index[v]]).p for v in disk.boundary_cycle]
     for i in range(3):
         d = np.hypot(*(pts[i] - pts[(i + 1) % 3]))
         assert d == pytest.approx(np.sqrt(3.0), abs=1e-12)
@@ -206,11 +207,11 @@ def test_triangle_apex_realization():
 def _realize_per_vertex(aug, cs, f, layout):
     """realize_mpoints as a loop over vertices: the reference."""
     farr = aug.label_array(f)
-    out = {}
+    out = []
     for i, v in enumerate(aug.vertices):
         w = cs.alpha[v] * np.exp(2.0 * farr[i])
-        out[v] = canonical_lift(layout.positions[i], w).scaled(float(np.exp(-farr[i])))
-    return out
+        out.append(canonical_lift(layout.positions[i], w).scaled(float(np.exp(-farr[i]))).xi)
+    return np.array(out)
 
 
 def _third_point(pa, pb, la, lb, orient):
@@ -302,8 +303,9 @@ def flat_case(request):
     return aug, cs, res.f
 
 
-def _same_bits(a: dict, b: dict) -> bool:
-    return list(a) == list(b) and all(a[v].xi.tobytes() == b[v].xi.tobytes() for v in a)
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    # byte equality: np.array_equal would let -0.0 stand for 0.0
+    return np.array_equal(a, b) and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("shift", [0.0, 0.37, -2.5])
@@ -342,7 +344,65 @@ def test_realized_mpoints_are_read_only(flat_case):
     aug, cs, f = flat_case
     mp = realize_mpoints(aug, cs, f, layout_augmented(aug, cs, f))
     with pytest.raises(ValueError):
-        mp[aug.apex].xi[0] = 1.0
+        mp[-1, 0] = 1.0
+
+
+def _verify_per_vertex(aug, mpoints, scenario, tol=1e-9):
+    """verify_boundary_condition's residuals, one project call per
+    vertex of a mapping vertex -> MPoint: the reference."""
+    hat = project(mpoints[aug.apex])
+    r_hat = hat.radius
+    residuals = {}
+    for v in aug.disk.boundary_cycle:
+        wp = project(mpoints[v])
+        dist = float(np.linalg.norm(wp.p - hat.p))
+        if scenario == "tangent":
+            if wp.W < -tol:
+                residuals[v] = float("inf")
+            else:
+                residuals[v] = abs(dist + np.sqrt(max(wp.W, 0.0)) - r_hat)
+        elif scenario == "orthogonal":
+            residuals[v] = abs(dist * dist - r_hat * r_hat - wp.W)
+        else:
+            residuals[v] = abs(dist - r_hat)
+    return residuals
+
+
+_VERIFY_CASES = [(f"hex_{s}", 2, s) for s in SCENARIOS]
+_VERIFY_CASES += [("ring_lattice", n, s) for n in (1, 2, 4, 8) for s in SCENARIOS]
+
+
+@pytest.mark.parametrize("name, rings, scenario", _VERIFY_CASES)
+def test_boundary_check_matches_per_vertex_loop(name, rings, scenario):
+    aug, cs = build(name, n_rings=rings, scenario=scenario)
+    f = HEX_FLAT[name] if name.startswith("hex_") else newton_flat(aug, cs).f
+    lay = layout_augmented(aug, cs, f)
+    # the normalized realization and one whose apex circle is not the unit circle
+    for xi in (normalize_to_unit_disk(aug, cs, f, lay).mpoints, realize_mpoints(aug, cs, f + 0.37, lay)):
+        mapping = {v: MPoint(xi[i]) for i, v in enumerate(aug.vertices)}
+        for check in SCENARIOS:
+            want = _verify_per_vertex(aug, mapping, check)
+            for form in (xi, mapping):
+                rep = verify_boundary_condition(aug, form, check)
+                assert list(rep.residuals) == list(want)
+                assert np.array(list(rep.residuals.values())).tobytes() == np.array(list(want.values())).tobytes()
+                assert rep.max_residual == max(want.values())
+
+
+@pytest.mark.parametrize("row", ["apex", "boundary"])
+def test_boundary_check_rejects_an_improper_row(row):
+    aug, cs = build("hex_tangent")
+    f = HEX_FLAT["hex_tangent"]
+    xi = realize_mpoints(aug, cs, f, layout_augmented(aug, cs, f)).copy()
+    v = aug.apex if row == "apex" else aug.disk.boundary_cycle[2]
+    xi[aug.vertex_index[v]] = [0.3, 0.1, 2.0, 1.5]  # xi4 - xi3 < 0
+    mapping = {u: MPoint(xi[i]) for i, u in enumerate(aug.vertices)}
+    with pytest.raises(ImproperVectorError) as want:
+        _verify_per_vertex(aug, mapping, "tangent")
+    for form in (xi, mapping):
+        with pytest.raises(ImproperVectorError) as got:
+            verify_boundary_condition(aug, form, "tangent")
+        assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("traversal", ["bfs", "dfs"])

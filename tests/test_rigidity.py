@@ -69,7 +69,7 @@ def test_constraint_rows_encode_products(hex_realized):
     g = np.array([1.0, 1.0, 1.0, -1.0])
     want = [cs.alpha[v] for v in aug.vertex_order]
     want += [-2.0 * cs.eta[(u, w)] for (u, w) in aug.edges]
-    xg = np.concatenate([g * mp[v].xi for v in aug.vertex_order])
+    xg = (g * mp).ravel()
     assert np.allclose(C @ xg, want, atol=1e-10)
 
 
@@ -200,8 +200,8 @@ def _orbit_per_vertex(aug, layout, mpoints, generator, eps):
     """The moved label and predicted variation, one vertex at a time."""
     L = infinitesimal_generator(generator, eps)
     moved = np.empty(len(aug.vertices))
-    for i, v in enumerate(aug.vertices):
-        xi = L.m @ mpoints[v].xi
+    for i in range(len(aug.vertices)):
+        xi = L.m @ mpoints[i]
         moved[i] = -np.log(xi[3] - xi[2])
     predicted = np.array([induced_label_variation(generator, p) for p in layout.positions])
     return moved, predicted

@@ -288,6 +288,21 @@ def _assert_same_step(got, want):
     assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
 
+def test_step_at_a_flat_label_adds_no_inverse_steps(monkeypatch):
+    # at a converged label both Ritz values are roundoff below thr, and
+    # their settle test compared noise with noise: 502 inverse steps here,
+    # as on rings 4, 8 and 32, and 15 s for a ring-128 orthogonal solve
+    aug, cs = build("ring_lattice", n_rings=2)
+    res = newton_flat(aug, cs, tol=1e-13)
+    assert res.converged
+    calls = []
+    orthonormal = solver._orthonormal
+    monkeypatch.setattr(solver, "_orthonormal", lambda y: calls.append(1) or orthonormal(y))
+    (_, dropped), _ = _steps(aug, cs, res.f)
+    assert dropped == 2
+    assert len(calls) <= 3
+
+
 def test_step_matches_dense_reference_far_from_flat():
     aug, cs = build("ring_lattice", n_rings=3)
     f = _log3_start(aug)
