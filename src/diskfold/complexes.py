@@ -15,8 +15,12 @@ index arrays (edge ends, face corners, face sides, the faces of each
 edge), the fold signs and the curvature's constant term.  validate_disk
 builds it in the integer-array passes that check the topology, augment
 extends it by the apex, and every layer reads these shared, read-only
-arrays.  The id views (faces, edges, vertex_index, ...) are built on
-first use.  Labels are coerced to vertex order by the one label_array.
+arrays.  The id views (faces, edges, vertex_index, simplex_index, ...)
+are built on first use.  Labels are coerced to vertex order by the one
+label_array.  A simplex's class is a code off the index: sign(const) of
+a vertex, -fold_sign of a face, the mean of an edge's two faces.  A
+MultiplicityAssignment is three read-only integer arrays over the
+vertices, edges and faces; the standard one is (-1)^dim times the code.
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ class DiskTopologyError(ValueError):
 
 
 class SimplexClass(enum.Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    AUGMENTED = "augmented"
+    INTERIOR = 1
+    BOUNDARY = 0
+    AUGMENTED = -1
 
 
 def edge_key(u: int, v: int) -> Edge:
@@ -127,6 +131,14 @@ class _Indexed:
     def vertex_index(self) -> dict:
         """Position of each vertex in vertex order; shared, do not mutate."""
         return dict(zip(self.vertices, range(len(self.vertices))))
+
+    @cached_property
+    def simplex_index(self) -> dict:
+        """Row of each simplex (vertices, edges, then faces) in the compiled
+        order of its dimension, keyed by simplex_key; shared, do not mutate."""
+        ix = self.compiled
+        keys = chain(zip(self.vertices), self.edges, _tuples(np.sort(ix.ids[ix.F], axis=1)))
+        return dict(zip(keys, chain(range(len(ix.ids)), range(len(ix.E)), range(len(ix.F)))))
 
     def label_array(self, f) -> np.ndarray:
         """Coerce a label (mapping or aligned array) to a fresh array in vertex order."""
@@ -473,74 +485,65 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
     return AugmentedDisk(disk, apex, vertices, nf, source, compiled)
 
 
+def _class_codes(aug: AugmentedDisk):
+    """The (vertex, edge, face) class codes of aug, in compiled order."""
+    ix = aug.compiled
+    face = -ix.fold_sign.astype(int)
+    return np.sign(ix.const).astype(int), face[ix.edge_faces].sum(axis=1) // 2, face
+
+
 def classify(aug: AugmentedDisk):
     """Class of every simplex of the augmented disk, keyed by simplex_key."""
-    disk = aug.disk
-    out = {}
-    for v in disk.interior_vertices:
-        out[(v,)] = SimplexClass.INTERIOR
-    for v in disk.boundary_cycle:
-        out[(v,)] = SimplexClass.BOUNDARY
-    out[(aug.apex,)] = SimplexClass.AUGMENTED
-    for e in aug.edges:
-        if aug.apex in e:
-            out[e] = SimplexClass.AUGMENTED
-        elif e in disk.boundary_edges:
-            out[e] = SimplexClass.BOUNDARY
-        else:
-            out[e] = SimplexClass.INTERIOR
-    for f in aug.disk_faces:
-        out[simplex_key(f)] = SimplexClass.INTERIOR
-    for f in aug.augmented_faces:
-        out[simplex_key(f)] = SimplexClass.AUGMENTED
-    return out
+    return dict(zip(aug.simplex_index, map(SimplexClass, np.concatenate(_class_codes(aug)).tolist())))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiplicityAssignment:
-    """Integer weights on the simplices of an augmented disk."""
+    """Integer weights on the simplices of an augmented disk: read-only
+    arrays over its vertices, edges and faces in compiled order.
+    ``mu(simplex)`` reads one weight by id, 0 off the complex."""
 
-    mu: dict = field(default_factory=dict)
+    complex: AugmentedDisk
+    vertex: np.ndarray
+    edge: np.ndarray
+    face: np.ndarray
+
+    def __post_init__(self):
+        for a in (self.vertex, self.edge, self.face):
+            a.flags.writeable = False
+
+    @classmethod
+    def on(cls, aug: AugmentedDisk, mapping) -> "MultiplicityAssignment":
+        """The weights of a mapping simplex -> int, 0 where it has none;
+        ValueError for a key that is not a simplex of aug."""
+        weights = [np.zeros(len(a), dtype=int) for a in (aug.vertices, aug.compiled.E, aug.compiled.F)]
+        for s, m in mapping.items():
+            k = simplex_key(s)
+            if k not in aug.simplex_index:
+                raise ValueError(f"{s!r} is not a simplex of the complex")
+            weights[len(k) - 1][aug.simplex_index[k]] = m
+        return cls(aug, *weights)
 
     def __call__(self, simplex) -> int:
-        return self.mu.get(simplex_key(simplex), 0)
+        k = simplex_key(simplex)
+        i = self.complex.simplex_index.get(k)
+        return 0 if i is None else int((self.vertex, self.edge, self.face)[len(k) - 1][i])
 
-    def items(self):
-        return self.mu.items()
-
-    def total(self, aug: "AugmentedDisk", vertices, edges, faces) -> int:
-        """Sum of mu over the vertices, edges and faces of aug that the
-        boolean masks (in the complex's own order) select."""
-        return (
-            sum(self((aug.vertices[i],)) for i in np.flatnonzero(vertices).tolist())
-            + sum(self(aug.edges[i]) for i in np.flatnonzero(edges).tolist())
-            + sum(self(aug.faces[i]) for i in np.flatnonzero(faces).tolist())
-        )
-
-
-#: Weight per (dimension, class) in the standard assignment.
-_STANDARD_TABLE = {
-    (1, SimplexClass.INTERIOR): 1,
-    (1, SimplexClass.BOUNDARY): 0,
-    (1, SimplexClass.AUGMENTED): -1,
-    (2, SimplexClass.INTERIOR): -1,
-    (2, SimplexClass.BOUNDARY): 0,
-    (2, SimplexClass.AUGMENTED): 1,
-    (3, SimplexClass.INTERIOR): 1,
-    (3, SimplexClass.AUGMENTED): -1,
-}
+    def total(self, vertices, edges, faces) -> int:
+        """Sum of mu over the vertices, edges and faces that the boolean
+        masks (in the complex's own order) select."""
+        return int(self.vertex[vertices].sum() + self.edge[edges].sum() + self.face[faces].sum())
 
 
 def standard_multiplicities(aug: AugmentedDisk) -> MultiplicityAssignment:
-    """The assignment whose curvature measure matches the angle curvature.
+    """The assignment whose curvature measure matches the angle curvature:
+    (-1)^dim times the class code.
 
     Vertices: interior 1, boundary 0, apex -1.  Edges: interior -1,
     boundary 0, augmented 1.  Faces: disk 1, augmented -1.
     """
-    cls = classify(aug)
-    return MultiplicityAssignment(
-        {s: _STANDARD_TABLE[(len(s), c)] for s, c in cls.items()}
-    )
+    vertex, edge, face = _class_codes(aug)
+    return MultiplicityAssignment(aug, vertex, -edge, face)
 
 
 def pointwise_multiplicity(aug: AugmentedDisk, mu: MultiplicityAssignment, simplex) -> int:
@@ -550,15 +553,8 @@ def pointwise_multiplicity(aug: AugmentedDisk, mu: MultiplicityAssignment, simpl
     boundary ones and -1 on augmented ones: the two sheets of the fold
     counted with sign, as seen from the closed star of the simplex.
     The cofaces are the rows of the compiled index that hold every
-    vertex of the simplex.
+    vertex of the simplex (none, for an id off the complex).
     """
-    ix = aug.compiled
-    s = set(simplex)
-    if not s <= aug.vertex_index.keys():
-        return 0
-    idx = [aug.vertex_index[v] for v in s]
-
-    def cofaces(rows):
-        return np.isin(rows, idx).sum(axis=1) == len(idx)
-
-    return mu.total(aug, cofaces(np.arange(len(aug.vertices))[:, None]), cofaces(ix.E), cofaces(ix.F))
+    idx = [aug.vertex_index.get(v, -1) for v in set(simplex)]
+    rows = (np.arange(len(aug.vertices))[:, None], aug.compiled.E, aug.compiled.F)
+    return mu.total(*(np.isin(r, idx).sum(axis=1) == len(idx) for r in rows))

@@ -213,8 +213,9 @@ def _layout(complex_, cs, f, start, traversal, flat_tol) -> PlaneLayout:
                 f"label is not flat: max |K| = {worst!r}, |K(apex)| = {float(K[-1])!r}"
             )
     else:
-        interior = [complex_.vertex_index[v] for v in complex_.interior_vertices]
-        worst = float(np.max(K[interior], initial=0.0))
+        # the interior vertices are those on no boundary edge
+        ix = complex_.compiled
+        worst = float(np.max(np.delete(K, ix.E[ix.edge_faces[:, 1] < 0].ravel()), initial=0.0))
         if worst > flat_tol:
             raise LayoutError(f"interior curvature max |K| = {worst!r} is not flat")
 

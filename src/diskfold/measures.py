@@ -11,12 +11,15 @@ With the standard assignment this reproduces the angle curvature of
 the folded disk exactly, and the map (subcomplex -> curvature) is a
 valuation: K(A u B) = K(A) + K(B) - K(A n B).
 
-The angles come as the (F, 3) array of AngleSystem.angles, and the
-curvature of all vertices is one scatter over the complex's compiled
-incidence (edge ends, face corners).
+The angles come as the (F, 3) array of AngleSystem.angles, the weights
+as the assignment's arrays (masked by row to restrict to a subcomplex),
+and the curvature of all vertices is one scatter over the complex's
+compiled incidence (edge ends, face corners).
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 import numpy as np
 
@@ -45,13 +48,18 @@ def measure_curvatures(
 
     ``angles`` is AngleSystem.angles(f): a row per face, column c at
     the corner faces[i][c].  One scatter of every simplex's
-    contribution over the compiled incidence.
+    contribution over the compiled incidence; ValueError unless mu is on aug.
     """
+    return _measure(aug, mu, angles, (True, True, True))
+
+
+def _measure(aug: AugmentedDisk, mu: MultiplicityAssignment, angles: np.ndarray, keep) -> np.ndarray:
+    """measure_curvatures with mu's vertex, edge and face weights masked by ``keep``."""
+    if mu.complex is not aug:
+        raise ValueError("the multiplicities are on another complex")
     ix = aug.compiled
     n = len(aug.vertices)
-    mv = np.array([mu((v,)) for v in aug.vertices], dtype=float)
-    me = np.array([mu(e) for e in aug.edges], dtype=float)
-    mf = np.array([mu(f) for f in aug.faces], dtype=float)
+    mv, me, mf = (w * k for w, k in zip((mu.vertex, mu.edge, mu.face), keep))
     index = np.concatenate([np.arange(n), ix.E.ravel(), ix.F.ravel()])
     w = np.concatenate(
         [2.0 * np.pi * mv, np.repeat(np.pi * me, 2), ((np.pi - angles) * mf[:, None]).ravel()]
@@ -80,17 +88,7 @@ def measure_equivalence_check(aug: AugmentedDisk, cs: ConformalStructure, f) -> 
 
 def closure(simplices) -> frozenset:
     """Close a set of simplices under taking sub-simplices."""
-    out = set()
-    for s in simplices:
-        s = simplex_key(s)
-        out.add(s)
-        if len(s) >= 2:
-            for v in s:
-                out.add((v,))
-        if len(s) == 3:
-            a, b, c = s
-            out.update({(a, b), (b, c), (a, c)})
-    return frozenset(out)
+    return frozenset(c for s in map(simplex_key, simplices) for d in range(1, len(s) + 1) for c in combinations(s, d))
 
 
 def valuation_defect(
@@ -107,21 +105,23 @@ def valuation_defect(
     augmented disk; exact up to roundoff for any multiplicities.  K(X)
     is the measure curvature with mu restricted to X.
     """
-    allowed = closure(aug.faces) | {simplex_key(e) for e in aug.edges} | {
-        (v,) for v in aug.vertices
-    }
-    A = frozenset(simplex_key(s) for s in A)
-    B = frozenset(simplex_key(s) for s in B)
+    index = aug.simplex_index
+    A, B = (frozenset(map(simplex_key, X)) for X in (A, B))
     for name, X in (("A", A), ("B", B)):
-        if not X <= allowed:
+        if not X <= index.keys():
             raise ValueError(f"{name} contains simplices outside the complex")
         if closure(X) != X:
             raise ValueError(f"{name} is not closed under sub-simplices")
+    i = aug.vertex_index[vertex]
 
     def k(X):
-        return measure_curvature(aug, MultiplicityAssignment({s: mu(s) for s in X}), angles, vertex)
+        # mu restricted to X by row masks
+        keep = [np.zeros(len(w), dtype=bool) for w in (mu.vertex, mu.edge, mu.face)]
+        for s in X:
+            keep[len(s) - 1][index[s]] = True
+        return _measure(aug, mu, angles, keep)[i]
 
-    return abs(k(A | B) - k(A) - k(B) + k(A & B))
+    return float(abs(k(A | B) - k(A) - k(B) + k(A & B)))
 
 
 def layout_point_multiplicity(
@@ -158,4 +158,4 @@ def layout_point_multiplicity(
         e = p1 - p0
         cross = (e[:, 0] * (q[1] - p0[:, 1]) - e[:, 1] * (q[0] - p0[:, 0])) * sign
         in_face &= ~(cross < -tol * np.linalg.norm(e, axis=1))
-    return mu.total(aug, at_vertex, on_edge, in_face)
+    return mu.total(at_vertex, on_edge, in_face)

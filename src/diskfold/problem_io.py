@@ -408,8 +408,8 @@ def label_to_json(aug: AugmentedDisk, f) -> IdRows:
     return IdRows(aug, aug.label_array(f))
 
 
-def label_from_json(aug: AugmentedDisk, data: dict) -> np.ndarray:
-    fd = {}
-    for k, v in data.items():
-        fd[aug.apex if k == "hat" else int(k)] = float(v)
-    return aug.label_array(fd)
+def label_from_json(aug: AugmentedDisk, data: Mapping) -> np.ndarray:
+    """A label from its id-keyed JSON section, read as parse_problem reads
+    f_init; a ProblemFormatError names the offending key under /label."""
+    f, hat = _vertex_section({"label": data}, "label", aug.disk, list(map(str, aug.disk.vertices)))
+    return np.append(f, hat)

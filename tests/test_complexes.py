@@ -20,6 +20,8 @@ from diskfold import (
 from diskfold.complexes import edge_key, simplex_key
 from diskfold.presets import hex_flower, ring_lattice, triangle_disk
 
+from conftest import flipped_disk
+
 
 def test_single_triangle():
     disk = validate_disk([0, 1, 2], [(0, 1, 2)])
@@ -245,10 +247,20 @@ def test_pointwise_multiplicity_with_arbitrary_weights():
     aug = augment(ring_lattice(2))
     rng = np.random.default_rng(3)
     simplices = [(v,) for v in aug.vertices] + list(aug.edges) + [simplex_key(f) for f in aug.faces]
-    mu = MultiplicityAssignment({s: int(rng.integers(-3, 4)) for s in simplices})
+    mu = MultiplicityAssignment.on(aug, {s: int(rng.integers(-3, 4)) for s in simplices})
     for query in simplices + [(), (99,), (0, 99)]:
         want = sum(mu(s) for s in simplices if set(query) <= set(s))
         assert pointwise_multiplicity(aug, mu, query) == want
+
+
+def test_flipped_disks_are_irregular_lattices():
+    lattice = ring_lattice(4)
+    disk = flipped_disk(4, 0)
+    assert disk.vertices == lattice.vertices and len(disk.faces) == len(lattice.faces)
+    degree = np.bincount(disk.compiled.E.ravel())
+    interior = [disk.vertex_index[v] for v in disk.interior_vertices]
+    assert set(degree[interior].tolist()) != {6}
+    assert flipped_disk(4, 0).faces == disk.faces
 
 
 def test_ids_past_int64_validate_like_small_ids():

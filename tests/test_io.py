@@ -228,6 +228,27 @@ def test_f_init_round_trip():
     assert "f_init" in json.loads(serialize_problem(prob2))
 
 
+@pytest.mark.parametrize("name, rings", [("hex_tangent", 2), ("ring_lattice", 2)])
+def test_label_from_json_round_trip_is_bit_identical(name, rings):
+    aug = parse_problem(preset(name, n_rings=rings)).aug
+    f = np.random.default_rng(rings).normal(size=len(aug.vertices))
+    back = label_from_json(aug, json.loads(canonical_json(label_to_json(aug, f))))
+    assert back.tobytes() == f.tobytes()
+
+
+def test_label_from_json_names_the_bad_key():
+    aug = parse_problem(preset("hex_tangent")).aug
+    good = json.loads(canonical_json(label_to_json(aug, HEX_FLAT["hex_tangent"])))
+    cases = [
+        ({k: x for k, x in good.items() if k != "hat"}, '^/label: missing the apex entry "hat"$'),
+        ({**good, "99": 0.0}, "^/label/99: unknown vertex$"),
+        ({**good, "3": float("inf")}, "^/label/3: number must be finite$"),
+    ]
+    for data, message in cases:
+        with pytest.raises(ProblemFormatError, match=message):
+            label_from_json(aug, data)
+
+
 # -- command line -------------------------------------------------------
 
 

@@ -78,6 +78,18 @@ def test_non_flat_label_rejected():
         layout_augmented(aug, cs, f)
 
 
+def test_disk_only_layout_rejects_a_curved_interior():
+    # only the interior vertex counts: the boundary's curvature is not 0
+    # on a plain disk, and the flat label below develops
+    disk = hex_flower()
+    aug = augment(disk)
+    cs = attach_boundary_data(aug, *scenario_data(disk, "tangent"))
+    f_disk = {v: np.log(1.0 / 3.0) for v in disk.vertices}
+    f_disk[0] += 0.05
+    with pytest.raises(LayoutError, match="^interior curvature"):
+        layout_disk(disk, cs, f_disk)
+
+
 def test_disk_only_layout():
     """The disk sheet can be developed alone when its interior is flat."""
     disk = hex_flower()

@@ -120,7 +120,7 @@ def test_measure_curvatures_matches_scalar_calls():
     th = AngleSystem(aug, cs).angles(f)
     # the standard weights, then arbitrary integer weights on every simplex
     arbitrary = {s: int(rng.integers(-3, 4)) for s in sorted(closure(aug.faces))}
-    for mu in (standard_multiplicities(aug), MultiplicityAssignment(arbitrary)):
+    for mu in (standard_multiplicities(aug), MultiplicityAssignment.on(aug, arbitrary)):
         allk = measure_curvatures(aug, mu, th)
         assert allk.shape == (len(aug.vertices),)
         for i, v in enumerate(aug.vertex_order):
@@ -171,7 +171,7 @@ def test_layout_multiplicity_matches_a_scalar_count():
     # arbitrary weights, so that vertices, edges and faces all count
     aug, cs = _hex_tangent()
     rng = np.random.default_rng(5)
-    mu = MultiplicityAssignment({s: int(rng.integers(-3, 4)) for s in sorted(closure(aug.faces))})
+    mu = MultiplicityAssignment.on(aug, {s: int(rng.integers(-3, 4)) for s in sorted(closure(aug.faces))})
     pos, ix = layout_augmented(aug, cs, HEX_FLAT["hex_tangent"]).positions, aug.vertex_index
     points = list(pos)
     points += [(pos[ix[u]] + pos[ix[v]]) / 2 for u, v in aug.edges]

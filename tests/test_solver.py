@@ -27,7 +27,7 @@ from diskfold.presets import (
     triangle_disk,
 )
 
-from conftest import HEX_FLAT, HEX_GAP, boundary_gaps
+from conftest import HEX_FLAT, HEX_GAP, boundary_gaps, flipped_disk
 
 
 def _log3_start(aug):
@@ -148,6 +148,23 @@ def test_newton_converges_on_the_fixed_random_sample():
             aug, cs, _ = random_admissible(disk, rng)
             statuses.append(newton_flat(aug, cs).status)
     assert statuses == ["converged"] * 60
+
+
+def _tangent_on_flipped(rings, seed):
+    disk = flipped_disk(rings, seed)
+    aug = augment(disk)
+    return newton_flat(aug, attach_boundary_data(aug, *scenario_data(disk, "tangent")))
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("rings", [4, 8])
+def test_tangent_converges_on_flip_randomized_disks(rings, seed):
+    # every disk deforms to one internally tangent to the circle, so a
+    # tangent failure here is a solver bug
+    res = _tangent_on_flipped(rings, seed)
+    assert res.converged and res.iterations <= 8
+    again = _tangent_on_flipped(rings, seed)
+    assert again.f.tobytes() == res.f.tobytes() and again.history == res.history
 
 
 def _ring4_draw(seed, k):
