@@ -18,7 +18,7 @@ import numpy as np
 from . import presets, problem_io
 from .complexes import DiskTopologyError
 from .conformal import InadmissibleLabelError, StructureError
-from .layout import LayoutError, layout_augmented, normalize_layout, realize_mpoints
+from .layout import FLAT_TOL, LayoutError, layout_augmented, normalize_layout, realize_mpoints
 from .minkowski import InfinitesimalMobius
 from .rigidity import (
     N_SMALLEST,
@@ -92,9 +92,9 @@ def _newton(prob, args):
 
 
 def _solved_label(prob, args):
-    """f_init when it is already flat, otherwise a fresh Newton solve."""
+    """f_init when it is already flat (FLAT_TOL), otherwise a fresh Newton solve."""
     if prob.f_init is not None:
-        if float(np.max(np.abs(prob.cs.system.curvature(prob.f_init)))) <= 1e-8:
+        if float(np.max(np.abs(prob.cs.system.curvature(prob.f_init)))) <= FLAT_TOL:
             return prob.f_init
     res = _newton(prob, args)
     if not res.converged:
@@ -243,18 +243,16 @@ def _cmd_mobius_check(args) -> int:
         gen = InfinitesimalMobius(**{name: 1.0})
         for eps in args.eps:
             rep = mobius_orbit_check(prob.cs.system, f, lay, mpoints, gen, eps)
+            curvature_bound, variation_bound = 100.0 * eps * eps, 10.0 * eps
             reports.append(
                 {
                     "generator": name,
                     "eps": eps,
                     "max_abs_curvature": rep.max_abs_curvature,
-                    "curvature_bound": 100.0 * eps * eps,
+                    "curvature_bound": curvature_bound,
                     "max_variation_dev": rep.max_variation_dev,
-                    "variation_bound": 10.0 * eps,
-                    "ok": bool(
-                        rep.max_abs_curvature <= 100.0 * eps * eps
-                        and rep.max_variation_dev <= 10.0 * eps
-                    ),
+                    "variation_bound": variation_bound,
+                    "ok": rep.max_abs_curvature <= curvature_bound and rep.max_variation_dev <= variation_bound,
                 }
             )
     _write(problem_io.canonical_json({"checks": reports}), args.out)

@@ -402,7 +402,7 @@ class AugmentedDisk(_Indexed):
 
     ``faces`` lists the disk faces first, then one augmented face
     (apex, w, v) per boundary edge (v, w) of the cycle; the reversal
-    folds the augmented sheet over the disk.  ``vertex_order`` fixes the
+    folds the augmented sheet over the disk.  ``vertices`` fixes the
     index convention used by all array-valued callers: disk vertices in
     their original order, apex last.  Edge i is row ``source[i]`` of the
     disk's edges followed by the edges (v, apex) in cycle order.
@@ -415,10 +415,6 @@ class AugmentedDisk(_Indexed):
     n_disk_faces: int
     source: np.ndarray = field(repr=False)
     compiled: CompiledComplex = field(repr=False)
-
-    @property
-    def vertex_order(self) -> tuple:
-        return self.vertices
 
     @property
     def disk_faces(self) -> tuple:

@@ -16,7 +16,7 @@ boundary vertices and -2*pi at the apex.  The total curvature vanishes
 identically.
 
 AngleSystem binds a structure (alpha and eta as arrays in its
-complex's order) to a complex: it reads the complex's compiled index
+complex's order) to that complex alone: it reads the complex's compiled index
 (complexes.CompiledComplex: edge ends, face sides, fold signs,
 curvature constants) and the structure's arrays, compiles the
 Jacobian's sparse pattern on first use, and looks up ids only to name
@@ -72,7 +72,7 @@ class ConformalStructure:
     vertex and edge order; ``alpha`` and ``eta`` are id-keyed views built
     on first use, and so is its compiled ``system``.  attach_boundary_data
     and ConformalStructure.on build checked structures, which compare by
-    identity."""
+    identity and serve only their own complex (see validate_for)."""
 
     complex: object = field(repr=False)
     alpha_array: np.ndarray
@@ -107,15 +107,15 @@ class ConformalStructure:
         return AngleSystem(self.complex, self)
 
     def system_for(self, complex_) -> "AngleSystem":
-        """self.system on the structure's own complex, else a new AngleSystem
-        of complex_ with (alpha, eta) gathered by id (validate_for)."""
-        return self.system if complex_ is self.complex else AngleSystem(complex_, self)
+        """self.system, once validate_for has accepted complex_."""
+        self.validate_for(complex_)
+        return self.system
 
     def validate_for(self, complex_):
         """(alpha, eta) as read-only arrays in the complex's vertex and edge
-        order: the structure's own, or gathered by id for another complex."""
+        order; StructureError for any complex but its own, even with the same ids."""
         if complex_ is not self.complex:
-            return ConformalStructure.on(complex_, self.alpha, self.eta).validate_for(complex_)
+            raise StructureError("the structure is on another complex")
         return self.alpha_array, self.eta_array
 
 
@@ -222,7 +222,7 @@ class JacobianPattern:
 
 
 class AngleSystem:
-    """Array-compiled evaluator for one (complex, structure) pair.
+    """Array-compiled evaluator for one structure on its own complex.
 
     Bind once and reuse when evaluating many labels.  For a plain disk
     only the interior entries of curvature() are meaningful.
@@ -246,8 +246,7 @@ class AngleSystem:
         self.alpha, self.eta = cs.validate_for(complex_)
         self.complex = complex_
         self.compiled = ix = complex_.compiled
-        self.vertex_order = complex_.vertices
-        n = self.n_vertices = len(self.vertex_order)
+        n = self.n_vertices = len(complex_.vertices)
 
         # evaluation index arrays: both ends of every edge, the opposite
         # side of every corner and its two adjacent sides (each (F, 3)),

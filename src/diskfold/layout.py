@@ -16,9 +16,9 @@ of ``complex_.vertices[i]``, the apex the last row on an augmented
 disk.  Every later layer reads that array as it is.  The consistency
 residual re-derives all 3F corners in one array pass.
 
-The flatness check evaluates through ConformalStructure.system_for the
-complex being developed: the structure's own system, or a fresh one of
-another complex with the values gathered by id.
+The flatness check evaluates through the structure's own system, so the
+structure must be on the complex being developed (StructureError
+otherwise), and compares max |K| with FLAT_TOL.
 
 The layout lifts to Minkowski vectors
 
@@ -59,8 +59,10 @@ __all__ = [
     "verify_boundary_condition",
 ]
 
-#: Default bound on max |K| for a label to count as flat.
+#: Bound on max |K| for a label to count as flat.
 FLAT_TOL = 1e-8
+#: Bound on each boundary residual of verify_boundary_condition.
+BOUNDARY_TOL = 1e-9
 
 
 class LayoutError(RuntimeError):
@@ -200,7 +202,7 @@ def _residual(ix, lengths, P):
     return float(np.fmax.reduce(np.sqrt(_dot2(dev, dev)), initial=0.0))
 
 
-def _layout(complex_, cs, f, start, traversal, flat_tol) -> PlaneLayout:
+def _layout(complex_, cs, f, start, traversal) -> PlaneLayout:
     """Check flatness, then develop from face ``start``: the body of
     layout_disk and layout_augmented."""
     sys = cs.system_for(complex_)
@@ -208,7 +210,7 @@ def _layout(complex_, cs, f, start, traversal, flat_tol) -> PlaneLayout:
     K = np.abs(ev.curvature)
     if isinstance(complex_, AugmentedDisk):
         worst = float(np.max(K))
-        if worst > flat_tol:
+        if worst > FLAT_TOL:
             raise LayoutError(
                 f"label is not flat: max |K| = {worst!r}, |K(apex)| = {float(K[-1])!r}"
             )
@@ -216,7 +218,7 @@ def _layout(complex_, cs, f, start, traversal, flat_tol) -> PlaneLayout:
         # the interior vertices are those on no boundary edge
         ix = complex_.compiled
         worst = float(np.max(np.delete(K, ix.E[ix.edge_faces[:, 1] < 0].ravel()), initial=0.0))
-        if worst > flat_tol:
+        if worst > FLAT_TOL:
             raise LayoutError(f"interior curvature max |K| = {worst!r} is not flat")
 
     positions, residual = _develop(complex_.compiled, ev.lengths, start, traversal)
@@ -229,16 +231,15 @@ def layout_disk(
     f,
     *,
     traversal: str = "bfs",
-    flat_tol: float = FLAT_TOL,
 ) -> PlaneLayout:
     """Develop a disk whose interior curvature vanishes.
 
     The first face is pinned: first vertex at the origin, second on the
     positive x axis, third in the upper half plane.  All faces keep
-    positive orientation.  A structure of the augmented disk works too:
-    its values are gathered by id onto the disk.
+    positive orientation.  cs must be on the disk: for a structure of the
+    augmented disk, pass ConformalStructure.on(disk, cs.alpha, cs.eta).
     """
-    return _layout(disk, cs, f, 0, traversal, flat_tol)
+    return _layout(disk, cs, f, 0, traversal)
 
 
 def layout_augmented(
@@ -247,16 +248,15 @@ def layout_augmented(
     f,
     *,
     traversal: str = "bfs",
-    flat_tol: float = FLAT_TOL,
 ) -> PlaneLayout:
     """Develop the folded sphere of a flat label, apex at the origin.
 
     Augmented faces get negative orientation (the fold); the first
     augmented face is pinned with its boundary edge started along the
-    positive x axis.  Requires max |K| <= flat_tol at every vertex;
+    positive x axis.  Requires max |K| <= FLAT_TOL at every vertex;
     a nonzero apex curvature would keep the boundary fan from closing.
     """
-    return _layout(aug, cs, f, aug.n_disk_faces, traversal, flat_tol)
+    return _layout(aug, cs, f, aug.n_disk_faces, traversal)
 
 
 def layout_edge_error(complex_, layout: PlaneLayout) -> float:
@@ -339,18 +339,17 @@ class BoundaryReport:
     scenario: str
     residuals: dict
     max_residual: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return self.max_residual <= BOUNDARY_TOL
 
 
 _SCENARIOS = ("tangent", "orthogonal", "inscribed")
 
 
 def verify_boundary_condition(
-    aug: AugmentedDisk, mpoints, scenario: str, tol: float = 1e-9
+    aug: AugmentedDisk, mpoints, scenario: str
 ) -> BoundaryReport:
     """Check each boundary circle against the apex circle.
 
@@ -362,7 +361,7 @@ def verify_boundary_condition(
     to its MPoint.  The rows are projected at once; an improper one raises
     project's error, the apex first, then the boundary in cycle order.
     Meant for normalized realizations (apex = unit circle); the checks
-    are absolute with the given tolerance.
+    are absolute, and pass at BOUNDARY_TOL.
     """
     if scenario not in _SCENARIOS:
         raise ValueError(f"scenario must be one of {_SCENARIOS}")
@@ -381,11 +380,11 @@ def verify_boundary_condition(
     if scenario == "tangent":
         # weight-0 points come back as W = -eps from roundoff; a
         # genuinely imaginary radius cannot be tangent to anything
-        res = np.where(W < -tol, np.inf, np.abs(dist + np.sqrt(np.maximum(W, 0.0)) - r_hat))
+        res = np.where(W < -BOUNDARY_TOL, np.inf, np.abs(dist + np.sqrt(np.maximum(W, 0.0)) - r_hat))
     elif scenario == "orthogonal":
         res = np.abs(dist * dist - r_hat * r_hat - W)
     else:
         res = np.abs(dist - r_hat)
     residuals = dict(zip(aug.disk.boundary_cycle, res.tolist()))
     worst = max(residuals.values())
-    return BoundaryReport(scenario, residuals, worst, tol)
+    return BoundaryReport(scenario, residuals, worst)

@@ -40,6 +40,9 @@ __all__ = [
     "layout_point_multiplicity",
 ]
 
+#: Distance within which layout_point_multiplicity counts a point as covered.
+POINT_TOL = 1e-9
+
 
 def measure_curvatures(
     aug: AugmentedDisk, mu: MultiplicityAssignment, angles: np.ndarray
@@ -129,13 +132,12 @@ def layout_point_multiplicity(
     mu: MultiplicityAssignment,
     positions,
     point,
-    tol: float = 1e-9,
 ) -> int:
     """Signed count of layout simplices covering a plane point.
 
     ``positions`` is a layout's (n, 2) array, row i for aug.vertices[i].
     Sums mu over every closed simplex whose image under the layout
-    contains the point (within tol).  With the standard multiplicities
+    contains the point (within POINT_TOL).  With the standard multiplicities
     the two sheets of the fold cancel: the count is 0 wherever the
     configuration covers the point an equal number of times with each
     sign, in particular at generic points of the folded image.  Every
@@ -144,11 +146,11 @@ def layout_point_multiplicity(
     ix = aug.compiled
     q = np.asarray(point, dtype=float)
     P = np.asarray(positions, dtype=float)
-    at_vertex = np.linalg.norm(P - q, axis=1) <= tol
+    at_vertex = np.linalg.norm(P - q, axis=1) <= POINT_TOL
 
     a, ab = P[ix.E[:, 0]], P[ix.E[:, 1]] - P[ix.E[:, 0]]
     t = ((q - a) * ab).sum(axis=1) / np.maximum((ab * ab).sum(axis=1), 1e-300)
-    on_edge = np.linalg.norm(a + np.clip(t, 0.0, 1.0)[:, None] * ab - q, axis=1) <= tol
+    on_edge = np.linalg.norm(a + np.clip(t, 0.0, 1.0)[:, None] * ab - q, axis=1) <= POINT_TOL
 
     A, B, C = P[ix.F[:, 0]], P[ix.F[:, 1]], P[ix.F[:, 2]]
     area2 = (B[:, 0] - A[:, 0]) * (C[:, 1] - A[:, 1]) - (B[:, 1] - A[:, 1]) * (C[:, 0] - A[:, 0])
@@ -157,5 +159,5 @@ def layout_point_multiplicity(
     for p0, p1 in ((A, B), (B, C), (C, A)):
         e = p1 - p0
         cross = (e[:, 0] * (q[1] - p0[:, 1]) - e[:, 1] * (q[0] - p0[:, 0])) * sign
-        in_face &= ~(cross < -tol * np.linalg.norm(e, axis=1))
+        in_face &= ~(cross < -POINT_TOL * np.linalg.norm(e, axis=1))
     return mu.total(at_vertex, on_edge, in_face)

@@ -32,6 +32,8 @@ __all__ = [
 
 SCENARIOS = ("tangent", "orthogonal", "inscribed")
 PRESET_NAMES = ("hex_tangent", "hex_orthogonal", "hex_inscribed", "ring_lattice", "triangle")
+#: Draws random_admissible makes before it gives up.
+MAX_TRIES = 1000
 
 
 def hex_flower() -> CombinatorialDisk:
@@ -116,18 +118,16 @@ def build(name: str, n_rings: int = 2, scenario: str = "tangent"):
 def random_admissible(
     disk: CombinatorialDisk,
     rng: np.random.Generator,
-    *,
-    max_tries: int = 1000,
 ):
     """A random admissible (structure, label) pair on the augmented disk.
 
     Vertex weights are drawn near 1, edge constants near 1.2, boundary
     data in [-0.4, 0.4] and the label near 0 with the apex lifted, then
-    rejected until the label is admissible.
+    rejected until the label is admissible, at most MAX_TRIES times.
     """
     aug = augment(disk)
     nd = len(disk.vertices)
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         alpha = {v: rng.uniform(0.7, 1.4) for v in disk.vertices}
         eta = {e: rng.uniform(0.9, 1.5) for e in disk.edges}
         mu = {v: rng.uniform(-0.4, 0.4) for v in disk.boundary_cycle}
@@ -135,4 +135,4 @@ def random_admissible(
         f = np.concatenate([rng.uniform(-0.1, 0.1, nd), [rng.uniform(0.4, 0.9)]])
         if cs.system.admissible(f):
             return aug, cs, f
-    raise RuntimeError(f"no admissible sample found in {max_tries} tries")
+    raise RuntimeError(f"no admissible sample found in {MAX_TRIES} tries")

@@ -58,7 +58,7 @@ __all__ = [
 def constraint_matrix(aug: AugmentedDisk, mpoints: np.ndarray) -> np.ndarray:
     """Derivative of the product constraints, one row per constraint.
 
-    Velocities are stacked per vertex in aug.vertex_order.  The row of
+    Velocities are stacked per vertex in aug.vertices.  The row of
     vertex v carries xi_v in the block of v; the row of edge (u, v)
     carries xi_v in the block of u and xi_u in the block of v.  Rows
     are written without the symmetrization factor 2, which leaves the
@@ -163,7 +163,7 @@ def mobius_orbit_check(
     xi = (L.m[None] @ mpoints[:, :, None])[:, :, 0]
     depth = xi[:, 3] - xi[:, 2]
     if np.any(depth <= 0):
-        v = system.vertex_order[int(np.argmax(depth <= 0))]
+        v = system.complex.vertices[int(np.argmax(depth <= 0))]
         raise ValueError(f"eps={eps!r} pushes vertex {v} outside the representable range")
     moved = -np.log(depth)
 

@@ -27,7 +27,7 @@ apex curvature, which carries the fold sheet's constant term -2*pi.  Newton
 steps are orthogonal to the constant vector, so a solved label keeps
 its start's mean.  The start, Newton and the flow evaluate through
 the structure's own system, ConformalStructure.system, which serves one
-thread at a time.
+thread at a time; a structure on another complex raises StructureError.
 """
 
 from __future__ import annotations
@@ -144,6 +144,9 @@ _SETTLE_TOL = 1e-13
 
 #: Power steps behind the estimate of J's largest singular value.
 _POWER_STEPS = 8
+
+#: Step halvings of one Newton line search before it counts as stalled.
+MAX_BACKTRACKS = 40
 
 
 def _power_estimate(J, z: np.ndarray) -> float:
@@ -277,7 +280,6 @@ def newton_flat(
     tol: float = 1e-10,
     max_iter: int = 100,
     svd_cutoff: float = 1e-10,
-    max_backtracks: int = 40,
 ) -> NewtonResult:
     """Drive max |K| below tol by damped Newton steps.
 
@@ -308,15 +310,15 @@ def newton_flat(
     Near a flat label v^T K is O(residual^2) and |J v| is O(residual),
     so the test does not fire there and convergence stays quadratic.
 
-    tol must be positive and finite, max_iter >= 0, svd_cutoff finite
-    and in [0, 1), and max_backtracks >= 1 (ValueError otherwise).
+    tol must be positive and finite, max_iter >= 0, and svd_cutoff finite
+    and in [0, 1) (ValueError otherwise).
     The result's ``history`` holds the residual before the first step and
     after every accepted one, and ``steps`` one (t, dropped) pair per
     accepted step: the step length the line search accepted and how many
     of the two directions were dropped.
     Returns a result with converged=False (status explains why) when the
-    line search stalls, the iteration budget runs out, or the Jacobian
-    breaks down (a non-finite entry or an exactly singular factor);
+    line search stalls (MAX_BACKTRACKS halvings), the budget runs out,
+    or the Jacobian breaks down (a non-finite entry or an exactly singular factor);
     raises only for bad parameters or an inadmissible starting label.
     """
     if not (np.isfinite(tol) and tol > 0):
@@ -325,8 +327,6 @@ def newton_flat(
         raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     if not (np.isfinite(svd_cutoff) and 0 <= svd_cutoff < 1):
         raise ValueError(f"svd_cutoff must be finite and in [0, 1), got {svd_cutoff!r}")
-    if max_backtracks < 1:
-        raise ValueError(f"max_backtracks must be >= 1, got {max_backtracks!r}")
     sys = cs.system_for(aug)
     ev = sys.accept(sys.evaluate(default_start(aug, cs) if f0 is None else f0))
     f, K = ev.f, ev.curvature
@@ -350,7 +350,7 @@ def newton_flat(
                 f, K, residual, it, False, "jacobian breakdown", history, steps
             )
         t = 1.0
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             trial = sys.evaluate_iterate(f - t * step)
             if trial.violation is None:
                 Kn = sys.accept(trial).curvature
@@ -485,10 +485,8 @@ def gauge_normalize(aug: AugmentedDisk, f):
     """Shift the label so the apex entry is zero.
 
     Curvature is invariant under uniform shifts, so this fixes the
-    scale gauge without changing the geometry up to similarity.
+    scale gauge without changing the geometry up to similarity.  The
+    label comes back as an array in vertex order, for a mapping too.
     """
-    if isinstance(f, dict):
-        c = float(f[aug.apex])
-        return {v: float(x) - c for v, x in f.items()}
     arr = aug.label_array(f)
     return arr - arr[-1]

@@ -31,6 +31,9 @@ _STYLE = {
     "dot": 'fill="#1f77b4" stroke="none"',
 }
 
+#: Padding around the drawing, as a fraction of its larger extent.
+MARGIN = 0.06
+
 
 def render_svg(
     aug: AugmentedDisk,
@@ -39,7 +42,6 @@ def render_svg(
     layout: PlaneLayout,
     *,
     size: int = 640,
-    margin: float = 0.06,
 ) -> str:
     """Render one layout (and its vertex circles) as an SVG document."""
     farr = aug.label_array(f)
@@ -52,7 +54,7 @@ def render_svg(
     miny = float(np.min(P[:, 1] - radii))
     maxy = float(np.max(P[:, 1] + radii))
     span = max(maxx - minx, maxy - miny, 1e-12)
-    pad = margin * span
+    pad = MARGIN * span
     minx, maxx = minx - pad, maxx + pad
     miny, maxy = miny - pad, maxy + pad
     scale = size / max(maxx - minx, maxy - miny)

@@ -56,7 +56,7 @@ def _hex_pipeline(name: str, scenario: str, gap: float):
     gap_dev = max(abs(g - gap) for g in boundary_gaps(aug, res.f))
     lay = layout_augmented(aug, cs, res.f)
     real = normalize_to_unit_disk(aug, cs, res.f, lay)
-    rep = verify_boundary_condition(aug, real.mpoints, scenario, tol=1e-9)
+    rep = verify_boundary_condition(aug, real.mpoints, scenario)
     return res, elapsed, gap_dev, rep
 
 

@@ -112,7 +112,7 @@ def test_vertex_index_is_built_once():
     aug = augment(ring_lattice(2))
     idx = aug.vertex_index
     assert aug.vertex_index is idx
-    assert [idx[v] for v in aug.vertex_order] == list(range(len(aug.vertices)))
+    assert [idx[v] for v in aug.vertices] == list(range(len(aug.vertices)))
 
 
 def test_compiled_index_is_shared_and_read_only():
@@ -174,7 +174,7 @@ def test_augment_is_a_sphere():
 
 def test_label_array_accepts_dicts_and_arrays():
     aug = augment(hex_flower())
-    f = {v: 0.1 * i for i, v in enumerate(aug.vertex_order)}
+    f = {v: 0.1 * i for i, v in enumerate(aug.vertices)}
     arr = aug.label_array(f)
     assert arr.shape == (8,)
     assert np.array_equal(aug.label_array(arr), arr)

@@ -11,6 +11,13 @@ from diskfold import (
     StructureError,
     attach_boundary_data,
     augment,
+    curvature_flow,
+    layout_augmented,
+    layout_disk,
+    measure_equivalence_check,
+    newton_flat,
+    realize_mpoints,
+    render_svg,
 )
 from diskfold.complexes import edge_key
 from diskfold.presets import hex_flower, ring_lattice, scenario_data, triangle_disk
@@ -44,7 +51,7 @@ def _labels(aug):
 def test_tangent_lengths_are_radius_sums():
     """alpha = eta = 1 makes every disk edge length e^{f_u} + e^{f_v}."""
     aug, cs = _hex()
-    f = {v: 0.1 * v for v in aug.vertex_order}
+    f = {v: 0.1 * v for v in aug.vertices}
     lengths = dict(zip(aug.edges, AngleSystem(aug, cs).lengths(f)))
     for (u, v) in aug.disk.edges:
         expect = np.exp(f[u]) + np.exp(f[v])
@@ -54,7 +61,7 @@ def test_tangent_lengths_are_radius_sums():
 def test_apex_edges_use_folded_weights():
     # mu = -1 on the tangent scenario: internal tangency |R - r|
     aug, cs = _hex()
-    f = {v: 0.0 for v in aug.vertex_order}
+    f = {v: 0.0 for v in aug.vertices}
     f[aug.apex] = np.log(3.0)
     lengths = dict(zip(aug.edges, AngleSystem(aug, cs).lengths(f)))
     for w in aug.disk.boundary_cycle:
@@ -219,6 +226,33 @@ def test_angle_system_rejection_messages_are_pinned(edit, message):
     assert str(info.value) == message
 
 
+#: Every entry that takes a structure, called with one of ``aug`` on
+#: another complex: a second augment of the same disk, or the disk itself.
+_ON_ANOTHER_COMPLEX = {
+    "AngleSystem": lambda aug, other, cs, f, lay: AngleSystem(other, cs),
+    "system_for": lambda aug, other, cs, f, lay: cs.system_for(other),
+    "default_start": lambda aug, other, cs, f, lay: default_start(other, cs),
+    "newton_flat": lambda aug, other, cs, f, lay: newton_flat(other, cs, f),
+    "curvature_flow": lambda aug, other, cs, f, lay: curvature_flow(other, cs, f, 0.1, 0.01),
+    "layout_augmented": lambda aug, other, cs, f, lay: layout_augmented(other, cs, f),
+    "layout_disk": lambda aug, other, cs, f, lay: layout_disk(aug.disk, cs, f[:-1]),
+    "realize_mpoints": lambda aug, other, cs, f, lay: realize_mpoints(other, cs, f, lay),
+    "render_svg": lambda aug, other, cs, f, lay: render_svg(other, cs, f, lay),
+    "measure_equivalence_check": lambda aug, other, cs, f, lay: measure_equivalence_check(other, cs, f),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_ON_ANOTHER_COMPLEX))
+def test_a_structure_serves_only_its_own_complex(entry):
+    aug, cs = _hex()
+    f = HEX_FLAT["hex_tangent"]
+    lay = layout_augmented(aug, cs, f)
+    other = augment(aug.disk)
+    assert other.vertices == aug.vertices and other.edges == aug.edges
+    with pytest.raises(StructureError, match="^the structure is on another complex$"):
+        _ON_ANOTHER_COMPLEX[entry](aug, other, cs, f, lay)
+
+
 def test_validate_for_gathers_in_complex_order():
     disk = ring_lattice(2)
     aug = augment(disk)
@@ -240,9 +274,14 @@ def test_validate_for_gathers_in_complex_order():
         apex_alpha=0.7,
     )
     assert aligned.alpha == cs.alpha and aligned.eta == cs.eta
-    # another complex with the same ids gathers the same arrays
-    a2, h2 = cs.validate_for(augment(disk))
-    assert np.array_equal(a2, a) and np.array_equal(h2, h)
+    # another complex with the same ids is refused
+    with pytest.raises(StructureError, match="^the structure is on another complex$"):
+        cs.validate_for(augment(disk))
+    # the id gather at the edge: the disk's rows of the augmented arrays
+    on_disk = ConformalStructure.on(aug.disk, cs.alpha, cs.eta)
+    ne = len(disk.compiled.E)
+    assert on_disk.alpha_array.tobytes() == cs.alpha_array[:-1].tobytes()
+    assert on_disk.eta_array.tobytes() == cs.eta_array[np.argsort(aug.source)[:ne]].tobytes()
     with pytest.raises(StructureError, match=r"^expected 19 values, got shape \(3,\)$"):
         attach_boundary_data(aug, np.zeros(3), eta, mu)
 
@@ -282,8 +321,8 @@ def face_angles(cs: ConformalStructure, f, face) -> tuple:
 
 def _scalar_verdict_and_curvature(aug, cs, f):
     """Verdict and K through edge_length / face_angles, one face at a time."""
-    fd = dict(zip(aug.vertex_order, f))
-    K = {v: 0.0 for v in aug.vertex_order}
+    fd = dict(zip(aug.vertices, f))
+    K = {v: 0.0 for v in aug.vertices}
     for v in aug.disk.interior_vertices:
         K[v] = 2.0 * np.pi
     K[aug.apex] = -2.0 * np.pi
@@ -296,7 +335,7 @@ def _scalar_verdict_and_curvature(aug, cs, f):
         sign = -1.0 if i < aug.n_disk_faces else 1.0
         for v, angle in zip(face, th):
             K[v] += sign * angle
-    return True, np.array([K[v] for v in aug.vertex_order])
+    return True, np.array([K[v] for v in aug.vertices])
 
 
 @settings(max_examples=150, deadline=None)
@@ -431,10 +470,10 @@ def test_structure_compiles_one_system_for_the_library_chain(monkeypatch):
     layout_augmented(aug, cs, res.f)
     assert measure_equivalence_check(aug, cs, res.f) <= 1e-12
     assert compiled == [aug] and cs.system.complex is aug
-    # a structure of the augmented disk on the disk alone: a fresh system,
-    # its values gathered by id
+    # the disk alone takes a structure of its own, built at the edge by id,
+    # which compiles its own system
     disk = aug.disk
-    lay = layout_disk(disk, cs, res.f[:-1])
+    lay = layout_disk(disk, ConformalStructure.on(disk, cs.alpha, cs.eta), res.f[:-1])
     assert compiled == [aug, disk] and lay.consistency_residual <= 1e-12
     assert cs.system.complex is aug
 

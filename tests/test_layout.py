@@ -7,6 +7,7 @@ import pytest
 
 from diskfold import (
     AngleSystem,
+    ConformalStructure,
     LayoutError,
     attach_boundary_data,
     augment,
@@ -87,7 +88,7 @@ def test_disk_only_layout_rejects_a_curved_interior():
     f_disk = {v: np.log(1.0 / 3.0) for v in disk.vertices}
     f_disk[0] += 0.05
     with pytest.raises(LayoutError, match="^interior curvature"):
-        layout_disk(disk, cs, f_disk)
+        layout_disk(disk, ConformalStructure.on(disk, cs.alpha, cs.eta), f_disk)
 
 
 def test_disk_only_layout():
@@ -97,7 +98,8 @@ def test_disk_only_layout():
     alpha, eta, mu = scenario_data(disk, "tangent")
     cs = attach_boundary_data(aug, alpha, eta, mu)
     f_disk = {v: np.log(1.0 / 3.0) for v in disk.vertices}
-    lay = layout_disk(disk, cs, f_disk)
+    # the augmented structure serves only aug; its values go to the disk by id
+    lay = layout_disk(disk, ConformalStructure.on(disk, cs.alpha, cs.eta), f_disk)
     assert lay.consistency_residual <= 1e-12
     assert layout_edge_error(disk, lay) <= 1e-12
     # regular hexagon around the center circle
@@ -114,7 +116,7 @@ def test_realized_products_reproduce_structure():
     lay = layout_augmented(aug, cs, f)
     mp, ix = realize_mpoints(aug, cs, f, lay), aug.vertex_index
     assert mp.shape == (len(aug.vertices), 4)
-    for v in aug.vertex_order:
+    for v in aug.vertices:
         got = mprod(mp[ix[v]], mp[ix[v]])
         assert got == pytest.approx(cs.alpha[v], abs=1e-12)
     for e in aug.edges:
@@ -462,9 +464,10 @@ def test_levels_place_like_the_sequential_walk(case):
 def test_disk_levels_place_like_the_sequential_walk(name, rings):
     aug, cs = build(name, n_rings=rings)
     disk, f = aug.disk, _flat_label(aug, cs, name)[:-1]
-    lengths = cs.system_for(disk).evaluate(f).lengths.tolist()
+    disk_cs = ConformalStructure.on(disk, cs.alpha, cs.eta)
+    lengths = disk_cs.system.evaluate(f).lengths.tolist()
     for traversal in ("bfs", "dfs"):
-        lay = layout_disk(disk, cs, f, traversal=traversal)
+        lay = layout_disk(disk, disk_cs, f, traversal=traversal)
         want = _develop_sequential(disk.compiled, lengths, 0, traversal)
         assert lay.positions.tobytes() == want.tobytes()
         assert lay.consistency_residual == _residual_per_corner(disk.compiled, lengths, want)

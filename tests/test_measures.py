@@ -34,7 +34,7 @@ def test_measure_curvature_vanishes_at_flat_label():
     aug, cs = _hex_tangent()
     mu = standard_multiplicities(aug)
     th = AngleSystem(aug, cs).angles(HEX_FLAT["hex_tangent"])
-    for v in aug.vertex_order:
+    for v in aug.vertices:
         assert measure_curvature(aug, mu, th, v) == pytest.approx(0.0, abs=1e-13)
 
 
@@ -123,7 +123,7 @@ def test_measure_curvatures_matches_scalar_calls():
     for mu in (standard_multiplicities(aug), MultiplicityAssignment.on(aug, arbitrary)):
         allk = measure_curvatures(aug, mu, th)
         assert allk.shape == (len(aug.vertices),)
-        for i, v in enumerate(aug.vertex_order):
+        for i, v in enumerate(aug.vertices):
             assert allk[i] == measure_curvature(aug, mu, th, v)
             assert allk[i] == pytest.approx(_loop_measure_curvature(aug, mu, th, v), abs=1e-12)
 

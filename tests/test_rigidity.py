@@ -67,7 +67,7 @@ def test_constraint_rows_encode_products(hex_realized):
     aug, cs, _, mp = hex_realized
     C = constraint_matrix(aug, mp)
     g = np.array([1.0, 1.0, 1.0, -1.0])
-    want = [cs.alpha[v] for v in aug.vertex_order]
+    want = [cs.alpha[v] for v in aug.vertices]
     want += [-2.0 * cs.eta[(u, w)] for (u, w) in aug.edges]
     xg = (g * mp).ravel()
     assert np.allclose(C @ xg, want, atol=1e-10)
