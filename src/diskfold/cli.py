@@ -88,7 +88,7 @@ def _load(path: str) -> problem_io.Problem:
 
 def _newton(prob, args):
     """newton_flat from f_init (or the default start) with the Newton flags."""
-    return newton_flat(prob.aug, prob.cs, prob.f_init, tol=args.tol, max_iter=args.max_iter, svd_cutoff=args.svd_cutoff)
+    return newton_flat(prob.cs, prob.f_init, tol=args.tol, max_iter=args.max_iter, svd_cutoff=args.svd_cutoff)
 
 
 def _solved_label(prob, args):
@@ -104,7 +104,7 @@ def _solved_label(prob, args):
 
 def _cmd_validate(args) -> int:
     prob = _load(args.problem)
-    disk = prob.disk
+    disk = prob.aug.disk
     info = {
         "vertices": len(disk.vertices),
         "edges": len(disk.compiled.E),
@@ -125,7 +125,7 @@ def _cmd_preset(args) -> int:
 
 def _cmd_curvature(args) -> int:
     prob = _load(args.problem)
-    f = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs)
+    f = prob.f_init if prob.f_init is not None else default_start(prob.cs)
     K = prob.cs.system.curvature(f)
     out = {
         "curvature": problem_io.label_to_json(prob.aug, K),
@@ -148,8 +148,8 @@ def _cmd_solve(args) -> int:
             "residual": res.residual,
         }
     else:
-        f0 = prob.f_init if prob.f_init is not None else default_start(prob.aug, prob.cs)
-        res = curvature_flow(prob.aug, prob.cs, f0, args.time, args.dt)
+        f0 = prob.f_init if prob.f_init is not None else default_start(prob.cs)
+        res = curvature_flow(prob.cs, f0, args.time, args.dt)
         out = {
             "method": "flow",
             "time": float(res.times[-1]),
@@ -165,7 +165,7 @@ def _cmd_solve(args) -> int:
 def _developed(prob, args):
     """(f, layout) of the solved label, normalized with --normalize."""
     f = _solved_label(prob, args)
-    lay = layout_augmented(prob.aug, prob.cs, f, traversal=args.traversal)
+    lay = layout_augmented(prob.cs, f, traversal=args.traversal)
     if args.normalize:
         lay, f = normalize_layout(prob.aug, f, lay)
     return f, lay
@@ -176,7 +176,7 @@ def _cmd_layout(args) -> int:
     f, lay = _developed(prob, args)
     out = {
         "positions": problem_io.IdRows(prob.aug, lay.positions),
-        "mpoints": problem_io.IdRows(prob.aug, realize_mpoints(prob.aug, prob.cs, f, lay)),
+        "mpoints": problem_io.IdRows(prob.aug, realize_mpoints(prob.cs, f, lay)),
         "f": problem_io.label_to_json(prob.aug, f),
         "consistency_residual": lay.consistency_residual,
         "traversal": lay.traversal,
@@ -188,7 +188,7 @@ def _cmd_layout(args) -> int:
 def _cmd_render(args) -> int:
     prob = _load(args.problem)
     f, lay = _developed(prob, args)
-    _write(render_svg(prob.aug, prob.cs, f, lay, size=args.size), args.out)
+    _write(render_svg(prob.cs, f, lay, size=args.size), args.out)
     return 0
 
 
@@ -208,8 +208,8 @@ def _cmd_rank(args) -> int:
         m = prob.cs.system.jacobian(f)
         kind = "curvature_jacobian"
     else:
-        lay = layout_augmented(prob.aug, prob.cs, f)
-        m = constraint_matrix(prob.aug, realize_mpoints(prob.aug, prob.cs, f, lay))
+        lay = layout_augmented(prob.cs, f)
+        m = constraint_matrix(prob.aug, realize_mpoints(prob.cs, f, lay))
         kind = "constraint_matrix"
     # J is rank-deficient by design, so only M tries the certificate
     cert = None if args.jacobian or args.spectrum else row_rank_certificate(m, args.svd_cutoff)
@@ -235,8 +235,8 @@ def _cmd_mobius_check(args) -> int:
     f = _solved_label(prob, args)
     # the bounds are absolute, so check the layout with the apex circle
     # as the unit circle
-    lay, f = normalize_layout(prob.aug, f, layout_augmented(prob.aug, prob.cs, f))
-    mpoints = realize_mpoints(prob.aug, prob.cs, f, lay)
+    lay, f = normalize_layout(prob.aug, f, layout_augmented(prob.cs, f))
+    mpoints = realize_mpoints(prob.cs, f, lay)
     names = ("a", "b", "c", "d", "t", "r")
     reports = []
     for name in names:

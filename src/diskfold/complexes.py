@@ -158,10 +158,6 @@ class _Indexed:
             raise ValueError("label entries must be finite")
         return arr
 
-    def label_dict(self, f) -> dict:
-        arr = self.label_array(f)
-        return {v: float(arr[i]) for i, v in enumerate(self.vertices)}
-
 
 @dataclass(frozen=True, eq=False)
 class CombinatorialDisk(_Indexed):

@@ -15,10 +15,10 @@ faces with +1, and the constant term is 2*pi at interior vertices, 0 at
 boundary vertices and -2*pi at the apex.  The total curvature vanishes
 identically.
 
-AngleSystem binds a structure (alpha and eta as arrays in its
-complex's order) to that complex alone: it reads the complex's compiled index
+A structure carries its complex, and every entry that takes one reads
+the complex from it.  AngleSystem compiles a structure: it reads the compiled index
 (complexes.CompiledComplex: edge ends, face sides, fold signs,
-curvature constants) and the structure's arrays, compiles the
+curvature constants) and its alpha and eta arrays, compiles the
 Jacobian's sparse pattern on first use, and looks up ids only to name
 an offender.
 It evaluates each label in one pass (Evaluation): squared lengths once,
@@ -72,7 +72,7 @@ class ConformalStructure:
     vertex and edge order; ``alpha`` and ``eta`` are id-keyed views built
     on first use, and so is its compiled ``system``.  attach_boundary_data
     and ConformalStructure.on build checked structures, which compare by
-    identity and serve only their own complex (see validate_for)."""
+    identity; an entry that takes one reads its complex from it."""
 
     complex: object = field(repr=False)
     alpha_array: np.ndarray
@@ -99,24 +99,19 @@ class ConformalStructure:
 
     @cached_property
     def system(self) -> "AngleSystem":
-        """The AngleSystem of this structure on its own complex, compiled on
-        first use and shared by every later caller.  Its evaluations write
-        into one weight buffer, so it serves one thread at a time: a caller
-        that evaluates one structure from several threads builds one
-        AngleSystem per thread."""
-        return AngleSystem(self.complex, self)
+        """The AngleSystem of this structure, compiled on first use and
+        shared by every later caller.  Its evaluations write into one
+        weight buffer, so it serves one thread at a time: a caller that
+        evaluates one structure from several threads builds one
+        AngleSystem(cs) per thread."""
+        return AngleSystem(self)
 
-    def system_for(self, complex_) -> "AngleSystem":
-        """self.system, once validate_for has accepted complex_."""
-        self.validate_for(complex_)
-        return self.system
 
-    def validate_for(self, complex_):
-        """(alpha, eta) as read-only arrays in the complex's vertex and edge
-        order; StructureError for any complex but its own, even with the same ids."""
-        if complex_ is not self.complex:
-            raise StructureError("the structure is on another complex")
-        return self.alpha_array, self.eta_array
+def _complex_of(cs: ConformalStructure, kind: type):
+    """cs.complex, or StructureError unless it is a ``kind`` of complex."""
+    if not isinstance(cs.complex, kind):
+        raise StructureError(f"the structure's complex is {type(cs.complex).__name__}, not {kind.__name__}")
+    return cs.complex
 
 
 def _gather(values, n: int, keys, missing_message) -> np.ndarray:
@@ -222,7 +217,7 @@ class JacobianPattern:
 
 
 class AngleSystem:
-    """Array-compiled evaluator for one structure on its own complex.
+    """Array-compiled evaluator for one structure, on its complex.
 
     Bind once and reuse when evaluating many labels.  For a plain disk
     only the interior entries of curvature() are meaningful.
@@ -242,11 +237,11 @@ class AngleSystem:
     A structure's shared system is ConformalStructure.system.
     """
 
-    def __init__(self, complex_, cs: ConformalStructure):
-        self.alpha, self.eta = cs.validate_for(complex_)
-        self.complex = complex_
-        self.compiled = ix = complex_.compiled
-        n = self.n_vertices = len(complex_.vertices)
+    def __init__(self, cs: ConformalStructure):
+        self.alpha, self.eta = cs.alpha_array, cs.eta_array
+        self.complex = cs.complex
+        self.compiled = ix = cs.complex.compiled
+        n = self.n_vertices = len(cs.complex.vertices)
 
         # evaluation index arrays: both ends of every edge, the opposite
         # side of every corner and its two adjacent sides (each (F, 3)),

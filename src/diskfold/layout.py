@@ -16,9 +16,9 @@ of ``complex_.vertices[i]``, the apex the last row on an augmented
 disk.  Every later layer reads that array as it is.  The consistency
 residual re-derives all 3F corners in one array pass.
 
-The flatness check evaluates through the structure's own system, so the
-structure must be on the complex being developed (StructureError
-otherwise), and compares max |K| with FLAT_TOL.
+Every entry develops the complex of its structure: a plain disk in
+layout_disk, an augmented one elsewhere (StructureError otherwise).
+The flatness check compares max |K| with FLAT_TOL.
 
 The layout lifts to Minkowski vectors
 
@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import AugmentedDisk, CombinatorialDisk
-from .conformal import ConformalStructure
+from .conformal import ConformalStructure, _complex_of
 from .minkowski import canonical_lift, project
 
 __all__ = [
@@ -202,13 +202,16 @@ def _residual(ix, lengths, P):
     return float(np.fmax.reduce(np.sqrt(_dot2(dev, dev)), initial=0.0))
 
 
-def _layout(complex_, cs, f, start, traversal) -> PlaneLayout:
-    """Check flatness, then develop from face ``start``: the body of
-    layout_disk and layout_augmented."""
-    sys = cs.system_for(complex_)
+def _layout(cs, kind, f, traversal) -> PlaneLayout:
+    """Check that cs is on a ``kind`` and f is flat, then develop from
+    the pinned face: the body of layout_disk and layout_augmented."""
+    complex_ = _complex_of(cs, kind)
+    sys = cs.system
     ev = sys.accept(sys.evaluate(f))
     K = np.abs(ev.curvature)
+    start = 0
     if isinstance(complex_, AugmentedDisk):
+        start = complex_.n_disk_faces
         worst = float(np.max(K))
         if worst > FLAT_TOL:
             raise LayoutError(
@@ -226,7 +229,6 @@ def _layout(complex_, cs, f, start, traversal) -> PlaneLayout:
 
 
 def layout_disk(
-    disk: CombinatorialDisk,
     cs: ConformalStructure,
     f,
     *,
@@ -236,14 +238,13 @@ def layout_disk(
 
     The first face is pinned: first vertex at the origin, second on the
     positive x axis, third in the upper half plane.  All faces keep
-    positive orientation.  cs must be on the disk: for a structure of the
-    augmented disk, pass ConformalStructure.on(disk, cs.alpha, cs.eta).
+    positive orientation.  cs must be on a plain disk: for one on aug,
+    pass ConformalStructure.on(aug.disk, cs.alpha, cs.eta).
     """
-    return _layout(disk, cs, f, 0, traversal)
+    return _layout(cs, CombinatorialDisk, f, traversal)
 
 
 def layout_augmented(
-    aug: AugmentedDisk,
     cs: ConformalStructure,
     f,
     *,
@@ -256,7 +257,7 @@ def layout_augmented(
     positive x axis.  Requires max |K| <= FLAT_TOL at every vertex;
     a nonzero apex curvature would keep the boundary fan from closing.
     """
-    return _layout(aug, cs, f, aug.n_disk_faces, traversal)
+    return _layout(cs, AugmentedDisk, f, traversal)
 
 
 def layout_edge_error(complex_, layout: PlaneLayout) -> float:
@@ -268,11 +269,11 @@ def layout_edge_error(complex_, layout: PlaneLayout) -> float:
 
 
 def realize_mpoints(
-    aug: AugmentedDisk, cs: ConformalStructure, f, layout: PlaneLayout
+    cs: ConformalStructure, f, layout: PlaneLayout
 ) -> np.ndarray:
     """The Minkowski vectors of the vertices, e^{-f_v} times the
     canonical lift, as a read-only (n, 4) array: row i is
-    ``aug.vertices[i]``, the apex the last row.
+    ``cs.complex.vertices[i]``, the apex the last row.
 
     The prefactor makes the self-products equal alpha_v and the edge
     products equal -eta_vw, independent of the label gauge.  All
@@ -281,9 +282,10 @@ def realize_mpoints(
     non-finite lift, a scale that underflows to 0, a non-finite or zero
     vector) raises the error the per-vertex path raises for it.
     """
+    aug = _complex_of(cs, AugmentedDisk)
     farr = aug.label_array(f)
     P = layout.positions
-    W = cs.validate_for(aug)[0] * np.exp(2.0 * farr)
+    W = cs.alpha_array * np.exp(2.0 * farr)
     q = _dot2(P, P)
     lift = np.column_stack([P, (q - W - 1.0) / 2.0, (q - W + 1.0) / 2.0])
     s = np.exp(-farr)
@@ -322,7 +324,7 @@ def normalize_layout(aug: AugmentedDisk, f, layout: PlaneLayout):
 
 
 def normalize_to_unit_disk(
-    aug: AugmentedDisk, cs: ConformalStructure, f, layout: PlaneLayout
+    cs: ConformalStructure, f, layout: PlaneLayout
 ) -> UnitDiskRealization:
     """Translate the apex to the origin and rescale it to radius one.
 
@@ -330,8 +332,8 @@ def normalize_to_unit_disk(
     the realization, so the normalized configuration represents the
     same solution with f(apex) = 0.
     """
-    new_layout, new_f = normalize_layout(aug, f, layout)
-    return UnitDiskRealization(new_layout, new_f, realize_mpoints(aug, cs, new_f, new_layout))
+    new_layout, new_f = normalize_layout(_complex_of(cs, AugmentedDisk), f, layout)
+    return UnitDiskRealization(new_layout, new_f, realize_mpoints(cs, new_f, new_layout))
 
 
 @dataclass

@@ -29,7 +29,7 @@ from .complexes import (
     simplex_key,
     standard_multiplicities,
 )
-from .conformal import ConformalStructure
+from .conformal import ConformalStructure, _complex_of
 
 __all__ = [
     "measure_curvature",
@@ -77,14 +77,14 @@ def measure_curvature(
     return float(measure_curvatures(aug, mu, angles)[aug.vertex_index[vertex]])
 
 
-def measure_equivalence_check(aug: AugmentedDisk, cs: ConformalStructure, f) -> float:
+def measure_equivalence_check(cs: ConformalStructure, f) -> float:
     """Max deviation between measure curvature and angle curvature.
 
     Uses the standard multiplicities; the two definitions agree up to
     summation order, so the deviation is pure roundoff.
     """
-    sys = cs.system_for(aug)
-    ev = sys.accept(sys.evaluate(f))
+    aug = _complex_of(cs, AugmentedDisk)
+    ev = cs.system.accept(cs.system.evaluate(f))
     K = measure_curvatures(aug, standard_multiplicities(aug), ev.angles)
     return float(np.max(np.abs(K - ev.curvature)))
 

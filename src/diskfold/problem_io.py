@@ -46,10 +46,14 @@ class ProblemFormatError(ValueError):
 
 @dataclass
 class Problem:
-    disk: CombinatorialDisk
-    aug: AugmentedDisk
+    """A structure, which carries its augmented disk, and an optional start label."""
+
     cs: ConformalStructure
     f_init: np.ndarray | None
+
+    @property
+    def aug(self) -> AugmentedDisk:
+        return self.cs.complex
 
 
 def _num(x, where: str) -> float:
@@ -293,7 +297,7 @@ def parse_problem(source) -> Problem:
         f_init = np.append(f, hat)
 
     cs = attach_boundary_data(aug, alpha, eta, mu, apex_alpha=apex_alpha)
-    return Problem(disk=disk, aug=aug, cs=cs, f_init=f_init)
+    return Problem(cs, f_init)
 
 
 #: Per augmented disk: IdRows' key index, sorted-key order and key heads.
@@ -393,13 +397,13 @@ def problem_dict(disk: CombinatorialDisk, alpha, eta, mu, apex_alpha: float = 1.
 
 def serialize_problem(problem: Problem, f=None) -> str:
     """Canonical text of a problem; optionally with a label as f_init."""
-    cs, apex = problem.cs, problem.aug.apex
-    mu = {v: cs.eta[(v, apex)] for v in problem.disk.boundary_cycle}
-    data = problem_dict(problem.disk, cs.alpha, cs.eta, mu, cs.alpha[apex])
+    cs, aug = problem.cs, problem.aug
+    mu = {v: cs.eta[(v, aug.apex)] for v in aug.disk.boundary_cycle}
+    data = problem_dict(aug.disk, cs.alpha, cs.eta, mu, cs.alpha[aug.apex])
     if f is None and problem.f_init is not None:
         f = problem.f_init
     if f is not None:
-        data["f_init"] = label_to_json(problem.aug, f)
+        data["f_init"] = label_to_json(aug, f)
     return canonical_json(data)
 
 

@@ -25,9 +25,9 @@ newton_flat starts from default_start unless given a label: the disk
 at 0 and the apex entry found by a one-dimensional root find on the
 apex curvature, which carries the fold sheet's constant term -2*pi.  Newton
 steps are orthogonal to the constant vector, so a solved label keeps
-its start's mean.  The start, Newton and the flow evaluate through
-the structure's own system, ConformalStructure.system, which serves one
-thread at a time; a structure on another complex raises StructureError.
+its start's mean.  The start, Newton and the flow take a structure on
+an augmented disk (StructureError otherwise) and evaluate through its
+system, ConformalStructure.system, which serves one thread at a time.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .complexes import AugmentedDisk
-from .conformal import ConformalStructure
+from .conformal import ConformalStructure, _complex_of
 
 __all__ = [
     "SolverError",
@@ -211,7 +211,7 @@ _START_TOL = 1e-12
 _START_EVALS = 100
 
 
-def default_start(aug: AugmentedDisk, cs: ConformalStructure) -> np.ndarray:
+def default_start(cs: ConformalStructure) -> np.ndarray:
     """Zero on the disk, and the apex entry a that zeroes the apex curvature.
 
     The apex carries the fold sheet's whole constant term -2 pi, so with
@@ -229,8 +229,9 @@ def default_start(aug: AugmentedDisk, cs: ConformalStructure) -> np.ndarray:
     admissible label with the smallest |K_apex| it evaluated, so it
     never returns an inadmissible label.
     """
-    sys = cs.system_for(aug)
-    f = np.zeros(len(aug.vertices))
+    _complex_of(cs, AugmentedDisk)
+    sys = cs.system
+    f = np.zeros(sys.n_vertices)
     f[-1] = a = best = np.log(3.0)
     k = best_k = float(sys.accept(sys.evaluate_iterate(f)).curvature[-1])
     # lo: K > 0 or inadmissible (klo None); hi: K < 0; None while unbracketed
@@ -273,7 +274,6 @@ def default_start(aug: AugmentedDisk, cs: ConformalStructure) -> np.ndarray:
 
 
 def newton_flat(
-    aug: AugmentedDisk,
     cs: ConformalStructure,
     f0=None,
     *,
@@ -327,8 +327,9 @@ def newton_flat(
         raise ValueError(f"max_iter must be >= 0, got {max_iter!r}")
     if not (np.isfinite(svd_cutoff) and 0 <= svd_cutoff < 1):
         raise ValueError(f"svd_cutoff must be finite and in [0, 1), got {svd_cutoff!r}")
-    sys = cs.system_for(aug)
-    ev = sys.accept(sys.evaluate(default_start(aug, cs) if f0 is None else f0))
+    _complex_of(cs, AugmentedDisk)
+    sys = cs.system
+    ev = sys.accept(sys.evaluate(default_start(cs) if f0 is None else f0))
     f, K = ev.f, ev.curvature
     start = _start_vectors(len(f))
 
@@ -371,7 +372,6 @@ def newton_flat(
 
 
 def curvature_flow(
-    aug: AugmentedDisk,
     cs: ConformalStructure,
     f0,
     t_end: float,
@@ -408,8 +408,9 @@ def curvature_flow(
         raise ValueError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
     if max_halvings < 0:
         raise ValueError(f"max_halvings must be >= 0, got {max_halvings!r}")
-    sys = cs.system_for(aug)
-    sign = np.full(len(aug.vertices), -1.0)
+    _complex_of(cs, AugmentedDisk)
+    sys = cs.system
+    sign = np.full(sys.n_vertices, -1.0)
     sign[-1] = 1.0
 
     def field_at(x) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import AugmentedDisk
-from .conformal import ConformalStructure
+from .conformal import ConformalStructure, _complex_of
 from .layout import PlaneLayout
 
 __all__ = ["render_svg"]
@@ -36,7 +36,6 @@ MARGIN = 0.06
 
 
 def render_svg(
-    aug: AugmentedDisk,
     cs: ConformalStructure,
     f,
     layout: PlaneLayout,
@@ -44,9 +43,10 @@ def render_svg(
     size: int = 640,
 ) -> str:
     """Render one layout (and its vertex circles) as an SVG document."""
+    aug = _complex_of(cs, AugmentedDisk)
     farr = aug.label_array(f)
     P = layout.positions
-    alpha = cs.validate_for(aug)[0]
+    alpha = cs.alpha_array
     radii = np.where(alpha > 0, np.sqrt(np.maximum(alpha, 0.0)) * np.exp(farr), 0.0)
 
     minx = float(np.min(P[:, 0] - radii))

@@ -44,7 +44,7 @@ def hex_inscribed():
 @pytest.fixture(scope="session")
 def hex_tangent_solved(hex_tangent):
     aug, cs = hex_tangent
-    res = newton_flat(aug, cs, tol=1e-12)
+    res = newton_flat(cs, tol=1e-12)
     assert res.converged
     return aug, cs, res
 

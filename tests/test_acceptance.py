@@ -50,12 +50,12 @@ def _hex_pipeline(name: str, scenario: str, gap: float):
     f0 = np.zeros(len(aug.vertices))
     f0[-1] = np.log(2.8)
     t0 = time.perf_counter()
-    res = newton_flat(aug, cs, f0, tol=1e-10)
+    res = newton_flat(cs, f0, tol=1e-10)
     elapsed = time.perf_counter() - t0
     assert res.converged, res.status
     gap_dev = max(abs(g - gap) for g in boundary_gaps(aug, res.f))
-    lay = layout_augmented(aug, cs, res.f)
-    real = normalize_to_unit_disk(aug, cs, res.f, lay)
+    lay = layout_augmented(cs, res.f)
+    real = normalize_to_unit_disk(cs, res.f, lay)
     rep = verify_boundary_condition(aug, real.mpoints, scenario)
     return res, elapsed, gap_dev, rep
 
@@ -79,7 +79,7 @@ def flat_instances():
         ("triangle", "inscribed"),
     ]:
         aug, cs = build(name, scenario=scenario)
-        res = newton_flat(aug, cs, tol=1e-12)
+        res = newton_flat(cs, tol=1e-12)
         assert res.converged, (name, scenario, res.status)
         out.append((f"{name}/{scenario}", aug, cs, res.f))
     return out
@@ -126,7 +126,7 @@ def test_criterion_03_hex_inscribed():
 
 def test_criterion_04_total_curvature(samples):
     worst = max(
-        abs(float(AngleSystem(aug, cs).curvature(f).sum())) for aug, cs, f in samples
+        abs(float(AngleSystem(cs).curvature(f).sum())) for aug, cs, f in samples
     )
     ok = worst <= 1e-10
     _line(4, ok, f"max |sum K| = {worst:.2e} over {len(samples)} samples")
@@ -136,9 +136,9 @@ def test_criterion_04_total_curvature(samples):
 def test_criterion_05_measure_equivalence(samples):
     worst_ratio = 0.0
     for aug, cs, f in samples:
-        K = AngleSystem(aug, cs).curvature(f)
+        K = AngleSystem(cs).curvature(f)
         bound = 1e-12 * (1.0 + float(np.max(np.abs(K))))
-        dev = measure_equivalence_check(aug, cs, f)
+        dev = measure_equivalence_check(cs, f)
         worst_ratio = max(worst_ratio, dev / bound)
     ok = worst_ratio <= 1.0
     _line(5, ok, f"worst deviation/bound = {worst_ratio:.2e}")
@@ -149,7 +149,7 @@ def test_criterion_06_jacobian(samples):
     h = 1e-6
     worst_rel, worst_rowsum = 0.0, 0.0
     for aug, cs, f in samples[:N_JACOBIAN]:
-        sys = AngleSystem(aug, cs)
+        sys = AngleSystem(cs)
         J = sys.jacobian(f)
         fd = np.empty_like(J)
         for j in range(len(f)):
@@ -171,8 +171,8 @@ def test_criterion_06_jacobian(samples):
 def test_criterion_07_coordinate_kernel(flat_instances):
     worst = 0.0
     for name, aug, cs, f in flat_instances:
-        J = AngleSystem(aug, cs).jacobian(f)
-        lay = layout_augmented(aug, cs, f)
+        J = AngleSystem(cs).jacobian(f)
+        lay = layout_augmented(cs, f)
         x, y = lay.positions.T
         scale = np.linalg.norm(J, np.inf)
         dev = max(np.max(np.abs(J @ x)), np.max(np.abs(J @ y))) / scale
@@ -186,8 +186,8 @@ def test_criterion_08_mobius_invariance():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
     fields = ("a", "b", "c", "d", "t", "r")
-    lay = layout_augmented(aug, cs, f)
-    sys_, mp = AngleSystem(aug, cs), realize_mpoints(aug, cs, f, lay)
+    lay = layout_augmented(cs, f)
+    sys_, mp = AngleSystem(cs), realize_mpoints(cs, f, lay)
     worst_k, worst_v = 0.0, 0.0
     for name in fields:
         g = InfinitesimalMobius(**{name: 1.0})
@@ -208,8 +208,8 @@ def test_criterion_08_mobius_invariance():
 def test_criterion_09_traversal_independence(flat_instances):
     worst_pos, worst_edge = 0.0, 0.0
     for name, aug, cs, f in flat_instances:
-        bfs = layout_augmented(aug, cs, f, traversal="bfs")
-        dfs = layout_augmented(aug, cs, f, traversal="dfs")
+        bfs = layout_augmented(cs, f, traversal="bfs")
+        dfs = layout_augmented(cs, f, traversal="dfs")
         pts = bfs.positions
         diameter = max(
             float(np.linalg.norm(p - q)) for p in pts for q in pts
@@ -234,8 +234,8 @@ def test_criterion_09_traversal_independence(flat_instances):
 def test_criterion_10_realized_products(flat_instances):
     worst = 0.0
     for name, aug, cs, f in flat_instances:
-        lay = layout_augmented(aug, cs, f)
-        mp, ix = realize_mpoints(aug, cs, f, lay), aug.vertex_index
+        lay = layout_augmented(cs, f)
+        mp, ix = realize_mpoints(cs, f, lay), aug.vertex_index
         for v in aug.vertices:
             a = cs.alpha[v]
             dev = abs(mprod(mp[ix[v]], mp[ix[v]]) - a) / max(1.0, abs(a))
@@ -251,10 +251,10 @@ def test_criterion_10_realized_products(flat_instances):
 
 def test_criterion_11_rank_report():
     aug, cs = build("hex_tangent")
-    res = newton_flat(aug, cs, tol=1e-12)
+    res = newton_flat(cs, tol=1e-12)
     assert res.converged
-    lay = layout_augmented(aug, cs, res.f)
-    mp = realize_mpoints(aug, cs, res.f, lay)
+    lay = layout_augmented(cs, res.f)
+    mp = realize_mpoints(cs, res.f, lay)
     C = constraint_matrix(aug, mp)
     assert C.shape == (26, 32)
     rank, sv = numerical_rank(C, cutoff=1e-10)
@@ -270,14 +270,14 @@ def test_criterion_11_rank_report():
 
 def test_criterion_12_flow():
     aug, cs = build("hex_tangent")
-    sys = AngleSystem(aug, cs)
+    sys = AngleSystem(cs)
     rng = np.random.default_rng(12)
     f0 = HEX_FLAT["hex_tangent"] + 0.05 * rng.standard_normal(8)
     r0 = float(np.max(np.abs(sys.curvature(f0))))
     t0 = time.perf_counter()
-    flow = curvature_flow(aug, cs, f0, 50.0, 0.01)
+    flow = curvature_flow(cs, f0, 50.0, 0.01)
     elapsed = time.perf_counter() - t0
-    drift = curvature_flow(aug, cs, HEX_FLAT["hex_tangent"], 50.0, 0.01)
+    drift = curvature_flow(cs, HEX_FLAT["hex_tangent"], 50.0, 0.01)
     stays = float(np.max(drift.residuals))
     ok = flow.final_residual <= r0 / 1e3 and elapsed < 5.0 and stays <= 1e-12
     _line(

@@ -68,6 +68,42 @@ def test_one_name_per_thing():
     assert "tol" not in {f.name for f in dataclasses.fields(BoundaryReport)}
 
 
+#: Every entry that takes a structure, with its parameters: the structure
+#: comes first and carries the complex, so none takes a complex beside it
+_STRUCTURE_ENTRIES = {
+    "default_start": ["cs"],
+    "newton_flat": ["cs", "f0", "tol", "max_iter", "svd_cutoff"],
+    "curvature_flow": ["cs", "f0", "t_end", "dt", "max_halvings"],
+    "layout_disk": ["cs", "f", "traversal"],
+    "layout_augmented": ["cs", "f", "traversal"],
+    "realize_mpoints": ["cs", "f", "layout"],
+    "normalize_to_unit_disk": ["cs", "f", "layout"],
+    "measure_equivalence_check": ["cs", "f"],
+    "render_svg": ["cs", "f", "layout", "size"],
+    "AngleSystem": ["cs"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_STRUCTURE_ENTRIES))
+def test_structure_entries_take_no_complex(name):
+    params = inspect.signature(getattr(diskfold, name)).parameters.values()
+    assert [p.name for p in params] == _STRUCTURE_ENTRIES[name]
+    assert not any("Disk" in str(p.annotation) for p in params)
+
+
+def test_the_structure_is_the_problem():
+    from diskfold.complexes import _Indexed
+
+    assert not hasattr(diskfold.ConformalStructure, "system_for")
+    assert not hasattr(diskfold.ConformalStructure, "validate_for")
+    assert not hasattr(_Indexed, "label_dict")
+    assert [f.name for f in dataclasses.fields(diskfold.Problem)] == ["cs", "f_init"]
+    prob = diskfold.parse_problem(diskfold.preset("hex_tangent"))
+    assert prob.aug is prob.cs.complex and isinstance(prob.aug, diskfold.AugmentedDisk)
+    with pytest.raises(AttributeError):
+        prob.aug = prob.aug
+
+
 def test_readme_library_example_runs():
     """The first python block of README.md, the Library snippet, runs as written."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()

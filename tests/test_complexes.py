@@ -178,8 +178,7 @@ def test_label_array_accepts_dicts_and_arrays():
     arr = aug.label_array(f)
     assert arr.shape == (8,)
     assert np.array_equal(aug.label_array(arr), arr)
-    back = aug.label_dict(arr)
-    assert back == f
+    assert dict(zip(aug.vertices, arr.tolist())) == f
     with pytest.raises(ValueError):
         aug.label_array(np.array([np.nan] * 8))
 

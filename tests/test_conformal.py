@@ -16,6 +16,7 @@ from diskfold import (
     layout_disk,
     measure_equivalence_check,
     newton_flat,
+    normalize_to_unit_disk,
     realize_mpoints,
     render_svg,
 )
@@ -52,7 +53,7 @@ def test_tangent_lengths_are_radius_sums():
     """alpha = eta = 1 makes every disk edge length e^{f_u} + e^{f_v}."""
     aug, cs = _hex()
     f = {v: 0.1 * v for v in aug.vertices}
-    lengths = dict(zip(aug.edges, AngleSystem(aug, cs).lengths(f)))
+    lengths = dict(zip(aug.edges, AngleSystem(cs).lengths(f)))
     for (u, v) in aug.disk.edges:
         expect = np.exp(f[u]) + np.exp(f[v])
         assert lengths[(u, v)] == pytest.approx(expect, rel=1e-14)
@@ -63,14 +64,14 @@ def test_apex_edges_use_folded_weights():
     aug, cs = _hex()
     f = {v: 0.0 for v in aug.vertices}
     f[aug.apex] = np.log(3.0)
-    lengths = dict(zip(aug.edges, AngleSystem(aug, cs).lengths(f)))
+    lengths = dict(zip(aug.edges, AngleSystem(cs).lengths(f)))
     for w in aug.disk.boundary_cycle:
         assert lengths[edge_key(w, aug.apex)] == pytest.approx(2.0, rel=1e-14)
 
 
 def test_angles_sum_to_pi():
     aug, cs = _hex()
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     rng = np.random.default_rng(5)
     f = HEX_FLAT["hex_tangent"] + rng.uniform(-0.05, 0.05, 8)
     th = sysm.angles(f)
@@ -83,7 +84,7 @@ def test_angle_sums_and_gauss_bonnet(data):
     """Angle sums are pi per face and curvatures sum to zero exactly."""
     # near-zero labels are generically admissible for mu = 0
     aug, cs = _ring2("orthogonal")
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     f = data.draw(_labels(aug))
     if not sysm.admissible(f):
         return
@@ -98,7 +99,7 @@ def test_angle_sums_and_gauss_bonnet(data):
 def test_curvature_is_shift_invariant(data, c):
     """Adding a constant to f rescales all lengths and changes no angle."""
     aug, cs = _hex("orthogonal")
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     f = data.draw(_labels(aug))
     if not sysm.admissible(f):
         return
@@ -111,7 +112,7 @@ def test_flat_labels_have_zero_curvature():
     for name, f in HEX_FLAT.items():
         scenario = name.split("_")[1]
         aug, cs = _hex(scenario)
-        K = AngleSystem(aug, cs).curvature(f)
+        K = AngleSystem(cs).curvature(f)
         assert np.max(np.abs(K)) <= 1e-13
 
 
@@ -122,7 +123,7 @@ def test_curvature_signs_and_constants():
     aug, cs = _hex()
     f = np.zeros(8)
     f[-1] = np.log(3.0)  # apex edges have length 2 = disk edge length
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     K = sysm.curvature(f)
     i0 = aug.vertex_index[0]
     assert K[i0] == pytest.approx(0.0, abs=1e-12)
@@ -134,7 +135,7 @@ def test_curvature_signs_and_constants():
 
 def test_inadmissible_labels_are_rejected():
     aug, cs = _hex()
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
 
     # apex circle equal to a boundary circle: the folded edge collapses
     f = np.zeros(8)
@@ -161,7 +162,7 @@ def test_negative_length_square_detected():
     eta = {e: -5.0 for e in disk.edges}  # hyperideal: l^2 < 0 at f = 0
     mu = {v: 0.0 for v in disk.boundary_cycle}
     cs = attach_boundary_data(aug, alpha, eta, mu)
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     v = sysm.violation(np.zeros(4))
     assert v is not None and v[0] == "edge"
 
@@ -222,38 +223,40 @@ def test_angle_system_rejection_messages_are_pinned(edit, message):
     aug, cs = _hex()
     alpha, eta = edit(dict(cs.alpha), dict(cs.eta))
     with pytest.raises(StructureError) as info:
-        AngleSystem(aug, ConformalStructure.on(aug, alpha, eta))
+        AngleSystem(ConformalStructure.on(aug, alpha, eta))
     assert str(info.value) == message
 
 
-#: Every entry that takes a structure, called with one of ``aug`` on
-#: another complex: a second augment of the same disk, or the disk itself.
-_ON_ANOTHER_COMPLEX = {
-    "AngleSystem": lambda aug, other, cs, f, lay: AngleSystem(other, cs),
-    "system_for": lambda aug, other, cs, f, lay: cs.system_for(other),
-    "default_start": lambda aug, other, cs, f, lay: default_start(other, cs),
-    "newton_flat": lambda aug, other, cs, f, lay: newton_flat(other, cs, f),
-    "curvature_flow": lambda aug, other, cs, f, lay: curvature_flow(other, cs, f, 0.1, 0.01),
-    "layout_augmented": lambda aug, other, cs, f, lay: layout_augmented(other, cs, f),
-    "layout_disk": lambda aug, other, cs, f, lay: layout_disk(aug.disk, cs, f[:-1]),
-    "realize_mpoints": lambda aug, other, cs, f, lay: realize_mpoints(other, cs, f, lay),
-    "render_svg": lambda aug, other, cs, f, lay: render_svg(other, cs, f, lay),
-    "measure_equivalence_check": lambda aug, other, cs, f, lay: measure_equivalence_check(other, cs, f),
+#: Every entry that reads one kind of complex from its structure, called
+#: with a structure on the other kind: the augmented-only entries with the
+#: hex structure gathered onto its plain disk, layout_disk with the
+#: augmented one.
+_ON_THE_OTHER_KIND = {
+    "default_start": lambda cs, on_disk, f, lay: default_start(on_disk),
+    "newton_flat": lambda cs, on_disk, f, lay: newton_flat(on_disk, f),
+    "curvature_flow": lambda cs, on_disk, f, lay: curvature_flow(on_disk, f, 0.1, 0.01),
+    "layout_augmented": lambda cs, on_disk, f, lay: layout_augmented(on_disk, f),
+    "layout_disk": lambda cs, on_disk, f, lay: layout_disk(cs, f),
+    "realize_mpoints": lambda cs, on_disk, f, lay: realize_mpoints(on_disk, f, lay),
+    "normalize_to_unit_disk": lambda cs, on_disk, f, lay: normalize_to_unit_disk(on_disk, f, lay),
+    "render_svg": lambda cs, on_disk, f, lay: render_svg(on_disk, f, lay),
+    "measure_equivalence_check": lambda cs, on_disk, f, lay: measure_equivalence_check(on_disk, f),
 }
 
 
-@pytest.mark.parametrize("entry", sorted(_ON_ANOTHER_COMPLEX))
+@pytest.mark.parametrize("entry", sorted(_ON_THE_OTHER_KIND))
 def test_a_structure_serves_only_its_own_complex(entry):
     aug, cs = _hex()
     f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(aug, cs, f)
-    other = augment(aug.disk)
-    assert other.vertices == aug.vertices and other.edges == aug.edges
-    with pytest.raises(StructureError, match="^the structure is on another complex$"):
-        _ON_ANOTHER_COMPLEX[entry](aug, other, cs, f, lay)
+    lay = layout_augmented(cs, f)
+    on_disk = ConformalStructure.on(aug.disk, cs.alpha, cs.eta)
+    kinds = ("AugmentedDisk", "CombinatorialDisk")
+    got, need = kinds if entry == "layout_disk" else kinds[::-1]
+    with pytest.raises(StructureError, match=f"^the structure's complex is {got}, not {need}$"):
+        _ON_THE_OTHER_KIND[entry](cs, on_disk, f, lay)
 
 
-def test_validate_for_gathers_in_complex_order():
+def test_structure_arrays_gather_in_complex_order():
     disk = ring_lattice(2)
     aug = augment(disk)
     rng = np.random.default_rng(4)
@@ -261,7 +264,7 @@ def test_validate_for_gathers_in_complex_order():
     eta = {e: rng.uniform(0.9, 1.5) for e in disk.edges}
     mu = {v: rng.uniform(-0.4, 0.4) for v in disk.boundary_cycle}
     cs = attach_boundary_data(aug, alpha, eta, mu, apex_alpha=0.7)
-    a, h = cs.validate_for(aug)
+    a, h = cs.alpha_array, cs.eta_array
     assert a.tolist() == [cs.alpha[v] for v in aug.vertices]
     assert h.tolist() == [cs.eta[e] for e in aug.edges]
     assert not a.flags.writeable and not h.flags.writeable
@@ -274,9 +277,6 @@ def test_validate_for_gathers_in_complex_order():
         apex_alpha=0.7,
     )
     assert aligned.alpha == cs.alpha and aligned.eta == cs.eta
-    # another complex with the same ids is refused
-    with pytest.raises(StructureError, match="^the structure is on another complex$"):
-        cs.validate_for(augment(disk))
     # the id gather at the edge: the disk's rows of the augmented arrays
     on_disk = ConformalStructure.on(aug.disk, cs.alpha, cs.eta)
     ne = len(disk.compiled.E)
@@ -345,10 +345,10 @@ def test_verdict_and_curvature_match_scalar_path(data, scenario, scale):
     """admissible, check_admissible and curvature agree with the scalar
     edge_length / face_angles path, admissible labels or not."""
     aug, cs = _ring2(scenario)
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     n = len(aug.vertices)
     noise = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array))
-    f = default_start(aug, cs) + scale * noise
+    f = default_start(cs) + scale * noise
     ok, K_ref = _scalar_verdict_and_curvature(aug, cs, f)
     assert sysm.admissible(f) == ok
     if ok:
@@ -368,7 +368,7 @@ def test_degenerate_angle_reported():
     disk = triangle_disk()
     eta = {(0, 1): 1.052031767064613, (0, 2): 1.1811752847538073e-20, (1, 2): 1.052031766841666}
     cs = ConformalStructure.on(disk, {v: 0.0 for v in disk.vertices}, eta)  # l^2 = 2 eta at f = 0
-    sysm = AngleSystem(disk, cs)
+    sysm = AngleSystem(cs)
     f = np.zeros(3)
     assert sysm.admissible(f)
     assert sysm.evaluate(f).degenerate == 0
@@ -379,7 +379,7 @@ def test_degenerate_angle_reported():
 
 def test_non_finite_labels_rejected():
     aug, cs = _hex()
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     f = np.zeros(8)
     f[0] = 400.0  # exp overflow
     assert not sysm.admissible(f)
@@ -400,7 +400,7 @@ def _fd_jacobian(sysm, f, h=1e-6):
 
 def test_jacobian_matches_finite_differences():
     aug, cs = _ring2()
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     rng = np.random.default_rng(42)
     for _ in range(5):
         f = rng.uniform(-0.2, 0.2, len(aug.vertices))
@@ -420,10 +420,10 @@ def test_jacobian_rows_sum_to_zero():
     ring_cs = attach_boundary_data(ring, *scenario_data(disk, "tangent"))
     cases = [
         (*_hex(), HEX_FLAT["hex_tangent"] + rng.uniform(-0.08, 0.08, 8)),
-        (ring, ring_cs, default_start(ring, ring_cs)),
+        (ring, ring_cs, default_start(ring_cs)),
     ]
     for aug, cs, f in cases:
-        sysm = AngleSystem(aug, cs)
+        sysm = AngleSystem(cs)
         J = sysm.jacobian(f)
         n = len(f)
         assert np.max(np.abs(J @ np.ones(n))) <= 1e-12
@@ -434,7 +434,7 @@ def test_jacobian_rows_sum_to_zero():
 
 def test_jacobian_is_symmetric_here():
     aug, cs = _hex()
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     rng = np.random.default_rng(10)
     f = HEX_FLAT["hex_tangent"] + rng.uniform(-0.08, 0.08, 8)
     J = sysm.jacobian(f)
@@ -443,7 +443,7 @@ def test_jacobian_is_symmetric_here():
 
 def test_jacobian_pattern_is_compiled_on_first_use():
     aug, cs = _hex()
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     f = HEX_FLAT["hex_tangent"]
     sysm.curvature(f)
     assert "jacobian_pattern" not in vars(sysm)
@@ -460,20 +460,20 @@ def test_structure_compiles_one_system_for_the_library_chain(monkeypatch):
 
     compiled = []
     init = AngleSystem.__init__
-    monkeypatch.setattr(AngleSystem, "__init__", lambda self, *a: compiled.append(a[0]) or init(self, *a))
+    monkeypatch.setattr(AngleSystem, "__init__", lambda self, *a: compiled.append(a[0].complex) or init(self, *a))
     aug, cs = _hex()
     f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(3).standard_normal(8)
-    default_start(aug, cs)
-    res = newton_flat(aug, cs, f0)
+    default_start(cs)
+    res = newton_flat(cs, f0)
     assert res.converged
-    curvature_flow(aug, cs, f0, 1.0, 0.01)
-    layout_augmented(aug, cs, res.f)
-    assert measure_equivalence_check(aug, cs, res.f) <= 1e-12
+    curvature_flow(cs, f0, 1.0, 0.01)
+    layout_augmented(cs, res.f)
+    assert measure_equivalence_check(cs, res.f) <= 1e-12
     assert compiled == [aug] and cs.system.complex is aug
     # the disk alone takes a structure of its own, built at the edge by id,
     # which compiles its own system
     disk = aug.disk
-    lay = layout_disk(disk, ConformalStructure.on(disk, cs.alpha, cs.eta), res.f[:-1])
+    lay = layout_disk(ConformalStructure.on(disk, cs.alpha, cs.eta), res.f[:-1])
     assert compiled == [aug, disk] and lay.consistency_residual <= 1e-12
     assert cs.system.complex is aug
 
@@ -485,7 +485,7 @@ def test_structure_compiles_one_system_for_the_library_chain(monkeypatch):
 def _plain_hex():
     disk = hex_flower()
     alpha, eta, _ = scenario_data(disk, "tangent")
-    return disk, AngleSystem(disk, ConformalStructure.on(disk, alpha, eta))
+    return disk, AngleSystem(ConformalStructure.on(disk, alpha, eta))
 
 
 def test_plain_disk_label_missing_vertex():

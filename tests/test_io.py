@@ -56,7 +56,7 @@ def test_parse_round_trip():
     prob = parse_problem(data)
     text = serialize_problem(prob)
     again = parse_problem(text)
-    assert again.disk.faces == prob.disk.faces
+    assert again.aug.disk.faces == prob.aug.disk.faces
     assert again.cs.alpha == prob.cs.alpha
     assert again.cs.eta == prob.cs.eta
 
@@ -217,7 +217,7 @@ def test_f_init_round_trip():
     data = preset("hex_tangent")
     prob = parse_problem(data)
     fj = label_to_json(prob.aug, HEX_FLAT["hex_tangent"])
-    assert set(fj) == {str(v) for v in prob.disk.vertices} | {"hat"}
+    assert set(fj) == {str(v) for v in prob.aug.disk.vertices} | {"hat"}
     back = label_from_json(prob.aug, fj)
     assert np.array_equal(back, HEX_FLAT["hex_tangent"])
 
@@ -263,7 +263,7 @@ def test_cli_preset_writes_parseable_problems(tmp_path, capsys):
     out = tmp_path / "p.json"
     assert main(["preset", "ring_lattice", "--rings", "1", "--scenario", "orthogonal", "--out", str(out)]) == 0
     prob = parse_problem(out.read_text())
-    assert len(prob.disk.vertices) == 7
+    assert len(prob.aug.disk.vertices) == 7
 
 
 def test_cli_solve_newton(hex_file, capsys):
@@ -348,10 +348,10 @@ def _relabelled(data: dict, rng) -> dict:
 
 def test_the_solve_path_builds_no_id_views():
     prob = parse_problem(preset("ring_lattice", n_rings=4))
-    res = newton_flat(prob.aug, prob.cs)
+    res = newton_flat(prob.cs)
     assert res.converged
     label_to_json(prob.aug, res.f)
-    for complex_ in (prob.disk, prob.aug):
+    for complex_ in (prob.aug.disk, prob.aug):
         assert not {"faces", "edges", "boundary_edges", "interior_vertices"} & vars(complex_).keys()
     assert not {"alpha", "eta"} & vars(prob.cs).keys()
     # built when asked, from the arrays
@@ -379,7 +379,7 @@ def test_ids_past_int64_parse_solve_and_serialize():
     ps, pb = parse_problem(small), parse_problem(big)
     assert pb.aug.compiled.ids.dtype == object
     assert pb.aug.apex == 2**64 + 3 * (len(small["vertices"]) - 1) + 1
-    fs, fb = newton_flat(ps.aug, ps.cs).f, newton_flat(pb.aug, pb.cs).f
+    fs, fb = newton_flat(ps.cs).f, newton_flat(pb.cs).f
     assert np.array_equal(fs, fb)
     assert serialize_problem(pb, fb) == canonical_json({**big, "f_init": vmap(label_to_json(ps.aug, fs))})
 
@@ -427,10 +427,10 @@ def _spectrum_report(path) -> str:
     label, its realization, then every singular value of M."""
     prob = parse_problem(path.read_text())
     f = prob.f_init
-    if f is None or np.max(np.abs(AngleSystem(prob.aug, prob.cs).curvature(f))) > 1e-8:
-        f = newton_flat(prob.aug, prob.cs, f).f
-    lay = layout_augmented(prob.aug, prob.cs, f)
-    m = constraint_matrix(prob.aug, realize_mpoints(prob.aug, prob.cs, f, lay))
+    if f is None or np.max(np.abs(AngleSystem(prob.cs).curvature(f))) > 1e-8:
+        f = newton_flat(prob.cs, f).f
+    lay = layout_augmented(prob.cs, f)
+    m = constraint_matrix(prob.aug, realize_mpoints(prob.cs, f, lay))
     rank, s = numerical_rank(m, 1e-10)
     out = {"matrix": "constraint_matrix", "shape": list(m.shape), "cutoff": 1e-10, "rank": rank}
     out["singular_values"] = [float(x) for x in s]

@@ -37,7 +37,7 @@ def _signed_area(p, q, r):
 def test_layout_reproduces_lengths():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(aug, cs, f)
+    lay = layout_augmented(cs, f)
     assert lay.consistency_residual <= 1e-12
     assert layout_edge_error(aug, lay) <= 1e-12
 
@@ -45,7 +45,7 @@ def test_layout_reproduces_lengths():
 def test_fold_orientation():
     """Disk faces develop with positive area, apex faces with negative."""
     aug, cs = build("hex_tangent")
-    lay = layout_augmented(aug, cs, HEX_FLAT["hex_tangent"])
+    lay = layout_augmented(cs, HEX_FLAT["hex_tangent"])
     ix = aug.vertex_index
     for i, face in enumerate(aug.faces):
         area = _signed_area(*(lay.positions[ix[v]] for v in face))
@@ -58,8 +58,8 @@ def test_fold_orientation():
 def test_bfs_and_dfs_agree():
     aug, cs = build("hex_orthogonal")
     f = HEX_FLAT["hex_orthogonal"]
-    a = layout_augmented(aug, cs, f, traversal="bfs")
-    b = layout_augmented(aug, cs, f, traversal="dfs")
+    a = layout_augmented(cs, f, traversal="bfs")
+    b = layout_augmented(cs, f, traversal="dfs")
     assert a.traversal == "bfs" and b.traversal == "dfs"
     dev = float(np.max(np.hypot(*(a.positions - b.positions).T)))
     assert dev <= 1e-9 * max(1.0, a.diameter())
@@ -68,7 +68,7 @@ def test_bfs_and_dfs_agree():
 def test_unknown_traversal_rejected():
     aug, cs = build("hex_tangent")
     with pytest.raises(ValueError):
-        layout_augmented(aug, cs, HEX_FLAT["hex_tangent"], traversal="walk")
+        layout_augmented(cs, HEX_FLAT["hex_tangent"], traversal="walk")
 
 
 def test_non_flat_label_rejected():
@@ -76,7 +76,7 @@ def test_non_flat_label_rejected():
     f = HEX_FLAT["hex_tangent"].copy()
     f[0] += 0.05
     with pytest.raises(LayoutError):
-        layout_augmented(aug, cs, f)
+        layout_augmented(cs, f)
 
 
 def test_disk_only_layout_rejects_a_curved_interior():
@@ -88,7 +88,7 @@ def test_disk_only_layout_rejects_a_curved_interior():
     f_disk = {v: np.log(1.0 / 3.0) for v in disk.vertices}
     f_disk[0] += 0.05
     with pytest.raises(LayoutError, match="^interior curvature"):
-        layout_disk(disk, ConformalStructure.on(disk, cs.alpha, cs.eta), f_disk)
+        layout_disk(ConformalStructure.on(disk, cs.alpha, cs.eta), f_disk)
 
 
 def test_disk_only_layout():
@@ -99,7 +99,7 @@ def test_disk_only_layout():
     cs = attach_boundary_data(aug, alpha, eta, mu)
     f_disk = {v: np.log(1.0 / 3.0) for v in disk.vertices}
     # the augmented structure serves only aug; its values go to the disk by id
-    lay = layout_disk(disk, ConformalStructure.on(disk, cs.alpha, cs.eta), f_disk)
+    lay = layout_disk(ConformalStructure.on(disk, cs.alpha, cs.eta), f_disk)
     assert lay.consistency_residual <= 1e-12
     assert layout_edge_error(disk, lay) <= 1e-12
     # regular hexagon around the center circle
@@ -113,8 +113,8 @@ def test_disk_only_layout():
 def test_realized_products_reproduce_structure():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(aug, cs, f)
-    mp, ix = realize_mpoints(aug, cs, f, lay), aug.vertex_index
+    lay = layout_augmented(cs, f)
+    mp, ix = realize_mpoints(cs, f, lay), aug.vertex_index
     assert mp.shape == (len(aug.vertices), 4)
     for v in aug.vertices:
         got = mprod(mp[ix[v]], mp[ix[v]])
@@ -127,8 +127,8 @@ def test_realized_products_reproduce_structure():
 def test_normalization_sends_apex_to_unit_circle():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"] + 0.37  # arbitrary global scale
-    lay = layout_augmented(aug, cs, f)
-    reali = normalize_to_unit_disk(aug, cs, f, lay)
+    lay = layout_augmented(cs, f)
+    reali = normalize_to_unit_disk(cs, f, lay)
     assert layout_edge_error(aug, reali.layout) <= 1e-12
     apex_wp = project(reali.mpoints[-1])
     assert apex_wp.x == pytest.approx(0.0, abs=1e-12)
@@ -147,8 +147,8 @@ def test_boundary_reports():
     for name, scenario in cases.items():
         aug, cs = build(name)
         f = HEX_FLAT[name]
-        lay = layout_augmented(aug, cs, f)
-        reali = normalize_to_unit_disk(aug, cs, f, lay)
+        lay = layout_augmented(cs, f)
+        reali = normalize_to_unit_disk(cs, f, lay)
         reals[scenario] = (aug, reali)
         rep = verify_boundary_condition(aug, reali.mpoints, scenario)
         assert rep.scenario == scenario
@@ -170,8 +170,8 @@ def test_boundary_report_true_negatives():
     for name, wrong in mismatches:
         aug, cs = build(name)
         f = HEX_FLAT[name]
-        lay = layout_augmented(aug, cs, f)
-        reali = normalize_to_unit_disk(aug, cs, f, lay)
+        lay = layout_augmented(cs, f)
+        reali = normalize_to_unit_disk(cs, f, lay)
         rep = verify_boundary_condition(aug, reali.mpoints, wrong)
         assert not rep.passed
         assert rep.max_residual > 0.1
@@ -181,8 +181,8 @@ def test_boundary_geometry_tangent():
     """Boundary circles touch the unit circle from inside."""
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(aug, cs, f)
-    reali = normalize_to_unit_disk(aug, cs, f, lay)
+    lay = layout_augmented(cs, f)
+    reali = normalize_to_unit_disk(cs, f, lay)
     for v in aug.disk.boundary_cycle:
         wp = project(reali.mpoints[aug.vertex_index[v]])
         assert np.hypot(wp.x, wp.y) + wp.radius == pytest.approx(1.0, abs=1e-12)
@@ -191,8 +191,8 @@ def test_boundary_geometry_tangent():
 def test_boundary_geometry_inscribed():
     aug, cs = build("hex_inscribed")
     f = HEX_FLAT["hex_inscribed"]
-    lay = layout_augmented(aug, cs, f)
-    reali = normalize_to_unit_disk(aug, cs, f, lay)
+    lay = layout_augmented(cs, f)
+    reali = normalize_to_unit_disk(cs, f, lay)
     for v in aug.disk.boundary_cycle:
         wp = project(reali.mpoints[aug.vertex_index[v]])
         assert np.hypot(wp.x, wp.y) == pytest.approx(1.0, abs=1e-12)
@@ -204,8 +204,8 @@ def test_triangle_apex_realization():
     aug = augment(disk)
     cs = attach_boundary_data(aug, *scenario_data(disk, "inscribed"))
     f = np.array([0.5 * np.log(3.0)] * 3 + [0.0])
-    lay = layout_augmented(aug, cs, f)
-    reali = normalize_to_unit_disk(aug, cs, f, lay)
+    lay = layout_augmented(cs, f)
+    reali = normalize_to_unit_disk(cs, f, lay)
     rep = verify_boundary_condition(aug, reali.mpoints, "inscribed")
     assert rep.passed
     # boundary points form an equilateral triangle of side sqrt(3)
@@ -312,7 +312,7 @@ def flat_case(request):
     aug, cs = build(name, n_rings=rings, scenario=scenario)
     if name.startswith("hex_"):
         return aug, cs, HEX_FLAT[name]
-    res = newton_flat(aug, cs)
+    res = newton_flat(cs)
     assert res.converged
     return aug, cs, res.f
 
@@ -327,9 +327,9 @@ def test_realize_mpoints_matches_per_vertex_lift(flat_case, shift):
     aug, cs, f = flat_case
     f = f + shift
     for traversal in ("bfs", "dfs"):
-        lay = layout_augmented(aug, cs, f, traversal=traversal)
-        assert _same_bits(realize_mpoints(aug, cs, f, lay), _realize_per_vertex(aug, cs, f, lay))
-        norm = normalize_to_unit_disk(aug, cs, f, lay)
+        lay = layout_augmented(cs, f, traversal=traversal)
+        assert _same_bits(realize_mpoints(cs, f, lay), _realize_per_vertex(aug, cs, f, lay))
+        norm = normalize_to_unit_disk(cs, f, lay)
         assert _same_bits(norm.mpoints, _realize_per_vertex(aug, cs, norm.label, norm.layout))
         nlay, nf = normalize_layout(aug, f, lay)
         assert nlay.positions.shape == lay.positions.shape
@@ -344,19 +344,19 @@ def test_realize_mpoints_raises_the_per_vertex_error(shift):
     # loop rejects decides the message
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(aug, cs, f)
+    lay = layout_augmented(cs, f)
     f = f + shift
     with pytest.raises(ValueError) as want:
         _realize_per_vertex(aug, cs, f, lay)
     with pytest.raises(ValueError) as got:
-        realize_mpoints(aug, cs, f, lay)
+        realize_mpoints(cs, f, lay)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 
 
 def test_realized_mpoints_are_read_only(flat_case):
     aug, cs, f = flat_case
-    mp = realize_mpoints(aug, cs, f, layout_augmented(aug, cs, f))
+    mp = realize_mpoints(cs, f, layout_augmented(cs, f))
     with pytest.raises(ValueError):
         mp[-1, 0] = 1.0
 
@@ -389,10 +389,10 @@ _VERIFY_CASES += [("ring_lattice", n, s) for n in (1, 2, 4, 8) for s in SCENARIO
 @pytest.mark.parametrize("name, rings, scenario", _VERIFY_CASES)
 def test_boundary_check_matches_per_vertex_loop(name, rings, scenario):
     aug, cs = build(name, n_rings=rings, scenario=scenario)
-    f = HEX_FLAT[name] if name.startswith("hex_") else newton_flat(aug, cs).f
-    lay = layout_augmented(aug, cs, f)
+    f = HEX_FLAT[name] if name.startswith("hex_") else newton_flat(cs).f
+    lay = layout_augmented(cs, f)
     # the normalized realization and one whose apex circle is not the unit circle
-    for xi in (normalize_to_unit_disk(aug, cs, f, lay).mpoints, realize_mpoints(aug, cs, f + 0.37, lay)):
+    for xi in (normalize_to_unit_disk(cs, f, lay).mpoints, realize_mpoints(cs, f + 0.37, lay)):
         mapping = {v: MPoint(xi[i]) for i, v in enumerate(aug.vertices)}
         for check in SCENARIOS:
             want = _verify_per_vertex(aug, mapping, check)
@@ -407,7 +407,7 @@ def test_boundary_check_matches_per_vertex_loop(name, rings, scenario):
 def test_boundary_check_rejects_an_improper_row(row):
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
-    xi = realize_mpoints(aug, cs, f, layout_augmented(aug, cs, f)).copy()
+    xi = realize_mpoints(cs, f, layout_augmented(cs, f)).copy()
     v = aug.apex if row == "apex" else aug.disk.boundary_cycle[2]
     xi[aug.vertex_index[v]] = [0.3, 0.1, 2.0, 1.5]  # xi4 - xi3 < 0
     mapping = {u: MPoint(xi[i]) for i, u in enumerate(aug.vertices)}
@@ -422,12 +422,12 @@ def test_boundary_check_rejects_an_improper_row(row):
 @pytest.mark.parametrize("traversal", ["bfs", "dfs"])
 def test_residual_matches_per_corner_loop(flat_case, traversal):
     aug, cs, f = flat_case
-    lengths = AngleSystem(aug, cs).evaluate(f).lengths.tolist()
+    lengths = AngleSystem(cs).evaluate(f).lengths.tolist()
     for start in (0, aug.n_disk_faces):
         positions, residual = _develop(aug.compiled, lengths, start, traversal)
         assert residual == _residual_per_corner(aug.compiled, lengths, positions)
     # off the flat label the faces disagree and the residual is large
-    lengths = AngleSystem(aug, cs).evaluate(f + 0.01 * np.arange(len(f)) / len(f)).lengths.tolist()
+    lengths = AngleSystem(cs).evaluate(f + 0.01 * np.arange(len(f)) / len(f)).lengths.tolist()
     positions, residual = _develop(aug.compiled, lengths, 0, traversal)
     assert positions.tobytes() == _develop_sequential(aug.compiled, lengths, 0, traversal).tobytes()
     assert residual == _residual_per_corner(aug.compiled, lengths, positions)
@@ -440,7 +440,7 @@ _WALK_CASES += [("ring_lattice", n, s) for n in (1, 2, 3, 4, 6, 8) for s in SCEN
 def _flat_label(aug, cs, name):
     if name.startswith("hex_"):
         return HEX_FLAT[name]
-    res = newton_flat(aug, cs)
+    res = newton_flat(cs)
     assert res.converged
     return res.f
 
@@ -454,7 +454,7 @@ def test_levels_place_like_the_sequential_walk(case):
     f = _flat_label(aug, cs, name)
     lengths = cs.system.evaluate(f).lengths.tolist()
     for traversal in ("bfs", "dfs"):
-        lay = layout_augmented(aug, cs, f, traversal=traversal)
+        lay = layout_augmented(cs, f, traversal=traversal)
         want = _develop_sequential(aug.compiled, lengths, aug.n_disk_faces, traversal)
         assert lay.positions.tobytes() == want.tobytes()
         assert lay.consistency_residual == _residual_per_corner(aug.compiled, lengths, want)
@@ -467,7 +467,7 @@ def test_disk_levels_place_like_the_sequential_walk(name, rings):
     disk_cs = ConformalStructure.on(disk, cs.alpha, cs.eta)
     lengths = disk_cs.system.evaluate(f).lengths.tolist()
     for traversal in ("bfs", "dfs"):
-        lay = layout_disk(disk, disk_cs, f, traversal=traversal)
+        lay = layout_disk(disk_cs, f, traversal=traversal)
         want = _develop_sequential(disk.compiled, lengths, 0, traversal)
         assert lay.positions.tobytes() == want.tobytes()
         assert lay.consistency_residual == _residual_per_corner(disk.compiled, lengths, want)

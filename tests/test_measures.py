@@ -33,18 +33,18 @@ def _hex_tangent():
 def test_measure_curvature_vanishes_at_flat_label():
     aug, cs = _hex_tangent()
     mu = standard_multiplicities(aug)
-    th = AngleSystem(aug, cs).angles(HEX_FLAT["hex_tangent"])
+    th = AngleSystem(cs).angles(HEX_FLAT["hex_tangent"])
     for v in aug.vertices:
         assert measure_curvature(aug, mu, th, v) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_equivalence_on_flat_and_perturbed_labels():
     aug, cs = _hex_tangent()
-    assert measure_equivalence_check(aug, cs, HEX_FLAT["hex_tangent"]) <= 1e-13
+    assert measure_equivalence_check(cs, HEX_FLAT["hex_tangent"]) <= 1e-13
     rng = np.random.default_rng(21)
     for _ in range(20):
         f = HEX_FLAT["hex_tangent"] + rng.uniform(-0.08, 0.08, 8)
-        assert measure_equivalence_check(aug, cs, f) <= 1e-12
+        assert measure_equivalence_check(cs, f) <= 1e-12
 
 
 def test_equivalence_on_single_triangle():
@@ -52,7 +52,7 @@ def test_equivalence_on_single_triangle():
     aug = augment(disk)
     cs = attach_boundary_data(aug, *scenario_data(disk, "inscribed"))
     f = np.array([0.5 * np.log(3.0)] * 3 + [0.0])
-    assert measure_equivalence_check(aug, cs, f) <= 1e-12
+    assert measure_equivalence_check(cs, f) <= 1e-12
 
 
 def test_equivalence_random_on_ring_lattice():
@@ -62,7 +62,7 @@ def test_equivalence_random_on_ring_lattice():
     rng = np.random.default_rng(33)
     for _ in range(50):
         aug, cs, f = random_admissible(disk, rng)
-        assert measure_equivalence_check(aug, cs, f) <= 1e-12
+        assert measure_equivalence_check(cs, f) <= 1e-12
 
 
 def test_closure_adds_all_faces_of_faces():
@@ -80,7 +80,7 @@ def test_valuation_property():
     mu = standard_multiplicities(aug)
     rng = np.random.default_rng(4)
     f = HEX_FLAT["hex_tangent"] + rng.uniform(-0.05, 0.05, 8)
-    th = AngleSystem(aug, cs).angles(f)
+    th = AngleSystem(cs).angles(f)
     apex = aug.apex
     pairs = [
         (closure([(0, 1, 2), (0, 2, 3)]), closure([(0, 3, 4), (0, 2, 3)])),
@@ -95,7 +95,7 @@ def test_valuation_property():
 def test_valuation_rejects_non_subcomplexes():
     aug, cs = _hex_tangent()
     mu = standard_multiplicities(aug)
-    th = AngleSystem(aug, cs).angles(HEX_FLAT["hex_tangent"])
+    th = AngleSystem(cs).angles(HEX_FLAT["hex_tangent"])
     open_set = frozenset({(0, 1, 2)})  # faces without their edges
     with pytest.raises(ValueError):
         valuation_defect(aug, mu, th, 0, open_set, open_set)
@@ -117,7 +117,7 @@ def test_measure_curvatures_matches_scalar_calls():
     aug, cs = _hex_tangent()
     rng = np.random.default_rng(8)
     f = HEX_FLAT["hex_tangent"] + rng.uniform(-0.05, 0.05, 8)
-    th = AngleSystem(aug, cs).angles(f)
+    th = AngleSystem(cs).angles(f)
     # the standard weights, then arbitrary integer weights on every simplex
     arbitrary = {s: int(rng.integers(-3, 4)) for s in sorted(closure(aug.faces))}
     for mu in (standard_multiplicities(aug), MultiplicityAssignment.on(aug, arbitrary)):
@@ -133,7 +133,7 @@ def test_layout_multiplicity_cancels_on_the_fold():
     aug, cs = _hex_tangent()
     mu = standard_multiplicities(aug)
     f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(aug, cs, f)
+    lay = layout_augmented(cs, f)
     pos, ix = lay.positions, aug.vertex_index
     # generic points inside disk faces
     for face in aug.disk_faces[:3]:
@@ -172,7 +172,7 @@ def test_layout_multiplicity_matches_a_scalar_count():
     aug, cs = _hex_tangent()
     rng = np.random.default_rng(5)
     mu = MultiplicityAssignment.on(aug, {s: int(rng.integers(-3, 4)) for s in sorted(closure(aug.faces))})
-    pos, ix = layout_augmented(aug, cs, HEX_FLAT["hex_tangent"]).positions, aug.vertex_index
+    pos, ix = layout_augmented(cs, HEX_FLAT["hex_tangent"]).positions, aug.vertex_index
     points = list(pos)
     points += [(pos[ix[u]] + pos[ix[v]]) / 2 for u, v in aug.edges]
     points += [(pos[ix[a]] + pos[ix[b]] + pos[ix[c]]) / 3 for a, b, c in aug.faces]

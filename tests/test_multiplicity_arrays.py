@@ -160,4 +160,4 @@ def test_measures_reject_an_assignment_on_another_complex():
 @pytest.mark.parametrize("rings", [8, 16])
 def test_measure_equivalence_at_the_default_start(rings, scenario):
     aug, cs = build("ring_lattice", n_rings=rings, scenario=scenario)
-    assert measure_equivalence_check(aug, cs, default_start(aug, cs)) <= 1e-12
+    assert measure_equivalence_check(cs, default_start(cs)) <= 1e-12

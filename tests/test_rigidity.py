@@ -34,20 +34,20 @@ GENERATORS = [
 def hex_layout():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
-    return aug, cs, f, layout_augmented(aug, cs, f)
+    return aug, cs, f, layout_augmented(cs, f)
 
 
 @pytest.fixture(scope="module")
 def hex_orbit(hex_layout):
     """The arguments mobius_orbit_check takes before the generator."""
     aug, cs, f, lay = hex_layout
-    return AngleSystem(aug, cs), f, lay, realize_mpoints(aug, cs, f, lay)
+    return AngleSystem(cs), f, lay, realize_mpoints(cs, f, lay)
 
 
 @pytest.fixture(scope="module")
 def hex_realized(hex_layout):
     aug, cs, f, lay = hex_layout
-    return aug, cs, f, realize_mpoints(aug, cs, f, lay)
+    return aug, cs, f, realize_mpoints(cs, f, lay)
 
 
 def test_constraint_matrix_shape(hex_realized):
@@ -94,10 +94,10 @@ def test_numerical_rank_on_simple_matrices():
 
 def _realized_constraint_matrix(name, **kw):
     aug, cs = build(name, **kw)
-    res = newton_flat(aug, cs)
+    res = newton_flat(cs)
     assert res.converged
-    lay = layout_augmented(aug, cs, res.f)
-    return constraint_matrix(aug, realize_mpoints(aug, cs, res.f, lay))
+    lay = layout_augmented(cs, res.f)
+    return constraint_matrix(aug, realize_mpoints(cs, res.f, lay))
 
 
 CERTIFIED = [("hex_tangent", {}), ("hex_orthogonal", {}), ("hex_inscribed", {})] + [
@@ -189,10 +189,10 @@ def test_zero_generator_is_identity(hex_orbit):
 
 def test_solved_label_transports_too():
     aug, cs = build("hex_orthogonal")
-    res = newton_flat(aug, cs, tol=1e-12)
-    lay = layout_augmented(aug, cs, res.f)
-    mp = realize_mpoints(aug, cs, res.f, lay)
-    rep = mobius_orbit_check(AngleSystem(aug, cs), res.f, lay, mp, InfinitesimalMobius(b=0.7, r=0.4), 1e-3)
+    res = newton_flat(cs, tol=1e-12)
+    lay = layout_augmented(cs, res.f)
+    mp = realize_mpoints(cs, res.f, lay)
+    rep = mobius_orbit_check(AngleSystem(cs), res.f, lay, mp, InfinitesimalMobius(b=0.7, r=0.4), 1e-3)
     assert rep.max_abs_curvature <= 1e-4
 
 
@@ -210,10 +210,10 @@ def _orbit_per_vertex(aug, layout, mpoints, generator, eps):
 @pytest.mark.parametrize("name", ["hex_tangent", "hex_orthogonal", "ring_lattice"])
 def test_orbit_arrays_match_per_vertex_loop(name):
     aug, cs = build(name, n_rings=3, scenario="orthogonal")
-    f = HEX_FLAT[name] if name in HEX_FLAT else newton_flat(aug, cs).f
-    lay = layout_augmented(aug, cs, f)
-    mp = realize_mpoints(aug, cs, f, lay)
-    sys_ = AngleSystem(aug, cs)
+    f = HEX_FLAT[name] if name in HEX_FLAT else newton_flat(cs).f
+    lay = layout_augmented(cs, f)
+    mp = realize_mpoints(cs, f, lay)
+    sys_ = AngleSystem(cs)
     rng = np.random.default_rng(3)
     for g in GENERATORS + [InfinitesimalMobius(*rng.standard_normal(6)) for _ in range(4)]:
         for eps in (1e-2, 1e-3, 1e-5):

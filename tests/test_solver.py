@@ -44,7 +44,7 @@ def test_hexagonal_gaps_match_closed_forms():
     # translation gauge directions, which move individual gaps
     for name, gap in HEX_GAP.items():
         aug, cs = build(name)
-        res = newton_flat(aug, cs, tol=1e-12)
+        res = newton_flat(cs, tol=1e-12)
         assert res.converged and res.iterations <= 25
         for g in boundary_gaps(aug, res.f):
             assert g == pytest.approx(gap, abs=1e-8)
@@ -54,7 +54,7 @@ def test_newton_from_prescribed_start():
     aug, cs = build("hex_tangent")
     f0 = np.zeros(8)
     f0[-1] = np.log(2.8)
-    res = newton_flat(aug, cs, f0)
+    res = newton_flat(cs, f0)
     assert res.converged
     assert res.residual <= 1e-10
     assert res.iterations <= 25
@@ -65,14 +65,14 @@ def test_single_triangle_closed_forms():
     aug = augment(disk)
     # tangent: three radius-r circles in the unit circle, r = 1/(1+2/sqrt 3)
     cs = attach_boundary_data(aug, *scenario_data(disk, "tangent"))
-    res = newton_flat(aug, cs, tol=1e-12)
+    res = newton_flat(cs, tol=1e-12)
     assert res.converged
     gap = np.log(1.0 + 2.0 / np.sqrt(3.0))
     for g in boundary_gaps(aug, res.f):
         assert g == pytest.approx(gap, abs=1e-10)
     # inscribed: equilateral triangle in the unit circle, side sqrt(3)
     cs = attach_boundary_data(aug, *scenario_data(disk, "inscribed"))
-    res = newton_flat(aug, cs, tol=1e-12)
+    res = newton_flat(cs, tol=1e-12)
     assert res.converged
     for g in boundary_gaps(aug, res.f):
         assert g == pytest.approx(-0.5 * np.log(3.0), abs=1e-10)
@@ -80,7 +80,7 @@ def test_single_triangle_closed_forms():
 
 def test_converged_label_is_gauge_equivalent_to_analytic():
     aug, cs = build("hex_tangent")
-    res = newton_flat(aug, cs, tol=1e-12)
+    res = newton_flat(cs, tol=1e-12)
     got = gauge_normalize(aug, res.f)
     want = gauge_normalize(aug, HEX_FLAT["hex_tangent"])
     assert np.max(np.abs(got - want)) <= 1e-9
@@ -97,12 +97,12 @@ def test_default_start_is_admissible(monkeypatch):
     for name, kw in cases:
         aug, cs = build(name, **kw)
         evals.clear()
-        f = default_start(aug, cs)
+        f = default_start(cs)
         assert len(evals) <= 15, (name, kw)
         assert np.array_equal(f[:-1], np.zeros(len(f) - 1))
         assert cs.system.admissible(f)
         assert abs(cs.system.curvature(f)[-1]) <= 1e-12, (name, kw)
-        assert default_start(aug, cs).tobytes() == f.tobytes()
+        assert default_start(cs).tobytes() == f.tobytes()
 
 
 def test_inadmissible_default_start_raises():
@@ -114,15 +114,15 @@ def test_inadmissible_default_start_raises():
     cs = attach_boundary_data(aug, alpha, eta, {v: -2.0 for v in disk.boundary_cycle})
     for solve in (default_start, newton_flat):
         with pytest.raises(InadmissibleLabelError, match="is not positive"):
-            solve(aug, cs)
+            solve(cs)
 
 
 def test_overflowed_squared_length_is_not_finite():
     # e^{2 * 1e308} overflows, so every squared length is inf
     aug, cs = build("hex_tangent")
     f = np.full(len(aug.vertices), 1e308)
-    system = AngleSystem(aug, cs)
-    for check in (system.check_admissible, system.lengths, lambda f: newton_flat(aug, cs, f)):
+    system = AngleSystem(cs)
+    for check in (system.check_admissible, system.lengths, lambda f: newton_flat(cs, f)):
         with pytest.raises(InadmissibleLabelError) as info:
             check(f)
         assert str(info.value) == "squared length inf on edge (0, 1) is not finite"
@@ -134,7 +134,7 @@ def test_overflowed_squared_length_is_not_finite():
 )
 def test_newton_converges_from_the_default_start_on_large_lattices(rings, scenario):
     aug, cs = build("ring_lattice", n_rings=rings, scenario=scenario)
-    res = newton_flat(aug, cs)
+    res = newton_flat(cs)
     assert res.converged and res.residual <= 1e-10
     assert res.iterations <= 10
 
@@ -147,14 +147,14 @@ def test_newton_converges_on_the_fixed_random_sample():
         disk = ring_lattice(rings)
         for _ in range(30):
             aug, cs, _ = random_admissible(disk, rng)
-            statuses.append(newton_flat(aug, cs).status)
+            statuses.append(newton_flat(cs).status)
     assert statuses == ["converged"] * 60
 
 
 def _tangent_on_flipped(rings, seed):
     disk = flipped_disk(rings, seed)
     aug = augment(disk)
-    return newton_flat(aug, attach_boundary_data(aug, *scenario_data(disk, "tangent")))
+    return newton_flat(attach_boundary_data(aug, *scenario_data(disk, "tangent")))
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -187,15 +187,14 @@ def _ring4_draw(seed, k):
     disk = ring_lattice(4)
     for _ in range(k):
         random_admissible(disk, rng)
-    aug, cs, _ = random_admissible(disk, rng)
-    return aug, cs
+    return random_admissible(disk, rng)[1]
 
 
 def test_long_ritz_steps_are_dropped_off_the_plateau():
     # keeping a near-null Ritz direction whose step is longer than one
     # log-unit pinned this solve at residual 0.5818 for 17 iterations
     # (35 in all); both directions go at the first step
-    res = newton_flat(*_ring4_draw(0, 10))
+    res = newton_flat(_ring4_draw(0, 10))
     assert res.converged and res.iterations <= 8
     assert res.history[0] > 1.0 and res.steps[0][1] == 2
 
@@ -203,30 +202,30 @@ def test_long_ritz_steps_are_dropped_off_the_plateau():
 def test_held_out_draw_converges_without_stalling():
     # before the step-length rule: "max iterations reached" at 100, the
     # residual creeping from 0.599 to 0.585
-    res = newton_flat(*_ring4_draw(2, 2))
+    res = newton_flat(_ring4_draw(2, 2))
     assert res.converged and res.iterations <= 8
 
 
 def test_steps_record_each_accepted_step():
     aug, cs = build("hex_orthogonal")
-    for res in (newton_flat(aug, cs, _log3_start(aug), tol=1e-12), newton_flat(*_ring4_draw(0, 10))):
+    for res in (newton_flat(cs, _log3_start(aug), tol=1e-12), newton_flat(_ring4_draw(0, 10))):
         assert len(res.steps) == len(res.history) - 1 == res.iterations
         assert all(0.0 < t <= 1.0 and dropped in (0, 1, 2) for t, dropped in res.steps)
-    budget = newton_flat(aug, cs, _log3_start(aug), max_iter=1, tol=1e-14)
+    budget = newton_flat(cs, _log3_start(aug), max_iter=1, tol=1e-14)
     assert len(budget.steps) == len(budget.history) - 1 == 1
 
 
 def test_inadmissible_start_raises():
     aug, cs = build("hex_tangent")
     with pytest.raises(InadmissibleLabelError):
-        newton_flat(aug, cs, np.zeros(8))
+        newton_flat(cs, np.zeros(8))
 
 
 def test_iteration_budget_respected():
     aug, cs = build("hex_tangent")
     f0 = np.zeros(8)
     f0[-1] = np.log(2.8)
-    res = newton_flat(aug, cs, f0, max_iter=1, tol=1e-14)
+    res = newton_flat(cs, f0, max_iter=1, tol=1e-14)
     assert not res.converged
     assert res.status == "max iterations reached"
     assert res.iterations == 1
@@ -235,7 +234,7 @@ def test_iteration_budget_respected():
 def test_residual_history_is_monotone():
     aug, cs = build("hex_orthogonal")
     # default_start is already flat here, so start off it to take steps
-    res = newton_flat(aug, cs, _log3_start(aug), tol=1e-12)
+    res = newton_flat(cs, _log3_start(aug), tol=1e-12)
     assert len(res.history) > 2
     assert all(b < a for a, b in zip(res.history, res.history[1:]))
 
@@ -247,7 +246,7 @@ def test_random_instances_fail_cleanly_or_converge():
     seen = set()
     for _ in range(120):
         aug, cs, f = random_admissible(disk, rng)
-        res = newton_flat(aug, cs, f)
+        res = newton_flat(cs, f)
         seen.add(res.status)
         if res.converged:
             assert res.residual <= 1e-10
@@ -269,9 +268,9 @@ def test_newton_rejects_bad_parameters():
     ]
     for kw in bad:
         with pytest.raises(ValueError, match=next(iter(kw))):
-            newton_flat(aug, cs, **kw)
+            newton_flat(cs, **kw)
     # the edges of the accepted ranges still solve
-    assert newton_flat(aug, cs, max_iter=0, svd_cutoff=0.0).converged
+    assert newton_flat(cs, max_iter=0, svd_cutoff=0.0).converged
 
 
 # -- the sparse step against the dense truncated SVD ----------------------
@@ -299,7 +298,7 @@ def _pinv_apply(J: np.ndarray, K: np.ndarray, svd_cutoff: float, residual: float
 def _steps(aug, cs, f, svd_cutoff=1e-10, shift=0.0):
     """(sparse step, dropped), (dense reference step, dropped) at label f,
     both for the right-hand side K + shift * 1."""
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     ev = sysm.accept(sysm.evaluate(f))
     K = ev.curvature
     residual = float(np.max(np.abs(K)))
@@ -320,7 +319,7 @@ def test_step_at_a_flat_label_adds_no_inverse_steps(monkeypatch):
     # their settle test compared noise with noise: 502 inverse steps here,
     # as on rings 4, 8 and 32, and 15 s for a ring-128 orthogonal solve
     aug, cs = build("ring_lattice", n_rings=2)
-    res = newton_flat(aug, cs, tol=1e-13)
+    res = newton_flat(cs, tol=1e-13)
     assert res.converged
     calls = []
     orthonormal = solver._orthonormal
@@ -333,7 +332,7 @@ def test_step_at_a_flat_label_adds_no_inverse_steps(monkeypatch):
 def test_step_matches_dense_reference_far_from_flat():
     aug, cs = build("ring_lattice", n_rings=3)
     f = _log3_start(aug)
-    assert np.max(np.abs(AngleSystem(aug, cs).curvature(f))) >= 1.0
+    assert np.max(np.abs(AngleSystem(cs).curvature(f))) >= 1.0
     # J's left kernel holds the constant vector, so the step must ignore
     # a constant added to K, as the reference does
     for shift in (0.0, 1e-9):
@@ -344,7 +343,7 @@ def test_step_matches_dense_reference_far_from_flat():
 
 def test_step_drops_the_two_mobius_directions_near_flat():
     aug, cs = build("ring_lattice", n_rings=3, scenario="inscribed")
-    near = newton_flat(aug, cs, tol=1e-9)  # stops one step short of 1e-10
+    near = newton_flat(cs, tol=1e-9)  # stops one step short of 1e-10
     assert 1e-10 < near.residual <= 1e-9
     for shift in (0.0, 1e-9):
         got, want = _steps(aug, cs, near.f, shift=shift)
@@ -356,7 +355,7 @@ def test_step_keeps_mobius_directions_just_above_the_threshold():
     # sigma_Mobius ~1.8e-7 against thr ~9.5e-8; taking s_max = |J|_inf
     # would raise thr to 1.87e-7 here and drop them
     aug, cs = build("ring_lattice", n_rings=16, scenario="orthogonal")
-    near = newton_flat(aug, cs, tol=1e-4)
+    near = newton_flat(cs, tol=1e-4)
     (x, dropped), (x_ref, dropped_ref) = _steps(aug, cs, near.f)
     assert dropped == dropped_ref == 0
     # kept near-null directions leave condition ~4e7, so ~1e-8 agreement
@@ -388,10 +387,10 @@ def test_newton_matches_dense_reference_solver(monkeypatch, name, rings, scenari
     # default_start is flat on the hex presets and ring 1, so start
     # every case off it to compare steps
     f0 = _log3_start(aug)
-    res = newton_flat(aug, cs, f0)
+    res = newton_flat(cs, f0)
     with monkeypatch.context() as m:
         m.setattr(solver, "_newton_step", _dense_step)
-        ref = newton_flat(aug, cs, f0)
+        ref = newton_flat(cs, f0)
     assert (res.status, res.iterations) == (ref.status, ref.iterations)
     assert res.converged
     diff = gauge_normalize(aug, res.f) - gauge_normalize(aug, ref.f)
@@ -407,7 +406,7 @@ def test_singular_factor_is_a_jacobian_breakdown(monkeypatch):
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
     aug, cs = build("hex_orthogonal")
     # default_start is already flat here, so start off it to reach a factor
-    res = newton_flat(aug, cs, _log3_start(aug))
+    res = newton_flat(cs, _log3_start(aug))
     assert not res.converged
     assert (res.status, res.iterations) == ("jacobian breakdown", 0)
 
@@ -430,16 +429,16 @@ def test_flow_reduces_curvature():
     aug, cs = build("hex_tangent")
     rng = np.random.default_rng(3)
     f0 = HEX_FLAT["hex_tangent"] + 0.05 * rng.standard_normal(8)
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     r0 = np.max(np.abs(sysm.curvature(f0)))
-    fr = curvature_flow(aug, cs, f0, 50.0, 0.01)
+    fr = curvature_flow(cs, f0, 50.0, 0.01)
     assert fr.final_residual <= r0 / 1e3
     assert fr.times[0] == 0.0 and fr.times[-1] == pytest.approx(50.0)
 
 
 def test_flow_fixed_at_equilibrium():
     aug, cs = build("hex_tangent")
-    fr = curvature_flow(aug, cs, HEX_FLAT["hex_tangent"], 1.0, 0.01)
+    fr = curvature_flow(cs, HEX_FLAT["hex_tangent"], 1.0, 0.01)
     assert fr.final_residual <= 1e-12
     assert np.max(np.abs(fr.f - HEX_FLAT["hex_tangent"])) <= 1e-12
 
@@ -450,19 +449,19 @@ def test_flow_step_collapse_reported():
     f0[-1] = np.log(2.8)
     # a huge step keeps overshooting the admissible set
     with pytest.raises(SolverError):
-        curvature_flow(aug, cs, f0, 40.0, 40.0, max_halvings=2)
+        curvature_flow(cs, f0, 40.0, 40.0, max_halvings=2)
 
 
 def test_flow_rejects_a_step_count_that_overflows():
     aug, cs = build("hex_tangent")
     with pytest.raises(ValueError, match=r"^t_end / dt must be finite, got 1e\+300 / 1e-300$"):
-        curvature_flow(aug, cs, HEX_FLAT["hex_tangent"], 1e300, 1e-300)
+        curvature_flow(cs, HEX_FLAT["hex_tangent"], 1e300, 1e-300)
 
 
 def test_flow_requires_admissible_start():
     aug, cs = build("hex_tangent")
     with pytest.raises(InadmissibleLabelError):
-        curvature_flow(aug, cs, np.zeros(8), 1.0, 0.01)
+        curvature_flow(cs, np.zeros(8), 1.0, 0.01)
 
 
 def test_flow_rejects_bad_time_arguments():
@@ -471,15 +470,15 @@ def test_flow_rejects_bad_time_arguments():
     for t_end, dt in ((1.0, 0.0), (1.0, -0.1), (-1.0, 0.01), (0.0, 0.01),
                       (np.nan, 0.01), (1.0, np.inf), (np.inf, 0.01), (1.0, np.nan)):
         with pytest.raises(ValueError, match="positive and finite"):
-            curvature_flow(aug, cs, f0, t_end, dt)
+            curvature_flow(cs, f0, t_end, dt)
 
 
 def test_flow_rejects_negative_max_halvings():
     aug, cs = build("hex_tangent")
     with pytest.raises(ValueError, match="max_halvings must be >= 0"):
-        curvature_flow(aug, cs, HEX_FLAT["hex_tangent"], 1.0, 0.01, max_halvings=-1)
+        curvature_flow(cs, HEX_FLAT["hex_tangent"], 1.0, 0.01, max_halvings=-1)
     # zero is allowed: the flow runs until a stage would need a halving
-    fr = curvature_flow(aug, cs, HEX_FLAT["hex_tangent"], 1.0, 0.01, max_halvings=0)
+    fr = curvature_flow(cs, HEX_FLAT["hex_tangent"], 1.0, 0.01, max_halvings=0)
     assert fr.halvings == 0
 
 
@@ -488,7 +487,7 @@ def _reference_flow(aug, cs, f0, t_end, dt, max_halvings=30):
 
     Returns (times, labels, residuals, number of halvings).
     """
-    sysm = AngleSystem(aug, cs)
+    sysm = AngleSystem(cs)
     sign = np.full(len(f0), -1.0)
     sign[-1] = 1.0
 
@@ -561,7 +560,7 @@ def _flow_start(start):
     """(aug, cs, f0) of a named flow start."""
     if start == "ring4":
         aug, cs = build("ring_lattice", n_rings=4)
-        return aug, cs, default_start(aug, cs)
+        return aug, cs, default_start(cs)
     # criterion 12's start: the flat label plus 0.05 N(0, 1) from default_rng(12)
     f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(12).standard_normal(8)
     if start == "criterion12":
@@ -591,7 +590,7 @@ def test_flow_matches_reference_rk4_bit_for_bit(start, t_end, dt, halves, recurs
     aug, cs, f0 = _flow_start(start)
     times, labels, residuals, halvings = _reference_flow(aug, cs, f0, t_end, dt)
     assert (halvings > 0) == halves
-    fr = curvature_flow(aug, cs, f0, t_end, dt)
+    fr = curvature_flow(cs, f0, t_end, dt)
     assert np.array_equal(fr.times, times)
     assert np.array_equal(fr.labels, labels)
     assert np.array_equal(fr.residuals, residuals)

@@ -21,8 +21,8 @@ GOLDEN = Path(__file__).parent / "golden"
 def _render(name, **kw):
     aug, cs = build(name)
     f = HEX_FLAT[name]
-    layout = layout_augmented(aug, cs, f)
-    return render_svg(aug, cs, f, layout, **kw)
+    layout = layout_augmented(cs, f)
+    return render_svg(cs, f, layout, **kw)
 
 
 @pytest.mark.parametrize("name", sorted(HEX_FLAT))
