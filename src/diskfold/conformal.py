@@ -108,7 +108,12 @@ class ConformalStructure:
 
 
 def _complex_of(cs: ConformalStructure, kind: type):
-    """cs.complex, or StructureError unless it is a ``kind`` of complex."""
+    """cs.complex, or StructureError unless it is a ``kind`` of complex.
+
+    A non-structure, such as the complex that entries took before they
+    read it from the structure, raises TypeError naming what came."""
+    if not isinstance(cs, ConformalStructure):
+        raise TypeError(f"expected a ConformalStructure, got {type(cs).__name__}")
     if not isinstance(cs.complex, kind):
         raise StructureError(f"the structure's complex is {type(cs.complex).__name__}, not {kind.__name__}")
     return cs.complex
@@ -248,7 +253,9 @@ class AngleSystem:
         # and a scatter index over the const entries, then the corners
         # in row-major order, so bincount sums K in np.add.at's order.
         # The weights it sums live in one buffer: const, then the signed
-        # angles, which each evaluation writes over as an (F, 3) view
+        # angles, which each evaluation writes over as an (F, 3) view,
+        # times the fold sign of every corner (also (F, 3), so the
+        # product needs no broadcast)
         self._ends = ix.E.T.copy()
         self._alpha_ends = self.alpha[self._ends]
         self._two_eta = 2 * self.eta
@@ -256,7 +263,7 @@ class AngleSystem:
         self._k_index = np.concatenate([np.arange(n), ix.F.ravel()])
         self._k_weights = np.concatenate([ix.const, np.zeros(ix.F.size)])
         self._k_angles = self._k_weights[n:].reshape(ix.F.shape)
-        self._fold_col = ix.fold_sign[:, None]
+        self._fold = np.repeat(ix.fold_sign[:, None], 3, axis=1)
 
     @cached_property
     def jacobian_pattern(self) -> JacobianPattern:
@@ -295,28 +302,28 @@ class AngleSystem:
         The array is neither coerced nor copied; non-finite entries
         still raise the ValueError of the complex's label_array.
         """
-        if not np.isfinite(f).all():
+        if not np.logical_and.reduce(np.isfinite(f)):
             raise ValueError("label entries must be finite")
         return self._evaluate(f)
 
-    def _length_terms(self, f: np.ndarray):
-        """Squared lengths, their square roots (nan where l^2 < 0) and the
-        terms alpha e^{2f} at both ends and e^{f_u + f_v}."""
-        fe = f[self._ends]
-        # wild labels overflow exp; the edge check treats non-finite as inadmissible
-        with np.errstate(over="ignore", invalid="ignore"):
-            ends = self._alpha_ends * np.exp(2 * fe)
-            cross = np.exp(fe[0] + fe[1])
-            l2 = ends[0] + ends[1] + self._two_eta * cross
-            return l2, np.sqrt(l2), (ends, cross)
-
+    # wild labels overflow exp and give non-finite or negative squared
+    # lengths, which the edge check reports: the pass runs under one errstate
+    @np.errstate(over="ignore", invalid="ignore")
     def _evaluate(self, f: np.ndarray) -> Evaluation:
-        l2, l, terms = self._length_terms(f)
-        a, b, c = l[self._sides]
+        # terms: alpha e^{2f} at both ends and e^{f_u + f_v}; x + x is 2 x
+        # exactly, here and in the cosine's denominator
+        fe = f[self._ends]
+        ends = self._alpha_ends * np.exp(fe + fe)
+        cross = np.exp(fe[0] + fe[1])
+        terms = (ends, cross)
+        l2 = ends[0] + ends[1] + self._two_eta * cross
+        l = np.sqrt(l2)
+        s = l[self._sides]
+        a, b, c = s[0], s[1], s[2]
         closed = b + c > a
         # every edge is a side of some face, and a nan, infinite or zero
         # side never closes its face: one check covers edges and faces
-        if not closed.all():
+        if not np.logical_and.reduce(closed, axis=None):
             bad = ~np.isfinite(l2)
             if not bad.any():
                 bad = ~(l2 > 0)
@@ -326,17 +333,19 @@ class AngleSystem:
             i = int(np.argmin(closed.all(axis=1)))
             values = tuple(float(x) for x in a[i])
             return Evaluation(f, terms, violation=("face", i, values), lengths=l)
-        cosv = (b * b + c * c - a * a) / (2 * b * c)
-        if np.abs(cosv).max() > 1.0 + COS_CLAMP_TOL:
+        sq = s * s
+        cosv = (sq[1] + sq[2] - sq[0]) / ((b + b) * c)
+        if np.maximum.reduce(np.abs(cosv), axis=None) > 1.0 + COS_CLAMP_TOL:
             off = np.abs(cosv) > 1.0 + COS_CLAMP_TOL
             col = int(np.argmax(off.any(axis=0)))
             i = int(np.argmax(np.abs(cosv[:, col])))
             return Evaluation(f, terms, degenerate=i, lengths=l)
         np.maximum(cosv, -1.0, out=cosv)
         th = np.arccos(np.minimum(cosv, 1.0, out=cosv), out=cosv)
-        np.multiply(self._fold_col, th, out=self._k_angles)
+        np.multiply(self._fold, th, out=self._k_angles)
         K = np.bincount(self._k_index, self._k_weights)
-        return Evaluation(f, terms, lengths=l, angles=th, curvature=K)
+        # positional (violation, degenerate, lengths, angles, curvature): half the keywords' cost
+        return Evaluation(f, terms, None, None, l, th, K)
 
     def accept(self, ev: Evaluation) -> Evaluation:
         """ev when it carries angles and curvature, else raise as angles() does."""

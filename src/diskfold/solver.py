@@ -410,21 +410,22 @@ def curvature_flow(
         raise ValueError(f"max_halvings must be >= 0, got {max_halvings!r}")
     _complex_of(cs, AugmentedDisk)
     sys = cs.system
+    evaluate, accept = sys.evaluate_iterate, sys.accept
     sign = np.full(sys.n_vertices, -1.0)
     sign[-1] = 1.0
 
     def field_at(x) -> np.ndarray:
-        ev = sys.evaluate_iterate(x)
+        ev = evaluate(x)
         if ev.violation is not None:
             raise _StageError()
-        return sign * sys.accept(ev).curvature
+        return sign * accept(ev).curvature
 
     def rk4(x, k1, h):
         # the field at the new point is the next step's k1
         k2 = field_at(x + 0.5 * h * k1)
         k3 = field_at(x + 0.5 * h * k2)
         k4 = field_at(x + h * k3)
-        out = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out = x + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
         return out, field_at(out)
 
     ev = sys.accept(sys.evaluate(f0))
@@ -432,7 +433,7 @@ def curvature_flow(
     n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
     times = [0.0]
     labels = [f]
-    residuals = [float(np.max(np.abs(k)))]
+    residuals = [float(np.maximum.reduce(np.abs(k)))]
     # hash of the bytes of labels[i] -> i, for every integrated full step
     starts = {}
     t = 0.0
@@ -470,7 +471,7 @@ def curvature_flow(
                 remaining -= min(h, remaining)
             integrated += 1
             halvings += step_halvings
-            r = float(np.max(np.abs(k)))
+            r = float(np.maximum.reduce(np.abs(k)))
         t += h_goal
         times.append(t)
         labels.append(f)

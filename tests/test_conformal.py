@@ -21,7 +21,8 @@ from diskfold import (
     render_svg,
 )
 from diskfold.complexes import edge_key
-from diskfold.presets import hex_flower, ring_lattice, scenario_data, triangle_disk
+from diskfold.conformal import COS_CLAMP_TOL, Evaluation
+from diskfold.presets import build, hex_flower, ring_lattice, scenario_data, triangle_disk
 from diskfold.solver import default_start
 
 from conftest import HEX_FLAT
@@ -256,6 +257,22 @@ def test_a_structure_serves_only_its_own_complex(entry):
         _ON_THE_OTHER_KIND[entry](cs, on_disk, f, lay)
 
 
+@pytest.mark.parametrize(
+    "call, got",
+    [
+        pytest.param(lambda aug, cs: newton_flat(aug, cs), "AugmentedDisk", id="newton_flat"),
+        pytest.param(lambda aug, cs: default_start(aug), "AugmentedDisk", id="default_start"),
+        pytest.param(lambda aug, cs: layout_disk(aug.disk, cs), "CombinatorialDisk", id="layout_disk"),
+    ],
+)
+def test_an_old_style_call_names_the_api_change(call, got):
+    """A complex where the structure goes raises TypeError, not an
+    AttributeError from inside the entry."""
+    aug, cs = _hex()
+    with pytest.raises(TypeError, match=f"^expected a ConformalStructure, got {got}$"):
+        call(aug, cs)
+
+
 def test_structure_arrays_gather_in_complex_order():
     disk = ring_lattice(2)
     aug = augment(disk)
@@ -383,6 +400,110 @@ def test_non_finite_labels_rejected():
     f = np.zeros(8)
     f[0] = 400.0  # exp overflow
     assert not sysm.admissible(f)
+
+
+# -- the evaluation pass, bit for bit ------------------------------------
+
+
+def _reference_pass(cs: ConformalStructure, f: np.ndarray) -> Evaluation:
+    """One evaluation in the pass's original op order: np.exp(2 * fe),
+    (b * b + c * c - a * a) / (2 * b * c), the maximum then minimum
+    clamp, and one bincount over const, then the signed angles."""
+    ix, n = cs.complex.compiled, len(cs.complex.vertices)
+    fe = f[ix.E.T]
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = cs.alpha_array[ix.E.T] * np.exp(2 * fe)
+        cross = np.exp(fe[0] + fe[1])
+        l2 = ends[0] + ends[1] + 2 * cs.eta_array * cross
+        l = np.sqrt(l2)
+    terms = (ends, cross)
+    a, b, c = l[ix.FE], l[ix.FE[:, [1, 2, 0]]], l[ix.FE[:, [2, 0, 1]]]
+    closed = b + c > a
+    if not closed.all():
+        bad = ~np.isfinite(l2)
+        if not bad.any():
+            bad = ~(l2 > 0)
+        if bad.any():
+            i = int(np.argmax(bad))
+            return Evaluation(f, terms, violation=("edge", i, float(l2[i])))
+        i = int(np.argmin(closed.all(axis=1)))
+        return Evaluation(f, terms, violation=("face", i, tuple(float(x) for x in a[i])), lengths=l)
+    cosv = (b * b + c * c - a * a) / (2 * b * c)
+    off = np.abs(cosv) > 1.0 + COS_CLAMP_TOL
+    if off.any():
+        col = int(np.argmax(off.any(axis=0)))
+        return Evaluation(f, terms, degenerate=int(np.argmax(np.abs(cosv[:, col]))), lengths=l)
+    th = np.arccos(np.minimum(np.maximum(cosv, -1.0), 1.0))
+    index = np.concatenate([np.arange(n), ix.F.ravel()])
+    K = np.bincount(index, np.concatenate([ix.const, (ix.fold_sign[:, None] * th).ravel()]))
+    return Evaluation(f, terms, lengths=l, angles=th, curvature=K)
+
+
+def _same_bits(x, y) -> bool:
+    """Both None, or equal arrays whose bytes agree too (so -0.0 and nan
+    count), which np.array_equal alone does not see."""
+    if x is None or y is None:
+        return x is y
+    x, y = np.asarray(x), np.asarray(y)
+    return np.array_equal(x, y, equal_nan=True) and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _pass_kind(cs, f) -> str:
+    """The pass's verdict on f, after checking every field of it
+    against _reference_pass: 'ok', 'edge', 'face' or 'degenerate'."""
+    ev = cs.system.evaluate(f)
+    ref = _reference_pass(cs, ev.f)
+    for name in ("f", "lengths", "angles", "curvature"):
+        assert _same_bits(getattr(ev, name), getattr(ref, name)), name
+    assert all(_same_bits(x, y) for x, y in zip(ev.terms, ref.terms)) and len(ev.terms) == 2
+    assert ev.degenerate == ref.degenerate
+    if ref.violation is None:
+        assert ev.violation is None
+        return "ok" if ref.degenerate is None else "degenerate"
+    assert ev.violation[:2] == ref.violation[:2] and _same_bits(ev.violation[2], ref.violation[2])
+    return ref.violation[0]
+
+
+@pytest.mark.parametrize("name", sorted(HEX_FLAT))
+def test_evaluation_pass_matches_reference_on_hex_presets(name):
+    aug, cs = build(name)
+    rng = np.random.default_rng(5)
+    for f in (HEX_FLAT[name], HEX_FLAT[name] + 0.05 * rng.standard_normal(8), default_start(cs)):
+        assert _pass_kind(cs, f) == "ok"
+
+
+@pytest.mark.parametrize("rings", [2, 4])
+@pytest.mark.parametrize("scenario", ["tangent", "orthogonal", "inscribed"])
+def test_evaluation_pass_matches_reference_on_lattices(rings, scenario):
+    """Seeded labels around the default start at scales 0.02 to 400 hit
+    admissible labels, edge violations (overflowed and zero squared
+    lengths) and face violations, and every field agrees."""
+    aug, cs = build("ring_lattice", n_rings=rings, scenario=scenario)
+    f0 = default_start(cs)
+    rng = np.random.default_rng(rings)
+    kinds = set()
+    for scale in (0.02, 0.3, 1.0, 4.0, 400.0):
+        for _ in range(50):
+            kinds.add(_pass_kind(cs, f0 + scale * rng.uniform(-1.0, 1.0, len(f0))))
+    assert {"ok", "edge", "face"} <= kinds
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([2, 4]), st.sampled_from(["tangent", "orthogonal", "inscribed"]),
+       st.sampled_from([0.02, 0.3, 1.0, 4.0, 400.0]))
+def test_evaluation_pass_matches_reference(data, rings, scenario, scale):
+    aug, cs = build("ring_lattice", n_rings=rings, scenario=scenario)
+    n = len(aug.vertices)
+    noise = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array))
+    _pass_kind(cs, default_start(cs) + scale * noise)
+
+
+def test_evaluation_pass_matches_reference_on_degenerate_angle():
+    """The triangle of test_degenerate_angle_reported."""
+    disk = triangle_disk()
+    eta = {(0, 1): 1.052031767064613, (0, 2): 1.1811752847538073e-20, (1, 2): 1.052031766841666}
+    cs = ConformalStructure.on(disk, {v: 0.0 for v in disk.vertices}, eta)
+    assert _pass_kind(cs, np.zeros(3)) == "degenerate"
 
 
 # -- Jacobian -----------------------------------------------------------

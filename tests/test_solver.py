@@ -572,6 +572,22 @@ def _flow_start(start):
     return prob.aug, prob.cs, prob.f_init
 
 
+def test_flow_to_the_fixed_point_is_bit_for_bit_the_reference():
+    """Criterion 12's flow to t = 13.5: 1,350 grid steps, of which 1,332
+    are integrated and the last 18 replay the fixed point.
+    curvature_flow (one pass per stage, k + k, a ufunc-reduce residual)
+    gives the bits of _reference_flow, which keeps the original op order:
+    x + 0.5 * h * k1 and (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)."""
+    aug, cs, f0 = _flow_start("criterion12")
+    times, labels, residuals, halvings = _reference_flow(aug, cs, f0, 13.5, 0.01)
+    fr = curvature_flow(cs, f0, 13.5, 0.01)
+    assert len(fr.times) == 1351
+    assert np.array_equal(fr.times, times)
+    assert np.array_equal(fr.labels, labels)
+    assert np.array_equal(fr.residuals, residuals)
+    assert fr.integrated == 1332 and fr.halvings == halvings == 0
+
+
 @pytest.mark.parametrize(
     "start, t_end, dt, halves, recurs",
     [
