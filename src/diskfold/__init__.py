@@ -29,11 +29,9 @@ from .layout import (
     BoundaryReport,
     LayoutError,
     PlaneLayout,
-    UnitDiskRealization,
     layout_augmented,
     layout_disk,
     layout_edge_error,
-    normalize_layout,
     normalize_to_unit_disk,
     realize_mpoints,
     verify_boundary_condition,

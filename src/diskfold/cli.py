@@ -18,7 +18,7 @@ import numpy as np
 from . import presets, problem_io
 from .complexes import DiskTopologyError
 from .conformal import InadmissibleLabelError, StructureError
-from .layout import FLAT_TOL, LayoutError, layout_augmented, normalize_layout, realize_mpoints
+from .layout import FLAT_TOL, LayoutError, layout_augmented, normalize_to_unit_disk
 from .minkowski import InfinitesimalMobius
 from .rigidity import (
     N_SMALLEST,
@@ -163,21 +163,18 @@ def _cmd_solve(args) -> int:
 
 
 def _developed(prob, args):
-    """(f, layout) of the solved label, normalized with --normalize."""
-    f = _solved_label(prob, args)
-    lay = layout_augmented(prob.cs, f, traversal=args.traversal)
-    if args.normalize:
-        lay, f = normalize_layout(prob.aug, f, lay)
-    return f, lay
+    """The layout of the solved label, normalized with --normalize."""
+    lay = layout_augmented(prob.cs, _solved_label(prob, args), traversal=args.traversal)
+    return normalize_to_unit_disk(lay) if args.normalize else lay
 
 
 def _cmd_layout(args) -> int:
     prob = _load(args.problem)
-    f, lay = _developed(prob, args)
+    lay = _developed(prob, args)
     out = {
         "positions": problem_io.IdRows(prob.aug, lay.positions),
-        "mpoints": problem_io.IdRows(prob.aug, realize_mpoints(prob.cs, f, lay)),
-        "f": problem_io.label_to_json(prob.aug, f),
+        "mpoints": problem_io.IdRows(prob.aug, lay.mpoints),
+        "f": problem_io.label_to_json(prob.aug, lay.label),
         "consistency_residual": lay.consistency_residual,
         "traversal": lay.traversal,
     }
@@ -187,8 +184,7 @@ def _cmd_layout(args) -> int:
 
 def _cmd_render(args) -> int:
     prob = _load(args.problem)
-    f, lay = _developed(prob, args)
-    _write(render_svg(prob.cs, f, lay, size=args.size), args.out)
+    _write(render_svg(_developed(prob, args), size=args.size), args.out)
     return 0
 
 
@@ -208,8 +204,7 @@ def _cmd_rank(args) -> int:
         m = prob.cs.system.jacobian(f)
         kind = "curvature_jacobian"
     else:
-        lay = layout_augmented(prob.cs, f)
-        m = constraint_matrix(prob.aug, realize_mpoints(prob.cs, f, lay))
+        m = constraint_matrix(layout_augmented(prob.cs, f))
         kind = "constraint_matrix"
     # J is rank-deficient by design, so only M tries the certificate
     cert = None if args.jacobian or args.spectrum else row_rank_certificate(m, args.svd_cutoff)
@@ -232,17 +227,15 @@ def _cmd_rank(args) -> int:
 
 def _cmd_mobius_check(args) -> int:
     prob = _load(args.problem)
-    f = _solved_label(prob, args)
     # the bounds are absolute, so check the layout with the apex circle
     # as the unit circle
-    lay, f = normalize_layout(prob.aug, f, layout_augmented(prob.cs, f))
-    mpoints = realize_mpoints(prob.cs, f, lay)
+    lay = normalize_to_unit_disk(layout_augmented(prob.cs, _solved_label(prob, args)))
     names = ("a", "b", "c", "d", "t", "r")
     reports = []
     for name in names:
         gen = InfinitesimalMobius(**{name: 1.0})
         for eps in args.eps:
-            rep = mobius_orbit_check(prob.cs.system, f, lay, mpoints, gen, eps)
+            rep = mobius_orbit_check(lay, gen, eps)
             curvature_bound, variation_bound = 100.0 * eps * eps, 10.0 * eps
             reports.append(
                 {

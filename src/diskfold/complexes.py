@@ -538,6 +538,12 @@ def standard_multiplicities(aug: AugmentedDisk) -> MultiplicityAssignment:
     return MultiplicityAssignment(aug, vertex, -edge, face)
 
 
+def _require_on(mu: MultiplicityAssignment, complex_) -> None:
+    """ValueError unless mu's weights are on ``complex_`` itself."""
+    if mu.complex is not complex_:
+        raise ValueError("the multiplicities are on another complex")
+
+
 def pointwise_multiplicity(aug: AugmentedDisk, mu: MultiplicityAssignment, simplex) -> int:
     """Sum of mu over all simplices whose closure contains the given one.
 
@@ -545,8 +551,10 @@ def pointwise_multiplicity(aug: AugmentedDisk, mu: MultiplicityAssignment, simpl
     boundary ones and -1 on augmented ones: the two sheets of the fold
     counted with sign, as seen from the closed star of the simplex.
     The cofaces are the rows of the compiled index that hold every
-    vertex of the simplex (none, for an id off the complex).
+    vertex of the simplex (none, for an id off the complex).  ValueError
+    unless mu is on aug.
     """
+    _require_on(mu, aug)
     idx = [aug.vertex_index.get(v, -1) for v in set(simplex)]
     rows = (np.arange(len(aug.vertices))[:, None], aug.compiled.E, aug.compiled.F)
     return mu.total(*(np.isin(r, idx).sum(axis=1) == len(idx) for r in rows))

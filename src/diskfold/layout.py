@@ -18,7 +18,10 @@ residual re-derives all 3F corners in one array pass.
 
 Every entry develops the complex of its structure: a plain disk in
 layout_disk, an augmented one elsewhere (StructureError otherwise).
-The flatness check compares max |K| with FLAT_TOL.
+The flatness check compares max |K| with FLAT_TOL.  A PlaneLayout
+carries the structure and the label it was developed from, so every
+later stage (realize, normalize, render, rank, the Mobius check) takes
+the layout alone and cannot pair it with another label.
 
 The layout lifts to Minkowski vectors
 
@@ -27,7 +30,8 @@ The layout lifts to Minkowski vectors
 which reproduce the structure constants: <xi_v, xi_v> = alpha_v and
 -<xi_v, xi_w> = eta_vw on edges.  realize_mpoints computes them for
 all vertices at once, as one read-only (n, 4) array with the rows of
-the positions; every later layer reads it as it is.  The array passes
+the positions; PlaneLayout.mpoints builds it on first read, and every
+later layer reads it as it is.  The array passes
 round exactly like the per-element formulas (one third point per
 vertex, canonical_lift, project): a 2-vector dot product is taken as a
 stacked matmul, which rounds as ``a @ b`` does and differs from
@@ -38,6 +42,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,13 +53,11 @@ from .minkowski import canonical_lift, project
 __all__ = [
     "LayoutError",
     "PlaneLayout",
-    "UnitDiskRealization",
     "BoundaryReport",
     "layout_disk",
     "layout_augmented",
     "layout_edge_error",
     "realize_mpoints",
-    "normalize_layout",
     "normalize_to_unit_disk",
     "verify_boundary_condition",
 ]
@@ -69,29 +72,36 @@ class LayoutError(RuntimeError):
     """The label cannot be developed into the plane."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PlaneLayout:
-    """Vertex positions plus the self-consistency of the development.
+    """A flat label developed into the plane, with what it was developed
+    from and the self-consistency of the development.
 
+    ``cs`` is the structure and ``label`` the label in vertex order.
     ``positions`` is an (n, 2) array whose row i is the position of
-    ``complex_.vertices[i]``; on an augmented disk the apex is the last
-    row.  consistency_residual is the largest distance between a placed
-    vertex and its re-derivation from any single face, so it bounds the
-    monodromy deviation along arbitrary face chains.  ``lengths`` holds
-    the edge lengths the layout reproduces, in the complex's edge order.
+    ``cs.complex.vertices[i]``; on an augmented disk the apex is the
+    last row.  consistency_residual is the largest distance between a
+    placed vertex and its re-derivation from any single face, so it
+    bounds the monodromy deviation along arbitrary face chains.
+    ``lengths`` holds the edge lengths the layout reproduces, in the
+    complex's edge order.  The arrays are read-only, and ``mpoints``,
+    the realization of realize_mpoints, is built once, on first read.
     """
 
+    cs: ConformalStructure
+    label: np.ndarray
     positions: np.ndarray
     consistency_residual: float
     traversal: str
     lengths: np.ndarray
 
-    def diameter(self) -> float:
-        P = self.positions
-        d = 0.0
-        for i in range(len(P) - 1):
-            d = max(d, float(np.max(np.linalg.norm(P[i + 1:] - P[i], axis=1))))
-        return d
+    def __post_init__(self):
+        for a in (self.label, self.positions, self.lengths):
+            a.flags.writeable = False
+
+    @cached_property
+    def mpoints(self) -> np.ndarray:
+        return realize_mpoints(self)
 
 
 #: For a corner c: the other two corners a, b in face order, and +1 when
@@ -225,7 +235,7 @@ def _layout(cs, kind, f, traversal) -> PlaneLayout:
             raise LayoutError(f"interior curvature max |K| = {worst!r} is not flat")
 
     positions, residual = _develop(complex_.compiled, ev.lengths, start, traversal)
-    return PlaneLayout(positions, residual, traversal, ev.lengths)
+    return PlaneLayout(cs, ev.f, positions, residual, traversal, ev.lengths)
 
 
 def layout_disk(
@@ -260,17 +270,15 @@ def layout_augmented(
     return _layout(cs, AugmentedDisk, f, traversal)
 
 
-def layout_edge_error(complex_, layout: PlaneLayout) -> float:
+def layout_edge_error(layout: PlaneLayout) -> float:
     """Largest relative deviation between layout distances and the edge
     lengths the layout was developed from."""
-    E, P = complex_.compiled.E, layout.positions
+    E, P = layout.cs.complex.compiled.E, layout.positions
     d = np.linalg.norm(P[E[:, 0]] - P[E[:, 1]], axis=1)
     return float(np.max(np.abs(d - layout.lengths) / layout.lengths))
 
 
-def realize_mpoints(
-    cs: ConformalStructure, f, layout: PlaneLayout
-) -> np.ndarray:
+def realize_mpoints(layout: PlaneLayout) -> np.ndarray:
     """The Minkowski vectors of the vertices, e^{-f_v} times the
     canonical lift, as a read-only (n, 4) array: row i is
     ``cs.complex.vertices[i]``, the apex the last row.
@@ -280,12 +288,12 @@ def realize_mpoints(
     vertices are lifted and scaled at once, with canonical_lift's and
     MPoint.scaled's arithmetic; a vertex that fails their checks (a
     non-finite lift, a scale that underflows to 0, a non-finite or zero
-    vector) raises the error the per-vertex path raises for it.
+    vector) raises the error the per-vertex path raises for it.  Read
+    it as ``layout.mpoints``, which realizes once per layout.
     """
-    aug = _complex_of(cs, AugmentedDisk)
-    farr = aug.label_array(f)
-    P = layout.positions
-    W = cs.alpha_array * np.exp(2.0 * farr)
+    _complex_of(layout.cs, AugmentedDisk)
+    farr, P = layout.label, layout.positions
+    W = layout.cs.alpha_array * np.exp(2.0 * farr)
     q = _dot2(P, P)
     lift = np.column_stack([P, (q - W - 1.0) / 2.0, (q - W + 1.0) / 2.0])
     s = np.exp(-farr)
@@ -298,42 +306,20 @@ def realize_mpoints(
     return xi
 
 
-@dataclass
-class UnitDiskRealization:
-    """A layout rescaled so the apex circle is the unit circle, its
-    label and its (n, 4) array of M-points."""
-
-    layout: PlaneLayout
-    label: np.ndarray
-    mpoints: np.ndarray
-
-
-def normalize_layout(aug: AugmentedDisk, f, layout: PlaneLayout):
-    """(layout, label) with the apex circle moved to the unit circle.
+def normalize_to_unit_disk(layout: PlaneLayout) -> PlaneLayout:
+    """The layout with the apex circle moved to the unit circle.
 
     The apex goes to the origin, the plane is scaled by e^{-f(apex)}
-    and the label shifted so that f(apex) = 0; no M-points are built.
+    and the label shifted so that f(apex) = 0.  Uniform label shifts
+    and plane similarities are Lorentz moves of the realization, so the
+    normalized layout represents the same solution.
     """
-    farr = aug.label_array(f)
-    s = float(np.exp(-farr[-1]))
-    P = layout.positions
-    new_layout = PlaneLayout(
-        s * (P - P[-1]), layout.consistency_residual * s, layout.traversal, layout.lengths * s
+    _complex_of(layout.cs, AugmentedDisk)
+    f, P = layout.label, layout.positions
+    s = float(np.exp(-f[-1]))
+    return PlaneLayout(
+        layout.cs, f - f[-1], s * (P - P[-1]), layout.consistency_residual * s, layout.traversal, layout.lengths * s
     )
-    return new_layout, farr - farr[-1]
-
-
-def normalize_to_unit_disk(
-    cs: ConformalStructure, f, layout: PlaneLayout
-) -> UnitDiskRealization:
-    """Translate the apex to the origin and rescale it to radius one.
-
-    Uniform label shifts and plane similarities are Lorentz moves of
-    the realization, so the normalized configuration represents the
-    same solution with f(apex) = 0.
-    """
-    new_layout, new_f = normalize_layout(_complex_of(cs, AugmentedDisk), f, layout)
-    return UnitDiskRealization(new_layout, new_f, realize_mpoints(cs, new_f, new_layout))
 
 
 @dataclass

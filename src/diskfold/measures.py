@@ -26,10 +26,12 @@ import numpy as np
 from .complexes import (
     AugmentedDisk,
     MultiplicityAssignment,
+    _require_on,
     simplex_key,
     standard_multiplicities,
 )
 from .conformal import ConformalStructure, _complex_of
+from .layout import PlaneLayout
 
 __all__ = [
     "measure_curvature",
@@ -58,8 +60,7 @@ def measure_curvatures(
 
 def _measure(aug: AugmentedDisk, mu: MultiplicityAssignment, angles: np.ndarray, keep) -> np.ndarray:
     """measure_curvatures with mu's vertex, edge and face weights masked by ``keep``."""
-    if mu.complex is not aug:
-        raise ValueError("the multiplicities are on another complex")
+    _require_on(mu, aug)
     ix = aug.compiled
     n = len(aug.vertices)
     mv, me, mf = (w * k for w, k in zip((mu.vertex, mu.edge, mu.face), keep))
@@ -127,25 +128,21 @@ def valuation_defect(
     return float(abs(k(A | B) - k(A) - k(B) + k(A & B)))
 
 
-def layout_point_multiplicity(
-    aug: AugmentedDisk,
-    mu: MultiplicityAssignment,
-    positions,
-    point,
-) -> int:
+def layout_point_multiplicity(layout: PlaneLayout, mu: MultiplicityAssignment, point) -> int:
     """Signed count of layout simplices covering a plane point.
 
-    ``positions`` is a layout's (n, 2) array, row i for aug.vertices[i].
     Sums mu over every closed simplex whose image under the layout
-    contains the point (within POINT_TOL).  With the standard multiplicities
-    the two sheets of the fold cancel: the count is 0 wherever the
+    contains the point (within POINT_TOL); ValueError unless mu is on
+    the layout's complex.  With the standard multiplicities the two
+    sheets of the fold cancel: the count is 0 wherever the
     configuration covers the point an equal number of times with each
     sign, in particular at generic points of the folded image.  Every
     vertex, edge and face is tested at once over the compiled index.
     """
-    ix = aug.compiled
+    _require_on(mu, layout.cs.complex)
+    ix = layout.cs.complex.compiled
     q = np.asarray(point, dtype=float)
-    P = np.asarray(positions, dtype=float)
+    P = layout.positions
     at_vertex = np.linalg.norm(P - q, axis=1) <= POINT_TOL
 
     a, ab = P[ix.E[:, 0]], P[ix.E[:, 1]] - P[ix.E[:, 0]]

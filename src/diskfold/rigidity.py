@@ -29,10 +29,10 @@ reports the full spectrum.  The margin holds on ring_lattice up to 8
 rings in every scenario; from about 12 rings on, the tangent and
 orthogonal scenarios fall back.
 
-The Mobius orbit check takes the caller's AngleSystem, layout and
-realization, so checking many generators compiles, develops and
-realizes once; each check moves every row of the realization's (n, 4)
-array with one stacked product.
+Both experiments take a layout alone: it carries its structure,
+label and realization, so checking many generators on one layout
+compiles, develops and realizes once; each Mobius check moves every
+row of the realization's (n, 4) array with one stacked product.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import AugmentedDisk
-from .conformal import AngleSystem
 from .layout import PlaneLayout
 from .minkowski import InfinitesimalMobius, induced_label_variation, infinitesimal_generator
 
@@ -55,17 +53,19 @@ __all__ = [
 ]
 
 
-def constraint_matrix(aug: AugmentedDisk, mpoints: np.ndarray) -> np.ndarray:
-    """Derivative of the product constraints, one row per constraint.
+def constraint_matrix(layout: PlaneLayout) -> np.ndarray:
+    """Derivative of the product constraints at the layout's realization,
+    one row per constraint, as a dense array.
 
-    Velocities are stacked per vertex in aug.vertices.  The row of
-    vertex v carries xi_v in the block of v; the row of edge (u, v)
-    carries xi_v in the block of u and xi_u in the block of v.  Rows
-    are written without the symmetrization factor 2, which leaves the
-    rank unchanged.  ``mpoints`` is the (n, 4) array of realize_mpoints.
+    Velocities are stacked per vertex in the complex's vertex order.
+    The row of vertex v carries xi_v in the block of v; the row of edge
+    (u, v) carries xi_v in the block of u and xi_u in the block of v.
+    Rows are written without the symmetrization factor 2, which leaves
+    the rank unchanged.
     """
-    E = aug.compiled.E
-    n = len(aug.vertices)
+    mpoints = layout.mpoints
+    E = layout.cs.complex.compiled.E
+    n = len(mpoints)
     block = 4 * np.arange(n)[:, None] + np.arange(4)  # the 4 columns of each vertex
     rows = n + np.arange(len(E))[:, None]
     m = np.zeros((n + len(E), 4 * n))
@@ -137,38 +137,29 @@ class OrbitReport:
     max_variation_dev: float
 
 
-def mobius_orbit_check(
-    system: AngleSystem,
-    f,
-    layout: PlaneLayout,
-    mpoints: np.ndarray,
-    generator: InfinitesimalMobius,
-    eps: float,
-) -> OrbitReport:
+def mobius_orbit_check(layout: PlaneLayout, generator: InfinitesimalMobius, eps: float) -> OrbitReport:
     """Push a flat realization along I + eps*M(g) and recover the label.
 
-    ``system`` is the AngleSystem of the augmented disk and its
-    structure, ``layout`` the development of the flat label f (as from
-    layout_augmented) and ``mpoints`` its realization, the (n, 4) array
-    of realize_mpoints; a caller checking several generators builds each
-    once.  The moved label is f'_v = -log(xi'_4 - xi'_3).  For a flat f
-    the report shows max |K(f')| of order eps^2 and the finite-difference
-    rate (f' - f)/eps close to the predicted variation
+    ``layout`` is the development of a flat label f on an augmented
+    disk, as from layout_augmented; its realization is built once and
+    shared by every check on it.  The moved label is
+    f'_v = -log(xi'_4 - xi'_3).  For a flat f the report shows
+    max |K(f')| of order eps^2 and the finite-difference rate
+    (f' - f)/eps close to the predicted variation
     (a + b, c + d) . P_v + t.  The perturbation matrix is applied
     directly: it is Lorentz only to first order, which is the point.
     """
-    farr = system.complex.label_array(f)
     L = infinitesimal_generator(generator, eps)
     # a stacked product rounds like the per-vertex L.m @ xi
-    xi = (L.m[None] @ mpoints[:, :, None])[:, :, 0]
+    xi = (L.m[None] @ layout.mpoints[:, :, None])[:, :, 0]
     depth = xi[:, 3] - xi[:, 2]
     if np.any(depth <= 0):
-        v = system.complex.vertices[int(np.argmax(depth <= 0))]
+        v = layout.cs.complex.vertices[int(np.argmax(depth <= 0))]
         raise ValueError(f"eps={eps!r} pushes vertex {v} outside the representable range")
     moved = -np.log(depth)
 
-    K = system.curvature(moved)
-    rate = (moved - farr) / eps
+    K = layout.cs.system.curvature(moved)
+    rate = (moved - layout.label) / eps
     predicted = induced_label_variation(generator, layout.positions)
     return OrbitReport(
         generator=generator,

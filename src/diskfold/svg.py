@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import AugmentedDisk
-from .conformal import ConformalStructure, _complex_of
+from .conformal import _complex_of
 from .layout import PlaneLayout
 
 __all__ = ["render_svg"]
@@ -35,18 +35,11 @@ _STYLE = {
 MARGIN = 0.06
 
 
-def render_svg(
-    cs: ConformalStructure,
-    f,
-    layout: PlaneLayout,
-    *,
-    size: int = 640,
-) -> str:
+def render_svg(layout: PlaneLayout, *, size: int = 640) -> str:
     """Render one layout (and its vertex circles) as an SVG document."""
-    aug = _complex_of(cs, AugmentedDisk)
-    farr = aug.label_array(f)
-    P = layout.positions
-    alpha = cs.alpha_array
+    aug = _complex_of(layout.cs, AugmentedDisk)
+    farr, P = layout.label, layout.positions
+    alpha = layout.cs.alpha_array
     radii = np.where(alpha > 0, np.sqrt(np.maximum(alpha, 0.0)) * np.exp(farr), 0.0)
 
     minx = float(np.min(P[:, 0] - radii))

@@ -28,7 +28,6 @@ from diskfold import (
     normalize_to_unit_disk,
     numerical_rank,
     random_admissible,
-    realize_mpoints,
     ring_lattice,
     verify_boundary_condition,
 )
@@ -54,9 +53,8 @@ def _hex_pipeline(name: str, scenario: str, gap: float):
     elapsed = time.perf_counter() - t0
     assert res.converged, res.status
     gap_dev = max(abs(g - gap) for g in boundary_gaps(aug, res.f))
-    lay = layout_augmented(cs, res.f)
-    real = normalize_to_unit_disk(cs, res.f, lay)
-    rep = verify_boundary_condition(aug, real.mpoints, scenario)
+    lay = normalize_to_unit_disk(layout_augmented(cs, res.f))
+    rep = verify_boundary_condition(aug, lay.mpoints, scenario)
     return res, elapsed, gap_dev, rep
 
 
@@ -187,12 +185,11 @@ def test_criterion_08_mobius_invariance():
     f = HEX_FLAT["hex_tangent"]
     fields = ("a", "b", "c", "d", "t", "r")
     lay = layout_augmented(cs, f)
-    sys_, mp = AngleSystem(cs), realize_mpoints(cs, f, lay)
     worst_k, worst_v = 0.0, 0.0
     for name in fields:
         g = InfinitesimalMobius(**{name: 1.0})
         for eps in (1e-3, 1e-4):
-            rep = mobius_orbit_check(sys_, f, lay, mp, g, eps)
+            rep = mobius_orbit_check(lay, g, eps)
             worst_k = max(worst_k, rep.max_abs_curvature / (100.0 * eps * eps))
             worst_v = max(worst_v, rep.max_variation_dev / (10.0 * eps))
     ok = worst_k <= 1.0 and worst_v <= 1.0
@@ -218,8 +215,8 @@ def test_criterion_09_traversal_independence(flat_instances):
         worst_pos = max(worst_pos, dev / (1e-9 * diameter))
         worst_edge = max(
             worst_edge,
-            layout_edge_error(aug, bfs) / 1e-9,
-            layout_edge_error(aug, dfs) / 1e-9,
+            layout_edge_error(bfs) / 1e-9,
+            layout_edge_error(dfs) / 1e-9,
         )
     ok = worst_pos <= 1.0 and worst_edge <= 1.0
     _line(
@@ -234,8 +231,7 @@ def test_criterion_09_traversal_independence(flat_instances):
 def test_criterion_10_realized_products(flat_instances):
     worst = 0.0
     for name, aug, cs, f in flat_instances:
-        lay = layout_augmented(cs, f)
-        mp, ix = realize_mpoints(cs, f, lay), aug.vertex_index
+        mp, ix = layout_augmented(cs, f).mpoints, aug.vertex_index
         for v in aug.vertices:
             a = cs.alpha[v]
             dev = abs(mprod(mp[ix[v]], mp[ix[v]]) - a) / max(1.0, abs(a))
@@ -253,9 +249,7 @@ def test_criterion_11_rank_report():
     aug, cs = build("hex_tangent")
     res = newton_flat(cs, tol=1e-12)
     assert res.converged
-    lay = layout_augmented(cs, res.f)
-    mp = realize_mpoints(cs, res.f, lay)
-    C = constraint_matrix(aug, mp)
+    C = constraint_matrix(layout_augmented(cs, res.f))
     assert C.shape == (26, 32)
     rank, sv = numerical_rank(C, cutoff=1e-10)
     report = {

@@ -11,6 +11,8 @@ import pytest
 
 import diskfold
 
+from conftest import HEX_FLAT
+
 MODULES = sorted(m.name for m in pkgutil.iter_modules(diskfold.__path__))
 
 
@@ -76,11 +78,21 @@ _STRUCTURE_ENTRIES = {
     "curvature_flow": ["cs", "f0", "t_end", "dt", "max_halvings"],
     "layout_disk": ["cs", "f", "traversal"],
     "layout_augmented": ["cs", "f", "traversal"],
-    "realize_mpoints": ["cs", "f", "layout"],
-    "normalize_to_unit_disk": ["cs", "f", "layout"],
     "measure_equivalence_check": ["cs", "f"],
-    "render_svg": ["cs", "f", "layout", "size"],
     "AngleSystem": ["cs"],
+}
+
+#: Every entry of the output stage, with its parameters: the layout comes
+#: first and carries its structure, label and realization, so none takes
+#: them beside it
+_LAYOUT_ENTRIES = {
+    "realize_mpoints": ["layout"],
+    "normalize_to_unit_disk": ["layout"],
+    "render_svg": ["layout", "size"],
+    "mobius_orbit_check": ["layout", "generator", "eps"],
+    "constraint_matrix": ["layout"],
+    "layout_edge_error": ["layout"],
+    "layout_point_multiplicity": ["layout", "mu", "point"],
 }
 
 
@@ -89,6 +101,29 @@ def test_structure_entries_take_no_complex(name):
     params = inspect.signature(getattr(diskfold, name)).parameters.values()
     assert [p.name for p in params] == _STRUCTURE_ENTRIES[name]
     assert not any("Disk" in str(p.annotation) for p in params)
+
+
+@pytest.mark.parametrize("name", sorted(_LAYOUT_ENTRIES))
+def test_layout_entries_take_the_layout_alone(name):
+    params = list(inspect.signature(getattr(diskfold, name)).parameters.values())
+    assert [p.name for p in params] == _LAYOUT_ENTRIES[name]
+    assert params[0].annotation == "PlaneLayout"
+
+
+def test_a_layout_carries_its_label():
+    assert not hasattr(diskfold, "normalize_layout") and not hasattr(diskfold.layout, "normalize_layout")
+    assert not hasattr(diskfold, "UnitDiskRealization") and not hasattr(diskfold.layout, "UnitDiskRealization")
+    assert not hasattr(diskfold.PlaneLayout, "diameter")
+    fields = [f.name for f in dataclasses.fields(diskfold.PlaneLayout)]
+    assert fields[:2] == ["cs", "label"]
+    _, cs = diskfold.build("hex_tangent")
+    lay = diskfold.layout_augmented(cs, HEX_FLAT["hex_tangent"])
+    assert lay.cs is cs
+    for name in ("label", "positions", "mpoints"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(lay, name)[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(lay, name, None)
 
 
 def test_the_structure_is_the_problem():

@@ -230,17 +230,17 @@ def test_angle_system_rejection_messages_are_pinned(edit, message):
 
 #: Every entry that reads one kind of complex from its structure, called
 #: with a structure on the other kind: the augmented-only entries with the
-#: hex structure gathered onto its plain disk, layout_disk with the
-#: augmented one.
+#: hex structure gathered onto its plain disk (the output stage with the
+#: plain disk's layout), layout_disk with the augmented one.
 _ON_THE_OTHER_KIND = {
     "default_start": lambda cs, on_disk, f, lay: default_start(on_disk),
     "newton_flat": lambda cs, on_disk, f, lay: newton_flat(on_disk, f),
     "curvature_flow": lambda cs, on_disk, f, lay: curvature_flow(on_disk, f, 0.1, 0.01),
     "layout_augmented": lambda cs, on_disk, f, lay: layout_augmented(on_disk, f),
     "layout_disk": lambda cs, on_disk, f, lay: layout_disk(cs, f),
-    "realize_mpoints": lambda cs, on_disk, f, lay: realize_mpoints(on_disk, f, lay),
-    "normalize_to_unit_disk": lambda cs, on_disk, f, lay: normalize_to_unit_disk(on_disk, f, lay),
-    "render_svg": lambda cs, on_disk, f, lay: render_svg(on_disk, f, lay),
+    "realize_mpoints": lambda cs, on_disk, f, lay: realize_mpoints(lay),
+    "normalize_to_unit_disk": lambda cs, on_disk, f, lay: normalize_to_unit_disk(lay),
+    "render_svg": lambda cs, on_disk, f, lay: render_svg(lay),
     "measure_equivalence_check": lambda cs, on_disk, f, lay: measure_equivalence_check(on_disk, f),
 }
 
@@ -249,8 +249,8 @@ _ON_THE_OTHER_KIND = {
 def test_a_structure_serves_only_its_own_complex(entry):
     aug, cs = _hex()
     f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(cs, f)
     on_disk = ConformalStructure.on(aug.disk, cs.alpha, cs.eta)
+    lay = layout_disk(on_disk, f[:-1])
     kinds = ("AugmentedDisk", "CombinatorialDisk")
     got, need = kinds if entry == "layout_disk" else kinds[::-1]
     with pytest.raises(StructureError, match=f"^the structure's complex is {got}, not {need}$"):

@@ -20,7 +20,6 @@ from diskfold import (
     newton_flat,
     numerical_rank,
     parse_problem,
-    realize_mpoints,
     serialize_problem,
 )
 from diskfold.cli import main
@@ -429,8 +428,7 @@ def _spectrum_report(path) -> str:
     f = prob.f_init
     if f is None or np.max(np.abs(AngleSystem(prob.cs).curvature(f))) > 1e-8:
         f = newton_flat(prob.cs, f).f
-    lay = layout_augmented(prob.cs, f)
-    m = constraint_matrix(prob.aug, realize_mpoints(prob.cs, f, lay))
+    m = constraint_matrix(layout_augmented(prob.cs, f))
     rank, s = numerical_rank(m, 1e-10)
     out = {"matrix": "constraint_matrix", "shape": list(m.shape), "cutoff": 1e-10, "rank": rank}
     out["singular_values"] = [float(x) for x in s]

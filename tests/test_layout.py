@@ -1,5 +1,6 @@
 """Plane development, M-point realization and boundary verification."""
 
+import dataclasses
 from collections import deque
 
 import numpy as np
@@ -16,7 +17,6 @@ from diskfold import (
     layout_edge_error,
     mprod,
     newton_flat,
-    normalize_layout,
     normalize_to_unit_disk,
     project,
     realize_mpoints,
@@ -39,7 +39,7 @@ def test_layout_reproduces_lengths():
     f = HEX_FLAT["hex_tangent"]
     lay = layout_augmented(cs, f)
     assert lay.consistency_residual <= 1e-12
-    assert layout_edge_error(aug, lay) <= 1e-12
+    assert layout_edge_error(lay) <= 1e-12
 
 
 def test_fold_orientation():
@@ -62,7 +62,9 @@ def test_bfs_and_dfs_agree():
     b = layout_augmented(cs, f, traversal="dfs")
     assert a.traversal == "bfs" and b.traversal == "dfs"
     dev = float(np.max(np.hypot(*(a.positions - b.positions).T)))
-    assert dev <= 1e-9 * max(1.0, a.diameter())
+    P = a.positions
+    diameter = float(np.max(np.hypot(*(P[:, None] - P[None]).T)))
+    assert dev <= 1e-9 * max(1.0, diameter)
 
 
 def test_unknown_traversal_rejected():
@@ -101,7 +103,7 @@ def test_disk_only_layout():
     # the augmented structure serves only aug; its values go to the disk by id
     lay = layout_disk(ConformalStructure.on(disk, cs.alpha, cs.eta), f_disk)
     assert lay.consistency_residual <= 1e-12
-    assert layout_edge_error(disk, lay) <= 1e-12
+    assert layout_edge_error(lay) <= 1e-12
     # regular hexagon around the center circle
     ix = disk.vertex_index
     center = lay.positions[ix[0]]
@@ -113,8 +115,7 @@ def test_disk_only_layout():
 def test_realized_products_reproduce_structure():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(cs, f)
-    mp, ix = realize_mpoints(cs, f, lay), aug.vertex_index
+    mp, ix = realize_mpoints(layout_augmented(cs, f)), aug.vertex_index
     assert mp.shape == (len(aug.vertices), 4)
     for v in aug.vertices:
         got = mprod(mp[ix[v]], mp[ix[v]])
@@ -127,9 +128,8 @@ def test_realized_products_reproduce_structure():
 def test_normalization_sends_apex_to_unit_circle():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"] + 0.37  # arbitrary global scale
-    lay = layout_augmented(cs, f)
-    reali = normalize_to_unit_disk(cs, f, lay)
-    assert layout_edge_error(aug, reali.layout) <= 1e-12
+    reali = normalize_to_unit_disk(layout_augmented(cs, f))
+    assert layout_edge_error(reali) <= 1e-12
     apex_wp = project(reali.mpoints[-1])
     assert apex_wp.x == pytest.approx(0.0, abs=1e-12)
     assert apex_wp.y == pytest.approx(0.0, abs=1e-12)
@@ -147,8 +147,7 @@ def test_boundary_reports():
     for name, scenario in cases.items():
         aug, cs = build(name)
         f = HEX_FLAT[name]
-        lay = layout_augmented(cs, f)
-        reali = normalize_to_unit_disk(cs, f, lay)
+        reali = normalize_to_unit_disk(layout_augmented(cs, f))
         reals[scenario] = (aug, reali)
         rep = verify_boundary_condition(aug, reali.mpoints, scenario)
         assert rep.scenario == scenario
@@ -170,8 +169,7 @@ def test_boundary_report_true_negatives():
     for name, wrong in mismatches:
         aug, cs = build(name)
         f = HEX_FLAT[name]
-        lay = layout_augmented(cs, f)
-        reali = normalize_to_unit_disk(cs, f, lay)
+        reali = normalize_to_unit_disk(layout_augmented(cs, f))
         rep = verify_boundary_condition(aug, reali.mpoints, wrong)
         assert not rep.passed
         assert rep.max_residual > 0.1
@@ -181,8 +179,7 @@ def test_boundary_geometry_tangent():
     """Boundary circles touch the unit circle from inside."""
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(cs, f)
-    reali = normalize_to_unit_disk(cs, f, lay)
+    reali = normalize_to_unit_disk(layout_augmented(cs, f))
     for v in aug.disk.boundary_cycle:
         wp = project(reali.mpoints[aug.vertex_index[v]])
         assert np.hypot(wp.x, wp.y) + wp.radius == pytest.approx(1.0, abs=1e-12)
@@ -191,8 +188,7 @@ def test_boundary_geometry_tangent():
 def test_boundary_geometry_inscribed():
     aug, cs = build("hex_inscribed")
     f = HEX_FLAT["hex_inscribed"]
-    lay = layout_augmented(cs, f)
-    reali = normalize_to_unit_disk(cs, f, lay)
+    reali = normalize_to_unit_disk(layout_augmented(cs, f))
     for v in aug.disk.boundary_cycle:
         wp = project(reali.mpoints[aug.vertex_index[v]])
         assert np.hypot(wp.x, wp.y) == pytest.approx(1.0, abs=1e-12)
@@ -204,8 +200,7 @@ def test_triangle_apex_realization():
     aug = augment(disk)
     cs = attach_boundary_data(aug, *scenario_data(disk, "inscribed"))
     f = np.array([0.5 * np.log(3.0)] * 3 + [0.0])
-    lay = layout_augmented(cs, f)
-    reali = normalize_to_unit_disk(cs, f, lay)
+    reali = normalize_to_unit_disk(layout_augmented(cs, f))
     rep = verify_boundary_condition(aug, reali.mpoints, "inscribed")
     assert rep.passed
     # boundary points form an equilateral triangle of side sqrt(3)
@@ -328,37 +323,43 @@ def test_realize_mpoints_matches_per_vertex_lift(flat_case, shift):
     f = f + shift
     for traversal in ("bfs", "dfs"):
         lay = layout_augmented(cs, f, traversal=traversal)
-        assert _same_bits(realize_mpoints(cs, f, lay), _realize_per_vertex(aug, cs, f, lay))
-        norm = normalize_to_unit_disk(cs, f, lay)
-        assert _same_bits(norm.mpoints, _realize_per_vertex(aug, cs, norm.label, norm.layout))
-        nlay, nf = normalize_layout(aug, f, lay)
-        assert nlay.positions.shape == lay.positions.shape
-        assert np.array_equal(nlay.positions, norm.layout.positions)
-        assert np.array_equal(nf, norm.label)
+        assert _same_bits(lay.label, aug.label_array(f))
+        assert _same_bits(realize_mpoints(lay), _realize_per_vertex(aug, cs, f, lay))
+        norm = normalize_to_unit_disk(lay)
+        assert _same_bits(norm.mpoints, _realize_per_vertex(aug, cs, norm.label, norm))
+        # the apex to the origin, the plane scaled by e^{-f(apex)}, f(apex) to 0
+        s = float(np.exp(-lay.label[-1]))
+        assert _same_bits(norm.positions, s * (lay.positions - lay.positions[-1]))
+        assert _same_bits(norm.lengths, s * lay.lengths)
+        assert _same_bits(norm.label, lay.label - lay.label[-1])
+        assert norm.consistency_residual == s * lay.consistency_residual
+        assert (norm.cs, norm.traversal) == (lay.cs, lay.traversal)
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("shift", [400.0, 750.0, -750.0])
 def test_realize_mpoints_raises_the_per_vertex_error(shift):
-    # exp overflows or underflows at these labels; the first vertex the
+    # exp overflows or underflows at these labels, which no development
+    # reaches, so the layout gets its label by hand; the first vertex the
     # loop rejects decides the message
     aug, cs = build("hex_tangent")
-    f = HEX_FLAT["hex_tangent"]
-    lay = layout_augmented(cs, f)
-    f = f + shift
+    f = HEX_FLAT["hex_tangent"] + shift
+    lay = dataclasses.replace(layout_augmented(cs, HEX_FLAT["hex_tangent"]), label=f)
     with pytest.raises(ValueError) as want:
         _realize_per_vertex(aug, cs, f, lay)
     with pytest.raises(ValueError) as got:
-        realize_mpoints(cs, f, lay)
+        realize_mpoints(lay)
     assert type(got.value) is type(want.value)
     assert str(got.value) == str(want.value)
 
 
 def test_realized_mpoints_are_read_only(flat_case):
     aug, cs, f = flat_case
-    mp = realize_mpoints(cs, f, layout_augmented(cs, f))
-    with pytest.raises(ValueError):
-        mp[-1, 0] = 1.0
+    lay = layout_augmented(cs, f)
+    for a in (lay.label, lay.positions, lay.lengths, lay.mpoints, normalize_to_unit_disk(lay).label):
+        with pytest.raises(ValueError):
+            a[-1] = 1.0
+    assert lay.mpoints is lay.mpoints
 
 
 def _verify_per_vertex(aug, mpoints, scenario, tol=1e-9):
@@ -392,7 +393,7 @@ def test_boundary_check_matches_per_vertex_loop(name, rings, scenario):
     f = HEX_FLAT[name] if name.startswith("hex_") else newton_flat(cs).f
     lay = layout_augmented(cs, f)
     # the normalized realization and one whose apex circle is not the unit circle
-    for xi in (normalize_to_unit_disk(cs, f, lay).mpoints, realize_mpoints(cs, f + 0.37, lay)):
+    for xi in (normalize_to_unit_disk(lay).mpoints, layout_augmented(cs, f + 0.37).mpoints):
         mapping = {v: MPoint(xi[i]) for i, v in enumerate(aug.vertices)}
         for check in SCENARIOS:
             want = _verify_per_vertex(aug, mapping, check)
@@ -407,7 +408,7 @@ def test_boundary_check_matches_per_vertex_loop(name, rings, scenario):
 def test_boundary_check_rejects_an_improper_row(row):
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
-    xi = realize_mpoints(cs, f, layout_augmented(cs, f)).copy()
+    xi = layout_augmented(cs, f).mpoints.copy()
     v = aug.apex if row == "apex" else aug.disk.boundary_cycle[2]
     xi[aug.vertex_index[v]] = [0.3, 0.1, 2.0, 1.5]  # xi4 - xi3 < 0
     mapping = {u: MPoint(xi[i]) for i, u in enumerate(aug.vertices)}

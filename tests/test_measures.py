@@ -138,9 +138,9 @@ def test_layout_multiplicity_cancels_on_the_fold():
     # generic points inside disk faces
     for face in aug.disk_faces[:3]:
         c = (pos[ix[face[0]]] + pos[ix[face[1]]] + pos[ix[face[2]]]) / 3.0
-        assert layout_point_multiplicity(aug, mu, pos, tuple(c)) == 0
+        assert layout_point_multiplicity(lay, mu, tuple(c)) == 0
     # far outside everything
-    assert layout_point_multiplicity(aug, mu, pos, (50.0, 0.0)) == 0
+    assert layout_point_multiplicity(lay, mu, (50.0, 0.0)) == 0
 
 
 def _loop_layout_point_multiplicity(aug, mu, positions, q, tol=1e-9):
@@ -172,11 +172,12 @@ def test_layout_multiplicity_matches_a_scalar_count():
     aug, cs = _hex_tangent()
     rng = np.random.default_rng(5)
     mu = MultiplicityAssignment.on(aug, {s: int(rng.integers(-3, 4)) for s in sorted(closure(aug.faces))})
-    pos, ix = layout_augmented(cs, HEX_FLAT["hex_tangent"]).positions, aug.vertex_index
+    lay = layout_augmented(cs, HEX_FLAT["hex_tangent"])
+    pos, ix = lay.positions, aug.vertex_index
     points = list(pos)
     points += [(pos[ix[u]] + pos[ix[v]]) / 2 for u, v in aug.edges]
     points += [(pos[ix[a]] + pos[ix[b]] + pos[ix[c]]) / 3 for a, b, c in aug.faces]
     points += [np.array([50.0, 0.0]), np.array([0.013, -0.021])]
-    counts = [layout_point_multiplicity(aug, mu, pos, tuple(q)) for q in points]
+    counts = [layout_point_multiplicity(lay, mu, tuple(q)) for q in points]
     assert counts == [_loop_layout_point_multiplicity(aug, mu, pos, q) for q in points]
     assert any(counts)

@@ -13,13 +13,18 @@ from diskfold import (
     classify,
     closure,
     default_start,
+    layout_augmented,
+    layout_point_multiplicity,
     measure_curvatures,
     measure_equivalence_check,
+    pointwise_multiplicity,
     standard_multiplicities,
     valuation_defect,
 )
 from diskfold.complexes import simplex_key
 from diskfold.presets import SCENARIOS, hex_flower, random_admissible, ring_lattice, triangle_disk
+
+from conftest import HEX_FLAT
 
 DISKS = {
     "triangle": triangle_disk,
@@ -154,6 +159,23 @@ def test_measures_reject_an_assignment_on_another_complex():
     th = np.zeros((len(aug.faces), 3))
     with pytest.raises(ValueError, match="another complex"):
         measure_curvatures(aug, standard_multiplicities(other), th)
+
+
+@pytest.mark.parametrize("size", ["same", "other"])
+def test_counts_reject_an_assignment_on_another_complex(size):
+    # a second hexagon's weights were once used silently, and a ring-2
+    # lattice's raised a raw IndexError
+    aug, cs = build("hex_tangent")
+    other = build("hex_tangent")[0] if size == "same" else augment(ring_lattice(2))
+    mu = standard_multiplicities(other)
+    lay = layout_augmented(cs, HEX_FLAT["hex_tangent"])
+    with pytest.raises(ValueError, match="^the multiplicities are on another complex$"):
+        pointwise_multiplicity(aug, mu, (0,))
+    with pytest.raises(ValueError, match="^the multiplicities are on another complex$"):
+        layout_point_multiplicity(lay, mu, lay.positions[0])
+    own = standard_multiplicities(aug)
+    assert pointwise_multiplicity(aug, own, (0,)) == 1
+    assert layout_point_multiplicity(lay, own, lay.positions[0]) == 0
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)

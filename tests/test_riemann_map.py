@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from diskfold import layout_augmented, newton_flat, normalize_layout
+from diskfold import layout_augmented, newton_flat, normalize_to_unit_disk
 from diskfold.presets import build
 
 #: Per scenario: (order p, constant C_p) of the bound err <= C_p / n^p.
@@ -88,7 +88,7 @@ def _discrete_map(n: int, scenario: str):
     aug, cs = build("ring_lattice", n_rings=n, scenario=scenario)
     res = newton_flat(cs)
     assert res.converged
-    lay, _ = normalize_layout(aug, res.f, layout_augmented(cs, res.f))
+    lay = normalize_to_unit_disk(layout_augmented(cs, res.f))
     # ring_lattice numbers its vertices in lexicographic order of (q, r)
     qr = np.array(
         sorted((q, r) for q in range(-n, n + 1) for r in range(-n, n + 1) if max(abs(q), abs(r), abs(q + r)) <= n)

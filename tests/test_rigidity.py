@@ -5,14 +5,12 @@ import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
 
 from diskfold import (
-    AngleSystem,
     InfinitesimalMobius,
     constraint_matrix,
     layout_augmented,
     mobius_orbit_check,
     newton_flat,
     numerical_rank,
-    realize_mpoints,
     row_rank_certificate,
 )
 from diskfold.minkowski import induced_label_variation, infinitesimal_generator
@@ -32,40 +30,29 @@ GENERATORS = [
 
 @pytest.fixture(scope="module")
 def hex_layout():
-    aug, cs = build("hex_tangent")
-    f = HEX_FLAT["hex_tangent"]
-    return aug, cs, f, layout_augmented(cs, f)
+    """The flat hexagon's layout: the argument of constraint_matrix, and
+    of mobius_orbit_check before the generator."""
+    _, cs = build("hex_tangent")
+    return layout_augmented(cs, HEX_FLAT["hex_tangent"])
 
 
-@pytest.fixture(scope="module")
-def hex_orbit(hex_layout):
-    """The arguments mobius_orbit_check takes before the generator."""
-    aug, cs, f, lay = hex_layout
-    return AngleSystem(cs), f, lay, realize_mpoints(cs, f, lay)
-
-
-@pytest.fixture(scope="module")
-def hex_realized(hex_layout):
-    aug, cs, f, lay = hex_layout
-    return aug, cs, f, realize_mpoints(cs, f, lay)
-
-
-def test_constraint_matrix_shape(hex_realized):
-    aug, _, _, mp = hex_realized
-    C = constraint_matrix(aug, mp)
+def test_constraint_matrix_shape(hex_layout):
+    aug = hex_layout.cs.complex
+    C = constraint_matrix(hex_layout)
     v, e = len(aug.vertices), len(aug.edges)
     assert C.shape == (v + e, 4 * v)
     assert C.shape == (26, 32)
 
 
-def test_constraint_rows_encode_products(hex_realized):
+def test_constraint_rows_encode_products(hex_layout):
     """Rows applied to the realization itself recover the products.
 
     Vertex rows carry no symmetrization factor, edge rows pick it up
     from the two blocks: C (G xi) = (alpha_v, ..., -2 eta_uv, ...).
     """
-    aug, cs, _, mp = hex_realized
-    C = constraint_matrix(aug, mp)
+    cs, mp = hex_layout.cs, hex_layout.mpoints
+    aug = cs.complex
+    C = constraint_matrix(hex_layout)
     g = np.array([1.0, 1.0, 1.0, -1.0])
     want = [cs.alpha[v] for v in aug.vertices]
     want += [-2.0 * cs.eta[(u, w)] for (u, w) in aug.edges]
@@ -73,11 +60,10 @@ def test_constraint_rows_encode_products(hex_realized):
     assert np.allclose(C @ xg, want, atol=1e-10)
 
 
-def test_rank_is_reported(hex_realized, capsys):
+def test_rank_is_reported(hex_layout, capsys):
     # experimental observation, printed rather than asserted: the
     # 26x32 matrix at the hexagonal solution shows full row rank
-    aug, _, _, mp = hex_realized
-    C = constraint_matrix(aug, mp)
+    C = constraint_matrix(hex_layout)
     rank, sv = numerical_rank(C)
     print(f"constraint matrix rank {rank} of min(26, 32), "
           f"sigma_max {sv[0]:.6f}, sigma_min kept {sv[rank - 1]:.6f}")
@@ -96,8 +82,7 @@ def _realized_constraint_matrix(name, **kw):
     aug, cs = build(name, **kw)
     res = newton_flat(cs)
     assert res.converged
-    lay = layout_augmented(cs, res.f)
-    return constraint_matrix(aug, realize_mpoints(cs, res.f, lay))
+    return constraint_matrix(layout_augmented(cs, res.f))
 
 
 CERTIFIED = [("hex_tangent", {}), ("hex_orthogonal", {}), ("hex_inscribed", {})] + [
@@ -130,25 +115,23 @@ def test_certificate_matches_dense_rank(name, kw):
         ("eigsh", ArpackNoConvergence("ARPACK error -1: No convergence", np.zeros(0), np.zeros((0, 0)))),
     ],
 )
-def test_certificate_refuses_a_failed_factor_or_lanczos(hex_realized, monkeypatch, target, error):
+def test_certificate_refuses_a_failed_factor_or_lanczos(hex_layout, monkeypatch, target, error):
     import scipy.sparse.linalg
 
     def fail(*args, **kwargs):
         raise error
 
-    aug, _, _, mp = hex_realized
-    m = constraint_matrix(aug, mp)
+    m = constraint_matrix(hex_layout)
     assert row_rank_certificate(m) is not None
     monkeypatch.setattr(scipy.sparse.linalg, target, fail)
     assert row_rank_certificate(m) is None
 
 
-def test_certificate_margin_follows_the_cutoff(hex_realized):
+def test_certificate_margin_follows_the_cutoff(hex_layout):
     # (s_min / s_max)**2 is about 5.4e-3 here: the margin 1e3 * cutoff**2
     # clears it at cutoff 1e-3 but not at 1e-2, where the dense rank
     # still counts every row
-    aug, _, _, mp = hex_realized
-    m = constraint_matrix(aug, mp)
+    m = constraint_matrix(hex_layout)
     assert row_rank_certificate(m, 1e-3) is not None
     assert row_rank_certificate(m, 1e-2) is None
     assert numerical_rank(m, 1e-2)[0] == m.shape[0]
@@ -159,30 +142,30 @@ def test_certificate_needs_more_rows_than_eigenvalues():
     assert row_rank_certificate(np.eye(6))[0] == 6
 
 
-def test_orbit_transport_stays_flat(hex_orbit):
+def test_orbit_transport_stays_flat(hex_layout):
     for g in GENERATORS:
         for eps in (1e-3, 1e-4):
-            rep = mobius_orbit_check(*hex_orbit, g, eps)
+            rep = mobius_orbit_check(hex_layout, g, eps)
             assert rep.eps == eps
             assert rep.max_abs_curvature <= 100.0 * eps * eps
             assert rep.max_variation_dev <= 10.0 * eps
 
 
-def test_orbit_variation_matches_position_formula(hex_orbit):
+def test_orbit_variation_matches_position_formula(hex_layout):
     g = InfinitesimalMobius(a=0.5, c=-0.3, t=0.2)
-    rep = mobius_orbit_check(*hex_orbit, g, 1e-4)
+    rep = mobius_orbit_check(hex_layout, g, 1e-4)
     assert rep.max_variation_dev <= 1e-3
-    assert rep.f_moved.shape == hex_orbit[1].shape
+    assert rep.f_moved.shape == hex_layout.label.shape
 
 
-def test_orbit_rejects_eps_leaving_proper_cone(hex_orbit):
+def test_orbit_rejects_eps_leaving_proper_cone(hex_layout):
     with pytest.raises(ValueError, match="pushes vertex"):
-        mobius_orbit_check(*hex_orbit, InfinitesimalMobius(b=1.0), 5.0)
+        mobius_orbit_check(hex_layout, InfinitesimalMobius(b=1.0), 5.0)
 
 
-def test_zero_generator_is_identity(hex_orbit):
-    f = hex_orbit[1]
-    rep = mobius_orbit_check(*hex_orbit, InfinitesimalMobius(), 1e-3)
+def test_zero_generator_is_identity(hex_layout):
+    f = hex_layout.label
+    rep = mobius_orbit_check(hex_layout, InfinitesimalMobius(), 1e-3)
     assert np.max(np.abs(rep.f_moved - f)) <= 1e-12
     assert rep.max_abs_curvature <= 1e-12
 
@@ -190,9 +173,7 @@ def test_zero_generator_is_identity(hex_orbit):
 def test_solved_label_transports_too():
     aug, cs = build("hex_orthogonal")
     res = newton_flat(cs, tol=1e-12)
-    lay = layout_augmented(cs, res.f)
-    mp = realize_mpoints(cs, res.f, lay)
-    rep = mobius_orbit_check(AngleSystem(cs), res.f, lay, mp, InfinitesimalMobius(b=0.7, r=0.4), 1e-3)
+    rep = mobius_orbit_check(layout_augmented(cs, res.f), InfinitesimalMobius(b=0.7, r=0.4), 1e-3)
     assert rep.max_abs_curvature <= 1e-4
 
 
@@ -212,12 +193,11 @@ def test_orbit_arrays_match_per_vertex_loop(name):
     aug, cs = build(name, n_rings=3, scenario="orthogonal")
     f = HEX_FLAT[name] if name in HEX_FLAT else newton_flat(cs).f
     lay = layout_augmented(cs, f)
-    mp = realize_mpoints(cs, f, lay)
-    sys_ = AngleSystem(cs)
+    mp = lay.mpoints
     rng = np.random.default_rng(3)
     for g in GENERATORS + [InfinitesimalMobius(*rng.standard_normal(6)) for _ in range(4)]:
         for eps in (1e-2, 1e-3, 1e-5):
-            rep = mobius_orbit_check(sys_, f, lay, mp, g, eps)
+            rep = mobius_orbit_check(lay, g, eps)
             moved, predicted = _orbit_per_vertex(aug, lay, mp, g, eps)
             assert rep.f_moved.tobytes() == moved.tobytes()
             assert rep.predicted_variation.tobytes() == predicted.tobytes()

@@ -21,8 +21,7 @@ GOLDEN = Path(__file__).parent / "golden"
 def _render(name, **kw):
     aug, cs = build(name)
     f = HEX_FLAT[name]
-    layout = layout_augmented(cs, f)
-    return render_svg(cs, f, layout, **kw)
+    return render_svg(layout_augmented(cs, f), **kw)
 
 
 @pytest.mark.parametrize("name", sorted(HEX_FLAT))
