@@ -34,6 +34,7 @@ INPUT_ERROR = 1
 NUMERICAL_ERROR = 2
 
 _INPUT_EXCEPTIONS = (
+    argparse.ArgumentError,  # flags that parse one by one but do not go together
     problem_io.ProblemFormatError,
     DiskTopologyError,
     StructureError,
@@ -189,6 +190,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_rank(args) -> int:
+    if not args.jacobian and (args.perturb or args.seed):
+        raise argparse.ArgumentError(None, "--perturb and --seed move the label of --jacobian, and need it")
     prob = _load(args.problem)
     f = _solved_label(prob, args)
     if args.jacobian:
@@ -201,20 +204,21 @@ def _cmd_rank(args) -> int:
                     break
             else:
                 raise SolverError("could not find an admissible perturbed label")
-        m = prob.cs.system.jacobian(f)
-        kind = "curvature_jacobian"
+        m, kind, cert = prob.cs.system.jacobian(f), "curvature_jacobian", None
     else:
-        m = constraint_matrix(layout_augmented(prob.cs, f))
+        lay = layout_augmented(prob.cs, f)
         kind = "constraint_matrix"
-    # J is rank-deficient by design, so only M tries the certificate
-    cert = None if args.jacobian or args.spectrum else row_rank_certificate(m, args.svd_cutoff)
+        # J is rank-deficient by design, so only M tries the certificate,
+        # and M is densified only for the dense SVD
+        cert = None if args.spectrum else row_rank_certificate(lay, args.svd_cutoff)
+        m = constraint_matrix(lay) if cert is None else None
     if cert is not None:
         rank, s_max, smallest = cert
-        how = "gram"
+        shape, how = [rank, 4 * len(lay.mpoints)], "pinned_lu"  # M has 4 columns per vertex
     else:
         rank, spectrum = numerical_rank(m, cutoff=args.svd_cutoff)
-        s_max, smallest, how = spectrum[0], spectrum[::-1][:N_SMALLEST], "svd"
-    out = {"matrix": kind, "shape": list(m.shape), "cutoff": args.svd_cutoff, "rank": rank}
+        shape, s_max, smallest, how = list(m.shape), spectrum[0], spectrum[::-1][:N_SMALLEST], "svd"
+    out = {"matrix": kind, "shape": shape, "cutoff": args.svd_cutoff, "rank": rank}
     if args.spectrum:
         out["singular_values"] = [float(s) for s in spectrum]
     else:

@@ -9,25 +9,13 @@ The expectation is that only the Lorentz moves remain, which makes the
 The rank is reported, never asserted: it is experimental evidence.
 
 An augmented disk triangulates a sphere, so V + E = 4V - 6 and full
-rank is full row rank, which holds exactly when the Gram matrix
-G = M M^T is nonsingular.  row_rank_certificate proves it from a
-sparse factor: the largest eigenvalue of G by Lanczos, the four
-smallest by shift-invert Lanczos on an splu factor of G, both from a
-fixed start vector so that repeated calls give the same bits.  Forming
-and factoring G instead of M squares the condition number: an
-eigenvalue of G carries an error of order eps * lambda_max(G), which
-hides singular values of M below about sqrt(eps) * s_max.  So the
-certificate holds only with a margin,
-
-    lambda_min(G) >= 1e3 * max(eps, cutoff**2) * lambda_max(G),
-
-which puts s_min well above both that noise and cutoff * s_max; the
-rank is then the row count.  Otherwise (a singular factor, no Lanczos
-convergence, or an eigenvalue inside the margin) it returns None and
-the caller falls back to the dense SVD of numerical_rank, which also
-reports the full spectrum.  The margin holds on ring_lattice up to 8
-rings in every scenario; from about 12 rings on, the tangent and
-orthogonal scenarios fall back.
+rank is full row rank.  With columns read as the velocities J dxi
+(J = diag(1, 1, 1, -1)), M's kernel is {(A xi_v)_v : A a 4 x 4
+antisymmetric matrix}: the six Lorentz motions.  row_rank_certificate
+factors M with six columns pinned, never M M^T, so cond(M) is not
+squared; it certifies ring_lattice up to 32 rings in every scenario.
+Otherwise the caller falls back to the dense SVD of numerical_rank,
+which also reports the full spectrum.
 
 Both experiments take a layout alone: it carries its structure,
 label and realization, so checking many generators on one layout
@@ -37,6 +25,7 @@ row of the realization's (n, 4) array with one stacked product.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +42,19 @@ __all__ = [
 ]
 
 
+def _constraint_csr(layout: PlaneLayout):
+    """M as CSR, each entry written once: the vertex rows, then the edge rows."""
+    from scipy import sparse
+
+    mpoints, E = layout.mpoints, layout.cs.complex.compiled.E
+    n, e = len(mpoints), len(E)
+    block = 4 * np.arange(n)[:, None] + np.arange(4)  # the 4 columns of each vertex
+    indices = np.concatenate([block.ravel(), np.hstack([block[E[:, 0]], block[E[:, 1]]]).ravel()])
+    data = np.concatenate([mpoints.ravel(), np.hstack([mpoints[E[:, 1]], mpoints[E[:, 0]]]).ravel()])
+    indptr = np.concatenate([4 * np.arange(n), 4 * n + 8 * np.arange(e + 1)])
+    return sparse.csr_array((data, indices, indptr), shape=(n + e, 4 * n))
+
+
 def constraint_matrix(layout: PlaneLayout) -> np.ndarray:
     """Derivative of the product constraints at the layout's realization,
     one row per constraint, as a dense array.
@@ -63,16 +65,7 @@ def constraint_matrix(layout: PlaneLayout) -> np.ndarray:
     Rows are written without the symmetrization factor 2, which leaves
     the rank unchanged.
     """
-    mpoints = layout.mpoints
-    E = layout.cs.complex.compiled.E
-    n = len(mpoints)
-    block = 4 * np.arange(n)[:, None] + np.arange(4)  # the 4 columns of each vertex
-    rows = n + np.arange(len(E))[:, None]
-    m = np.zeros((n + len(E), 4 * n))
-    m[np.arange(n)[:, None], block] = mpoints
-    m[rows, block[E[:, 0]]] = mpoints[E[:, 1]]
-    m[rows, block[E[:, 1]]] = mpoints[E[:, 0]]
-    return m
+    return _constraint_csr(layout).toarray()
 
 
 def numerical_rank(matrix, cutoff: float = 1e-10):
@@ -86,42 +79,70 @@ def numerical_rank(matrix, cutoff: float = 1e-10):
 
 #: How many of the smallest singular values a rank report carries.
 N_SMALLEST = 4
-#: The factor by which lambda_min(G) must clear the noise of squaring M.
-_GRAM_MARGIN = 1e3
 
 
-def row_rank_certificate(m, cutoff: float = 1e-10):
-    """(rank, s_max, smallest) when m has certified full row rank, else None.
-
-    ``m`` is converted to CSR; ``rank`` is its row count and
+def row_rank_certificate(layout: PlaneLayout, cutoff: float = 1e-10):
+    """(rank, s_max, smallest) when M = constraint_matrix(layout) has
+    certified full row rank, else None; ``rank`` is M's row count and
     ``smallest`` its N_SMALLEST smallest singular values, ascending.
-    The certificate holds only when lambda_min(G) >= 1e3 *
-    max(eps, cutoff**2) * lambda_max(G) for G = m m^T (see the module
-    docstring).  None means "not certified", not "rank deficient": a
-    singular splu factor, an ArpackNoConvergence, an eigenvalue inside
-    the margin, or too few rows for the Lanczos calls; numerical_rank
-    then decides.
+
+    M stays sparse.  Pinning the six columns M_R that a pivoted QR of
+    the kernel basis picks leaves a square M_S, factored by splu; with
+    W = M_S^-1 M_R = Q diag(w) V^T (thin SVD), M M^T = M_S (I + W W^T)
+    M_S^T is inverted by two solves and the 6 x 6 capacitance step
+    (I + W W^T)^-1 = I - Q diag(w^2 / (1 + w^2)) Q^T: the OPinv of
+    shift-invert Lanczos.  s_max comes from Lanczos on x -> M (M^T x).
+    Both start from a fixed vector, so repeated calls give the same bits.
+
+    The margin is a first-order backward-error bound.  With partial
+    pivoting each solve is exact for some M_S + D with ||D|| of order
+    rows * eps * rho * ||M_S|| (Wilkinson), rho = max|U| / max|M_S|
+    being the factor's growth; the capacitance step is a contraction,
+    and cond(M_S) <= sqrt(1 + w_max^2) * s_max / s_min since M = M_S
+    [I W] up to the column order.  So the computed s_min is within
+    delta = rows * eps * rho * cond(M_S) of s_min, relatively, and the
+    rank is certified when delta < 1 and (1 - delta) * s_min > cutoff *
+    s_max.  None means "not certified", not "rank deficient" (a singular
+    factor, no Lanczos convergence, a failed bound, or too few rows);
+    numerical_rank then decides.
     """
-    from scipy import sparse
+    from scipy.linalg import qr
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-    m = sparse.csr_array(m, dtype=float)
-    rows = m.shape[0]
+    m = _constraint_csr(layout)
+    rows, cols = m.shape
     if rows <= N_SMALLEST + 1:
         return None
-    g = (m @ m.T).tocsc()
+    xi = layout.mpoints
+    kernel = np.zeros((6, len(xi), 4))  # (A xi_v)_v for the six A = E_ij - E_ji
+    for k, (i, j) in enumerate(itertools.combinations(range(4), 2)):
+        kernel[k, :, i], kernel[k, :, j] = xi[:, j], -xi[:, i]
+    pinned = qr(kernel.reshape(6, cols), pivoting=True, mode="r")[1][:6]
+    m_s = m[:, np.setdiff1d(np.arange(cols), pinned)].tocsc()
+    gram = LinearOperator((rows, rows), matvec=lambda x: m @ (m.T @ x), dtype=float)
     v0 = np.cos(0.7 * np.arange(rows)) + 2.0  # fixed: ARPACK's default start is random
     try:
-        lam_max = eigsh(g, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-        lu = splu(g)
-        inv = LinearOperator(g.shape, matvec=lu.solve, dtype=float)
-        small = np.sort(eigsh(g, k=N_SMALLEST, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False))
-    except RuntimeError:  # splu's exactly singular factor, or eigsh's ArpackNoConvergence
+        lam_max = eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
+        lu = splu(m_s)
+        q, sw, _ = np.linalg.svd(lu.solve(m[:, pinned].toarray()), full_matrices=False)
+        damp = sw * sw / (1.0 + sw * sw)
+
+        def solve_gram(x):
+            y = lu.solve(x)
+            return lu.solve(y - q @ (damp * (q.T @ y)), trans="T")
+
+        inv = LinearOperator((rows, rows), matvec=solve_gram, dtype=float)
+        small = np.sort(eigsh(gram, k=N_SMALLEST, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False))
+    except (RuntimeError, np.linalg.LinAlgError):  # a singular factor, or no convergence
         return None
-    margin = _GRAM_MARGIN * max(np.finfo(float).eps, cutoff * cutoff)
-    if not (np.isfinite(lam_max) and lam_max > 0 and small[0] >= margin * lam_max):
+    if not (lam_max > 0 and small[0] > 0):
         return None
-    return rows, float(np.sqrt(lam_max)), np.sqrt(small)
+    s_max, smallest = float(np.sqrt(lam_max)), np.sqrt(small)
+    growth = np.max(np.abs(lu.U.data)) / np.max(np.abs(m_s.data))
+    delta = rows * np.finfo(float).eps * growth * np.sqrt(1.0 + sw[0] ** 2) * s_max / smallest[0]
+    if not (delta < 1.0 and (1.0 - delta) * smallest[0] > cutoff * s_max):
+        return None
+    return rows, s_max, smallest
 
 
 @dataclass

@@ -91,6 +91,7 @@ _LAYOUT_ENTRIES = {
     "render_svg": ["layout", "size"],
     "mobius_orbit_check": ["layout", "generator", "eps"],
     "constraint_matrix": ["layout"],
+    "row_rank_certificate": ["layout", "cutoff"],
     "layout_edge_error": ["layout"],
     "layout_point_multiplicity": ["layout", "mu", "point"],
 }

@@ -448,12 +448,13 @@ def test_cli_rank_reports_the_certificate(hex_file, ring4_file, capsys, which):
     assert main(["rank", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"matrix", "shape", "cutoff", "rank", "s_max", "smallest_singular_values", "certificate"}
-    assert out["certificate"] == "gram"
+    assert out["certificate"] == "pinned_lu"
     dense = json.loads(_spectrum_report(path))
     assert out["rank"] == dense["rank"] == out["shape"][0]
+    assert out["shape"] == dense["shape"]
     s = dense["singular_values"]
     assert out["s_max"] == pytest.approx(s[0], rel=1e-12)
-    assert out["smallest_singular_values"] == pytest.approx(s[::-1][:4], rel=1e-6)
+    assert out["smallest_singular_values"] == pytest.approx(s[::-1][:4], rel=1e-8)
 
 
 def test_cli_rank_falls_back_on_a_singular_factor(hex_file, capsys, monkeypatch):
@@ -473,14 +474,19 @@ def test_cli_rank_falls_back_on_a_singular_factor(hex_file, capsys, monkeypatch)
 
 
 def test_cli_rank_falls_back_on_a_duplicated_row(hex_file, capsys, monkeypatch):
-    import diskfold.cli as cli
+    from scipy import sparse
 
-    def duplicated(*args):
-        m = constraint_matrix(*args)
+    import diskfold.rigidity as rigidity
+
+    build_csr = rigidity._constraint_csr
+
+    def duplicated(layout):
+        m = build_csr(layout).toarray()
         m[1] = m[0]
-        return m
+        return sparse.csr_array(m)
 
-    monkeypatch.setattr(cli, "constraint_matrix", duplicated)
+    # the certificate and the dense fallback read M from the one builder
+    monkeypatch.setattr(rigidity, "_constraint_csr", duplicated)
     assert main(["rank", str(hex_file)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["certificate"] == "svd"
@@ -747,6 +753,15 @@ def test_cli_bad_input_exits_1_without_traceback(hex_file, capsys, argv, flag):
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--perturb", "0.3", "--seed", "5"], ["--perturb", "0.3"], ["--seed", "5"]])
+def test_cli_rank_perturb_needs_jacobian(hex_file, capsys, flags):
+    # without --jacobian these flags once changed nothing in the output
+    assert main(["rank", str(hex_file), *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "diskfold: input error: --perturb and --seed move the label of --jacobian, and need it\n"
 
 
 def test_cli_rank_jacobian_perturbed(hex_file, capsys):

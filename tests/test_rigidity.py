@@ -13,6 +13,7 @@ from diskfold import (
     numerical_rank,
     row_rank_certificate,
 )
+from diskfold import rigidity
 from diskfold.minkowski import induced_label_variation, infinitesimal_generator
 from diskfold.presets import SCENARIOS, build
 
@@ -78,11 +79,24 @@ def test_numerical_rank_on_simple_matrices():
     assert numerical_rank(m)[0] == 1
 
 
-def _realized_constraint_matrix(name, **kw):
+def _realized_layout(name, **kw):
     aug, cs = build(name, **kw)
     res = newton_flat(cs)
     assert res.converged
-    return constraint_matrix(layout_augmented(cs, res.f))
+    return layout_augmented(cs, res.f)
+
+
+def _dense_reference(layout):
+    """M written entry by entry into a dense array, without a sparse pass."""
+    mp, E = layout.mpoints, layout.cs.complex.compiled.E
+    n = len(mp)
+    m = np.zeros((n + len(E), 4 * n))
+    for v in range(n):
+        m[v, 4 * v : 4 * v + 4] = mp[v]
+    for k, (u, v) in enumerate(E):
+        m[n + k, 4 * u : 4 * u + 4] = mp[v]
+        m[n + k, 4 * v : 4 * v + 4] = mp[u]
+    return m
 
 
 CERTIFIED = [("hex_tangent", {}), ("hex_orthogonal", {}), ("hex_inscribed", {})] + [
@@ -94,18 +108,37 @@ CERTIFIED = [("hex_tangent", {}), ("hex_orthogonal", {}), ("hex_inscribed", {})]
     "name, kw", CERTIFIED, ids=[f"ring{kw['n_rings']}-{kw['scenario']}" if kw else n for n, kw in CERTIFIED]
 )
 def test_certificate_matches_dense_rank(name, kw):
-    m = _realized_constraint_matrix(name, **kw)
-    cert = row_rank_certificate(m, 1e-10)
+    lay = _realized_layout(name, **kw)
+    m = constraint_matrix(lay)
+    assert m.tobytes() == _dense_reference(lay).tobytes()
+    cert = row_rank_certificate(lay, 1e-10)
     assert cert is not None
     rank, s_max, smallest = cert
     dense_rank, s = numerical_rank(m, 1e-10)
     assert rank == dense_rank == m.shape[0]
     assert abs(s_max - s[0]) <= 1e-12 * s[0]
     assert np.all(np.diff(smallest) >= 0)
-    # squaring M costs digits at the small end; the margin keeps them apart
-    assert np.allclose(smallest, s[::-1][:4], rtol=1e-4, atol=0)
-    again = row_rank_certificate(m, 1e-10)
+    # M_S is factored, not M M^T, so the small end keeps its digits
+    assert np.allclose(smallest, s[::-1][:4], rtol=1e-8, atol=0)
+    again = row_rank_certificate(lay, 1e-10)
     assert again[1] == s_max and np.array_equal(again[2], smallest)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_certificate_holds_at_ring_12(scenario):
+    # the route through M M^T fell back to the dense SVD here for
+    # tangent and orthogonal
+    lay = _realized_layout("ring_lattice", n_rings=12, scenario=scenario)
+    rank, s_max, smallest = row_rank_certificate(lay, 1e-10)
+    assert rank == 4 * len(lay.mpoints) - 6 == len(lay.mpoints) + len(lay.cs.complex.compiled.E)
+    assert smallest[0] > 1e-10 * s_max
+
+
+def test_certificate_refuses_past_ring_32():
+    # s_min / s_max is 2.8 times the cutoff here, but the error bound of
+    # the factor is above 1, so the smallest value is not certain
+    lay = _realized_layout("ring_lattice", n_rings=64, scenario="inscribed")
+    assert row_rank_certificate(lay, 1e-10) is None
 
 
 @pytest.mark.parametrize(
@@ -121,25 +154,28 @@ def test_certificate_refuses_a_failed_factor_or_lanczos(hex_layout, monkeypatch,
     def fail(*args, **kwargs):
         raise error
 
-    m = constraint_matrix(hex_layout)
-    assert row_rank_certificate(m) is not None
+    assert row_rank_certificate(hex_layout) is not None
     monkeypatch.setattr(scipy.sparse.linalg, target, fail)
-    assert row_rank_certificate(m) is None
+    assert row_rank_certificate(hex_layout) is None
 
 
 def test_certificate_margin_follows_the_cutoff(hex_layout):
-    # (s_min / s_max)**2 is about 5.4e-3 here: the margin 1e3 * cutoff**2
-    # clears it at cutoff 1e-3 but not at 1e-2, where the dense rank
-    # still counts every row
+    # the error bound of the factor is about 1e-12 here, so the
+    # certificate holds up to a cutoff just below s_min / s_max (about
+    # 0.0735) and fails just above it, where the dense rank drops too
     m = constraint_matrix(hex_layout)
-    assert row_rank_certificate(m, 1e-3) is not None
-    assert row_rank_certificate(m, 1e-2) is None
-    assert numerical_rank(m, 1e-2)[0] == m.shape[0]
+    _, s = numerical_rank(m)
+    ratio = s[-1] / s[0]
+    assert row_rank_certificate(hex_layout, 0.999 * ratio) is not None
+    assert row_rank_certificate(hex_layout, 1.001 * ratio) is None
+    assert numerical_rank(m, 0.999 * ratio)[0] == m.shape[0]
+    assert numerical_rank(m, 1.001 * ratio)[0] < m.shape[0]
 
 
-def test_certificate_needs_more_rows_than_eigenvalues():
-    assert row_rank_certificate(np.eye(5)) is None
-    assert row_rank_certificate(np.eye(6))[0] == 6
+def test_certificate_needs_more_rows_than_eigenvalues(hex_layout, monkeypatch):
+    build_csr = rigidity._constraint_csr
+    monkeypatch.setattr(rigidity, "_constraint_csr", lambda layout: build_csr(layout)[:5])
+    assert row_rank_certificate(hex_layout) is None
 
 
 def test_orbit_transport_stays_flat(hex_layout):
