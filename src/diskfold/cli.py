@@ -190,13 +190,15 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    if not args.jacobian and (args.perturb or args.seed):
+    if not args.jacobian and (args.perturb or args.seed is not None):
         raise argparse.ArgumentError(None, "--perturb and --seed move the label of --jacobian, and need it")
+    if args.seed is not None and not args.perturb:
+        raise argparse.ArgumentError(None, "--seed draws the --perturb move, and needs it")
     prob = _load(args.problem)
     f = _solved_label(prob, args)
     if args.jacobian:
         if args.perturb:
-            rng = np.random.default_rng(args.seed)
+            rng = np.random.default_rng(args.seed or 0)
             for _ in range(100):
                 cand = f + rng.uniform(-args.perturb, args.perturb, len(f))
                 if prob.cs.system.admissible(cand):
@@ -211,7 +213,14 @@ def _cmd_rank(args) -> int:
         # J is rank-deficient by design, so only M tries the certificate,
         # and M is densified only for the dense SVD
         cert = None if args.spectrum else row_rank_certificate(lay, args.svd_cutoff)
-        m = constraint_matrix(lay) if cert is None else None
+        try:
+            m = constraint_matrix(lay) if cert is None else None
+        except MemoryError:
+            rows, cols = len(lay.mpoints) + len(prob.aug.compiled.E), 4 * len(lay.mpoints)
+            why = "--spectrum" if args.spectrum else "the pinned-LU certificate did not certify the rank, so the SVD"
+            print(f"diskfold: numerical failure: {why} needs M ({rows} x {cols}) dense, "
+                  "which does not fit in memory", file=sys.stderr)
+            return NUMERICAL_ERROR
     if cert is not None:
         rank, s_max, smallest = cert
         shape, how = [rank, 4 * len(lay.mpoints)], "pinned_lu"  # M has 4 columns per vertex
@@ -311,7 +320,7 @@ def _build_parser() -> _Parser:
     q.add_argument("problem")
     q.add_argument("--jacobian", action="store_true", help="curvature Jacobian instead")
     q.add_argument("--perturb", type=_perturbation, default=0.0, help="move off the flat label")
-    q.add_argument("--seed", type=_nonnegative_int, default=0)
+    q.add_argument("--seed", type=_nonnegative_int)
     q.add_argument("--spectrum", action="store_true", help="every singular value, by dense SVD")
     q.add_argument("--out")
 

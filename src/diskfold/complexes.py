@@ -19,8 +19,9 @@ arrays.  The id views (faces, edges, vertex_index, simplex_index, ...)
 are built on first use.  Labels are coerced to vertex order by the one
 label_array.  A simplex's class is a code off the index: sign(const) of
 a vertex, -fold_sign of a face, the mean of an edge's two faces.  A
-MultiplicityAssignment is three read-only integer arrays over the
-vertices, edges and faces; the standard one is (-1)^dim times the code.
+MultiplicityAssignment carries its complex and three read-only integer
+arrays over its vertices, edges and faces, so the functions of an
+assignment take it alone; the standard one is (-1)^dim times the code.
 """
 
 from __future__ import annotations
@@ -538,23 +539,16 @@ def standard_multiplicities(aug: AugmentedDisk) -> MultiplicityAssignment:
     return MultiplicityAssignment(aug, vertex, -edge, face)
 
 
-def _require_on(mu: MultiplicityAssignment, complex_) -> None:
-    """ValueError unless mu's weights are on ``complex_`` itself."""
-    if mu.complex is not complex_:
-        raise ValueError("the multiplicities are on another complex")
-
-
-def pointwise_multiplicity(aug: AugmentedDisk, mu: MultiplicityAssignment, simplex) -> int:
+def pointwise_multiplicity(mu: MultiplicityAssignment, simplex) -> int:
     """Sum of mu over all simplices whose closure contains the given one.
 
     For the standard assignment this is 1 on interior simplices, 0 on
     boundary ones and -1 on augmented ones: the two sheets of the fold
     counted with sign, as seen from the closed star of the simplex.
-    The cofaces are the rows of the compiled index that hold every
-    vertex of the simplex (none, for an id off the complex).  ValueError
-    unless mu is on aug.
+    The cofaces are the rows of mu's compiled complex that hold every
+    vertex of the simplex (none, for an id off the complex).
     """
-    _require_on(mu, aug)
+    aug = mu.complex
     idx = [aug.vertex_index.get(v, -1) for v in set(simplex)]
     rows = (np.arange(len(aug.vertices))[:, None], aug.compiled.E, aug.compiled.F)
     return mu.total(*(np.isin(r, idx).sum(axis=1) == len(idx) for r in rows))

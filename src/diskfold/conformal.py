@@ -85,8 +85,8 @@ class ConformalStructure:
         vertices = complex_.vertices
         a = _gather(alpha, len(vertices), lambda: vertices, "alpha misses vertices {}".format)
         h = _gather(eta, len(complex_.compiled.E), lambda: complex_.edges, "eta misses edges {}".format)
-        _require_finite("alpha", np.fromiter(alpha.values(), float, len(alpha)), lambda: list(alpha))
-        _require_finite("eta", np.fromiter(eta.values(), float, len(eta)), lambda: list(eta))
+        _require_finite("alpha", a if isinstance(alpha, np.ndarray) else alpha, lambda: vertices)
+        _require_finite("eta", h if isinstance(eta, np.ndarray) else eta, lambda: complex_.edges)
         return cls(complex_, _frozen(a), _frozen(h))
 
     @cached_property
@@ -136,7 +136,12 @@ def _gather(values, n: int, keys, missing_message) -> np.ndarray:
     return out
 
 
-def _require_finite(name: str, values: np.ndarray, keys) -> None:
+def _require_finite(name: str, values, keys) -> None:
+    """StructureError naming the first non-finite entry of an array, whose
+    ids keys() lists, or of a mapping's values, extra keys included."""
+    if not isinstance(values, np.ndarray):
+        mapping = values
+        values, keys = np.fromiter(mapping.values(), float, len(mapping)), lambda: list(mapping)
     bad = ~np.isfinite(values)
     if bad.any():
         raise StructureError(f"{name}[{keys()[int(np.argmax(bad))]}] is not finite")

@@ -12,9 +12,11 @@ the folded disk exactly, and the map (subcomplex -> curvature) is a
 valuation: K(A u B) = K(A) + K(B) - K(A n B).
 
 The angles come as the (F, 3) array of AngleSystem.angles, the weights
-as the assignment's arrays (masked by row to restrict to a subcomplex),
-and the curvature of all vertices is one scatter over the complex's
-compiled incidence (edge ends, face corners).
+as the assignment's arrays (masked by row to restrict to a subcomplex);
+an assignment carries its complex, so no entry takes one beside it.
+The pi terms of a vertex are pi times one exact integer count, and the
+curvature of all vertices is one scatter of that constant and the
+corner angles, the scatter AngleSystem sums its curvature with.
 """
 
 from __future__ import annotations
@@ -23,13 +25,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .complexes import (
-    AugmentedDisk,
-    MultiplicityAssignment,
-    _require_on,
-    simplex_key,
-    standard_multiplicities,
-)
+from .complexes import AugmentedDisk, MultiplicityAssignment, simplex_key, standard_multiplicities
 from .conformal import ConformalStructure, _complex_of
 from .layout import PlaneLayout
 
@@ -46,47 +42,43 @@ __all__ = [
 POINT_TOL = 1e-9
 
 
-def measure_curvatures(
-    aug: AugmentedDisk, mu: MultiplicityAssignment, angles: np.ndarray
-) -> np.ndarray:
+def measure_curvatures(mu: MultiplicityAssignment, angles: np.ndarray) -> np.ndarray:
     """Curvature of the weighted complex at every vertex, in vertex order.
 
-    ``angles`` is AngleSystem.angles(f): a row per face, column c at
-    the corner faces[i][c].  One scatter of every simplex's
-    contribution over the compiled incidence; ValueError unless mu is on aug.
+    ``angles`` is AngleSystem.angles(f): a row per face of mu's complex,
+    column c at the corner faces[i][c].
     """
-    return _measure(aug, mu, angles, (True, True, True))
+    return _measure(mu, angles, (True, True, True))
 
 
-def _measure(aug: AugmentedDisk, mu: MultiplicityAssignment, angles: np.ndarray, keep) -> np.ndarray:
-    """measure_curvatures with mu's vertex, edge and face weights masked by ``keep``."""
-    _require_on(mu, aug)
-    ix = aug.compiled
-    n = len(aug.vertices)
+def _measure(mu: MultiplicityAssignment, angles: np.ndarray, keep) -> np.ndarray:
+    """measure_curvatures with mu's vertex, edge and face weights masked by
+    ``keep``: pi * (2 mu(v) + the mu of v's edge ends and face corners),
+    an exact count, then minus theta * mu(f) at every corner."""
+    ix = mu.complex.compiled
     mv, me, mf = (w * k for w, k in zip((mu.vertex, mu.edge, mu.face), keep))
-    index = np.concatenate([np.arange(n), ix.E.ravel(), ix.F.ravel()])
-    w = np.concatenate(
-        [2.0 * np.pi * mv, np.repeat(np.pi * me, 2), ((np.pi - angles) * mf[:, None]).ravel()]
-    )
-    return np.bincount(index, w, minlength=n)
+    n = len(mv)
+    ends = np.concatenate([ix.E.ravel(), ix.F.ravel()])
+    count = 2 * mv + np.bincount(ends, np.concatenate([np.repeat(me, 2), np.repeat(mf, 3)]), minlength=n)
+    index = np.concatenate([np.arange(n), ix.F.ravel()])
+    return np.bincount(index, np.concatenate([np.pi * count, (-angles * mf[:, None]).ravel()]), minlength=n)
 
 
-def measure_curvature(
-    aug: AugmentedDisk, mu: MultiplicityAssignment, angles: np.ndarray, vertex
-) -> float:
+def measure_curvature(mu: MultiplicityAssignment, angles: np.ndarray, vertex) -> float:
     """Curvature of the weighted complex at one vertex."""
-    return float(measure_curvatures(aug, mu, angles)[aug.vertex_index[vertex]])
+    return float(measure_curvatures(mu, angles)[mu.complex.vertex_index[vertex]])
 
 
 def measure_equivalence_check(cs: ConformalStructure, f) -> float:
     """Max deviation between measure curvature and angle curvature.
 
-    Uses the standard multiplicities; the two definitions agree up to
-    summation order, so the deviation is pure roundoff.
+    Uses the standard multiplicities, whose pi terms count to the
+    structure constants 2 pi, 0 and -2 pi; the measure is then summed
+    in the angle curvature's order, so the deviation is 0 exactly.
     """
     aug = _complex_of(cs, AugmentedDisk)
     ev = cs.system.accept(cs.system.evaluate(f))
-    K = measure_curvatures(aug, standard_multiplicities(aug), ev.angles)
+    K = measure_curvatures(standard_multiplicities(aug), ev.angles)
     return float(np.max(np.abs(K - ev.curvature)))
 
 
@@ -95,35 +87,28 @@ def closure(simplices) -> frozenset:
     return frozenset(c for s in map(simplex_key, simplices) for d in range(1, len(s) + 1) for c in combinations(s, d))
 
 
-def valuation_defect(
-    aug: AugmentedDisk,
-    mu: MultiplicityAssignment,
-    angles: np.ndarray,
-    vertex,
-    A,
-    B,
-) -> float:
+def valuation_defect(mu: MultiplicityAssignment, angles: np.ndarray, vertex, A, B) -> float:
     """|K(A u B) - K(A) - K(B) + K(A n B)| at one vertex.
 
-    A and B must be subcomplexes (closed under sub-simplices) of the
-    augmented disk; exact up to roundoff for any multiplicities.  K(X)
-    is the measure curvature with mu restricted to X.
+    A and B must be subcomplexes (closed under sub-simplices) of mu's
+    complex; exact up to roundoff for any multiplicities.  K(X) is the
+    measure curvature with mu restricted to X.
     """
-    index = aug.simplex_index
+    index = mu.complex.simplex_index
     A, B = (frozenset(map(simplex_key, X)) for X in (A, B))
     for name, X in (("A", A), ("B", B)):
         if not X <= index.keys():
             raise ValueError(f"{name} contains simplices outside the complex")
         if closure(X) != X:
             raise ValueError(f"{name} is not closed under sub-simplices")
-    i = aug.vertex_index[vertex]
+    i = mu.complex.vertex_index[vertex]
 
     def k(X):
         # mu restricted to X by row masks
         keep = [np.zeros(len(w), dtype=bool) for w in (mu.vertex, mu.edge, mu.face)]
         for s in X:
             keep[len(s) - 1][index[s]] = True
-        return _measure(aug, mu, angles, keep)[i]
+        return _measure(mu, angles, keep)[i]
 
     return float(abs(k(A | B) - k(A) - k(B) + k(A & B)))
 
@@ -139,7 +124,8 @@ def layout_point_multiplicity(layout: PlaneLayout, mu: MultiplicityAssignment, p
     sign, in particular at generic points of the folded image.  Every
     vertex, edge and face is tested at once over the compiled index.
     """
-    _require_on(mu, layout.cs.complex)
+    if mu.complex is not layout.cs.complex:
+        raise ValueError("the multiplicities are on another complex")
     ix = layout.cs.complex.compiled
     q = np.asarray(point, dtype=float)
     P = layout.positions

@@ -96,6 +96,16 @@ _LAYOUT_ENTRIES = {
     "layout_point_multiplicity": ["layout", "mu", "point"],
 }
 
+#: Every entry of the multiplicity layer, with its parameters: the
+#: assignment comes first and carries its complex, so none takes one
+#: beside it
+_MULTIPLICITY_ENTRIES = {
+    "measure_curvatures": ["mu", "angles"],
+    "measure_curvature": ["mu", "angles", "vertex"],
+    "valuation_defect": ["mu", "angles", "vertex", "A", "B"],
+    "pointwise_multiplicity": ["mu", "simplex"],
+}
+
 
 @pytest.mark.parametrize("name", sorted(_STRUCTURE_ENTRIES))
 def test_structure_entries_take_no_complex(name):
@@ -109,6 +119,23 @@ def test_layout_entries_take_the_layout_alone(name):
     params = list(inspect.signature(getattr(diskfold, name)).parameters.values())
     assert [p.name for p in params] == _LAYOUT_ENTRIES[name]
     assert params[0].annotation == "PlaneLayout"
+
+
+@pytest.mark.parametrize("name", sorted(_MULTIPLICITY_ENTRIES))
+def test_multiplicity_entries_take_the_assignment_alone(name):
+    params = list(inspect.signature(getattr(diskfold, name)).parameters.values())
+    assert [p.name for p in params] == _MULTIPLICITY_ENTRIES[name]
+    assert params[0].annotation == "MultiplicityAssignment"
+    assert not any("Disk" in str(p.annotation) for p in params)
+
+
+def test_an_assignment_carries_its_complex():
+    assert not hasattr(diskfold.complexes, "_require_on") and not hasattr(diskfold.measures, "_require_on")
+    aug, _ = diskfold.build("hex_tangent")
+    mu = diskfold.standard_multiplicities(aug)
+    assert mu.complex is aug
+    with pytest.raises(TypeError):
+        diskfold.pointwise_multiplicity(aug, mu, (0,))  # the old form: one argument too many
 
 
 def test_a_layout_carries_its_label():

@@ -224,7 +224,7 @@ def test_pointwise_multiplicity_by_class():
         ((0, 1, 2), 1), ((1, 2, apex), -1),
     ]
     for simplex, expect in cases:
-        assert pointwise_multiplicity(aug, mu, simplex) == expect
+        assert pointwise_multiplicity(mu, simplex) == expect
 
 
 def test_pointwise_multiplicity_on_larger_disk():
@@ -237,7 +237,7 @@ def test_pointwise_multiplicity_on_larger_disk():
         SimplexClass.AUGMENTED: -1,
     }
     for key, klass in cl.items():
-        assert pointwise_multiplicity(aug, mu, key) == expect[klass]
+        assert pointwise_multiplicity(mu, key) == expect[klass]
 
 
 
@@ -249,7 +249,7 @@ def test_pointwise_multiplicity_with_arbitrary_weights():
     mu = MultiplicityAssignment.on(aug, {s: int(rng.integers(-3, 4)) for s in simplices})
     for query in simplices + [(), (99,), (0, 99)]:
         want = sum(mu(s) for s in simplices if set(query) <= set(s))
-        assert pointwise_multiplicity(aug, mu, query) == want
+        assert pointwise_multiplicity(mu, query) == want
 
 
 def test_flipped_disks_are_irregular_lattices():

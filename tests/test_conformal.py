@@ -294,6 +294,16 @@ def test_structure_arrays_gather_in_complex_order():
         apex_alpha=0.7,
     )
     assert aligned.alpha == cs.alpha and aligned.eta == cs.eta
+    # so do the structure's own arrays through on, non-finite ones named by id
+    again = ConformalStructure.on(aug, a, h)
+    assert again.alpha_array.tobytes() == a.tobytes() and again.eta_array.tobytes() == h.tobytes()
+    with pytest.raises(StructureError, match=rf"^alpha\[{aug.apex}\] is not finite$"):
+        ConformalStructure.on(aug, np.append(a[:-1], np.nan), h)
+    bad_eta = h.copy()
+    bad_eta[2] = np.inf
+    with pytest.raises(StructureError) as info:
+        ConformalStructure.on(aug, a, bad_eta)
+    assert str(info.value) == f"eta[{aug.edges[2]}] is not finite"
     # the id gather at the edge: the disk's rows of the augmented arrays
     on_disk = ConformalStructure.on(aug.disk, cs.alpha, cs.eta)
     ne = len(disk.compiled.E)

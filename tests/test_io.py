@@ -495,6 +495,24 @@ def test_cli_rank_falls_back_on_a_duplicated_row(hex_file, capsys, monkeypatch):
     assert out["smallest_singular_values"][0] <= 1e-10 * out["s_max"]
 
 
+@pytest.mark.parametrize("flags", [[], ["--spectrum"]])
+def test_cli_rank_without_room_for_the_dense_m_exits_2(hex_file, capsys, monkeypatch, flags):
+    # past ring 32 the certificate may answer None and the dense M (at ring
+    # 64, 18.6 GiB) not fit: one line naming M's shape, no traceback
+    import diskfold.cli as cli
+
+    def no_room(layout):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "row_rank_certificate", lambda layout, cutoff: None)
+    monkeypatch.setattr(cli, "constraint_matrix", no_room)
+    assert main(["rank", str(hex_file), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    why = "--spectrum" if flags else "the pinned-LU certificate did not certify the rank, so the SVD"
+    assert captured.err == f"diskfold: numerical failure: {why} needs M (26 x 32) dense, which does not fit in memory\n"
+
+
 def test_cli_rank_jacobian_keeps_the_dense_route(hex_file, capsys):
     assert main(["rank", str(hex_file), "--jacobian"]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -755,18 +773,34 @@ def test_cli_bad_input_exits_1_without_traceback(hex_file, capsys, argv, flag):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [["--perturb", "0.3", "--seed", "5"], ["--perturb", "0.3"], ["--seed", "5"]])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--perturb", "0.3", "--seed", "5"],
+        ["--perturb", "0.3"],
+        ["--seed", "5"],
+        ["--jacobian", "--seed", "5"],
+        ["--jacobian", "--perturb", "0", "--seed", "5"],
+    ],
+)
 def test_cli_rank_perturb_needs_jacobian(hex_file, capsys, flags):
-    # without --jacobian these flags once changed nothing in the output
+    # without --jacobian these flags, and --seed without a --perturb move,
+    # once changed nothing in the output
     assert main(["rank", str(hex_file), *flags]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "diskfold: input error: --perturb and --seed move the label of --jacobian, and need it\n"
+    if "--jacobian" in flags:
+        assert captured.err == "diskfold: input error: --seed draws the --perturb move, and needs it\n"
+    else:
+        assert captured.err == "diskfold: input error: --perturb and --seed move the label of --jacobian, and need it\n"
 
 
 def test_cli_rank_jacobian_perturbed(hex_file, capsys):
+    assert main(["rank", str(hex_file), "--jacobian", "--perturb", "0.01", "--seed", "0"]) == 0
+    seeded = capsys.readouterr().out
     assert main(["rank", str(hex_file), "--jacobian", "--perturb", "0.01"]) == 0
-    out = json.loads(capsys.readouterr().out)
+    assert capsys.readouterr().out == seeded  # the seed defaults to 0
+    out = json.loads(seeded)
     assert out["matrix"] == "curvature_jacobian"
     assert out["shape"] == [8, 8]
     # off the flat label only the shift direction stays in the kernel

@@ -35,7 +35,7 @@ def test_measure_curvature_vanishes_at_flat_label():
     mu = standard_multiplicities(aug)
     th = AngleSystem(cs).angles(HEX_FLAT["hex_tangent"])
     for v in aug.vertices:
-        assert measure_curvature(aug, mu, th, v) == pytest.approx(0.0, abs=1e-13)
+        assert measure_curvature(mu, th, v) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_equivalence_on_flat_and_perturbed_labels():
@@ -89,7 +89,7 @@ def test_valuation_property():
     ]
     for A, B in pairs:
         for v in (0, 1, 2):
-            assert valuation_defect(aug, mu, th, v, A, B) <= 1e-12
+            assert valuation_defect(mu, th, v, A, B) <= 1e-12
 
 
 def test_valuation_rejects_non_subcomplexes():
@@ -98,7 +98,7 @@ def test_valuation_rejects_non_subcomplexes():
     th = AngleSystem(cs).angles(HEX_FLAT["hex_tangent"])
     open_set = frozenset({(0, 1, 2)})  # faces without their edges
     with pytest.raises(ValueError):
-        valuation_defect(aug, mu, th, 0, open_set, open_set)
+        valuation_defect(mu, th, 0, open_set, open_set)
 
 
 def _loop_measure_curvature(aug, mu, th, vertex):
@@ -121,10 +121,10 @@ def test_measure_curvatures_matches_scalar_calls():
     # the standard weights, then arbitrary integer weights on every simplex
     arbitrary = {s: int(rng.integers(-3, 4)) for s in sorted(closure(aug.faces))}
     for mu in (standard_multiplicities(aug), MultiplicityAssignment.on(aug, arbitrary)):
-        allk = measure_curvatures(aug, mu, th)
+        allk = measure_curvatures(mu, th)
         assert allk.shape == (len(aug.vertices),)
         for i, v in enumerate(aug.vertices):
-            assert allk[i] == measure_curvature(aug, mu, th, v)
+            assert allk[i] == measure_curvature(mu, th, v)
             assert allk[i] == pytest.approx(_loop_measure_curvature(aug, mu, th, v), abs=1e-12)
 
 
