@@ -45,24 +45,13 @@ from .measures import (
     valuation_defect,
 )
 from .minkowski import (
-    UNIT_CIRCLE,
-    UNIT_DISK_COREP,
     ImproperVectorError,
     InfinitesimalMobius,
-    LorentzMap,
     MPoint,
-    NotLorentzError,
-    PredicateDomainError,
-    WeightedPoint,
-    apply_lorentz,
     canonical_lift,
     induced_label_variation,
     infinitesimal_generator,
-    intersection_angle,
-    inversive_distance,
     mprod,
-    point_separation_sq,
-    power_of_point,
     project,
 )
 from .presets import (

@@ -190,7 +190,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    if not args.jacobian and (args.perturb or args.seed is not None):
+    if not args.jacobian and (args.perturb is not None or args.seed is not None):
         raise argparse.ArgumentError(None, "--perturb and --seed move the label of --jacobian, and need it")
     if args.seed is not None and not args.perturb:
         raise argparse.ArgumentError(None, "--seed draws the --perturb move, and needs it")
@@ -319,7 +319,7 @@ def _build_parser() -> _Parser:
     q = add("rank", _cmd_rank, parents=[newton], help="rank experiment at a solved label")
     q.add_argument("problem")
     q.add_argument("--jacobian", action="store_true", help="curvature Jacobian instead")
-    q.add_argument("--perturb", type=_perturbation, default=0.0, help="move off the flat label")
+    q.add_argument("--perturb", type=_perturbation, help="move off the flat label")
     q.add_argument("--seed", type=_nonnegative_int)
     q.add_argument("--spectrum", action="store_true", help="every singular value, by dense SVD")
     q.add_argument("--out")

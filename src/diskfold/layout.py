@@ -29,13 +29,14 @@ The layout lifts to Minkowski vectors
 
 which reproduce the structure constants: <xi_v, xi_v> = alpha_v and
 -<xi_v, xi_w> = eta_vw on edges.  realize_mpoints computes them for
-all vertices at once, as one read-only (n, 4) array with the rows of
-the positions; PlaneLayout.mpoints builds it on first read, and every
-later layer reads it as it is.  The array passes
-round exactly like the per-element formulas (one third point per
-vertex, canonical_lift, project): a 2-vector dot product is taken as a
-stacked matmul, which rounds as ``a @ b`` does and differs from
-``x*x + y*y``.
+all vertices at once through minkowski.canonical_lift, as one
+read-only (n, 4) array with the rows of the positions;
+PlaneLayout.mpoints builds it on first read, and every later layer
+reads it as it is.  verify_boundary_condition reads it back through
+minkowski.project.  The array passes round exactly like the
+per-element formulas (one third point, lift or projection per vertex):
+a 2-vector dot product is taken as a stacked matmul, which rounds as
+``a @ b`` does and differs from ``x*x + y*y``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ import numpy as np
 
 from .complexes import AugmentedDisk, CombinatorialDisk
 from .conformal import ConformalStructure, _complex_of
-from .minkowski import canonical_lift, project
+from .minkowski import _dot2, canonical_lift, project
 
 __all__ = [
     "LayoutError",
@@ -176,11 +177,6 @@ def _develop(ix, lengths, start, traversal):
     return P, _residual(ix, lengths, P)
 
 
-def _dot2(a, b):
-    """Row-wise dot products of (n, 2) arrays, rounded as ``a[i] @ b[i]``."""
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
-
-
 def _third_points(pa, pb, la2, lb2, orient):
     """Row i: the point at distance la from pa[i] and lb from pb[i], on
     the side orient[i] of the line through them, for (k, 1) columns
@@ -285,23 +281,16 @@ def realize_mpoints(layout: PlaneLayout) -> np.ndarray:
 
     The prefactor makes the self-products equal alpha_v and the edge
     products equal -eta_vw, independent of the label gauge.  All
-    vertices are lifted and scaled at once, with canonical_lift's and
-    MPoint.scaled's arithmetic; a vertex that fails their checks (a
-    non-finite lift, a scale that underflows to 0, a non-finite or zero
-    vector) raises the error the per-vertex path raises for it.  Read
-    it as ``layout.mpoints``, which realizes once per layout.
+    vertices are lifted by canonical_lift and scaled at once; a
+    non-finite vector raises ValueError.  A finite vector is never 0:
+    e^{-f} underflows only where alpha e^{2f} has overflowed.  Read it
+    as ``layout.mpoints``, which realizes once per layout.
     """
     _complex_of(layout.cs, AugmentedDisk)
-    farr, P = layout.label, layout.positions
-    W = layout.cs.alpha_array * np.exp(2.0 * farr)
-    q = _dot2(P, P)
-    lift = np.column_stack([P, (q - W - 1.0) / 2.0, (q - W + 1.0) / 2.0])
-    s = np.exp(-farr)
-    xi = s[:, None] * lift
-    bad = ~np.isfinite(lift).all(1) | (s <= 0) | ~np.isfinite(xi).all(1) | ~xi.any(1)
-    if bad.any():
-        i = int(np.argmax(bad))
-        canonical_lift(P[i], W[i]).scaled(float(s[i]))  # raises for the first offender
+    farr = layout.label
+    xi = np.exp(-farr)[:, None] * canonical_lift(layout.positions, layout.cs.alpha_array * np.exp(2.0 * farr))
+    if not np.isfinite(xi).all():
+        raise ValueError("MPoint entries must be finite")
     xi.setflags(write=False)
     return xi
 
@@ -346,25 +335,23 @@ def verify_boundary_condition(
     inscribed:   boundary points on the apex circle, ||p_v - p_apex| - r_apex|
 
     ``mpoints`` is realize_mpoints' array, or a mapping from every vertex
-    to its MPoint.  The rows are projected at once; an improper one raises
-    project's error, the apex first, then the boundary in cycle order.
-    Meant for normalized realizations (apex = unit circle); the checks
-    are absolute, and pass at BOUNDARY_TOL.
+    to its MPoint.  The apex row and the boundary rows are projected at
+    once by project, so an improper one raises its error, the apex
+    first, then the boundary in cycle order.  Meant for normalized
+    realizations (apex = unit circle); the checks are absolute, and pass
+    at BOUNDARY_TOL.
     """
     if scenario not in _SCENARIOS:
         raise ValueError(f"scenario must be one of {_SCENARIOS}")
     if isinstance(mpoints, dict):
         mpoints = [mpoints[v].xi for v in aug.vertices]
-    # the last corners of the augmented faces (apex, w, v) run along the cycle
-    X = np.asarray(mpoints, dtype=float)[np.append(aug.compiled.F[aug.n_disk_faces:, 2], -1)]
-    B, hat = X[:-1], project(X[-1])
-    r_hat = hat.radius
-    d = B[:, 3] - B[:, 2]
-    if (d <= 0.0).any():
-        project(B[np.argmax(d <= 0.0)])  # raises for the first improper row
-    dp = B[:, :2] / d[:, None] - hat.p
+    # the apex, then the last corners of the augmented faces (apex, w, v),
+    # which run along the cycle
+    P, W = project(np.asarray(mpoints, dtype=float)[np.insert(aug.compiled.F[aug.n_disk_faces:, 2], 0, -1)])
+    if W[0] < 0:
+        raise ValueError("negative weight has no real radius")
+    r_hat, dp, W = float(np.sqrt(W[0])), P[1:] - P[0], W[1:]
     dist = np.sqrt(_dot2(dp, dp))
-    W = (B[:, 0] * B[:, 0] + B[:, 1] * B[:, 1] + B[:, 2] * B[:, 2] - B[:, 3] * B[:, 3]) / (d * d)
     if scenario == "tangent":
         # weight-0 points come back as W = -eps from roundoff; a
         # genuinely imaginary radius cannot be tangent to anything

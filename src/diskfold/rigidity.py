@@ -167,12 +167,14 @@ def mobius_orbit_check(layout: PlaneLayout, generator: InfinitesimalMobius, eps:
     f'_v = -log(xi'_4 - xi'_3).  For a flat f the report shows
     max |K(f')| of order eps^2 and the finite-difference rate
     (f' - f)/eps close to the predicted variation
-    (a + b, c + d) . P_v + t.  The perturbation matrix is applied
-    directly: it is Lorentz only to first order, which is the point.
+    (a + b, c + d) . P_v + t.  The (4, 4) matrix of
+    infinitesimal_generator is applied directly to the rows of
+    ``layout.mpoints``: it is Lorentz only to first order, which is the
+    point.
     """
     L = infinitesimal_generator(generator, eps)
-    # a stacked product rounds like the per-vertex L.m @ xi
-    xi = (L.m[None] @ layout.mpoints[:, :, None])[:, :, 0]
+    # a stacked product rounds like the per-vertex L @ xi
+    xi = (L[None] @ layout.mpoints[:, :, None])[:, :, 0]
     depth = xi[:, 3] - xi[:, 2]
     if np.any(depth <= 0):
         v = layout.cs.complex.vertices[int(np.argmax(depth <= 0))]

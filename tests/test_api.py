@@ -7,6 +7,7 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import diskfold
@@ -152,6 +153,23 @@ def test_a_layout_carries_its_label():
             getattr(lay, name)[0] = 0.0
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(lay, name, None)
+
+
+def test_the_minkowski_layer_is_in_rows():
+    m = diskfold.minkowski
+    assert sorted(m.__all__) == sorted(
+        ["MPoint", "ImproperVectorError", "InfinitesimalMobius", "mprod", "canonical_lift", "project",
+         "infinitesimal_generator", "induced_label_variation"]
+    )
+    for gone in ("WeightedPoint", "LorentzMap", "apply_lorentz", "intersection_angle", "UNIT_CIRCLE", "METRIC_SIGNS"):
+        assert not hasattr(m, gone) and not hasattr(diskfold, gone)
+    assert not any(hasattr(m.MPoint, name) for name in ("is_proper", "scaled"))
+    assert m.MPoint.__eq__ is object.__eq__ and m.MPoint.__hash__ is object.__hash__
+    xi = m.canonical_lift(np.zeros((3, 2)), np.ones(3))
+    assert xi.shape == (3, 4) and m.mprod(xi, xi).shape == (3,)
+    P, W = m.project(xi)
+    assert P.shape == (3, 2) and W.shape == (3,)
+    assert m.infinitesimal_generator(m.InfinitesimalMobius(), 0.1).shape == (4, 4)
 
 
 def test_the_structure_is_the_problem():

@@ -778,6 +778,7 @@ def test_cli_bad_input_exits_1_without_traceback(hex_file, capsys, argv, flag):
     [
         ["--perturb", "0.3", "--seed", "5"],
         ["--perturb", "0.3"],
+        ["--perturb", "0"],
         ["--seed", "5"],
         ["--jacobian", "--seed", "5"],
         ["--jacobian", "--perturb", "0", "--seed", "5"],

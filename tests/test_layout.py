@@ -24,7 +24,7 @@ from diskfold import (
 )
 from diskfold.complexes import edge_key
 from diskfold.layout import _develop
-from diskfold.minkowski import ImproperVectorError, MPoint, canonical_lift
+from diskfold.minkowski import ImproperVectorError, MPoint
 from diskfold.presets import SCENARIOS, build, hex_flower, scenario_data, triangle_disk
 
 from conftest import HEX_FLAT
@@ -130,10 +130,10 @@ def test_normalization_sends_apex_to_unit_circle():
     f = HEX_FLAT["hex_tangent"] + 0.37  # arbitrary global scale
     reali = normalize_to_unit_disk(layout_augmented(cs, f))
     assert layout_edge_error(reali) <= 1e-12
-    apex_wp = project(reali.mpoints[-1])
-    assert apex_wp.x == pytest.approx(0.0, abs=1e-12)
-    assert apex_wp.y == pytest.approx(0.0, abs=1e-12)
-    assert apex_wp.W == pytest.approx(1.0, abs=1e-12)
+    P, W = project(reali.mpoints[-1])
+    assert P[0] == pytest.approx(0.0, abs=1e-12)
+    assert P[1] == pytest.approx(0.0, abs=1e-12)
+    assert W == pytest.approx(1.0, abs=1e-12)
     assert reali.label[-1] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -180,19 +180,17 @@ def test_boundary_geometry_tangent():
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
     reali = normalize_to_unit_disk(layout_augmented(cs, f))
-    for v in aug.disk.boundary_cycle:
-        wp = project(reali.mpoints[aug.vertex_index[v]])
-        assert np.hypot(wp.x, wp.y) + wp.radius == pytest.approx(1.0, abs=1e-12)
+    P, W = project(reali.mpoints[[aug.vertex_index[v] for v in aug.disk.boundary_cycle]])
+    assert np.hypot(*P.T) + np.sqrt(W) == pytest.approx(np.ones(len(W)), abs=1e-12)
 
 
 def test_boundary_geometry_inscribed():
     aug, cs = build("hex_inscribed")
     f = HEX_FLAT["hex_inscribed"]
     reali = normalize_to_unit_disk(layout_augmented(cs, f))
-    for v in aug.disk.boundary_cycle:
-        wp = project(reali.mpoints[aug.vertex_index[v]])
-        assert np.hypot(wp.x, wp.y) == pytest.approx(1.0, abs=1e-12)
-        assert wp.W == pytest.approx(0.0, abs=1e-12)
+    P, W = project(reali.mpoints[[aug.vertex_index[v] for v in aug.disk.boundary_cycle]])
+    assert np.hypot(*P.T) == pytest.approx(np.ones(len(W)), abs=1e-12)
+    assert W == pytest.approx(np.zeros(len(W)), abs=1e-12)
 
 
 def test_triangle_apex_realization():
@@ -204,7 +202,7 @@ def test_triangle_apex_realization():
     rep = verify_boundary_condition(aug, reali.mpoints, "inscribed")
     assert rep.passed
     # boundary points form an equilateral triangle of side sqrt(3)
-    pts = [project(reali.mpoints[aug.vertex_index[v]]).p for v in disk.boundary_cycle]
+    pts, _ = project(reali.mpoints[[aug.vertex_index[v] for v in disk.boundary_cycle]])
     for i in range(3):
         d = np.hypot(*(pts[i] - pts[(i + 1) % 3]))
         assert d == pytest.approx(np.sqrt(3.0), abs=1e-12)
@@ -214,12 +212,18 @@ def test_triangle_apex_realization():
 
 
 def _realize_per_vertex(aug, cs, f, layout):
-    """realize_mpoints as a loop over vertices: the reference."""
+    """realize_mpoints as a loop over vertices, each lift checked by
+    MPoint before and after its scaling: the reference."""
     farr = aug.label_array(f)
     out = []
     for i, v in enumerate(aug.vertices):
-        w = cs.alpha[v] * np.exp(2.0 * farr[i])
-        out.append(canonical_lift(layout.positions[i], w).scaled(float(np.exp(-farr[i]))).xi)
+        p, w = layout.positions[i], cs.alpha[v] * np.exp(2.0 * farr[i])
+        q = float(p @ p)
+        lift = MPoint([p[0], p[1], (q - w - 1.0) / 2.0, (q - w + 1.0) / 2.0])
+        s = float(np.exp(-farr[i]))
+        if s <= 0:
+            raise ValueError("scale factor must be positive")
+        out.append(MPoint(s * lift.xi).xi)
     return np.array(out)
 
 
@@ -337,11 +341,12 @@ def test_realize_mpoints_matches_per_vertex_lift(flat_case, shift):
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
-@pytest.mark.parametrize("shift", [400.0, 750.0, -750.0])
+@pytest.mark.parametrize("shift", [400.0, 744.0, 746.0, 750.0, -750.0])
 def test_realize_mpoints_raises_the_per_vertex_error(shift):
     # exp overflows or underflows at these labels, which no development
     # reaches, so the layout gets its label by hand; the first vertex the
-    # loop rejects decides the message
+    # loop rejects decides the message.  At 744 and 746 the scale e^{-f}
+    # is subnormal or 0, but alpha e^{2f} has already overflowed
     aug, cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"] + shift
     lay = dataclasses.replace(layout_augmented(cs, HEX_FLAT["hex_tangent"]), label=f)
@@ -362,22 +367,30 @@ def test_realized_mpoints_are_read_only(flat_case):
     assert lay.mpoints is lay.mpoints
 
 
+def _project_one(xi):
+    """The center and weight of one vector, term for term."""
+    d = xi[3] - xi[2]
+    if d <= 0.0:
+        raise ImproperVectorError(f"vector is not in R^4_perp: xi4 - xi3 = {float(d)!r} must be positive")
+    return xi[:2] / d, (xi[0] * xi[0] + xi[1] * xi[1] + xi[2] * xi[2] - xi[3] * xi[3]) / (d * d)
+
+
 def _verify_per_vertex(aug, mpoints, scenario, tol=1e-9):
-    """verify_boundary_condition's residuals, one project call per
-    vertex of a mapping vertex -> MPoint: the reference."""
-    hat = project(mpoints[aug.apex])
-    r_hat = hat.radius
+    """verify_boundary_condition's residuals, one projection per vertex
+    of a mapping vertex -> MPoint: the reference."""
+    p_hat, w_hat = _project_one(mpoints[aug.apex].xi)
+    r_hat = float(np.sqrt(w_hat))
     residuals = {}
     for v in aug.disk.boundary_cycle:
-        wp = project(mpoints[v])
-        dist = float(np.linalg.norm(wp.p - hat.p))
+        p, w = _project_one(mpoints[v].xi)
+        dist = float(np.linalg.norm(p - p_hat))
         if scenario == "tangent":
-            if wp.W < -tol:
+            if w < -tol:
                 residuals[v] = float("inf")
             else:
-                residuals[v] = abs(dist + np.sqrt(max(wp.W, 0.0)) - r_hat)
+                residuals[v] = abs(dist + np.sqrt(max(w, 0.0)) - r_hat)
         elif scenario == "orthogonal":
-            residuals[v] = abs(dist * dist - r_hat * r_hat - wp.W)
+            residuals[v] = abs(dist * dist - r_hat * r_hat - w)
         else:
             residuals[v] = abs(dist - r_hat)
     return residuals
@@ -418,6 +431,14 @@ def test_boundary_check_rejects_an_improper_row(row):
         with pytest.raises(ImproperVectorError) as got:
             verify_boundary_condition(aug, form, "tangent")
         assert str(got.value) == str(want.value)
+
+
+def test_boundary_check_rejects_an_imaginary_apex_circle():
+    aug, cs = build("hex_tangent")
+    xi = layout_augmented(cs, HEX_FLAT["hex_tangent"]).mpoints.copy()
+    xi[-1] = [0.0, 0.0, 0.0, 1.0]  # the origin with weight -1
+    with pytest.raises(ValueError, match="^negative weight has no real radius$"):
+        verify_boundary_condition(aug, xi, "tangent")
 
 
 @pytest.mark.parametrize("traversal", ["bfs", "dfs"])

@@ -218,7 +218,7 @@ def _orbit_per_vertex(aug, layout, mpoints, generator, eps):
     L = infinitesimal_generator(generator, eps)
     moved = np.empty(len(aug.vertices))
     for i in range(len(aug.vertices)):
-        xi = L.m @ mpoints[i]
+        xi = L @ mpoints[i]
         moved[i] = -np.log(xi[3] - xi[2])
     predicted = np.array([induced_label_variation(generator, p) for p in layout.positions])
     return moved, predicted
