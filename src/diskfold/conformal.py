@@ -18,16 +18,18 @@ identically.
 A structure carries its complex, and every entry that takes one reads
 the complex from it.  AngleSystem compiles a structure: it reads the compiled index
 (complexes.CompiledComplex: edge ends, face sides, fold signs,
-curvature constants) and its alpha and eta arrays, compiles the
-Jacobian's sparse pattern on first use, and looks up ids only to name
+curvature constants) and its alpha and eta arrays, compiles one
+Jacobian buffer at the first assembly, and looks up ids only to name
 an offender.
 It evaluates each label in one pass (Evaluation): squared lengths once,
-then the edge and triangle checks, the angles and the curvature.  Every
-per-label quantity has this one code path.  Public methods coerce and copy their label with the
-complex's label_array; the solvers hand their own float iterates to
-evaluate_iterate, which trusts the array and only keeps the finiteness
-check.  A structure compiles its own system on first use
-(ConformalStructure.system), and every layer evaluates through it.
+then the edge, triangle and angle checks, the angles and the curvature.
+Every per-label quantity has this one code path, and a label fails it
+one way: with a violation, whose error accept raises.  Public methods
+coerce and copy their label with the complex's label_array; the solvers
+hand their own float iterates to evaluate_iterate, which trusts the
+array and only keeps the finiteness check.  A structure compiles its
+own system on first use (ConformalStructure.system), and every layer
+evaluates through it.
 """
 
 from __future__ import annotations
@@ -58,7 +60,8 @@ class StructureError(ValueError):
 
 
 class InadmissibleLabelError(ValueError):
-    """A label produces a nonpositive squared length or a failed triangle inequality."""
+    """A label produces a nonpositive squared length, a failed triangle
+    inequality or a degenerate angle (a cosine outside [-1, 1])."""
 
     def __init__(self, message, simplex=None):
         super().__init__(message)
@@ -180,50 +183,24 @@ def attach_boundary_data(
 class Evaluation:
     """One pass of an AngleSystem over one label.
 
-    ``violation`` is None for an admissible label, else the triple of
-    AngleSystem.violation with the simplex's row for its ids.  A label
-    that passes the edge check keeps its ``lengths``; an admissible one
-    also gets its ``angles`` (a row per face, as AngleSystem.angles)
-    and its ``curvature``, unless ``degenerate`` holds the index of a
-    face whose angle cosine left [-1, 1] by more than COS_CLAMP_TOL.
-    AngleSystem.accept turns either failure into the error of angles().
-    ``terms`` keeps alpha e^{2f} at both ends and e^{f_u + f_v} per
-    edge for the Jacobian.
+    ``violation`` is None for an admissible label, else why it is not:
+    ``("edge", edge row, l^2)`` for a squared length that is not positive
+    and finite, ``("face", face row, lengths)`` for a failed triangle
+    inequality, or ``("angle", face row, cos)`` for a face whose angle
+    cosine left [-1, 1] by more than COS_CLAMP_TOL.  AngleSystem.accept
+    raises its InadmissibleLabelError.
+    A label that passes the edge check keeps its ``lengths``; an
+    admissible one also gets its ``angles`` (a row per face, as
+    AngleSystem.angles) and its ``curvature``.  ``terms`` keeps
+    alpha e^{2f} at both ends and e^{f_u + f_v} per edge for the Jacobian.
     """
 
     f: np.ndarray
     terms: tuple
     violation: tuple | None = None
-    degenerate: int | None = None
     lengths: np.ndarray | None = None
     angles: np.ndarray | None = None
     curvature: np.ndarray | None = None
-
-
-def _indptr(cols: np.ndarray, n: int) -> np.ndarray:
-    """CSC column pointers of n columns from the sorted column of every entry."""
-    return np.concatenate([[0], np.cumsum(np.bincount(cols, minlength=n))]).astype(np.int32)
-
-
-@dataclass(frozen=True, slots=True)
-class JacobianPattern:
-    """CSC pattern of J = dK/df on one complex.
-
-    Every scatter entry (corner vertex row, edge end column; the u ends,
-    then the v ends) maps to its data slot ``slot``, so bincount sums
-    each entry in scatter order; ``edges`` is the global edge of each
-    (face, corner, side) entry.  An entry pairs two corners of one face,
-    so the nonzeros (``indices``, ``indptr``) are the diagonal and both
-    directions of every edge.  ``grounded`` is the same pattern grounded
-    at the apex, J[:-1, :-1]: the mask of its entries in J's data, and
-    its own indices and indptr.
-    """
-
-    edges: np.ndarray
-    slot: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
-    grounded: tuple
 
 
 class AngleSystem:
@@ -233,17 +210,16 @@ class AngleSystem:
     only the interior entries of curvature() are meaningful.
 
     Every label goes through one pass, evaluate(): squared lengths once,
-    then the edge and triangle checks, the angles and the curvature.
-    lengths, violation, admissible, check_admissible, angles and
-    curvature are views on that pass; sparse_jacobian (J = dK/df in the
-    CSC jacobian_pattern) reuses the lengths and angles of the pass that
-    accepted its label, and jacobian is its dense copy.  Newton builds
-    the matrix it factors, J grounded at the apex, in
-    grounded_jacobian.  The pattern is compiled on first use,
-    so a system that never assembles J never builds it.  The solvers
-    call evaluate_iterate on their own iterates, which skips the
-    coercion and copy of the complex's label_array but keeps its
-    finiteness verdict.
+    then the edge, triangle and angle checks, the angles and the
+    curvature.  A label is admissible when its pass finds no violation;
+    accept raises the error of the one it finds.  admissible, angles and
+    curvature are views on that pass; sparse_jacobian (J = dK/df, CSC)
+    reuses the lengths and angles of the pass that accepted its label,
+    and jacobian is its dense copy.  J and its block G = J[:-1, :-1],
+    which Newton factors, live in one buffer that the first assembly
+    compiles and every assembly refills in place.  The solvers call
+    evaluate_iterate on their own iterates, which skips the coercion and
+    copy of label_array but keeps its finiteness verdict.
     A structure's shared system is ConformalStructure.system.
     """
 
@@ -271,29 +247,33 @@ class AngleSystem:
         self._fold = np.repeat(ix.fold_sign[:, None], 3, axis=1)
 
     @cached_property
-    def jacobian_pattern(self) -> JacobianPattern:
-        """The CSC pattern of J, compiled on first use."""
+    def _jacobian_buffer(self) -> tuple:
+        """(edges, slot, J, grounded, G), compiled at the first assembly.
+
+        J is an (n, n) CSC matrix whose nonzeros, the pairs of corners of
+        one face, are the diagonal and both directions of every edge.
+        Every scatter entry (corner vertex row, edge end column; the u
+        ends, then the v ends) maps to its data slot ``slot``, so bincount
+        sums each entry in scatter order; ``edges`` is the global edge of
+        each (face, corner, side) entry.  ``grounded`` masks J's entries
+        in G = J[:-1, :-1], J grounded at the apex, a CSC matrix of its own.
+        """
+        from scipy.sparse import csc_array
+
         ix, n = self.compiled, self.n_vertices
         rows = np.repeat(ix.F[:, :, None], 3, axis=2).ravel()  # (F, corner, edge slot)
         edges = ix.FE[:, None, :].repeat(3, axis=1).ravel()  # global edge per slot
         cols = ix.E[edges]
         d, (u, v) = np.arange(n), ix.E.T
-        keys = np.sort(np.concatenate([d * n + d, u * n + v, v * n + u]))
+        keys = np.sort(np.concatenate([d * n + d, u * n + v, v * n + u]))  # column-major
         slot = np.searchsorted(keys, np.concatenate([cols[:, 0] * n + rows, cols[:, 1] * n + rows]))
-        indices = (keys % n).astype(np.int32)
-        g = (keys // n < n - 1) & (keys % n < n - 1)
-        grounded = (g, indices[g], _indptr(keys[g] // n, n - 1))
-        return JacobianPattern(edges, slot, indices, _indptr(keys // n, n), grounded)
+        grounded = (keys // n < n - 1) & (keys % n < n - 1)
 
-    @cached_property
-    def grounded_jacobian(self) -> tuple:
-        """(mask, G): the mask of J's entries in J grounded at the apex, and
-        that (n - 1, n - 1) CSC matrix, which Newton refills in place."""
-        from scipy.sparse import csc_array
+        def csc(k, m):  # zeros at the sorted keys k, all in the leading (m, m) block
+            ptr = np.searchsorted(k, np.arange(m + 1) * n)
+            return csc_array((np.zeros(len(k)), (k % n).astype(np.int32), ptr.astype(np.int32)), shape=(m, m))
 
-        mask, indices, indptr = self.jacobian_pattern.grounded
-        n = self.n_vertices - 1
-        return mask, csc_array((np.zeros(len(indices)), indices, indptr), shape=(n, n))
+        return edges, slot, csc(keys, n), grounded, csc(keys[grounded], n - 1)
 
     # -- the one pass -------------------------------------------------
 
@@ -344,21 +324,18 @@ class AngleSystem:
             off = np.abs(cosv) > 1.0 + COS_CLAMP_TOL
             col = int(np.argmax(off.any(axis=0)))
             i = int(np.argmax(np.abs(cosv[:, col])))
-            return Evaluation(f, terms, degenerate=i, lengths=l)
+            return Evaluation(f, terms, violation=("angle", i, float(cosv[i, col])), lengths=l)
         np.maximum(cosv, -1.0, out=cosv)
         th = np.arccos(np.minimum(cosv, 1.0, out=cosv), out=cosv)
         np.multiply(self._fold, th, out=self._k_angles)
         K = np.bincount(self._k_index, self._k_weights)
-        # positional (violation, degenerate, lengths, angles, curvature): half the keywords' cost
-        return Evaluation(f, terms, None, None, l, th, K)
+        # positional (violation, lengths, angles, curvature): half the keywords' cost
+        return Evaluation(f, terms, None, l, th, K)
 
     def accept(self, ev: Evaluation) -> Evaluation:
-        """ev when it carries angles and curvature, else raise as angles() does."""
+        """ev when it is admissible, else raise the error of its violation."""
         if ev.violation is not None:
             raise self._violation_error(ev.violation)
-        if ev.degenerate is not None:
-            face = self.complex.faces[ev.degenerate]
-            raise InadmissibleLabelError(f"degenerate angle in face {face}", simplex=face)
         return ev
 
     def _violation_error(self, v) -> InadmissibleLabelError:
@@ -367,30 +344,17 @@ class AngleSystem:
         if kind == "edge":
             verdict = "positive" if math.isfinite(values) else "finite"
             message = f"squared length {values!r} on edge {simplex} is not {verdict}"
-        else:
+        elif kind == "face":
             message = f"triangle inequality fails on face {simplex}: lengths {values}"
+        else:
+            message = f"degenerate angle in face {simplex}"
         return InadmissibleLabelError(message, simplex=simplex)
 
     # -- views on evaluate ------------------------------------------------
 
-    def lengths(self, f) -> np.ndarray:
-        ev = self.evaluate(f)
-        if ev.lengths is None:
-            raise self._violation_error(ev.violation)
-        return ev.lengths
-
-    def violation(self, f):
-        """None if the label is admissible, else (kind, simplex, values)."""
-        v = self.evaluate(f).violation
-        return None if v is None else (v[0], self._violation_error(v).simplex, v[2])
-
     def admissible(self, f) -> bool:
+        """Whether the label has angles: False exactly when curvature(f) raises."""
         return self.evaluate(f).violation is None
-
-    def check_admissible(self, f) -> None:
-        v = self.evaluate(f).violation
-        if v is not None:
-            raise self._violation_error(v)
 
     def angles(self, f) -> np.ndarray:
         """Interior angles per face, column c at the corner faces[i][c]."""
@@ -401,10 +365,10 @@ class AngleSystem:
 
     def jacobian(self, f) -> np.ndarray:
         """dK/df as a dense (n, n) array: sparse_jacobian densified."""
-        return self.sparse_jacobian(f).toarray(order="C")
+        return self._assemble(f)[0].toarray(order="C")
 
     def sparse_jacobian(self, f):
-        """J = dK/df as a sparse (n, n) CSC matrix.
+        """J = dK/df as a sparse (n, n) CSC matrix of its own.
 
         f is a label or an Evaluation of this system.  The nonzeros are
         the diagonal and both directions of every edge, so nnz is
@@ -419,10 +383,14 @@ class AngleSystem:
         combined with d l_uv / d f_u = (alpha_u e^{2 f_u}
         + eta_uv e^{f_u + f_v}) / l_uv.  J 1 = 0 since curvature is
         shift-invariant, and on an augmented disk 1^T J = 0 as well,
-        since the curvatures sum to zero identically.
+        since the curvatures sum to zero identically.  The result is a
+        copy of the system's buffer, which the next assembly refills.
         """
-        from scipy.sparse import csc_array
+        return self._assemble(f)[0].copy()
 
+    def _assemble(self, f) -> tuple:
+        """(J, G): sparse_jacobian's J and J[:-1, :-1] at f, refilled in
+        the system's buffer, which the next assembly overwrites."""
         ev = self.accept(f if isinstance(f, Evaluation) else self.evaluate(f))
         th, l = ev.angles, ev.lengths
         ends, cross = ev.terms
@@ -449,9 +417,9 @@ class AngleSystem:
         dth *= self.compiled.fold_sign[:, None, None]
 
         vals = dth.ravel()
-        n = self.n_vertices
-        pat = self.jacobian_pattern
+        edges, slot, J, grounded, G = self._jacobian_buffer
         with np.errstate(invalid="ignore"):
-            w = np.concatenate([vals * dl_du[pat.edges], vals * dl_dv[pat.edges]])
-            data = np.bincount(pat.slot, w, minlength=len(pat.indices))
-        return csc_array((data, pat.indices, pat.indptr), shape=(n, n))
+            w = np.concatenate([vals * dl_du[edges], vals * dl_dv[edges]])
+            J.data[:] = np.bincount(slot, w, minlength=len(J.data))
+        np.compress(grounded, J.data, out=G.data)
+        return J, G

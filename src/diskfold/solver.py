@@ -54,15 +54,15 @@ class SolverError(RuntimeError):
     """The iteration could not continue."""
 
 
-def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np.ndarray, grounded) -> tuple:
+def _newton_step(J, G, K: np.ndarray, svd_cutoff: float, residual: float, start: np.ndarray) -> tuple:
     """Truncated minimum-norm solution x of J x = K, and how many
     near-kernel directions the truncation dropped.
 
-    J is AngleSystem.sparse_jacobian, ``start`` two fixed vectors
-    orthogonal to the constant vector (_start_vectors) and ``grounded``
-    the system's grounded_jacobian.  One sparse LU factor of J grounded
-    at the apex, J[:-1, :-1], refilled into that matrix, gives
-    solutions orthogonal to the constant vector, J's exact kernel.
+    J and G = J[:-1, :-1] are the pair AngleSystem._assemble refills,
+    and ``start`` two fixed vectors orthogonal to the constant vector
+    (_start_vectors).  One sparse LU factor of G, J grounded at the
+    apex, gives solutions orthogonal to the constant vector, J's exact
+    kernel.
     Every solve first removes the right-hand side's mean: K sums to zero
     only up to roundoff, and that sum would otherwise land on the apex
     row.  It then solves the first n - 1 rows, sets the apex entry to 0 and
@@ -83,8 +83,6 @@ def _newton_step(J, K: np.ndarray, svd_cutoff: float, residual: float, start: np
     """
     from scipy.sparse.linalg import splu
 
-    mask, G = grounded
-    np.compress(mask, J.data, out=G.data)
     lu = splu(G, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
     def solve(b):
@@ -220,8 +218,8 @@ def default_start(cs: ConformalStructure) -> np.ndarray:
     a = log 3 = log(2 * max boundary scale + 1), with every boundary
     scale e^0 = 1, where the apex circle lies outside the boundary
     circles; when that label is inadmissible it raises
-    InadmissibleLabelError.  K_apex falls as a grows, and a label that
-    fails the triangle inequality counts as "a too small".  Doubling
+    InadmissibleLabelError.  K_apex falls as a grows, and an
+    inadmissible label counts as "a too small".  Doubling
     steps find a bracket, then a safeguarded secant (Illinois) narrows
     it, bisecting when the secant point leaves the bracket or either end
     has no curvature.  The search stops at |K_apex| <= _START_TOL, at a
@@ -285,7 +283,9 @@ def newton_flat(
 
     Each step is the minimum-norm solution of J x = -K with noise-aware
     truncation, and is halved until the label stays admissible and the
-    residual strictly decreases.  The step comes from one sparse LU
+    residual strictly decreases: a trial with any violation, a degenerate
+    angle as much as a bad edge or face, halves like one whose residual
+    does not fall.  The step comes from one sparse LU
     factor of J grounded at the apex, exact since 1^T J = 0, and is
     always orthogonal to the constant vector, J's exact kernel.  The
     same factor gives, by two steps of block inverse iteration and a
@@ -339,13 +339,13 @@ def newton_flat(
     for it in range(max_iter):
         if residual <= tol:
             return NewtonResult(f, K, residual, it, True, "converged", history, steps)
-        J = sys.sparse_jacobian(ev)
+        J, G = sys._assemble(ev)
         try:
             # a Heron area rounded to zero blows up the angle derivatives,
             # and splu raises RuntimeError for an exactly singular factor
             if not np.isfinite(J.data).all():
                 raise RuntimeError("non-finite jacobian")
-            step, dropped = _newton_step(J, K, svd_cutoff, residual, start, sys.grounded_jacobian)
+            step, dropped = _newton_step(J, G, K, svd_cutoff, residual, start)
         except RuntimeError:
             return NewtonResult(
                 f, K, residual, it, False, "jacobian breakdown", history, steps
@@ -354,10 +354,9 @@ def newton_flat(
         for _ in range(MAX_BACKTRACKS):
             trial = sys.evaluate_iterate(f - t * step)
             if trial.violation is None:
-                Kn = sys.accept(trial).curvature
-                rn = float(np.max(np.abs(Kn)))
+                rn = float(np.max(np.abs(trial.curvature)))
                 if rn < residual:
-                    ev, f, K, residual = trial, trial.f, Kn, rn
+                    ev, f, K, residual = trial, trial.f, trial.curvature, rn
                     break
             t /= 2.0
         else:
@@ -383,11 +382,12 @@ def curvature_flow(
 
     The sign flip at the apex matches the fold: both sheets relax
     toward zero curvature.  Samples are recorded on the dt grid; when a
-    Runge-Kutta stage leaves the admissible set the grid step is
-    integrated in halved substeps, up to ``max_halvings`` times before
-    giving up with a SolverError.  Each step evaluates the label four
-    times: three inner stages and the new point, whose curvature is
-    also the recorded residual and the next step's first stage.
+    Runge-Kutta stage leaves the admissible set (a bad edge, face or
+    degenerate angle alike) the grid step is integrated in halved
+    substeps, up to ``max_halvings`` times before giving up with a
+    SolverError.  Each step evaluates the label four times: three inner
+    stages and the new point, whose curvature is also the recorded
+    residual and the next step's first stage.
 
     A full grid step (length dt) is a deterministic function of its
     start label alone: its first stage is the field there, and halving
@@ -410,7 +410,7 @@ def curvature_flow(
         raise ValueError(f"max_halvings must be >= 0, got {max_halvings!r}")
     _complex_of(cs, AugmentedDisk)
     sys = cs.system
-    evaluate, accept = sys.evaluate_iterate, sys.accept
+    evaluate = sys.evaluate_iterate
     sign = np.full(sys.n_vertices, -1.0)
     sign[-1] = 1.0
 
@@ -418,7 +418,7 @@ def curvature_flow(
         ev = evaluate(x)
         if ev.violation is not None:
             raise _StageError()
-        return sign * accept(ev).curvature
+        return sign * ev.curvature
 
     def rk4(x, k1, h):
         # the field at the new point is the next step's k1

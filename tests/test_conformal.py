@@ -54,7 +54,7 @@ def test_tangent_lengths_are_radius_sums():
     """alpha = eta = 1 makes every disk edge length e^{f_u} + e^{f_v}."""
     aug, cs = _hex()
     f = {v: 0.1 * v for v in aug.vertices}
-    lengths = dict(zip(aug.edges, AngleSystem(cs).lengths(f)))
+    lengths = dict(zip(aug.edges, AngleSystem(cs).evaluate(f).lengths))
     for (u, v) in aug.disk.edges:
         expect = np.exp(f[u]) + np.exp(f[v])
         assert lengths[(u, v)] == pytest.approx(expect, rel=1e-14)
@@ -65,7 +65,7 @@ def test_apex_edges_use_folded_weights():
     aug, cs = _hex()
     f = {v: 0.0 for v in aug.vertices}
     f[aug.apex] = np.log(3.0)
-    lengths = dict(zip(aug.edges, AngleSystem(cs).lengths(f)))
+    lengths = dict(zip(aug.edges, AngleSystem(cs).evaluate(f).lengths))
     for w in aug.disk.boundary_cycle:
         assert lengths[edge_key(w, aug.apex)] == pytest.approx(2.0, rel=1e-14)
 
@@ -141,18 +141,19 @@ def test_inadmissible_labels_are_rejected():
     # apex circle equal to a boundary circle: the folded edge collapses
     f = np.zeros(8)
     assert not sysm.admissible(f)
-    kind, simplex, values = sysm.violation(f)
-    assert kind == "edge"
-    with pytest.raises(InadmissibleLabelError):
+    kind, i, values = sysm.evaluate(f).violation
+    assert kind == "edge" and values == 0.0
+    with pytest.raises(InadmissibleLabelError) as info:
         sysm.angles(f)
+    assert info.value.simplex == aug.edges[i]
     with pytest.raises(InadmissibleLabelError):
-        sysm.check_admissible(f)
+        sysm.accept(sysm.evaluate(f))
 
     # apex slightly larger: edges exist but the folded faces do not
     # close (e^0.5 - 1 twice against a disk edge of length 2)
     f = np.zeros(8)
     f[-1] = 0.5
-    v = sysm.violation(f)
+    v = sysm.evaluate(f).violation
     assert v is not None and v[0] == "face"
 
 
@@ -164,7 +165,7 @@ def test_negative_length_square_detected():
     mu = {v: 0.0 for v in disk.boundary_cycle}
     cs = attach_boundary_data(aug, alpha, eta, mu)
     sysm = AngleSystem(cs)
-    v = sysm.violation(np.zeros(4))
+    v = sysm.evaluate(np.zeros(4)).violation
     assert v is not None and v[0] == "edge"
 
 
@@ -342,6 +343,8 @@ def face_angles(cs: ConformalStructure, f, face) -> tuple:
     out = []
     for (op, s1, s2) in ((a, b, c), (b, a, c), (c, a, b)):
         cosv = (s1 * s1 + s2 * s2 - op * op) / (2 * s1 * s2)
+        if abs(cosv) > 1.0 + COS_CLAMP_TOL:
+            raise InadmissibleLabelError(f"degenerate angle in face {face}", simplex=face)
         out.append(float(np.arccos(np.clip(cosv, -1.0, 1.0))))
     return tuple(out)
 
@@ -369,7 +372,7 @@ def _scalar_verdict_and_curvature(aug, cs, f):
 @given(st.data(), st.sampled_from(["tangent", "orthogonal", "inscribed"]),
        st.sampled_from([0.02, 0.3, 1.0, 4.0, 400.0]))
 def test_verdict_and_curvature_match_scalar_path(data, scenario, scale):
-    """admissible, check_admissible and curvature agree with the scalar
+    """admissible, accept and curvature agree with the scalar
     edge_length / face_angles path, admissible labels or not."""
     aug, cs = _ring2(scenario)
     sysm = AngleSystem(cs)
@@ -379,29 +382,34 @@ def test_verdict_and_curvature_match_scalar_path(data, scenario, scale):
     ok, K_ref = _scalar_verdict_and_curvature(aug, cs, f)
     assert sysm.admissible(f) == ok
     if ok:
-        sysm.check_admissible(f)
+        sysm.accept(sysm.evaluate(f))
         assert np.max(np.abs(sysm.curvature(f) - K_ref)) <= 1e-14
     else:
         with pytest.raises(InadmissibleLabelError):
-            sysm.check_admissible(f)
+            sysm.accept(sysm.evaluate(f))
         with pytest.raises(InadmissibleLabelError):
             sysm.curvature(f)
 
 
 def test_degenerate_angle_reported():
     """Sides 1.45..., 1.5e-10 and 1.45... pass the strict triangle
-    inequality in floating point, but the cosine of the wide angle rounds
-    to -1 - 5e-8: the label is admissible and has no angles."""
+    inequality in floating point, but the cosines of the two wide angles
+    round to 1 + 5e-8 and -1 - 5e-8: an angle violation, reported at the
+    first corner that shows it, so the label is not admissible."""
     disk = triangle_disk()
     eta = {(0, 1): 1.052031767064613, (0, 2): 1.1811752847538073e-20, (1, 2): 1.052031766841666}
     cs = ConformalStructure.on(disk, {v: 0.0 for v in disk.vertices}, eta)  # l^2 = 2 eta at f = 0
     sysm = AngleSystem(cs)
     f = np.zeros(3)
-    assert sysm.admissible(f)
-    assert sysm.evaluate(f).degenerate == 0
-    for view in (sysm.angles, sysm.curvature, sysm.jacobian):
-        with pytest.raises(InadmissibleLabelError, match="degenerate angle in face"):
+    assert not sysm.admissible(f)
+    kind, i, cos = sysm.evaluate(f).violation
+    assert (kind, i) == ("angle", 0) and cos > 1.0 + COS_CLAMP_TOL
+    views = (lambda f: sysm.accept(sysm.evaluate(f)), sysm.angles, sysm.curvature, sysm.jacobian, sysm.sparse_jacobian)
+    for view in views:
+        with pytest.raises(InadmissibleLabelError) as info:
             view(f)
+        assert str(info.value) == "degenerate angle in face (0, 1, 2)"
+        assert info.value.simplex == (0, 1, 2)
 
 
 def test_non_finite_labels_rejected():
@@ -442,7 +450,8 @@ def _reference_pass(cs: ConformalStructure, f: np.ndarray) -> Evaluation:
     off = np.abs(cosv) > 1.0 + COS_CLAMP_TOL
     if off.any():
         col = int(np.argmax(off.any(axis=0)))
-        return Evaluation(f, terms, degenerate=int(np.argmax(np.abs(cosv[:, col]))), lengths=l)
+        i = int(np.argmax(np.abs(cosv[:, col])))
+        return Evaluation(f, terms, violation=("angle", i, float(cosv[i, col])), lengths=l)
     th = np.arccos(np.minimum(np.maximum(cosv, -1.0), 1.0))
     index = np.concatenate([np.arange(n), ix.F.ravel()])
     K = np.bincount(index, np.concatenate([ix.const, (ix.fold_sign[:, None] * th).ravel()]))
@@ -460,18 +469,21 @@ def _same_bits(x, y) -> bool:
 
 def _pass_kind(cs, f) -> str:
     """The pass's verdict on f, after checking every field of it
-    against _reference_pass: 'ok', 'edge', 'face' or 'degenerate'."""
+    against _reference_pass and admissible against it: 'ok', 'edge',
+    'face' or 'angle'."""
     ev = cs.system.evaluate(f)
     ref = _reference_pass(cs, ev.f)
     for name in ("f", "lengths", "angles", "curvature"):
         assert _same_bits(getattr(ev, name), getattr(ref, name)), name
     assert all(_same_bits(x, y) for x, y in zip(ev.terms, ref.terms)) and len(ev.terms) == 2
-    assert ev.degenerate == ref.degenerate
     if ref.violation is None:
         assert ev.violation is None
-        return "ok" if ref.degenerate is None else "degenerate"
-    assert ev.violation[:2] == ref.violation[:2] and _same_bits(ev.violation[2], ref.violation[2])
-    return ref.violation[0]
+        kind = "ok"
+    else:
+        assert ev.violation[:2] == ref.violation[:2] and _same_bits(ev.violation[2], ref.violation[2])
+        kind = ref.violation[0]
+    assert cs.system.admissible(f) == (kind == "ok")
+    return kind
 
 
 @pytest.mark.parametrize("name", sorted(HEX_FLAT))
@@ -513,7 +525,7 @@ def test_evaluation_pass_matches_reference_on_degenerate_angle():
     disk = triangle_disk()
     eta = {(0, 1): 1.052031767064613, (0, 2): 1.1811752847538073e-20, (1, 2): 1.052031766841666}
     cs = ConformalStructure.on(disk, {v: 0.0 for v in disk.vertices}, eta)
-    assert _pass_kind(cs, np.zeros(3)) == "degenerate"
+    assert _pass_kind(cs, np.zeros(3)) == "angle"
 
 
 # -- Jacobian -----------------------------------------------------------
@@ -572,16 +584,25 @@ def test_jacobian_is_symmetric_here():
     assert np.max(np.abs(J - J.T)) <= 1e-9 * max(1.0, np.max(np.abs(J)))
 
 
-def test_jacobian_pattern_is_compiled_on_first_use():
+def test_jacobian_buffer_is_compiled_once_and_refilled():
     aug, cs = _hex()
     sysm = AngleSystem(cs)
-    f = HEX_FLAT["hex_tangent"]
-    sysm.curvature(f)
-    assert "jacobian_pattern" not in vars(sysm)
-    J = sysm.sparse_jacobian(f)
-    pattern = sysm.jacobian_pattern
-    assert np.array_equal(J.indices, pattern.indices) and np.array_equal(J.indptr, pattern.indptr)
-    assert np.array_equal(sysm.jacobian(f), J.toarray()) and sysm.jacobian_pattern is pattern
+    f1 = HEX_FLAT["hex_tangent"]
+    f2 = f1 + 0.05 * np.random.default_rng(6).standard_normal(8)
+    sysm.curvature(f1)
+    assert "_jacobian_buffer" not in vars(sysm)
+    J, G = sysm._assemble(f1)
+    data1 = J.data.copy()
+    # a second assembly refills the same pair in place
+    J2, G2 = sysm._assemble(sysm.evaluate(f2))
+    assert J2 is J and G2 is G and not np.array_equal(J.data, data1)
+    assert np.array_equal(G.toarray(), J.toarray()[:-1, :-1])
+    assert G.shape == (7, 7) and G.nnz == np.count_nonzero(sysm._jacobian_buffer[3])
+    # sparse_jacobian's results are copies: the next assembly leaves them be
+    J1 = sysm.sparse_jacobian(f1)
+    sysm.sparse_jacobian(f2)
+    assert J1 is not J and np.array_equal(J1.toarray(), sysm.jacobian(f1))
+    assert np.array_equal(J1.data, data1)
 
 
 def test_structure_compiles_one_system_for_the_library_chain(monkeypatch):

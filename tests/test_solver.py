@@ -17,6 +17,7 @@ from diskfold import (
     newton_flat,
 )
 from diskfold import solver
+from diskfold.conformal import Evaluation
 from diskfold.problem_io import parse_problem
 from diskfold.presets import (
     SCENARIOS,
@@ -122,7 +123,7 @@ def test_overflowed_squared_length_is_not_finite():
     aug, cs = build("hex_tangent")
     f = np.full(len(aug.vertices), 1e308)
     system = AngleSystem(cs)
-    for check in (system.check_admissible, system.lengths, lambda f: newton_flat(cs, f)):
+    for check in (lambda f: system.accept(system.evaluate(f)), system.curvature, lambda f: newton_flat(cs, f)):
         with pytest.raises(InadmissibleLabelError) as info:
             check(f)
         assert str(info.value) == "squared length inf on edge (0, 1) is not finite"
@@ -221,6 +222,50 @@ def test_inadmissible_start_raises():
         newton_flat(cs, np.zeros(8))
 
 
+def _degenerate_at(monkeypatch, cs, call: int) -> list:
+    """Make the call-th evaluate_iterate of cs's system come back with an
+    angle violation on face 0, as a degenerate angle does; the returned
+    list grows by one per call."""
+    sysm = cs.system
+    evaluate = sysm.evaluate_iterate
+    calls = []
+
+    def once(f):
+        calls.append(f)
+        ev = evaluate(f)
+        if len(calls) == call:
+            return Evaluation(ev.f, ev.terms, violation=("angle", 0, -1.0 - 1e-8), lengths=ev.lengths)
+        return ev
+
+    monkeypatch.setattr(sysm, "evaluate_iterate", once)
+    return calls
+
+
+def test_degenerate_trial_halves_the_newton_step(monkeypatch):
+    aug, cs = build("hex_tangent")
+    f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(3).standard_normal(8)
+    ref = newton_flat(cs, f0)
+    assert ref.converged and ref.steps[0][0] == 1.0
+    # the first line-search trial comes back degenerate: it halves like
+    # any inadmissible trial, and the solve goes on
+    calls = _degenerate_at(monkeypatch, cs, 1)
+    res = newton_flat(cs, f0)
+    assert res.converged and res.residual <= 1e-10
+    assert res.steps[0][0] == 0.5 and len(calls) > res.iterations
+
+
+def test_degenerate_stage_halves_the_flow_step(monkeypatch):
+    aug, cs = build("hex_tangent")
+    f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(3).standard_normal(8)
+    ref = curvature_flow(cs, f0, 0.05, 0.01)
+    # the first step's second stage comes back degenerate
+    _degenerate_at(monkeypatch, cs, 1)
+    res = curvature_flow(cs, f0, 0.05, 0.01)
+    assert res.halvings == ref.halvings + 1 and res.integrated == ref.integrated == 5
+    # two RK4 half steps in place of one: the same flow to O(dt^5)
+    assert np.max(np.abs(res.f - ref.f)) <= 1e-8
+
+
 def test_iteration_budget_respected():
     aug, cs = build("hex_tangent")
     f0 = np.zeros(8)
@@ -304,7 +349,7 @@ def _steps(aug, cs, f, svd_cutoff=1e-10, shift=0.0):
     residual = float(np.max(np.abs(K)))
     start = solver._start_vectors(len(K))
     K = K + shift
-    got = solver._newton_step(sysm.sparse_jacobian(ev), K, svd_cutoff, residual, start, sysm.grounded_jacobian)
+    got = solver._newton_step(*sysm._assemble(ev), K, svd_cutoff, residual, start)
     return got, _pinv_apply(sysm.jacobian(ev), K, svd_cutoff, residual)
 
 
@@ -372,7 +417,7 @@ def test_step_matches_dense_reference_on_random_structures():
             _assert_same_step(*_steps(aug, cs, f))
 
 
-def _dense_step(J, K, svd_cutoff, residual, start, grounded):
+def _dense_step(J, G, K, svd_cutoff, residual, start):
     return _pinv_apply(J.toarray(), K, svd_cutoff, residual)
 
 
