@@ -189,14 +189,20 @@ def _cmd_render(args) -> int:
     return 0
 
 
+def _unit_disk_layout(prob, args):
+    """The solved label's layout with the apex circle as the unit circle: the
+    orbit bounds are absolute, and M is far better conditioned there."""
+    return normalize_to_unit_disk(layout_augmented(prob.cs, _solved_label(prob, args)))
+
+
 def _cmd_rank(args) -> int:
     if not args.jacobian and (args.perturb is not None or args.seed is not None):
         raise argparse.ArgumentError(None, "--perturb and --seed move the label of --jacobian, and need it")
     if args.seed is not None and not args.perturb:
         raise argparse.ArgumentError(None, "--seed draws the --perturb move, and needs it")
     prob = _load(args.problem)
-    f = _solved_label(prob, args)
     if args.jacobian:
+        f = _solved_label(prob, args)
         if args.perturb:
             rng = np.random.default_rng(args.seed or 0)
             for _ in range(100):
@@ -206,43 +212,38 @@ def _cmd_rank(args) -> int:
                     break
             else:
                 raise SolverError("could not find an admissible perturbed label")
-        m, kind, cert = prob.cs.system.jacobian(f), "curvature_jacobian", None
+        kind, name, shape = "curvature_jacobian", "J", [len(f), len(f)]
     else:
-        lay = layout_augmented(prob.cs, f)
-        kind = "constraint_matrix"
-        # J is rank-deficient by design, so only M tries the certificate,
-        # and M is densified only for the dense SVD
-        cert = None if args.spectrum else row_rank_certificate(lay, args.svd_cutoff)
+        lay, n = _unit_disk_layout(prob, args), len(prob.aug.vertices)  # M: a row per vertex and edge
+        kind, name, shape = "constraint_matrix", "M", [n + len(prob.aug.compiled.E), 4 * n]
+    if args.jacobian or args.spectrum:
         try:
-            m = constraint_matrix(lay) if cert is None else None
+            m = prob.cs.system.jacobian(f) if args.jacobian else constraint_matrix(lay)
+            rank, spectrum = numerical_rank(m, cutoff=args.svd_cutoff)
         except MemoryError:
-            rows, cols = len(lay.mpoints) + len(prob.aug.compiled.E), 4 * len(lay.mpoints)
-            why = "--spectrum" if args.spectrum else "the pinned-LU certificate did not certify the rank, so the SVD"
-            print(f"diskfold: numerical failure: {why} needs M ({rows} x {cols}) dense, "
-                  "which does not fit in memory", file=sys.stderr)
+            print(f"diskfold: numerical failure: --{'jacobian' if args.jacobian else 'spectrum'} needs {name} "
+                  f"({shape[0]} x {shape[1]}) dense, which does not fit in memory", file=sys.stderr)
             return NUMERICAL_ERROR
-    if cert is not None:
-        rank, s_max, smallest = cert
-        shape, how = [rank, 4 * len(lay.mpoints)], "pinned_lu"  # M has 4 columns per vertex
+        s_max, smallest, how = spectrum[0], spectrum[::-1][:N_SMALLEST], "svd"
     else:
-        rank, spectrum = numerical_rank(m, cutoff=args.svd_cutoff)
-        shape, s_max, smallest, how = list(m.shape), spectrum[0], spectrum[::-1][:N_SMALLEST], "svd"
+        cert = row_rank_certificate(lay, args.svd_cutoff)  # M stays sparse
+        if cert is None:
+            print(f"diskfold: numerical failure: full row rank of M ({shape[0]} x {shape[1]}) was not certified; "
+                  "rank --spectrum gives its dense SVD", file=sys.stderr)
+            return NUMERICAL_ERROR
+        (rank, s_max, smallest), how = cert, "pinned_lu"
     out = {"matrix": kind, "shape": shape, "cutoff": args.svd_cutoff, "rank": rank}
     if args.spectrum:
         out["singular_values"] = [float(s) for s in spectrum]
     else:
-        out["s_max"] = float(s_max)
-        out["smallest_singular_values"] = [float(s) for s in smallest]
-        out["certificate"] = how
+        out.update(s_max=float(s_max), smallest_singular_values=[float(s) for s in smallest], certificate=how)
     _write(problem_io.canonical_json(out), args.out)
     return 0
 
 
 def _cmd_mobius_check(args) -> int:
     prob = _load(args.problem)
-    # the bounds are absolute, so check the layout with the apex circle
-    # as the unit circle
-    lay = normalize_to_unit_disk(layout_augmented(prob.cs, _solved_label(prob, args)))
+    lay = _unit_disk_layout(prob, args)
     names = ("a", "b", "c", "d", "t", "r")
     reports = []
     for name in names:

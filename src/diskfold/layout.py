@@ -322,7 +322,7 @@ class BoundaryReport:
         return self.max_residual <= BOUNDARY_TOL
 
 
-_SCENARIOS = ("tangent", "orthogonal", "inscribed")
+SCENARIOS = ("tangent", "orthogonal", "inscribed")
 
 
 def verify_boundary_condition(
@@ -341,8 +341,8 @@ def verify_boundary_condition(
     realizations (apex = unit circle); the checks are absolute, and pass
     at BOUNDARY_TOL.
     """
-    if scenario not in _SCENARIOS:
-        raise ValueError(f"scenario must be one of {_SCENARIOS}")
+    if scenario not in SCENARIOS:
+        raise ValueError(f"scenario must be one of {SCENARIOS}")
     if isinstance(mpoints, dict):
         mpoints = [mpoints[v].xi for v in aug.vertices]
     # the apex, then the last corners of the augmented faces (apex, w, v),

@@ -16,6 +16,7 @@ import numpy as np
 
 from .complexes import CombinatorialDisk, augment, validate_disk
 from .conformal import attach_boundary_data
+from .layout import SCENARIOS
 from .problem_io import parse_problem, problem_dict
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "random_admissible",
 ]
 
-SCENARIOS = ("tangent", "orthogonal", "inscribed")
 PRESET_NAMES = ("hex_tangent", "hex_orthogonal", "hex_inscribed", "ring_lattice", "triangle")
 #: Draws random_admissible makes before it gives up.
 MAX_TRIES = 1000

@@ -13,9 +13,9 @@ rank is full row rank.  With columns read as the velocities J dxi
 (J = diag(1, 1, 1, -1)), M's kernel is {(A xi_v)_v : A a 4 x 4
 antisymmetric matrix}: the six Lorentz motions.  row_rank_certificate
 factors M with six columns pinned, never M M^T, so cond(M) is not
-squared; it certifies ring_lattice up to 32 rings in every scenario.
-Otherwise the caller falls back to the dense SVD of numerical_rank,
-which also reports the full spectrum.
+squared.  On the unit-disk frame of normalize_to_unit_disk, a Lorentz
+move that keeps the rank, it certifies ring_lattice to 64 rings in
+every scenario and at 128 rings; numerical_rank is the dense SVD.
 
 Both experiments take a layout alone: it carries its structure,
 label and realization, so checking many generators on one layout
@@ -103,8 +103,7 @@ def row_rank_certificate(layout: PlaneLayout, cutoff: float = 1e-10):
     delta = rows * eps * rho * cond(M_S) of s_min, relatively, and the
     rank is certified when delta < 1 and (1 - delta) * s_min > cutoff *
     s_max.  None means "not certified", not "rank deficient" (a singular
-    factor, no Lanczos convergence, a failed bound, or too few rows);
-    numerical_rank then decides.
+    factor, no Lanczos convergence, a failed bound, or too few rows).
     """
     from scipy.linalg import qr
     from scipy.sparse.linalg import LinearOperator, eigsh, splu

@@ -18,6 +18,7 @@ from diskfold import (
     label_to_json,
     layout_augmented,
     newton_flat,
+    normalize_to_unit_disk,
     numerical_rank,
     parse_problem,
     serialize_problem,
@@ -423,12 +424,13 @@ def ring4_file(tmp_path):
 
 def _spectrum_report(path) -> str:
     """rank's full-spectrum report, built from library calls: the solved
-    label, its realization, then every singular value of M."""
+    label, its realization in the unit-disk frame, then every singular
+    value of M."""
     prob = parse_problem(path.read_text())
     f = prob.f_init
     if f is None or np.max(np.abs(AngleSystem(prob.cs).curvature(f))) > 1e-8:
         f = newton_flat(prob.cs, f).f
-    m = constraint_matrix(layout_augmented(prob.cs, f))
+    m = constraint_matrix(normalize_to_unit_disk(layout_augmented(prob.cs, f)))
     rank, s = numerical_rank(m, 1e-10)
     out = {"matrix": "constraint_matrix", "shape": list(m.shape), "cutoff": 1e-10, "rank": rank}
     out["singular_values"] = [float(x) for x in s]
@@ -457,23 +459,23 @@ def test_cli_rank_reports_the_certificate(hex_file, ring4_file, capsys, which):
     assert out["smallest_singular_values"] == pytest.approx(s[::-1][:4], rel=1e-8)
 
 
-def test_cli_rank_falls_back_on_a_singular_factor(hex_file, capsys, monkeypatch):
+NOT_CERTIFIED = (
+    "diskfold: numerical failure: full row rank of M (26 x 32) was not certified; rank --spectrum gives its dense SVD\n"
+)
+
+
+def test_cli_rank_exits_2_on_a_singular_factor(hex_file, capsys, monkeypatch):
     import scipy.sparse.linalg
 
     def singular(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    assert main(["rank", str(hex_file)]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["certificate"] == "svd"
-    assert out["rank"] == 26
-    s = json.loads(_spectrum_report(hex_file))["singular_values"]
-    assert out["s_max"] == s[0]
-    assert out["smallest_singular_values"] == s[::-1][:4]
+    assert main(["rank", str(hex_file)]) == 2
+    assert capsys.readouterr() == ("", NOT_CERTIFIED)
 
 
-def test_cli_rank_falls_back_on_a_duplicated_row(hex_file, capsys, monkeypatch):
+def test_cli_rank_exits_2_on_a_duplicated_row(hex_file, capsys, monkeypatch):
     from scipy import sparse
 
     import diskfold.rigidity as rigidity
@@ -485,20 +487,22 @@ def test_cli_rank_falls_back_on_a_duplicated_row(hex_file, capsys, monkeypatch):
         m[1] = m[0]
         return sparse.csr_array(m)
 
-    # the certificate and the dense fallback read M from the one builder
+    # the certificate and the dense SVD of --spectrum read M from the one builder
     monkeypatch.setattr(rigidity, "_constraint_csr", duplicated)
-    assert main(["rank", str(hex_file)]) == 0
+    assert main(["rank", str(hex_file)]) == 2
+    assert capsys.readouterr() == ("", NOT_CERTIFIED)
+    assert main(["rank", str(hex_file), "--spectrum"]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["certificate"] == "svd"
     assert out["shape"] == [26, 32]
     assert out["rank"] == 25
-    assert out["smallest_singular_values"][0] <= 1e-10 * out["s_max"]
+    assert out["singular_values"][-1] <= 1e-10 * out["singular_values"][0]
 
 
 @pytest.mark.parametrize("flags", [[], ["--spectrum"]])
 def test_cli_rank_without_room_for_the_dense_m_exits_2(hex_file, capsys, monkeypatch, flags):
-    # past ring 32 the certificate may answer None and the dense M (at ring
-    # 64, 18.6 GiB) not fit: one line naming M's shape, no traceback
+    # the dense M takes 18.6 GiB at ring 64: --spectrum names its shape in
+    # one line, and plain rank, whose certificate keeps M sparse, never
+    # asks for it
     import diskfold.cli as cli
 
     def no_room(layout):
@@ -509,8 +513,32 @@ def test_cli_rank_without_room_for_the_dense_m_exits_2(hex_file, capsys, monkeyp
     assert main(["rank", str(hex_file), *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    why = "--spectrum" if flags else "the pinned-LU certificate did not certify the rank, so the SVD"
-    assert captured.err == f"diskfold: numerical failure: {why} needs M (26 x 32) dense, which does not fit in memory\n"
+    if flags:
+        assert captured.err == (
+            "diskfold: numerical failure: --spectrum needs M (26 x 32) dense, which does not fit in memory\n"
+        )
+    else:
+        assert captured.err == NOT_CERTIFIED
+
+
+@pytest.mark.parametrize(
+    "flag, owner, attr",
+    [("--jacobian", "system", "jacobian"), ("--jacobian", "cli", "numerical_rank"), ("--spectrum", "cli", "numerical_rank")],
+)
+def test_cli_rank_dense_route_without_memory_exits_2(hex_file, capsys, monkeypatch, flag, owner, attr):
+    # densifying or the SVD itself may run out of memory (the dense J of
+    # ring 128 orthogonal takes 18.3 GiB): one line naming the matrix
+    import diskfold.cli as cli
+
+    def no_room(*args, **kwargs):
+        raise MemoryError("Unable to allocate")
+
+    monkeypatch.setattr(AngleSystem if owner == "system" else cli, attr, no_room)
+    assert main(["rank", str(hex_file), flag]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    which = "J (8 x 8)" if flag == "--jacobian" else "M (26 x 32)"
+    assert captured.err == f"diskfold: numerical failure: {flag} needs {which} dense, which does not fit in memory\n"
 
 
 def test_cli_rank_jacobian_keeps_the_dense_route(hex_file, capsys):

@@ -10,6 +10,7 @@ from diskfold import (
     layout_augmented,
     mobius_orbit_check,
     newton_flat,
+    normalize_to_unit_disk,
     numerical_rank,
     row_rank_certificate,
 )
@@ -108,7 +109,8 @@ CERTIFIED = [("hex_tangent", {}), ("hex_orthogonal", {}), ("hex_inscribed", {})]
     "name, kw", CERTIFIED, ids=[f"ring{kw['n_rings']}-{kw['scenario']}" if kw else n for n, kw in CERTIFIED]
 )
 def test_certificate_matches_dense_rank(name, kw):
-    lay = _realized_layout(name, **kw)
+    raw = _realized_layout(name, **kw)
+    lay = normalize_to_unit_disk(raw)
     m = constraint_matrix(lay)
     assert m.tobytes() == _dense_reference(lay).tobytes()
     cert = row_rank_certificate(lay, 1e-10)
@@ -116,6 +118,8 @@ def test_certificate_matches_dense_rank(name, kw):
     rank, s_max, smallest = cert
     dense_rank, s = numerical_rank(m, 1e-10)
     assert rank == dense_rank == m.shape[0]
+    # the frame is a Lorentz move, so the raw development has the same rank
+    assert numerical_rank(constraint_matrix(raw), 1e-10)[0] == dense_rank
     assert abs(s_max - s[0]) <= 1e-12 * s[0]
     assert np.all(np.diff(smallest) >= 0)
     # M_S is factored, not M M^T, so the small end keeps its digits
@@ -126,19 +130,22 @@ def test_certificate_matches_dense_rank(name, kw):
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_certificate_holds_at_ring_12(scenario):
-    # the route through M M^T fell back to the dense SVD here for
-    # tangent and orthogonal
-    lay = _realized_layout("ring_lattice", n_rings=12, scenario=scenario)
-    rank, s_max, smallest = row_rank_certificate(lay, 1e-10)
-    assert rank == 4 * len(lay.mpoints) - 6 == len(lay.mpoints) + len(lay.cs.complex.compiled.E)
+    raw = _realized_layout("ring_lattice", n_rings=12, scenario=scenario)
+    rank, s_max, smallest = row_rank_certificate(normalize_to_unit_disk(raw), 1e-10)
+    assert rank == 4 * len(raw.mpoints) - 6 == len(raw.mpoints) + len(raw.cs.complex.compiled.E)
     assert smallest[0] > 1e-10 * s_max
+    assert row_rank_certificate(raw, 1e-10)[0] == rank
 
 
 def test_certificate_refuses_past_ring_32():
-    # s_min / s_max is 2.8 times the cutoff here, but the error bound of
-    # the factor is above 1, so the smallest value is not certain
-    lay = _realized_layout("ring_lattice", n_rings=64, scenario="inscribed")
-    assert row_rank_certificate(lay, 1e-10) is None
+    # at the raw development s_min / s_max is 2.8 times the cutoff, but the
+    # error bound of the factor is above 1, so the smallest value is not
+    # certain; the unit-disk frame of the same layout certifies 4V - 6
+    raw = _realized_layout("ring_lattice", n_rings=64, scenario="inscribed")
+    assert row_rank_certificate(raw, 1e-10) is None
+    rank, s_max, smallest = row_rank_certificate(normalize_to_unit_disk(raw), 1e-10)
+    assert rank == 4 * len(raw.mpoints) - 6
+    assert smallest[0] > 1e-10 * s_max
 
 
 @pytest.mark.parametrize(
