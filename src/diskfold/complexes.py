@@ -12,11 +12,12 @@ Simplices are written as sorted vertex tuples: (v,) for vertices,
 
 Both kinds of complex store one CompiledComplex: the vertex ids, the
 index arrays (edge ends, face corners, face sides, the faces of each
-edge), the fold signs and the curvature's constant term.  validate_disk
-builds it in the integer-array passes that check the topology, augment
-extends it by the apex, and every layer reads these shared, read-only
-arrays.  The id views (faces, edges, vertex_index, simplex_index, ...)
-are built on first use.  Labels are coerced to vertex order by the one
+edge, the boundary cycle), the fold signs and the curvature's constant
+term.  validate_disk builds it in the integer-array passes that check
+the topology, augment extends it by the apex, and every layer reads
+these shared, read-only arrays.  The id views (faces, edges,
+boundary_cycle, vertex_index, simplex_index, ...) are built on first
+use.  Labels are coerced to vertex order by the one
 label_array.  A simplex's class is a code off the index: sign(const) of
 a vertex, -fold_sign of a face, the mean of an edge's two faces.  A
 MultiplicityAssignment carries its complex and three read-only integer
@@ -84,6 +85,9 @@ class CompiledComplex:
     constant term of the curvature: 2*pi at interior vertices, 0 at
     boundary vertices and -2*pi at the apex; on a plain disk 2*pi at
     every vertex, of which only the interior entries are meaningful.
+    ``cycle`` holds the positions of the boundary vertices along the
+    boundary cycle, from its least id in the direction the faces induce
+    on it; an augmented disk shares its disk's array.
     """
 
     ids: np.ndarray
@@ -93,9 +97,10 @@ class CompiledComplex:
     edge_faces: np.ndarray
     fold_sign: np.ndarray
     const: np.ndarray
+    cycle: np.ndarray
 
     def __post_init__(self):
-        for a in (self.ids, self.E, self.F, self.FE, self.edge_faces, self.fold_sign, self.const):
+        for a in (self.ids, self.E, self.F, self.FE, self.edge_faces, self.fold_sign, self.const, self.cycle):
             a.flags.writeable = False
 
 
@@ -127,6 +132,11 @@ class _Indexed:
     def edges(self) -> tuple:
         """The edges as sorted id pairs, in the compiled order."""
         return _tuples(self.compiled.ids[self.compiled.E])
+
+    @cached_property
+    def boundary_cycle(self) -> tuple:
+        """The ids of the boundary vertices, in the order of compiled.cycle."""
+        return tuple(self.compiled.ids[self.compiled.cycle].tolist())
 
     @cached_property
     def vertex_index(self) -> dict:
@@ -166,12 +176,12 @@ class CombinatorialDisk(_Indexed):
 
     Faces are stored with the orientation produced by validate_disk:
     all faces traverse shared edges in opposite directions, and the
-    boundary cycle follows the direction the faces induce on it.
+    boundary cycle (compiled.cycle; boundary_cycle is its id view)
+    follows the direction the faces induce on it.
     Immutable and compared by identity; build them through validate_disk.
     """
 
     vertices: tuple
-    boundary_cycle: tuple
     compiled: CompiledComplex = field(repr=False)
 
     @cached_property
@@ -182,8 +192,7 @@ class CombinatorialDisk(_Indexed):
     @cached_property
     def interior_vertices(self) -> frozenset:
         """The ids of the vertices off the boundary cycle."""
-        boundary = set(self.boundary_cycle)
-        return frozenset(v for v in self.compiled.ids.tolist() if v not in boundary)
+        return frozenset(np.delete(self.compiled.ids, self.compiled.cycle).tolist())
 
     def euler_characteristic(self) -> int:
         return len(self.vertices) - len(self.compiled.E) + len(self.compiled.F)
@@ -344,10 +353,11 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
     cycle = [int(src[np.argmin(rank[src])])]
     for _ in range(len(src) - 1):
         cycle.append(step[cycle[-1]])
+    cycle = np.array(cycle, dtype=np.intp)
 
     edge_faces = np.stack([first_side, second_side], axis=1) // 3
-    compiled = CompiledComplex(ids, E, F, FE, edge_faces, np.full(nf, -1.0), np.full(n, 2.0 * np.pi))
-    disk = CombinatorialDisk(vertices, tuple(ids[cycle].tolist()), compiled)
+    compiled = CompiledComplex(ids, E, F, FE, edge_faces, np.full(nf, -1.0), np.full(n, 2.0 * np.pi), cycle)
+    disk = CombinatorialDisk(vertices, compiled)
     disk.__dict__["vertex_index"] = vertex_index  # hand over the view built above
     return disk
 
@@ -426,15 +436,16 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
     """Join a new apex vertex to every boundary edge of the disk.
 
     The result is a combinatorial sphere: chi = 2 and 3F = 2E.  Its
-    compiled index extends the disk's: the apex is vertex n, and the
-    augmented faces (apex, w, v) follow the disk faces.
+    compiled index extends the disk's: the apex is vertex n, the
+    augmented faces (apex, w, v) follow the disk faces, and the boundary
+    cycle is the disk's.
     """
     ix = disk.compiled
     n, nf, ne = len(disk.vertices), len(ix.F), len(ix.E)
     apex = max(disk.vertices) + 1
     vertices = disk.vertices + (apex,)
-    nb = len(disk.boundary_cycle)
-    cyc = np.fromiter(map(disk.vertex_index.__getitem__, disk.boundary_cycle), dtype=np.intp, count=nb)
+    cyc = ix.cycle
+    nb = len(cyc)
     nxt = np.concatenate([cyc[1:], cyc[:1]])
 
     # the apex has the largest id, so it ranks last; sort the disk and
@@ -473,6 +484,7 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
         np.concatenate([disk_faces, apex_faces])[source],
         np.concatenate([ix.fold_sign, np.ones(nb)]),
         const,
+        cyc,
     )
     assert m - len(ends) + len(F) == 2 and 3 * len(F) == 2 * len(ends)
     return AugmentedDisk(disk, apex, vertices, nf, source, compiled)
@@ -502,18 +514,29 @@ class MultiplicityAssignment:
     face: np.ndarray
 
     def __post_init__(self):
-        for a in (self.vertex, self.edge, self.face):
+        ix = self.complex.compiled
+        for name, n in (("vertex", len(ix.ids)), ("edge", len(ix.E)), ("face", len(ix.F))):
+            a = getattr(self, name)
+            if not isinstance(a, np.ndarray) or a.dtype.kind != "i" or a.shape != (n,):
+                raise ValueError(f"the {name} weights must be an integer array of shape ({n},)")
             a.flags.writeable = False
 
     @classmethod
     def on(cls, aug: AugmentedDisk, mapping) -> "MultiplicityAssignment":
         """The weights of a mapping simplex -> int, 0 where it has none;
-        ValueError for a key that is not a simplex of aug."""
-        weights = [np.zeros(len(a), dtype=int) for a in (aug.vertices, aug.compiled.E, aug.compiled.F)]
+        ValueError for a key that is not a simplex of aug or a weight
+        that is not an integer within int64."""
+        weights = [np.zeros(len(a), dtype=np.int64) for a in (aug.vertices, aug.compiled.E, aug.compiled.F)]
         for s, m in mapping.items():
             k = simplex_key(s)
             if k not in aug.simplex_index:
                 raise ValueError(f"{s!r} is not a simplex of the complex")
+            try:
+                ok = np.int64(m) == m
+            except (TypeError, ValueError, OverflowError):
+                ok = False
+            if not ok:
+                raise ValueError(f"the weight {m!r} of {s!r} is not an integer within int64")
             weights[len(k) - 1][aug.simplex_index[k]] = m
         return cls(aug, *weights)
 

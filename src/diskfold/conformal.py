@@ -73,9 +73,9 @@ class ConformalStructure:
     """Vertex weights alpha and edge weights eta on one complex, stored
     only as the read-only arrays ``alpha_array`` and ``eta_array`` in its
     vertex and edge order; ``alpha`` and ``eta`` are id-keyed views built
-    on first use, and so is its compiled ``system``.  attach_boundary_data
-    and ConformalStructure.on build checked structures, which compare by
-    identity; an entry that takes one reads its complex from it."""
+    on first use, and so is its compiled ``system``.  ConformalStructure.on
+    builds checked structures (attach_boundary_data through it), which
+    compare by identity; an entry that takes one reads its complex from it."""
 
     complex: object = field(repr=False)
     alpha_array: np.ndarray
@@ -83,14 +83,16 @@ class ConformalStructure:
 
     @classmethod
     def on(cls, complex_, alpha: dict, eta: dict) -> "ConformalStructure":
-        """The structure of id-keyed mappings on complex_.  Raises
-        StructureError when an entry is missing or a value is not finite."""
+        """The structure of id-keyed mappings or aligned arrays on complex_.
+        Raises StructureError when an entry is missing or a value is not
+        finite: the one check of structure constants."""
         vertices = complex_.vertices
         a = _gather(alpha, len(vertices), lambda: vertices, "alpha misses vertices {}".format)
         h = _gather(eta, len(complex_.compiled.E), lambda: complex_.edges, "eta misses edges {}".format)
         _require_finite("alpha", a if isinstance(alpha, np.ndarray) else alpha, lambda: vertices)
         _require_finite("eta", h if isinstance(eta, np.ndarray) else eta, lambda: complex_.edges)
-        return cls(complex_, _frozen(a), _frozen(h))
+        a.flags.writeable = h.flags.writeable = False
+        return cls(complex_, a, h)
 
     @cached_property
     def alpha(self) -> dict:
@@ -113,8 +115,7 @@ class ConformalStructure:
 def _complex_of(cs: ConformalStructure, kind: type):
     """cs.complex, or StructureError unless it is a ``kind`` of complex.
 
-    A non-structure, such as the complex that entries took before they
-    read it from the structure, raises TypeError naming what came."""
+    A non-structure, such as a complex, raises TypeError naming what came."""
     if not isinstance(cs, ConformalStructure):
         raise TypeError(f"expected a ConformalStructure, got {type(cs).__name__}")
     if not isinstance(cs.complex, kind):
@@ -150,11 +151,6 @@ def _require_finite(name: str, values, keys) -> None:
         raise StructureError(f"{name}[{keys()[int(np.argmax(bad))]}] is not finite")
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
 def attach_boundary_data(
     aug: AugmentedDisk, alpha, eta, mu, apex_alpha: float = 1.0
 ) -> ConformalStructure:
@@ -164,19 +160,16 @@ def attach_boundary_data(
     augmented edge (v, apex), and the apex gets weight ``apex_alpha``.
     alpha, eta and mu are mappings over the disk's vertices, edges and
     boundary vertices, or arrays in the disk's vertex, edge and
-    boundary-cycle order.  The structure comes back checked.
+    boundary-cycle order.  The extended arrays are checked by
+    ConformalStructure.on, which names a non-finite entry by its id on aug.
     """
     disk = aug.disk
     a = _gather(alpha, len(disk.vertices), lambda: disk.vertices, "alpha misses vertices {}".format)
-    a = np.append(a, float(apex_alpha))
     h = _gather(eta, len(disk.compiled.E), lambda: disk.edges, "eta misses edges {}".format)
     cyc = disk.boundary_cycle
     m = _gather(mu, len(cyc), lambda: cyc, lambda missing: f"mu misses boundary vertex {missing[0]}")
     # the disk edges, then the apex edges in boundary-cycle order, which aug.source sorts
-    h = np.concatenate([h, m])
-    _require_finite("alpha", a, lambda: aug.vertices)
-    _require_finite("eta", h, lambda: disk.edges + tuple((v, aug.apex) for v in cyc))
-    return ConformalStructure(aug, _frozen(a), _frozen(h[aug.source]))
+    return ConformalStructure.on(aug, np.append(a, float(apex_alpha)), np.concatenate([h, m])[aug.source])
 
 
 @dataclass(slots=True, eq=False)

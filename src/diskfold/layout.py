@@ -224,9 +224,7 @@ def _layout(cs, kind, f, traversal) -> PlaneLayout:
                 f"label is not flat: max |K| = {worst!r}, |K(apex)| = {float(K[-1])!r}"
             )
     else:
-        # the interior vertices are those on no boundary edge
-        ix = complex_.compiled
-        worst = float(np.max(np.delete(K, ix.E[ix.edge_faces[:, 1] < 0].ravel()), initial=0.0))
+        worst = float(np.max(np.delete(K, complex_.compiled.cycle), initial=0.0))
         if worst > FLAT_TOL:
             raise LayoutError(f"interior curvature max |K| = {worst!r} is not flat")
 
@@ -335,19 +333,18 @@ def verify_boundary_condition(
     inscribed:   boundary points on the apex circle, ||p_v - p_apex| - r_apex|
 
     ``mpoints`` is realize_mpoints' array, or a mapping from every vertex
-    to its MPoint.  The apex row and the boundary rows are projected at
-    once by project, so an improper one raises its error, the apex
-    first, then the boundary in cycle order.  Meant for normalized
-    realizations (apex = unit circle); the checks are absolute, and pass
-    at BOUNDARY_TOL.
+    to its MPoint.  The apex row and the boundary rows, those of
+    aug.compiled.cycle, are projected at once by project, so an improper
+    one raises its error, the apex first, then the boundary in cycle
+    order.  Meant for normalized realizations (apex = unit circle); the
+    checks are absolute, and pass at BOUNDARY_TOL.
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
     if isinstance(mpoints, dict):
         mpoints = [mpoints[v].xi for v in aug.vertices]
-    # the apex, then the last corners of the augmented faces (apex, w, v),
-    # which run along the cycle
-    P, W = project(np.asarray(mpoints, dtype=float)[np.insert(aug.compiled.F[aug.n_disk_faces:, 2], 0, -1)])
+    # the apex, then the boundary in cycle order
+    P, W = project(np.asarray(mpoints, dtype=float)[np.insert(aug.compiled.cycle, 0, -1)])
     if W[0] < 0:
         raise ValueError("negative weight has no real radius")
     r_hat, dp, W = float(np.sqrt(W[0])), P[1:] - P[0], W[1:]
@@ -360,6 +357,6 @@ def verify_boundary_condition(
         res = np.abs(dist * dist - r_hat * r_hat - W)
     else:
         res = np.abs(dist - r_hat)
-    residuals = dict(zip(aug.disk.boundary_cycle, res.tolist()))
+    residuals = dict(zip(aug.boundary_cycle, res.tolist()))
     worst = max(residuals.values())
     return BoundaryReport(scenario, residuals, worst)

@@ -78,12 +78,43 @@ def _vertex_id(key: str, where: str) -> int:
     return v
 
 
+def _edge_id(key: str, where: str) -> tuple:
+    """The ids (i, j) of an eta key "i-j" with i < j."""
+    where = f"{where}/{key}"
+    parts = str(key).split("-")
+    if len(parts) != 2:
+        raise ProblemFormatError(f"{where}: key must look like 'i-j'")
+    u, v = _vertex_id(parts[0], where), _vertex_id(parts[1], where)
+    if not u < v:
+        raise ProblemFormatError(f"{where}: ids must satisfy i < j")
+    return u, v
+
+
+def _by_key(raw: Mapping, where: str, order, key, unknown: str, what: str) -> np.ndarray:
+    """raw's values in the order of the ids ``order``, read key by key.
+
+    key(k, where) reads the id of a key.  A ProblemFormatError names the
+    first key whose id is not in order (``unknown``) or whose value is not
+    a finite number, else the ids of order that raw misses (``what``).
+    """
+    index = dict(zip(order, range(len(order))))
+    out, seen = np.empty(len(order)), np.zeros(len(order), dtype=bool)
+    for k, val in raw.items():
+        i = index.get(key(k, where))
+        if i is None:
+            raise ProblemFormatError(f"{where}/{k}: {unknown}")
+        out[i], seen[i] = _num(val, f"{where}/{k}"), True
+    if not seen.all():
+        missing = [order[i] for i in np.flatnonzero(~seen).tolist()]
+        raise ProblemFormatError(f"{where}: missing {what} {missing}")
+    return out
+
+
 def _values(raw: dict, keys: list, n_other: int = 0):
     """raw's values at keys as a float array in key order, or None unless
     raw holds exactly those keys (and n_other more) with finite ints and
     floats, an int too large for a float counting as not finite.  None
-    sends the caller to its per-key loop, which names the first
-    offender."""
+    sends the caller to _by_key."""
     if len(raw) != len(keys) + n_other:
         return None
     return _numbers(list(map(raw.get, keys)))
@@ -115,21 +146,10 @@ def _vertex_section(data: dict, name: str, disk: CombinatorialDisk, keys: list):
         raise ProblemFormatError(f'{where}: missing the apex entry "hat"')
     hat = _num(raw["hat"], f"{where}/hat")
     out = _values(raw, keys, 1)
-    if out is not None:
-        return out, hat
-    known = disk.vertex_index
-    got = {}
-    for k, val in raw.items():
-        if k == "hat":
-            continue
-        v = _vertex_id(k, where)
-        if v not in known:
-            raise ProblemFormatError(f"{where}/{k}: unknown vertex")
-        got[v] = _num(val, f"{where}/{k}")
-    missing = [v for v in disk.vertices if v not in got]
-    if missing:
-        raise ProblemFormatError(f"{where}: missing vertices {missing}")
-    return np.array([got[v] for v in disk.vertices]), hat
+    if out is None:
+        rest = {k: x for k, x in raw.items() if k != "hat"}
+        out = _by_key(rest, where, disk.vertices, _vertex_id, "unknown vertex", "vertices")
+    return out, hat
 
 
 #: The most digits of an id that an edge key may carry and still fit int64.
@@ -187,56 +207,14 @@ def _eta_values(raw: dict, disk: CombinatorialDisk):
     return out
 
 
-def _eta_section(data: dict, disk: CombinatorialDisk) -> np.ndarray:
-    """eta in the disk's edge order."""
-    raw = _object(data, "eta")
-    out = _eta_values(raw, disk)
-    if out is not None:
-        return out
-    got = {}
-    disk_edges = set(disk.edges)
-    for k, val in raw.items():
-        parts = str(k).split("-")
-        if len(parts) != 2:
-            raise ProblemFormatError(f"/eta/{k}: key must look like 'i-j'")
-        u = _vertex_id(parts[0], f"/eta/{k}")
-        v = _vertex_id(parts[1], f"/eta/{k}")
-        if not u < v:
-            raise ProblemFormatError(f"/eta/{k}: ids must satisfy i < j")
-        if (u, v) not in disk_edges:
-            raise ProblemFormatError(f"/eta/{k}: not an edge of the disk")
-        got[(u, v)] = _num(val, f"/eta/{k}")
-    missing = [e for e in disk.edges if e not in got]
-    if missing:
-        raise ProblemFormatError(f"/eta: missing edges {missing}")
-    return np.array([got[e] for e in disk.edges])
-
-
-def _mu_section(data: dict, disk: CombinatorialDisk) -> np.ndarray:
-    """mu in boundary-cycle order."""
-    raw = _object(data, "mu")
-    out = _values(raw, list(map(str, disk.boundary_cycle)))
-    if out is not None:
-        return out
-    got = {}
-    boundary = set(disk.boundary_cycle)
-    for k, val in raw.items():
-        v = _vertex_id(k, "/mu")
-        if v not in boundary:
-            raise ProblemFormatError(f"/mu/{k}: not a boundary vertex")
-        got[v] = _num(val, f"/mu/{k}")
-    missing = [v for v in disk.boundary_cycle if v not in got]
-    if missing:
-        raise ProblemFormatError(f"/mu: missing boundary vertices {missing}")
-    return np.array([got[v] for v in disk.boundary_cycle])
-
-
 def parse_problem(source) -> Problem:
     """Parse a problem from JSON text, a file object, or a dictionary.
 
     Each section is read straight into an array in the compiled order
-    of the disk, edges or boundary cycle.  Only a section that fails
-    that one check is walked key by key, to name its first offender.
+    of the disk's vertices, edges or boundary cycle.  A section that
+    fails that one check, such as an eta section whose ids are too large
+    for int64 edge codes, is read by _by_key, the one per-key loop,
+    which names the first offender of a bad section.
     """
     if isinstance(source, str) or hasattr(source, "read"):
         try:
@@ -289,8 +267,14 @@ def parse_problem(source) -> Problem:
 
     keys = list(map(str, disk.vertices))
     alpha, apex_alpha = _vertex_section(data, "alpha", disk, keys)
-    eta = _eta_section(data, disk)
-    mu = _mu_section(data, disk)
+    raw = _object(data, "eta")
+    eta = _eta_values(raw, disk)
+    if eta is None:
+        eta = _by_key(raw, "/eta", disk.edges, _edge_id, "not an edge of the disk", "edges")
+    raw, cycle = _object(data, "mu"), disk.boundary_cycle
+    mu = _values(raw, list(map(str, cycle)))
+    if mu is None:
+        mu = _by_key(raw, "/mu", cycle, _vertex_id, "not a boundary vertex", "boundary vertices")
     f_init = None
     if "f_init" in data:
         f, hat = _vertex_section(data, "f_init", disk, keys)

@@ -146,6 +146,9 @@ _POWER_STEPS = 8
 #: Step halvings of one Newton line search before it counts as stalled.
 MAX_BACKTRACKS = 40
 
+#: Halvings of one curvature_flow grid step before it counts as a collapse.
+MAX_HALVINGS = 30
+
 
 def _power_estimate(J, z: np.ndarray) -> float:
     """|J z| / |z| after _POWER_STEPS power steps on J from z."""
@@ -370,21 +373,14 @@ def newton_flat(
     return NewtonResult(f, K, residual, max_iter, converged, status, history, steps)
 
 
-def curvature_flow(
-    cs: ConformalStructure,
-    f0,
-    t_end: float,
-    dt: float,
-    *,
-    max_halvings: int = 30,
-) -> FlowResult:
+def curvature_flow(cs: ConformalStructure, f0, t_end: float, dt: float) -> FlowResult:
     """Integrate df/dt = -K (apex: +K) with fixed-step RK4.
 
     The sign flip at the apex matches the fold: both sheets relax
     toward zero curvature.  Samples are recorded on the dt grid; when a
     Runge-Kutta stage leaves the admissible set (a bad edge, face or
     degenerate angle alike) the grid step is integrated in halved
-    substeps, up to ``max_halvings`` times before giving up with a
+    substeps, up to MAX_HALVINGS times before giving up with a
     SolverError.  Each step evaluates the label four times: three inner
     stages and the new point, whose curvature is also the recorded
     residual and the next step's first stage.
@@ -398,16 +394,14 @@ def curvature_flow(
     before t_end stops evaluating, with the same numbers.  The result's
     ``integrated`` counts the grid steps integrated and ``halvings`` the
     stage halvings they took.
-    t_end and dt must be positive and finite, t_end / dt finite, and
-    max_halvings >= 0 (ValueError otherwise).
+    t_end and dt must be positive and finite and t_end / dt finite
+    (ValueError otherwise).
     """
     for name, value in (("t_end", t_end), ("dt", dt)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if not np.isfinite(t_end / dt):
         raise ValueError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
-    if max_halvings < 0:
-        raise ValueError(f"max_halvings must be >= 0, got {max_halvings!r}")
     _complex_of(cs, AugmentedDisk)
     sys = cs.system
     evaluate = sys.evaluate_iterate
@@ -461,7 +455,7 @@ def curvature_flow(
                     f, k = rk4(f, k, min(h, remaining))
                 except _StageError:
                     step_halvings += 1
-                    if step_halvings > max_halvings:
+                    if step_halvings > MAX_HALVINGS:
                         raise SolverError(
                             f"step collapse at t={t + h_goal - remaining!r}: "
                             f"flow left the admissible set"

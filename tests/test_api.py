@@ -53,6 +53,7 @@ _CONSTANTS = [
     ("svg", "render_svg", "margin", "MARGIN", 0.06),
     ("presets", "random_admissible", "max_tries", "MAX_TRIES", 1000),
     ("solver", "newton_flat", "max_backtracks", "MAX_BACKTRACKS", 40),
+    ("solver", "curvature_flow", "max_halvings", "MAX_HALVINGS", 30),
 ]
 
 
@@ -76,7 +77,7 @@ def test_one_name_per_thing():
 _STRUCTURE_ENTRIES = {
     "default_start": ["cs"],
     "newton_flat": ["cs", "f0", "tol", "max_iter", "svd_cutoff"],
-    "curvature_flow": ["cs", "f0", "t_end", "dt", "max_halvings"],
+    "curvature_flow": ["cs", "f0", "t_end", "dt"],
     "layout_disk": ["cs", "f", "traversal"],
     "layout_augmented": ["cs", "f", "traversal"],
     "measure_equivalence_check": ["cs", "f"],

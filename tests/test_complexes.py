@@ -18,6 +18,8 @@ from diskfold import (
     validate_disk,
 )
 from diskfold.complexes import edge_key, simplex_key
+from diskfold.layout import BOUNDARY_TOL, verify_boundary_condition
+from diskfold.minkowski import _dot2, canonical_lift, project
 from diskfold.presets import hex_flower, ring_lattice, triangle_disk
 
 from conftest import flipped_disk
@@ -120,7 +122,7 @@ def test_compiled_index_is_shared_and_read_only():
     ix = aug.compiled
     assert aug.compiled is ix
     assert list(aug.vertex_index) == ix.ids.tolist()
-    for a in (ix.E, ix.F, ix.FE, ix.edge_faces, ix.fold_sign, ix.const):
+    for a in (ix.E, ix.F, ix.FE, ix.edge_faces, ix.fold_sign, ix.const, ix.cycle):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = a[0]
@@ -170,6 +172,55 @@ def test_augment_is_a_sphere():
         # apex faces traverse the boundary against its disk orientation
         for face in aug.augmented_faces:
             assert aug.apex in face
+
+
+_CYCLE_CASES = {"triangle": triangle_disk, "hex": hex_flower}
+_CYCLE_CASES.update({f"ring{n}": functools.partial(ring_lattice, n) for n in range(1, 17)})
+_CYCLE_CASES.update(
+    {f"flipped{r}_{s}": functools.partial(flipped_disk, r, s) for r in (4, 8) for s in range(10)}
+)
+
+
+def _boundary_reference(aug, xi, scenario):
+    """verify_boundary_condition's residuals, read along the last corners
+    of the augmented faces (apex, w, v), which run along the cycle."""
+    rows = aug.compiled.F[aug.n_disk_faces:, 2]
+    P, W = project(xi[np.insert(rows, 0, -1)])
+    r_hat, W = float(np.sqrt(W[0])), W[1:]
+    dp = P[1:] - P[0]
+    dist = np.sqrt(_dot2(dp, dp))
+    if scenario == "tangent":
+        res = np.where(W < -BOUNDARY_TOL, np.inf, np.abs(dist + np.sqrt(np.maximum(W, 0.0)) - r_hat))
+    elif scenario == "orthogonal":
+        res = np.abs(dist * dist - r_hat * r_hat - W)
+    else:
+        res = np.abs(dist - r_hat)
+    return dict(zip((aug.vertices[i] for i in rows.tolist()), res.tolist()))
+
+
+@pytest.mark.parametrize("case", sorted(_CYCLE_CASES))
+def test_the_boundary_cycle_is_compiled(case):
+    disk = _CYCLE_CASES[case]()
+    aug = augment(disk)
+    cycle = disk.compiled.cycle
+    assert cycle.dtype == np.intp and not cycle.flags.writeable
+    with pytest.raises(ValueError):
+        cycle[0] = cycle[0]
+    assert np.array_equal(aug.compiled.cycle, cycle)
+    ids = disk.compiled.ids
+    assert tuple(ids[cycle].tolist()) == disk.boundary_cycle == aug.boundary_cycle
+    pairs = {edge_key(*ids[[u, v]].tolist()) for u, v in zip(cycle, np.roll(cycle, -1))}
+    assert len(pairs) == len(cycle) and pairs == disk.boundary_edges
+    assert disk.interior_vertices == set(disk.vertices) - set(disk.boundary_cycle)
+    # random proper M-points: every residual is read at the vertex of its row
+    rng = np.random.default_rng(zlib.crc32(case.encode()))
+    n = len(aug.vertices)
+    xi = canonical_lift(rng.normal(size=(n, 2)), rng.uniform(0.1, 2.0, n))
+    for scenario in ("tangent", "orthogonal", "inscribed"):
+        rep = verify_boundary_condition(aug, xi, scenario)
+        want = _boundary_reference(aug, xi, scenario)
+        assert list(rep.residuals) == list(want)
+        assert np.array(list(rep.residuals.values())).tobytes() == np.array(list(want.values())).tobytes()
 
 
 def test_label_array_accepts_dicts_and_arrays():
@@ -273,7 +324,7 @@ def test_ids_past_int64_validate_like_small_ids():
     assert [tuple(back[v] for v in e) for e in large.edges] == list(small.edges)
     assert [back[v] for v in large.boundary_cycle] == list(small.boundary_cycle)
     for a, b in zip((augment(small), small), (augment(large), large)):
-        for name in ("E", "F", "FE", "edge_faces", "fold_sign", "const"):
+        for name in ("E", "F", "FE", "edge_faces", "fold_sign", "const", "cycle"):
             assert np.array_equal(getattr(a.compiled, name), getattr(b.compiled, name))
     assert augment(large).apex == big[max(disk.vertices)] + 1
 

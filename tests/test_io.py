@@ -25,6 +25,7 @@ from diskfold import (
 )
 from diskfold.cli import main
 from diskfold.presets import SCENARIOS, preset
+from diskfold import problem_io
 from diskfold.problem_io import IdRows
 
 from conftest import HEX_FLAT
@@ -382,6 +383,48 @@ def test_ids_past_int64_parse_solve_and_serialize():
     fs, fb = newton_flat(ps.cs).f, newton_flat(pb.cs).f
     assert np.array_equal(fs, fb)
     assert serialize_problem(pb, fb) == canonical_json({**big, "f_init": vmap(label_to_json(ps.aug, fs))})
+
+
+def _shifted(data: dict, shift: int) -> dict:
+    """The problem with every vertex id raised by shift."""
+
+    def vmap(d):
+        return {k if k == "hat" else str(int(k) + shift): x for k, x in d.items()}
+
+    return {
+        "vertices": [v + shift for v in data["vertices"]],
+        "faces": [[v + shift for v in f] for f in data["faces"]],
+        "alpha": vmap(data["alpha"]),
+        "eta": {"-".join(str(int(x) + shift) for x in k.split("-")): h for k, h in data["eta"].items()},
+        "mu": vmap(data["mu"]),
+        "f_init": vmap(data["f_init"]),
+    }
+
+
+@pytest.mark.parametrize("shift", [2**40, 10**19])
+def test_eta_keys_past_the_edge_codes_are_read_key_by_key(shift, monkeypatch):
+    # 2**40: the codes u * m + v overflow int64; 10**19: the ids pass int64
+    # and their keys 18 digits.  The per-key reader alone reads these eta
+    # sections, into the arrays of the unshifted file bit for bit
+    data = preset("ring_lattice", n_rings=3, scenario="orthogonal")
+    f0 = np.random.default_rng(3).normal(size=len(data["vertices"]) + 1).tolist()
+    data["f_init"] = {**{str(v): x for v, x in zip(data["vertices"], f0)}, "hat": f0[-1]}
+    read = []
+    by_key = problem_io._by_key
+
+    def recorded(raw, where, *rest):
+        read.append(where)
+        return by_key(raw, where, *rest)
+
+    monkeypatch.setattr(problem_io, "_by_key", recorded)
+    small = parse_problem(json.dumps(data))
+    assert read == []
+    big = parse_problem(json.dumps(_shifted(data, shift)))
+    assert read == ["/eta"]
+    assert big.aug.disk.vertices == tuple(v + shift for v in small.aug.disk.vertices)
+    for name in ("alpha_array", "eta_array"):
+        assert getattr(big.cs, name).tobytes() == getattr(small.cs, name).tobytes()
+    assert big.f_init.tobytes() == small.f_init.tobytes()
 
 
 def test_cli_layout_keeps_the_ids_of_a_relabelled_lattice(tmp_path, capsys):

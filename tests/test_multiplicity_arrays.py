@@ -156,6 +156,37 @@ def test_assignment_rejects_keys_off_the_complex():
             MultiplicityAssignment.on(aug, {key: 1})
 
 
+@pytest.mark.parametrize(
+    "weight", [0.5, 1.7, -2.5, float("nan"), float("inf"), 1e30, 2**63, -(2**63) - 1, "2", 1 + 0j, None]
+)
+def test_assignment_rejects_weights_that_are_not_int64(weight):
+    aug = augment(hex_flower())
+    with pytest.raises(ValueError, match=r"^the weight .* of \(1, 0\) is not an integer within int64$"):
+        MultiplicityAssignment.on(aug, {(1, 0): weight})
+
+
+def test_assignment_reads_integral_weights_exactly():
+    aug = augment(hex_flower())
+    big = 2**63 - 1
+    weights = {(0,): 2.0, (1,): np.float64(-3.0), (0, 1): np.int32(5), (2,): big, (3,): -big - 1}
+    mu = MultiplicityAssignment.on(aug, weights)
+    assert (mu((0,)), mu((1,)), mu((0, 1)), mu((2,)), mu((3,))) == (2, -3, 5, big, -big - 1)
+    assert all(a.dtype == np.int64 for a in (mu.vertex, mu.edge, mu.face))
+
+
+@pytest.mark.parametrize("field", ["vertex", "edge", "face"])
+def test_assignment_arrays_are_integer_and_sized_to_the_complex(field):
+    aug = augment(hex_flower())
+    std = standard_multiplicities(aug)
+    arrays = {name: getattr(std, name) for name in ("vertex", "edge", "face")}
+    n = len(arrays[field])
+    bad_arrays = (arrays[field].astype(float), np.zeros(n + 1, dtype=int), np.zeros((n, 1), dtype=int), [0] * n)
+    for bad in bad_arrays:
+        with pytest.raises(ValueError, match=rf"^the {field} weights must be an integer array of shape \({n},\)$"):
+            MultiplicityAssignment(aug, **{**arrays, field: bad})
+    assert MultiplicityAssignment(aug, **arrays).complex is aug
+
+
 @pytest.mark.parametrize("size", ["same", "other"])
 def test_counts_reject_an_assignment_on_another_complex(size):
     # a second hexagon's weights were once used silently, and a ring-2

@@ -488,13 +488,14 @@ def test_flow_fixed_at_equilibrium():
     assert np.max(np.abs(fr.f - HEX_FLAT["hex_tangent"])) <= 1e-12
 
 
-def test_flow_step_collapse_reported():
+def test_flow_step_collapse_reported(monkeypatch):
     aug, cs = build("hex_tangent")
     f0 = np.zeros(8)
     f0[-1] = np.log(2.8)
+    monkeypatch.setattr(solver, "MAX_HALVINGS", 2)
     # a huge step keeps overshooting the admissible set
-    with pytest.raises(SolverError):
-        curvature_flow(cs, f0, 40.0, 40.0, max_halvings=2)
+    with pytest.raises(SolverError, match="^step collapse at t=0.0: flow left the admissible set$"):
+        curvature_flow(cs, f0, 40.0, 40.0)
 
 
 def test_flow_rejects_a_step_count_that_overflows():
@@ -518,13 +519,16 @@ def test_flow_rejects_bad_time_arguments():
             curvature_flow(cs, f0, t_end, dt)
 
 
-def test_flow_rejects_negative_max_halvings():
+def test_flow_halving_bound_is_a_constant(monkeypatch):
     aug, cs = build("hex_tangent")
-    with pytest.raises(ValueError, match="max_halvings must be >= 0"):
-        curvature_flow(cs, HEX_FLAT["hex_tangent"], 1.0, 0.01, max_halvings=-1)
-    # zero is allowed: the flow runs until a stage would need a halving
-    fr = curvature_flow(cs, HEX_FLAT["hex_tangent"], 1.0, 0.01, max_halvings=0)
-    assert fr.halvings == 0
+    f0 = np.zeros(8)
+    f0[-1] = np.log(2.8)
+    assert curvature_flow(cs, f0, 2.0, 0.5).halvings == 2
+    # each call reads the bound: with none allowed, a halving is a collapse
+    monkeypatch.setattr(solver, "MAX_HALVINGS", 0)
+    with pytest.raises(SolverError, match="^step collapse at t="):
+        curvature_flow(cs, f0, 2.0, 0.5)
+    assert curvature_flow(cs, HEX_FLAT["hex_tangent"], 1.0, 0.01).halvings == 0
 
 
 def _reference_flow(aug, cs, f0, t_end, dt, max_halvings=30):
