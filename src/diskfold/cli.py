@@ -27,7 +27,7 @@ from .rigidity import (
     numerical_rank,
     row_rank_certificate,
 )
-from .solver import SolverError, curvature_flow, default_start, newton_flat
+from .solver import SolverError, curvature_flow, default_start, flow_steps, newton_flat
 from .svg import render_svg
 
 INPUT_ERROR = 1
@@ -149,6 +149,10 @@ def _cmd_solve(args) -> int:
             "residual": res.residual,
         }
     else:
+        try:
+            flow_steps(len(prob.aug.vertices), args.time, args.dt)
+        except ValueError as exc:
+            raise argparse.ArgumentError(None, f"--time and --dt: {exc}") from None
         f0 = prob.f_init if prob.f_init is not None else default_start(prob.cs)
         res = curvature_flow(prob.cs, f0, args.time, args.dt)
         out = {

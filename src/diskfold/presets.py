@@ -7,7 +7,7 @@ Scenarios fix the structure constants:
     inscribed    alpha = 0, eta = 1/2 on the disk, mu = 0
 
 and alpha = 1 at the apex in all three.  The preset() function returns
-the JSON-ready problem dictionary; build() returns parsed objects.
+the JSON-ready problem dictionary; build() returns its parsed structure.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import CombinatorialDisk, augment, validate_disk
-from .conformal import attach_boundary_data
+from .conformal import ConformalStructure, attach_boundary_data
 from .layout import SCENARIOS
 from .problem_io import parse_problem, problem_dict
 
@@ -109,18 +109,18 @@ def preset(name: str, n_rings: int = 2, scenario: str = "tangent") -> dict:
     return problem_dict(disk, *scenario_data(disk, scen))
 
 
-def build(name: str, n_rings: int = 2, scenario: str = "tangent"):
-    """(aug, cs) for a named preset."""
-    prob = parse_problem(preset(name, n_rings=n_rings, scenario=scenario))
-    return prob.aug, prob.cs
+def build(name: str, n_rings: int = 2, scenario: str = "tangent") -> ConformalStructure:
+    """The structure of a named preset; cs.complex is its augmented disk."""
+    return parse_problem(preset(name, n_rings=n_rings, scenario=scenario)).cs
 
 
 def random_admissible(
     disk: CombinatorialDisk,
     rng: np.random.Generator,
 ):
-    """A random admissible (structure, label) pair on the augmented disk.
+    """(aug, cs, f): a random admissible structure and label on the augmented disk.
 
+    The triple is what perfbench/workloads.py unpacks, aug being cs.complex.
     Vertex weights are drawn near 1, edge constants near 1.2, boundary
     data in [-0.4, 0.4] and the label near 0 with the apex lifted, then
     rejected until the label is admissible, at most MAX_TRIES times.

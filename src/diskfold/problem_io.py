@@ -9,6 +9,12 @@ A problem is a JSON object with keys
     mu        map id -> number, one per boundary vertex
     f_init    optional map id -> number including "hat"
 
+The keys of a disk's vertices, edges and boundary cycle are made by one
+function, _keys, for the reader and the writers alike: str(v) for a
+vertex, the keys of its ends joined by "-" for an edge.  Each id-keyed
+section is read by one exact-key array reader, and a section that it
+does not take by the one per-key reader, which names the first offender.
+
 Serialization is canonical: keys sorted, fixed separators, every
 number written with 17 significant digits, so serialize(parse(s))
 reproduces a canonically written file byte for byte.
@@ -90,38 +96,37 @@ def _edge_id(key: str, where: str) -> tuple:
     return u, v
 
 
-def _by_key(raw: Mapping, where: str, order, key, unknown: str, what: str) -> np.ndarray:
-    """raw's values in the order of the ids ``order``, read key by key.
+def _by_key(raw: Mapping, where: str, keys: list, key, unknown: str, what: str) -> np.ndarray:
+    """raw's values in the order of keys, read key by key.
 
-    key(k, where) reads the id of a key.  A ProblemFormatError names the
-    first key whose id is not in order (``unknown``) or whose value is not
-    a finite number, else the ids of order that raw misses (``what``).
+    key(k, where) raises unless k writes its id canonically, so that str(k)
+    is one of keys when the id is known (an int key too), and returns the id.
+    A ProblemFormatError names the first key that is not one of keys
+    (``unknown``) or whose value is not a finite number, else the ids of
+    the keys that raw misses (``what``).
     """
-    index = dict(zip(order, range(len(order))))
-    out, seen = np.empty(len(order)), np.zeros(len(order), dtype=bool)
+    index = dict(zip(keys, range(len(keys))))
+    out, seen = np.empty(len(keys)), np.zeros(len(keys), dtype=bool)
     for k, val in raw.items():
-        i = index.get(key(k, where))
+        key(k, where)
+        i = index.get(str(k))
         if i is None:
             raise ProblemFormatError(f"{where}/{k}: {unknown}")
         out[i], seen[i] = _num(val, f"{where}/{k}"), True
     if not seen.all():
-        missing = [order[i] for i in np.flatnonzero(~seen).tolist()]
+        missing = [key(keys[i], where) for i in np.flatnonzero(~seen).tolist()]
         raise ProblemFormatError(f"{where}: missing {what} {missing}")
     return out
 
 
-def _values(raw: dict, keys: list, n_other: int = 0):
+def _values(raw: Mapping, keys: list):
     """raw's values at keys as a float array in key order, or None unless
-    raw holds exactly those keys (and n_other more) with finite ints and
-    floats, an int too large for a float counting as not finite.  None
-    sends the caller to _by_key."""
-    if len(raw) != len(keys) + n_other:
+    raw holds exactly those keys with finite ints and floats, an int too
+    large for a float counting as not finite.  None sends the caller to
+    _by_key."""
+    if len(raw) != len(keys):
         return None
-    return _numbers(list(map(raw.get, keys)))
-
-
-def _numbers(vals: list):
-    """vals as a float array, or None unless all are finite ints and floats."""
+    vals = list(map(raw.get, keys))
     if not set(map(type, vals)) <= {int, float}:
         return None
     try:
@@ -131,90 +136,52 @@ def _numbers(vals: list):
     return out if np.isfinite(out).all() else None
 
 
-def _object(data: dict, name: str) -> Mapping:
-    raw = data[name]
+#: Per disk: the keys of its vertices (then "hat"), edges and boundary cycle.
+_KEYS = weakref.WeakKeyDictionary()
+
+
+def _keys(disk: CombinatorialDisk) -> tuple:
+    """(vertex, edge, cycle): the JSON keys of the disk's vertices in vertex
+    order followed by the apex key "hat", of its edges in edge order, each
+    the keys of its ends joined by "-", and of its boundary vertices in
+    cycle order.  Made once per disk; shared, do not mutate."""
+    if disk not in _KEYS:
+        ix = disk.compiled
+        vertex = [*map(str, disk.vertices), "hat"]
+        v = np.array(vertex, dtype=object)
+        u, w = v[ix.E.T]
+        _KEYS[disk] = vertex, list(map("-".join, zip(u.tolist(), w.tolist()))), v[ix.cycle].tolist()
+    return _KEYS[disk]
+
+
+def _section(data: dict, name: str, keys: list, key=_vertex_id, unknown="unknown vertex", what="vertices"):
+    """data[name] as an array in the order of keys: read whole by _values,
+    else key by key by _by_key.  In a vertex map the keys end in "hat",
+    the apex entry, which is checked first and comes last."""
+    raw, where = data[name], f"/{name}"
     if not isinstance(raw, Mapping):
-        raise ProblemFormatError(f"/{name}: must be an object")
-    return raw
-
-
-def _vertex_section(data: dict, name: str, disk: CombinatorialDisk, keys: list):
-    """(values in vertex order, apex value) of a map over the vertices plus "hat"."""
-    raw = _object(data, name)
-    where = f"/{name}"
+        raise ProblemFormatError(f"{where}: must be an object")
+    out = _values(raw, keys)
+    if out is not None:
+        return out
+    if keys[-1] != "hat":
+        return _by_key(raw, where, keys, key, unknown, what)
     if "hat" not in raw:
         raise ProblemFormatError(f'{where}: missing the apex entry "hat"')
     hat = _num(raw["hat"], f"{where}/hat")
-    out = _values(raw, keys, 1)
-    if out is None:
-        rest = {k: x for k, x in raw.items() if k != "hat"}
-        out = _by_key(rest, where, disk.vertices, _vertex_id, "unknown vertex", "vertices")
-    return out, hat
-
-
-#: The most digits of an id that an edge key may carry and still fit int64.
-_ID_DIGITS = 18
-
-
-def _key_pairs(raw: dict):
-    """The ids (u, v) of raw's keys "u-v" as an (n, 2) int64 array in key
-    order, or None unless every key is two decimal ids in canonical form
-    (no sign, no leading zero, at most _ID_DIGITS digits) joined by one
-    "-"."""
-    try:
-        text = np.frombuffer(",".join(raw).encode(), np.uint8)
-    except (TypeError, UnicodeEncodeError):  # keys that are not text
-        return None
-    cut = np.flatnonzero((text < ord("0")) | (text > ord("9")))
-    # the keys hold no "," of their own and one "-" each: the cuts alternate
-    if len(cut) != 2 * len(raw) - 1 or (text[cut[::2]] != ord("-")).any() or (text[cut[1::2]] != ord(",")).any():
-        return None
-    starts = np.concatenate([[0], cut + 1])
-    lengths = np.append(cut, len(text)) - starts
-    if lengths.min() < 1 or lengths.max() > _ID_DIGITS or ((text[starts] == ord("0")) & (lengths > 1)).any():
-        return None
-    ids = np.zeros(len(starts), dtype=np.int64)
-    for k in range(lengths.max()):
-        # past its last digit an id reads its cut or the text's last byte
-        digit = text[np.minimum(starts + k, len(text) - 1)].astype(np.int64) - ord("0")
-        ids = np.where(lengths > k, 10 * ids + digit, ids)
-    return ids.reshape(-1, 2)
-
-
-def _eta_values(raw: dict, disk: CombinatorialDisk):
-    """raw's values in the disk's edge order, or None unless its keys are
-    exactly the disk's edges, written canonically, with finite ints and
-    floats as values."""
-    ix = disk.compiled
-    pairs = _key_pairs(raw)
-    if pairs is None or len(pairs) != len(ix.E) or ix.ids.dtype.kind != "i":
-        return None
-    m = int(ix.ids.max()) + 1
-    if m * m > np.iinfo(np.int64).max or pairs.max() >= m:
-        return None
-    # edges are numbered in sorted order of their id pairs, so their codes
-    # u * m + v ascend; distinct canonical keys give distinct codes
-    codes = ix.ids[ix.E[:, 0]] * m + ix.ids[ix.E[:, 1]]
-    keys = pairs[:, 0] * m + pairs[:, 1]
-    at = np.minimum(np.searchsorted(codes, keys), len(codes) - 1)
-    if (codes[at] != keys).any():
-        return None
-    vals = _numbers(list(raw.values()))
-    if vals is None:
-        return None
-    out = np.empty(len(codes))
-    out[at] = vals
-    return out
+    rest = {k: x for k, x in raw.items() if k != "hat"}
+    return np.append(_by_key(rest, where, keys[:-1], key, unknown, what), hat)
 
 
 def parse_problem(source) -> Problem:
     """Parse a problem from JSON text, a file object, or a dictionary.
 
-    Each section is read straight into an array in the compiled order
-    of the disk's vertices, edges or boundary cycle.  A section that
-    fails that one check, such as an eta section whose ids are too large
-    for int64 edge codes, is read by _by_key, the one per-key loop,
-    which names the first offender of a bad section.
+    Each id-keyed section is read straight into an array in the compiled
+    order of the disk's vertices, edges or boundary cycle when it holds
+    exactly the keys that _keys makes, whatever the size of the ids,
+    with finite numbers as values.  Any other section, such as one with
+    a non-canonical key or a dictionary's int keys, is read by _by_key,
+    the one per-key loop, which names the first offender of a bad section.
     """
     if isinstance(source, str) or hasattr(source, "read"):
         try:
@@ -265,22 +232,13 @@ def parse_problem(source) -> Problem:
         raise ProblemFormatError(f"not a triangulated disk: {exc}") from None
     aug = augment(disk)
 
-    keys = list(map(str, disk.vertices))
-    alpha, apex_alpha = _vertex_section(data, "alpha", disk, keys)
-    raw = _object(data, "eta")
-    eta = _eta_values(raw, disk)
-    if eta is None:
-        eta = _by_key(raw, "/eta", disk.edges, _edge_id, "not an edge of the disk", "edges")
-    raw, cycle = _object(data, "mu"), disk.boundary_cycle
-    mu = _values(raw, list(map(str, cycle)))
-    if mu is None:
-        mu = _by_key(raw, "/mu", cycle, _vertex_id, "not a boundary vertex", "boundary vertices")
-    f_init = None
-    if "f_init" in data:
-        f, hat = _vertex_section(data, "f_init", disk, keys)
-        f_init = np.append(f, hat)
+    vertex, edge, cycle = _keys(disk)
+    alpha = _section(data, "alpha", vertex)
+    eta = _section(data, "eta", edge, _edge_id, "not an edge of the disk", "edges")
+    mu = _section(data, "mu", cycle, _vertex_id, "not a boundary vertex", "boundary vertices")
+    f_init = _section(data, "f_init", vertex) if "f_init" in data else None
 
-    cs = attach_boundary_data(aug, alpha, eta, mu, apex_alpha=apex_alpha)
+    cs = attach_boundary_data(aug, alpha[:-1], eta, mu, apex_alpha=alpha[-1])
     return Problem(cs, f_init)
 
 
@@ -297,7 +255,7 @@ class IdRows(Mapping):
 
     def __init__(self, aug: AugmentedDisk, rows):
         if aug not in _ID_KEYS:
-            keys = [*map(str, aug.disk.vertices), "hat"]
+            keys = _keys(aug.disk)[0]
             order = sorted(range(len(keys)), key=keys.__getitem__)
             _ID_KEYS[aug] = dict(zip(keys, range(len(keys)))), order, [_encode(keys[i]) + ": " for i in order]
         self.rows = np.asarray(rows, dtype=float)
@@ -368,15 +326,14 @@ _WRITERS = {
 
 def problem_dict(disk: CombinatorialDisk, alpha, eta, mu, apex_alpha: float = 1.0) -> dict:
     """The JSON-ready problem object of disk data, without f_init."""
-    data = {
+    vertex, edge, cycle = _keys(disk)
+    return {
         "vertices": list(disk.vertices),
         "faces": [list(fc) for fc in disk.faces],
-        "alpha": {str(v): alpha[v] for v in disk.vertices},
-        "eta": {f"{e[0]}-{e[1]}": eta[e] for e in disk.edges},
-        "mu": {str(v): mu[v] for v in disk.boundary_cycle},
+        "alpha": dict(zip(vertex, [*map(alpha.__getitem__, disk.vertices), apex_alpha])),
+        "eta": dict(zip(edge, map(eta.__getitem__, disk.edges))),
+        "mu": dict(zip(cycle, map(mu.__getitem__, disk.boundary_cycle))),
     }
-    data["alpha"]["hat"] = apex_alpha
-    return data
 
 
 def serialize_problem(problem: Problem, f=None) -> str:
@@ -399,5 +356,4 @@ def label_to_json(aug: AugmentedDisk, f) -> IdRows:
 def label_from_json(aug: AugmentedDisk, data: Mapping) -> np.ndarray:
     """A label from its id-keyed JSON section, read as parse_problem reads
     f_init; a ProblemFormatError names the offending key under /label."""
-    f, hat = _vertex_section({"label": data}, "label", aug.disk, list(map(str, aug.disk.vertices)))
-    return np.append(f, hat)
+    return _section({"label": data}, "label", _keys(aug.disk)[0])

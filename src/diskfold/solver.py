@@ -46,6 +46,7 @@ __all__ = [
     "default_start",
     "newton_flat",
     "curvature_flow",
+    "flow_steps",
     "gauge_normalize",
 ]
 
@@ -148,6 +149,10 @@ MAX_BACKTRACKS = 40
 
 #: Halvings of one curvature_flow grid step before it counts as a collapse.
 MAX_HALVINGS = 30
+
+#: The most label entries one curvature_flow records, (steps + 1) x n
+#: floats: 800 MB of samples.
+MAX_FLOW_FLOATS = 10**8
 
 
 def _power_estimate(J, z: np.ndarray) -> float:
@@ -394,15 +399,9 @@ def curvature_flow(cs: ConformalStructure, f0, t_end: float, dt: float) -> FlowR
     before t_end stops evaluating, with the same numbers.  The result's
     ``integrated`` counts the grid steps integrated and ``halvings`` the
     stage halvings they took.
-    t_end and dt must be positive and finite and t_end / dt finite
-    (ValueError otherwise).
+    t_end and dt are checked by flow_steps before any evaluation.
     """
-    for name, value in (("t_end", t_end), ("dt", dt)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
-    if not np.isfinite(t_end / dt):
-        raise ValueError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
-    _complex_of(cs, AugmentedDisk)
+    n_steps = flow_steps(len(_complex_of(cs, AugmentedDisk).vertices), t_end, dt)
     sys = cs.system
     evaluate = sys.evaluate_iterate
     sign = np.full(sys.n_vertices, -1.0)
@@ -424,7 +423,6 @@ def curvature_flow(cs: ConformalStructure, f0, t_end: float, dt: float) -> FlowR
 
     ev = sys.accept(sys.evaluate(f0))
     f, k = ev.f, sign * ev.curvature
-    n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
     times = [0.0]
     labels = [f]
     residuals = [float(np.maximum.reduce(np.abs(k)))]
@@ -475,6 +473,24 @@ def curvature_flow(cs: ConformalStructure, f0, t_end: float, dt: float) -> FlowR
 
 class _StageError(Exception):
     pass
+
+
+def flow_steps(n: int, t_end: float, dt: float) -> int:
+    """The grid steps of a flow of n-entry labels from 0 to t_end by dt.
+
+    t_end and dt must be positive and finite, t_end / dt finite and the
+    (steps + 1) x n recorded floats at most MAX_FLOW_FLOATS (ValueError
+    otherwise).
+    """
+    for name, value in (("t_end", t_end), ("dt", dt)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not np.isfinite(t_end / dt):
+        raise ValueError(f"t_end / dt must be finite, got {t_end!r} / {dt!r}")
+    n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
+    if (n_steps + 1) * n > MAX_FLOW_FLOATS:
+        raise ValueError(f"{n_steps:.6g} steps of {n} entries record more than MAX_FLOW_FLOATS = {MAX_FLOW_FLOATS:.6g} floats")
+    return n_steps
 
 
 def gauge_normalize(aug: AugmentedDisk, f):

@@ -1,10 +1,9 @@
-"""Shared fixtures: preset structures and their closed-form flat labels,
+"""Shared test data: the closed-form flat labels of the hexagonal presets,
 and flip-randomized lattice disks."""
 
 import numpy as np
-import pytest
 
-from diskfold import DiskTopologyError, build, newton_flat, ring_lattice, validate_disk
+from diskfold import DiskTopologyError, ring_lattice, validate_disk
 
 # Exact flat labels for the 7-circle configurations, from elementary
 # circle geometry in the unit disk (boundary circle radius r, apex
@@ -24,34 +23,6 @@ HEX_GAP = {
     "hex_orthogonal": 0.5 * np.log(3.0),
     "hex_inscribed": 0.0,
 }
-
-
-@pytest.fixture(scope="session")
-def hex_tangent():
-    return build("hex_tangent")
-
-
-@pytest.fixture(scope="session")
-def hex_orthogonal():
-    return build("hex_orthogonal")
-
-
-@pytest.fixture(scope="session")
-def hex_inscribed():
-    return build("hex_inscribed")
-
-
-@pytest.fixture(scope="session")
-def hex_tangent_solved(hex_tangent):
-    aug, cs = hex_tangent
-    res = newton_flat(cs, tol=1e-12)
-    assert res.converged
-    return aug, cs, res
-
-
-@pytest.fixture(scope="session")
-def ring2():
-    return ring_lattice(2)
 
 
 def boundary_gaps(aug, f):

@@ -44,7 +44,8 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 def _hex_pipeline(name: str, scenario: str, gap: float):
     """Newton from the prescribed start, then normalized verification."""
-    aug, cs = build(name)
+    cs = build(name)
+    aug = cs.complex
     f0 = np.zeros(len(aug.vertices))
     f0[-1] = np.log(2.8)
     t0 = time.perf_counter()
@@ -75,7 +76,8 @@ def flat_instances():
         ("triangle", "tangent"),
         ("triangle", "inscribed"),
     ]:
-        aug, cs = build(name, scenario=scenario)
+        cs = build(name, scenario=scenario)
+        aug = cs.complex
         res = newton_flat(cs, tol=1e-12)
         assert res.converged, (name, scenario, res.status)
         out.append((f"{name}/{scenario}", aug, cs, res.f))
@@ -180,7 +182,7 @@ def test_criterion_07_coordinate_kernel(flat_instances):
 
 
 def test_criterion_08_mobius_invariance():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
     fields = ("a", "b", "c", "d", "t", "r")
     lay = layout_augmented(cs, f)
@@ -242,7 +244,7 @@ def test_criterion_10_realized_products(flat_instances):
 
 
 def test_criterion_11_rank_report():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     res = newton_flat(cs, tol=1e-12)
     assert res.converged
     C = constraint_matrix(layout_augmented(cs, res.f))
@@ -259,7 +261,7 @@ def test_criterion_11_rank_report():
 
 
 def test_criterion_12_flow():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     sys = AngleSystem(cs)
     rng = np.random.default_rng(12)
     f0 = HEX_FLAT["hex_tangent"] + 0.05 * rng.standard_normal(8)

@@ -67,7 +67,8 @@ def test_one_value_settings_are_constants(module, function, keyword, constant, v
 def test_one_name_per_thing():
     from diskfold.layout import BoundaryReport
 
-    aug, cs = diskfold.build("hex_tangent")
+    cs = diskfold.build("hex_tangent")
+    aug = cs.complex
     assert not hasattr(aug, "vertex_order") and not hasattr(cs.system, "vertex_order")
     assert "tol" not in {f.name for f in dataclasses.fields(BoundaryReport)}
 
@@ -133,7 +134,7 @@ def test_multiplicity_entries_take_the_assignment_alone(name):
 
 def test_an_assignment_carries_its_complex():
     assert not hasattr(diskfold.complexes, "_require_on") and not hasattr(diskfold.measures, "_require_on")
-    aug, _ = diskfold.build("hex_tangent")
+    aug = diskfold.build("hex_tangent").complex
     mu = diskfold.standard_multiplicities(aug)
     assert mu.complex is aug
     with pytest.raises(TypeError):
@@ -146,7 +147,7 @@ def test_a_layout_carries_its_label():
     assert not hasattr(diskfold.PlaneLayout, "diameter")
     fields = [f.name for f in dataclasses.fields(diskfold.PlaneLayout)]
     assert fields[:2] == ["cs", "label"]
-    _, cs = diskfold.build("hex_tangent")
+    cs = diskfold.build("hex_tangent")
     lay = diskfold.layout_augmented(cs, HEX_FLAT["hex_tangent"])
     assert lay.cs is cs
     for name in ("label", "positions", "mpoints"):

@@ -488,7 +488,7 @@ def _pass_kind(cs, f) -> str:
 
 @pytest.mark.parametrize("name", sorted(HEX_FLAT))
 def test_evaluation_pass_matches_reference_on_hex_presets(name):
-    aug, cs = build(name)
+    cs = build(name)
     rng = np.random.default_rng(5)
     for f in (HEX_FLAT[name], HEX_FLAT[name] + 0.05 * rng.standard_normal(8), default_start(cs)):
         assert _pass_kind(cs, f) == "ok"
@@ -500,7 +500,7 @@ def test_evaluation_pass_matches_reference_on_lattices(rings, scenario):
     """Seeded labels around the default start at scales 0.02 to 400 hit
     admissible labels, edge violations (overflowed and zero squared
     lengths) and face violations, and every field agrees."""
-    aug, cs = build("ring_lattice", n_rings=rings, scenario=scenario)
+    cs = build("ring_lattice", n_rings=rings, scenario=scenario)
     f0 = default_start(cs)
     rng = np.random.default_rng(rings)
     kinds = set()
@@ -514,7 +514,8 @@ def test_evaluation_pass_matches_reference_on_lattices(rings, scenario):
 @given(st.data(), st.sampled_from([2, 4]), st.sampled_from(["tangent", "orthogonal", "inscribed"]),
        st.sampled_from([0.02, 0.3, 1.0, 4.0, 400.0]))
 def test_evaluation_pass_matches_reference(data, rings, scenario, scale):
-    aug, cs = build("ring_lattice", n_rings=rings, scenario=scenario)
+    cs = build("ring_lattice", n_rings=rings, scenario=scenario)
+    aug = cs.complex
     n = len(aug.vertices)
     noise = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n).map(np.array))
     _pass_kind(cs, default_start(cs) + scale * noise)

@@ -291,10 +291,40 @@ def test_cli_solve_flow_rejects_bad_time_arguments(hex_file, capsys, flag, value
     assert "Traceback" not in err
 
 
-def test_cli_solve_flow_rejects_a_step_count_that_overflows(hex_file, capsys):
-    assert main(["solve", str(hex_file), "--method", "flow", "--time", "1e300", "--dt", "1e-300"]) == 2
-    err = capsys.readouterr().err
-    assert err == "diskfold: numerical failure: t_end / dt must be finite, got 1e+300 / 1e-300\n"
+def _python(*args: str, timeout: float | None = None):
+    """The CompletedProcess of python with args, in a fresh process that
+    imports this diskfold; killed after timeout seconds."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import diskfold
+
+    src = str(Path(diskfold.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def _flow_cli(problem, time: str, dt: str):
+    """(exit code, stderr) of a flow solve in a fresh process, killed after 20 s."""
+    run = _python("-m", "diskfold.cli", "solve", str(problem), "--method", "flow", "--time", time, "--dt", dt, timeout=20)
+    return run.returncode, run.stderr
+
+
+def test_cli_solve_flow_rejects_a_step_count_that_overflows(hex_file):
+    rc, err = _flow_cli(hex_file, "1e300", "1e-300")
+    assert (rc, err) == (1, "diskfold: input error: --time and --dt: t_end / dt must be finite, got 1e+300 / 1e-300\n")
+
+
+@pytest.mark.parametrize("time, dt, steps", [("1e200", "1e-100", "1e+300"), ("1e9", "0.01", "1e+11")])
+def test_cli_solve_flow_rejects_more_samples_than_the_bound(hex_file, time, dt, steps):
+    # 1e300 grid steps would never return: the bound rejects them before
+    # the first evaluation, in a process killed after 20 s if it does not
+    rc, err = _flow_cli(hex_file, time, dt)
+    assert (rc, err) == (
+        1, f"diskfold: input error: --time and --dt: {steps} steps of 8 entries record more than "
+        "MAX_FLOW_FLOATS = 1e+08 floats\n",
+    )
 
 
 def test_cli_solve_budget_exhausted_is_numerical_error(perturbed_hex_file, capsys):
@@ -401,14 +431,8 @@ def _shifted(data: dict, shift: int) -> dict:
     }
 
 
-@pytest.mark.parametrize("shift", [2**40, 10**19])
-def test_eta_keys_past_the_edge_codes_are_read_key_by_key(shift, monkeypatch):
-    # 2**40: the codes u * m + v overflow int64; 10**19: the ids pass int64
-    # and their keys 18 digits.  The per-key reader alone reads these eta
-    # sections, into the arrays of the unshifted file bit for bit
-    data = preset("ring_lattice", n_rings=3, scenario="orthogonal")
-    f0 = np.random.default_rng(3).normal(size=len(data["vertices"]) + 1).tolist()
-    data["f_init"] = {**{str(v): x for v, x in zip(data["vertices"], f0)}, "hat": f0[-1]}
+def _recorded_by_key(monkeypatch) -> list:
+    """The sections that problem_io._by_key reads from now on, by where."""
     read = []
     by_key = problem_io._by_key
 
@@ -417,14 +441,47 @@ def test_eta_keys_past_the_edge_codes_are_read_key_by_key(shift, monkeypatch):
         return by_key(raw, where, *rest)
 
     monkeypatch.setattr(problem_io, "_by_key", recorded)
+    return read
+
+
+def _ring_with_f_init() -> dict:
+    data = preset("ring_lattice", n_rings=3, scenario="orthogonal")
+    f0 = np.random.default_rng(3).normal(size=len(data["vertices"]) + 1).tolist()
+    data["f_init"] = {**{str(v): x for v, x in zip(data["vertices"], f0)}, "hat": f0[-1]}
+    return data
+
+
+@pytest.mark.parametrize("shift", [2**40, 10**19, 2**64])
+def test_sections_with_ids_past_int64_are_read_whole(shift, monkeypatch):
+    # 2**40: products of two ids overflow int64; 10**19: the ids pass int64
+    # and their keys 18 digits; 2**64: past uint64 too.  The array reader
+    # reads every section, into the arrays of the unshifted file bit for bit
+    data = _ring_with_f_init()
+    read = _recorded_by_key(monkeypatch)
     small = parse_problem(json.dumps(data))
-    assert read == []
     big = parse_problem(json.dumps(_shifted(data, shift)))
-    assert read == ["/eta"]
+    label = label_from_json(big.aug, _shifted(data, shift)["f_init"])
+    assert read == []
     assert big.aug.disk.vertices == tuple(v + shift for v in small.aug.disk.vertices)
     for name in ("alpha_array", "eta_array"):
         assert getattr(big.cs, name).tobytes() == getattr(small.cs, name).tobytes()
-    assert big.f_init.tobytes() == small.f_init.tobytes()
+    assert big.f_init.tobytes() == small.f_init.tobytes() == label.tobytes()
+
+
+def test_int_keyed_sections_are_read_key_by_key(monkeypatch):
+    # a dictionary's int keys are not the text keys of a file: the per-key
+    # reader takes alpha, mu and f_init, into the arrays of the file
+    data = _ring_with_f_init()
+    ints = {k: {x if x == "hat" else int(x): v for x, v in data[k].items()} for k in ("alpha", "mu", "f_init")}
+    read = _recorded_by_key(monkeypatch)
+    text = parse_problem(json.dumps(data))
+    assert read == []
+    keyed = parse_problem({**data, **ints})
+    assert read == ["/alpha", "/mu", "/f_init"]
+    for name in ("alpha_array", "eta_array"):
+        assert getattr(keyed.cs, name).tobytes() == getattr(text.cs, name).tobytes()
+    assert keyed.f_init.tobytes() == text.f_init.tobytes()
+    assert label_from_json(keyed.aug, ints["f_init"]).tobytes() == text.f_init.tobytes()
 
 
 def test_cli_layout_keeps_the_ids_of_a_relabelled_lattice(tmp_path, capsys):
@@ -708,16 +765,8 @@ print(json.dumps(report))
 
 
 def _scipy_report(argvs) -> list:
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import diskfold
-
-    src = str(Path(diskfold.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, "-c", _SCIPY_PROBE, json.dumps(argvs)]
-    run = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    run = _python("-c", _SCIPY_PROBE, json.dumps(argvs))
+    run.check_returncode()
     return json.loads(run.stdout)
 
 

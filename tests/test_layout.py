@@ -35,7 +35,7 @@ def _signed_area(p, q, r):
 
 
 def test_layout_reproduces_lengths():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"]
     lay = layout_augmented(cs, f)
     assert lay.consistency_residual <= 1e-12
@@ -44,7 +44,8 @@ def test_layout_reproduces_lengths():
 
 def test_fold_orientation():
     """Disk faces develop with positive area, apex faces with negative."""
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
+    aug = cs.complex
     lay = layout_augmented(cs, HEX_FLAT["hex_tangent"])
     ix = aug.vertex_index
     for i, face in enumerate(aug.faces):
@@ -56,7 +57,7 @@ def test_fold_orientation():
 
 
 def test_bfs_and_dfs_agree():
-    aug, cs = build("hex_orthogonal")
+    cs = build("hex_orthogonal")
     f = HEX_FLAT["hex_orthogonal"]
     a = layout_augmented(cs, f, traversal="bfs")
     b = layout_augmented(cs, f, traversal="dfs")
@@ -68,13 +69,13 @@ def test_bfs_and_dfs_agree():
 
 
 def test_unknown_traversal_rejected():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     with pytest.raises(ValueError):
         layout_augmented(cs, HEX_FLAT["hex_tangent"], traversal="walk")
 
 
 def test_non_flat_label_rejected():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"].copy()
     f[0] += 0.05
     with pytest.raises(LayoutError):
@@ -113,7 +114,8 @@ def test_disk_only_layout():
 
 
 def test_realized_products_reproduce_structure():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
+    aug = cs.complex
     f = HEX_FLAT["hex_tangent"]
     mp, ix = realize_mpoints(layout_augmented(cs, f)), aug.vertex_index
     assert mp.shape == (len(aug.vertices), 4)
@@ -126,7 +128,7 @@ def test_realized_products_reproduce_structure():
 
 
 def test_normalization_sends_apex_to_unit_circle():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f = HEX_FLAT["hex_tangent"] + 0.37  # arbitrary global scale
     reali = normalize_to_unit_disk(layout_augmented(cs, f))
     assert layout_edge_error(reali) <= 1e-12
@@ -145,7 +147,8 @@ def test_boundary_reports():
     }
     reals = {}
     for name, scenario in cases.items():
-        aug, cs = build(name)
+        cs = build(name)
+        aug = cs.complex
         f = HEX_FLAT[name]
         reali = normalize_to_unit_disk(layout_augmented(cs, f))
         reals[scenario] = (aug, reali)
@@ -167,7 +170,8 @@ def test_boundary_report_true_negatives():
         ("hex_orthogonal", "inscribed"),
     ]
     for name, wrong in mismatches:
-        aug, cs = build(name)
+        cs = build(name)
+        aug = cs.complex
         f = HEX_FLAT[name]
         reali = normalize_to_unit_disk(layout_augmented(cs, f))
         rep = verify_boundary_condition(aug, reali.mpoints, wrong)
@@ -177,7 +181,8 @@ def test_boundary_report_true_negatives():
 
 def test_boundary_geometry_tangent():
     """Boundary circles touch the unit circle from inside."""
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
+    aug = cs.complex
     f = HEX_FLAT["hex_tangent"]
     reali = normalize_to_unit_disk(layout_augmented(cs, f))
     P, W = project(reali.mpoints[[aug.vertex_index[v] for v in aug.disk.boundary_cycle]])
@@ -185,7 +190,8 @@ def test_boundary_geometry_tangent():
 
 
 def test_boundary_geometry_inscribed():
-    aug, cs = build("hex_inscribed")
+    cs = build("hex_inscribed")
+    aug = cs.complex
     f = HEX_FLAT["hex_inscribed"]
     reali = normalize_to_unit_disk(layout_augmented(cs, f))
     P, W = project(reali.mpoints[[aug.vertex_index[v] for v in aug.disk.boundary_cycle]])
@@ -308,7 +314,8 @@ _FLAT_CASES += [("ring_lattice", n, s) for n in (2, 4) for s in SCENARIOS]
 @pytest.fixture(scope="module", params=_FLAT_CASES, ids=lambda c: f"{c[0]}-{c[1]}-{c[2]}")
 def flat_case(request):
     name, rings, scenario = request.param
-    aug, cs = build(name, n_rings=rings, scenario=scenario)
+    cs = build(name, n_rings=rings, scenario=scenario)
+    aug = cs.complex
     if name.startswith("hex_"):
         return aug, cs, HEX_FLAT[name]
     res = newton_flat(cs)
@@ -347,7 +354,8 @@ def test_realize_mpoints_raises_the_per_vertex_error(shift):
     # reaches, so the layout gets its label by hand; the first vertex the
     # loop rejects decides the message.  At 744 and 746 the scale e^{-f}
     # is subnormal or 0, but alpha e^{2f} has already overflowed
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
+    aug = cs.complex
     f = HEX_FLAT["hex_tangent"] + shift
     lay = dataclasses.replace(layout_augmented(cs, HEX_FLAT["hex_tangent"]), label=f)
     with pytest.raises(ValueError) as want:
@@ -402,7 +410,8 @@ _VERIFY_CASES += [("ring_lattice", n, s) for n in (1, 2, 4, 8) for s in SCENARIO
 
 @pytest.mark.parametrize("name, rings, scenario", _VERIFY_CASES)
 def test_boundary_check_matches_per_vertex_loop(name, rings, scenario):
-    aug, cs = build(name, n_rings=rings, scenario=scenario)
+    cs = build(name, n_rings=rings, scenario=scenario)
+    aug = cs.complex
     f = HEX_FLAT[name] if name.startswith("hex_") else newton_flat(cs).f
     lay = layout_augmented(cs, f)
     # the normalized realization and one whose apex circle is not the unit circle
@@ -419,7 +428,8 @@ def test_boundary_check_matches_per_vertex_loop(name, rings, scenario):
 
 @pytest.mark.parametrize("row", ["apex", "boundary"])
 def test_boundary_check_rejects_an_improper_row(row):
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
+    aug = cs.complex
     f = HEX_FLAT["hex_tangent"]
     xi = layout_augmented(cs, f).mpoints.copy()
     v = aug.apex if row == "apex" else aug.disk.boundary_cycle[2]
@@ -434,7 +444,8 @@ def test_boundary_check_rejects_an_improper_row(row):
 
 
 def test_boundary_check_rejects_an_imaginary_apex_circle():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
+    aug = cs.complex
     xi = layout_augmented(cs, HEX_FLAT["hex_tangent"]).mpoints.copy()
     xi[-1] = [0.0, 0.0, 0.0, 1.0]  # the origin with weight -1
     with pytest.raises(ValueError, match="^negative weight has no real radius$"):
@@ -472,7 +483,8 @@ def test_levels_place_like_the_sequential_walk(case):
     """Placing level by level gives the bits of one _third_point call per
     vertex in walk order."""
     name, rings, scenario = case
-    aug, cs = build(name, n_rings=rings, scenario=scenario)
+    cs = build(name, n_rings=rings, scenario=scenario)
+    aug = cs.complex
     f = _flat_label(aug, cs, name)
     lengths = cs.system.evaluate(f).lengths.tolist()
     for traversal in ("bfs", "dfs"):
@@ -484,7 +496,8 @@ def test_levels_place_like_the_sequential_walk(case):
 
 @pytest.mark.parametrize("name, rings", [("hex_tangent", 2), ("ring_lattice", 4)])
 def test_disk_levels_place_like_the_sequential_walk(name, rings):
-    aug, cs = build(name, n_rings=rings)
+    cs = build(name, n_rings=rings)
+    aug = cs.complex
     disk, f = aug.disk, _flat_label(aug, cs, name)[:-1]
     disk_cs = ConformalStructure.on(disk, cs.alpha, cs.eta)
     lengths = disk_cs.system.evaluate(f).lengths.tolist()

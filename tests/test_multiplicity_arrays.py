@@ -192,8 +192,9 @@ def test_counts_reject_an_assignment_on_another_complex(size):
     # a second hexagon's weights were once used silently, and a ring-2
     # lattice's raised a raw IndexError; the layout and the assignment
     # each carry a complex, so the count checks that they are one
-    aug, cs = build("hex_tangent")
-    other = build("hex_tangent")[0] if size == "same" else augment(ring_lattice(2))
+    cs = build("hex_tangent")
+    aug = cs.complex
+    other = build("hex_tangent").complex if size == "same" else augment(ring_lattice(2))
     mu = standard_multiplicities(other)
     lay = layout_augmented(cs, HEX_FLAT["hex_tangent"])
     with pytest.raises(ValueError, match="^the multiplicities are on another complex$"):
@@ -206,5 +207,5 @@ def test_counts_reject_an_assignment_on_another_complex(size):
 def test_measure_equivalence_at_the_default_start(rings, scenario):
     # the standard pi counts are the structure constants and the scatter
     # is the angle curvature's, so the two agree bit for bit
-    aug, cs = build("ring_lattice", n_rings=rings, scenario=scenario)
+    cs = build("ring_lattice", n_rings=rings, scenario=scenario)
     assert measure_equivalence_check(cs, default_start(cs)) == 0.0

@@ -85,7 +85,7 @@ def _w(z: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def _discrete_map(n: int, scenario: str):
     """(axial coordinates (V, 2), normalized positions as complex numbers)."""
-    aug, cs = build("ring_lattice", n_rings=n, scenario=scenario)
+    cs = build("ring_lattice", n_rings=n, scenario=scenario)
     res = newton_flat(cs)
     assert res.converged
     lay = normalize_to_unit_disk(layout_augmented(cs, res.f))

@@ -34,7 +34,7 @@ GENERATORS = [
 def hex_layout():
     """The flat hexagon's layout: the argument of constraint_matrix, and
     of mobius_orbit_check before the generator."""
-    _, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     return layout_augmented(cs, HEX_FLAT["hex_tangent"])
 
 
@@ -81,7 +81,7 @@ def test_numerical_rank_on_simple_matrices():
 
 
 def _realized_layout(name, **kw):
-    aug, cs = build(name, **kw)
+    cs = build(name, **kw)
     res = newton_flat(cs)
     assert res.converged
     return layout_augmented(cs, res.f)
@@ -214,7 +214,7 @@ def test_zero_generator_is_identity(hex_layout):
 
 
 def test_solved_label_transports_too():
-    aug, cs = build("hex_orthogonal")
+    cs = build("hex_orthogonal")
     res = newton_flat(cs, tol=1e-12)
     rep = mobius_orbit_check(layout_augmented(cs, res.f), InfinitesimalMobius(b=0.7, r=0.4), 1e-3)
     assert rep.max_abs_curvature <= 1e-4
@@ -233,7 +233,8 @@ def _orbit_per_vertex(aug, layout, mpoints, generator, eps):
 
 @pytest.mark.parametrize("name", ["hex_tangent", "hex_orthogonal", "ring_lattice"])
 def test_orbit_arrays_match_per_vertex_loop(name):
-    aug, cs = build(name, n_rings=3, scenario="orthogonal")
+    cs = build(name, n_rings=3, scenario="orthogonal")
+    aug = cs.complex
     f = HEX_FLAT[name] if name in HEX_FLAT else newton_flat(cs).f
     lay = layout_augmented(cs, f)
     mp = lay.mpoints

@@ -44,7 +44,8 @@ def test_hexagonal_gaps_match_closed_forms():
     # residual drops to ~1e-15 but the label may drift ~1e-10 along the
     # translation gauge directions, which move individual gaps
     for name, gap in HEX_GAP.items():
-        aug, cs = build(name)
+        cs = build(name)
+        aug = cs.complex
         res = newton_flat(cs, tol=1e-12)
         assert res.converged and res.iterations <= 25
         for g in boundary_gaps(aug, res.f):
@@ -52,7 +53,7 @@ def test_hexagonal_gaps_match_closed_forms():
 
 
 def test_newton_from_prescribed_start():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f0 = np.zeros(8)
     f0[-1] = np.log(2.8)
     res = newton_flat(cs, f0)
@@ -80,7 +81,8 @@ def test_single_triangle_closed_forms():
 
 
 def test_converged_label_is_gauge_equivalent_to_analytic():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
+    aug = cs.complex
     res = newton_flat(cs, tol=1e-12)
     got = gauge_normalize(aug, res.f)
     want = gauge_normalize(aug, HEX_FLAT["hex_tangent"])
@@ -96,7 +98,7 @@ def test_default_start_is_admissible(monkeypatch):
     cases = [(h, {}) for h in ("hex_tangent", "hex_orthogonal", "hex_inscribed")]
     cases += [("ring_lattice", {"n_rings": r, "scenario": s}) for r in range(1, 9) for s in SCENARIOS]
     for name, kw in cases:
-        aug, cs = build(name, **kw)
+        cs = build(name, **kw)
         evals.clear()
         f = default_start(cs)
         assert len(evals) <= 15, (name, kw)
@@ -120,7 +122,8 @@ def test_inadmissible_default_start_raises():
 
 def test_overflowed_squared_length_is_not_finite():
     # e^{2 * 1e308} overflows, so every squared length is inf
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
+    aug = cs.complex
     f = np.full(len(aug.vertices), 1e308)
     system = AngleSystem(cs)
     for check in (lambda f: system.accept(system.evaluate(f)), system.curvature, lambda f: newton_flat(cs, f)):
@@ -134,7 +137,7 @@ def test_overflowed_squared_length_is_not_finite():
     "rings, scenario", [(10, "orthogonal")] + [(32, s) for s in SCENARIOS]
 )
 def test_newton_converges_from_the_default_start_on_large_lattices(rings, scenario):
-    aug, cs = build("ring_lattice", n_rings=rings, scenario=scenario)
+    cs = build("ring_lattice", n_rings=rings, scenario=scenario)
     res = newton_flat(cs)
     assert res.converged and res.residual <= 1e-10
     assert res.iterations <= 10
@@ -208,7 +211,8 @@ def test_held_out_draw_converges_without_stalling():
 
 
 def test_steps_record_each_accepted_step():
-    aug, cs = build("hex_orthogonal")
+    cs = build("hex_orthogonal")
+    aug = cs.complex
     for res in (newton_flat(cs, _log3_start(aug), tol=1e-12), newton_flat(_ring4_draw(0, 10))):
         assert len(res.steps) == len(res.history) - 1 == res.iterations
         assert all(0.0 < t <= 1.0 and dropped in (0, 1, 2) for t, dropped in res.steps)
@@ -217,7 +221,7 @@ def test_steps_record_each_accepted_step():
 
 
 def test_inadmissible_start_raises():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     with pytest.raises(InadmissibleLabelError):
         newton_flat(cs, np.zeros(8))
 
@@ -242,7 +246,7 @@ def _degenerate_at(monkeypatch, cs, call: int) -> list:
 
 
 def test_degenerate_trial_halves_the_newton_step(monkeypatch):
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(3).standard_normal(8)
     ref = newton_flat(cs, f0)
     assert ref.converged and ref.steps[0][0] == 1.0
@@ -255,7 +259,7 @@ def test_degenerate_trial_halves_the_newton_step(monkeypatch):
 
 
 def test_degenerate_stage_halves_the_flow_step(monkeypatch):
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(3).standard_normal(8)
     ref = curvature_flow(cs, f0, 0.05, 0.01)
     # the first step's second stage comes back degenerate
@@ -267,7 +271,7 @@ def test_degenerate_stage_halves_the_flow_step(monkeypatch):
 
 
 def test_iteration_budget_respected():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f0 = np.zeros(8)
     f0[-1] = np.log(2.8)
     res = newton_flat(cs, f0, max_iter=1, tol=1e-14)
@@ -277,7 +281,8 @@ def test_iteration_budget_respected():
 
 
 def test_residual_history_is_monotone():
-    aug, cs = build("hex_orthogonal")
+    cs = build("hex_orthogonal")
+    aug = cs.complex
     # default_start is already flat here, so start off it to take steps
     res = newton_flat(cs, _log3_start(aug), tol=1e-12)
     assert len(res.history) > 2
@@ -305,7 +310,7 @@ def test_random_instances_fail_cleanly_or_converge():
 
 
 def test_newton_rejects_bad_parameters():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     bad = [
         {"tol": np.nan}, {"tol": -1.0}, {"tol": 0.0}, {"tol": np.inf},
         {"max_iter": -3},
@@ -363,7 +368,8 @@ def test_step_at_a_flat_label_adds_no_inverse_steps(monkeypatch):
     # at a converged label both Ritz values are roundoff below thr, and
     # their settle test compared noise with noise: 502 inverse steps here,
     # as on rings 4, 8 and 32, and 15 s for a ring-128 orthogonal solve
-    aug, cs = build("ring_lattice", n_rings=2)
+    cs = build("ring_lattice", n_rings=2)
+    aug = cs.complex
     res = newton_flat(cs, tol=1e-13)
     assert res.converged
     calls = []
@@ -375,7 +381,8 @@ def test_step_at_a_flat_label_adds_no_inverse_steps(monkeypatch):
 
 
 def test_step_matches_dense_reference_far_from_flat():
-    aug, cs = build("ring_lattice", n_rings=3)
+    cs = build("ring_lattice", n_rings=3)
+    aug = cs.complex
     f = _log3_start(aug)
     assert np.max(np.abs(AngleSystem(cs).curvature(f))) >= 1.0
     # J's left kernel holds the constant vector, so the step must ignore
@@ -387,7 +394,8 @@ def test_step_matches_dense_reference_far_from_flat():
 
 
 def test_step_drops_the_two_mobius_directions_near_flat():
-    aug, cs = build("ring_lattice", n_rings=3, scenario="inscribed")
+    cs = build("ring_lattice", n_rings=3, scenario="inscribed")
+    aug = cs.complex
     near = newton_flat(cs, tol=1e-9)  # stops one step short of 1e-10
     assert 1e-10 < near.residual <= 1e-9
     for shift in (0.0, 1e-9):
@@ -399,7 +407,8 @@ def test_step_drops_the_two_mobius_directions_near_flat():
 def test_step_keeps_mobius_directions_just_above_the_threshold():
     # sigma_Mobius ~1.8e-7 against thr ~9.5e-8; taking s_max = |J|_inf
     # would raise thr to 1.87e-7 here and drop them
-    aug, cs = build("ring_lattice", n_rings=16, scenario="orthogonal")
+    cs = build("ring_lattice", n_rings=16, scenario="orthogonal")
+    aug = cs.complex
     near = newton_flat(cs, tol=1e-4)
     (x, dropped), (x_ref, dropped_ref) = _steps(aug, cs, near.f)
     assert dropped == dropped_ref == 0
@@ -428,7 +437,8 @@ def _dense_step(J, G, K, svd_cutoff, residual, start):
 )
 def test_newton_matches_dense_reference_solver(monkeypatch, name, rings, scenario):
     kw = {} if rings is None else {"n_rings": rings, "scenario": scenario}
-    aug, cs = build(name, **kw)
+    cs = build(name, **kw)
+    aug = cs.complex
     # default_start is flat on the hex presets and ring 1, so start
     # every case off it to compare steps
     f0 = _log3_start(aug)
@@ -449,7 +459,8 @@ def test_singular_factor_is_a_jacobian_breakdown(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
-    aug, cs = build("hex_orthogonal")
+    cs = build("hex_orthogonal")
+    aug = cs.complex
     # default_start is already flat here, so start off it to reach a factor
     res = newton_flat(cs, _log3_start(aug))
     assert not res.converged
@@ -457,7 +468,8 @@ def test_singular_factor_is_a_jacobian_breakdown(monkeypatch):
 
 
 def test_gauge_normalize_pins_apex():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
+    aug = cs.complex
     f = np.linspace(0.0, 1.4, 8)
     g = gauge_normalize(aug, f)
     assert g[-1] == 0.0
@@ -471,7 +483,7 @@ def test_gauge_normalize_pins_apex():
 
 
 def test_flow_reduces_curvature():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     rng = np.random.default_rng(3)
     f0 = HEX_FLAT["hex_tangent"] + 0.05 * rng.standard_normal(8)
     sysm = AngleSystem(cs)
@@ -482,14 +494,14 @@ def test_flow_reduces_curvature():
 
 
 def test_flow_fixed_at_equilibrium():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     fr = curvature_flow(cs, HEX_FLAT["hex_tangent"], 1.0, 0.01)
     assert fr.final_residual <= 1e-12
     assert np.max(np.abs(fr.f - HEX_FLAT["hex_tangent"])) <= 1e-12
 
 
 def test_flow_step_collapse_reported(monkeypatch):
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f0 = np.zeros(8)
     f0[-1] = np.log(2.8)
     monkeypatch.setattr(solver, "MAX_HALVINGS", 2)
@@ -499,19 +511,33 @@ def test_flow_step_collapse_reported(monkeypatch):
 
 
 def test_flow_rejects_a_step_count_that_overflows():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     with pytest.raises(ValueError, match=r"^t_end / dt must be finite, got 1e\+300 / 1e-300$"):
         curvature_flow(cs, HEX_FLAT["hex_tangent"], 1e300, 1e-300)
 
 
+def test_flow_bounds_the_recorded_samples(monkeypatch):
+    cs = build("hex_tangent")
+    # (100 + 1) x 8 floats: at the bound the flow runs, one past it is rejected
+    monkeypatch.setattr(solver, "MAX_FLOW_FLOATS", 808)
+    assert solver.flow_steps(8, 1.0, 0.01) == 100
+    assert len(curvature_flow(cs, HEX_FLAT["hex_tangent"], 1.0, 0.01).times) == 101
+    with pytest.raises(ValueError, match=r"^101 steps of 8 entries record more than MAX_FLOW_FLOATS = 808 floats$"):
+        curvature_flow(cs, HEX_FLAT["hex_tangent"], 1.01, 0.01)
+    # the unbounded grid of 1e300 steps never reaches an evaluation
+    monkeypatch.setattr(cs.system, "evaluate", None)
+    with pytest.raises(ValueError, match=r"^1e\+300 steps of 8 entries"):
+        curvature_flow(cs, HEX_FLAT["hex_tangent"], 1e200, 1e-100)
+
+
 def test_flow_requires_admissible_start():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     with pytest.raises(InadmissibleLabelError):
         curvature_flow(cs, np.zeros(8), 1.0, 0.01)
 
 
 def test_flow_rejects_bad_time_arguments():
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f0 = HEX_FLAT["hex_tangent"]
     for t_end, dt in ((1.0, 0.0), (1.0, -0.1), (-1.0, 0.01), (0.0, 0.01),
                       (np.nan, 0.01), (1.0, np.inf), (np.inf, 0.01), (1.0, np.nan)):
@@ -520,7 +546,7 @@ def test_flow_rejects_bad_time_arguments():
 
 
 def test_flow_halving_bound_is_a_constant(monkeypatch):
-    aug, cs = build("hex_tangent")
+    cs = build("hex_tangent")
     f0 = np.zeros(8)
     f0[-1] = np.log(2.8)
     assert curvature_flow(cs, f0, 2.0, 0.5).halvings == 2
@@ -608,12 +634,14 @@ def _relabelled(data: dict, rng) -> dict:
 def _flow_start(start):
     """(aug, cs, f0) of a named flow start."""
     if start == "ring4":
-        aug, cs = build("ring_lattice", n_rings=4)
+        cs = build("ring_lattice", n_rings=4)
+        aug = cs.complex
         return aug, cs, default_start(cs)
     # criterion 12's start: the flat label plus 0.05 N(0, 1) from default_rng(12)
     f0 = HEX_FLAT["hex_tangent"] + 0.05 * np.random.default_rng(12).standard_normal(8)
     if start == "criterion12":
-        return (*build("hex_tangent"), f0)
+        cs = build("hex_tangent")
+        return cs.complex, cs, f0
     # relabelled with default_rng(3), its flow ends in a two-step cycle
     data = preset("hex_tangent")
     data["f_init"] = {**{str(v): x for v, x in zip(data["vertices"], f0[:-1])}, "hat": f0[-1]}

@@ -19,14 +19,14 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _render(name, **kw):
-    aug, cs = build(name)
+    cs = build(name)
     f = HEX_FLAT[name]
     return render_svg(layout_augmented(cs, f), **kw)
 
 
 @pytest.mark.parametrize("name", sorted(HEX_FLAT))
 def test_structure(name):
-    aug, _ = build(name)
+    aug = build(name).complex
     text = _render(name)
     assert text.startswith("<svg ")
     assert text.endswith("</svg>\n")
