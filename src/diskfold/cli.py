@@ -194,8 +194,8 @@ def _cmd_render(args) -> int:
 
 
 def _unit_disk_layout(prob, args):
-    """The solved label's layout with the apex circle as the unit circle: the
-    orbit bounds are absolute, and M is far better conditioned there."""
+    """The solved label's layout with the apex circle as the unit circle:
+    the orbit bounds are absolute there, and rank --spectrum reads M there."""
     return normalize_to_unit_disk(layout_augmented(prob.cs, _solved_label(prob, args)))
 
 
@@ -230,12 +230,12 @@ def _cmd_rank(args) -> int:
             return NUMERICAL_ERROR
         s_max, smallest, how = spectrum[0], spectrum[::-1][:N_SMALLEST], "svd"
     else:
-        cert = row_rank_certificate(lay, args.svd_cutoff)  # M stays sparse
+        cert = row_rank_certificate(lay, args.svd_cutoff)  # from J: M is never formed
         if cert is None:
             print(f"diskfold: numerical failure: full row rank of M ({shape[0]} x {shape[1]}) was not certified; "
                   "rank --spectrum gives its dense SVD", file=sys.stderr)
             return NUMERICAL_ERROR
-        (rank, s_max, smallest), how = cert, "pinned_lu"
+        (rank, s_max, smallest), how = cert, "jacobian_kernel"
     out = {"matrix": kind, "shape": shape, "cutoff": args.svd_cutoff, "rank": rank}
     if args.spectrum:
         out["singular_values"] = [float(s) for s in spectrum]

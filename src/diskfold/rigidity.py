@@ -1,37 +1,42 @@
 """Infinitesimal rigidity experiments on realized disks.
 
 A realization fixes the self-products <xi_v, xi_v> and the edge
-products <xi_v, xi_w>.  Differentiating both constraint families at a
-realization gives a linear map on vertex velocities in R^{4V}; its rank
-measures how large the space of product-preserving deformations is.
-The expectation is that only the Lorentz moves remain, which makes the
-(V + E) x 4V constraint matrix full rank whenever V + E <= 4V - 6.
-The rank is reported, never asserted: it is experimental evidence.
+products <xi_v, xi_w>.  Their derivative is the (V + E) x 4V constraint
+matrix M on vertex velocities, whose rank, reported and never asserted,
+is experimental evidence of how few product-preserving deformations
+there are.  An augmented disk triangulates a sphere, so V + E = 4V - 6,
+and M's kernel holds the six Lorentz motions: full rank is full row
+rank.  It is read off the curvature Jacobian J = dK/df at the flat label:
 
-An augmented disk triangulates a sphere, so V + E = 4V - 6 and full
-rank is full row rank.  With columns read as the velocities J dxi
-(J = diag(1, 1, 1, -1)), M's kernel is {(A xi_v)_v : A a 4 x 4
-antisymmetric matrix}: the six Lorentz motions.  row_rank_certificate
-factors M with six columns pinned, never M M^T, so cond(M) is not
-squared.  On the unit-disk frame of normalize_to_unit_disk, a Lorentz
-move that keeps the rank, it certifies ring_lattice to 64 rings in
-every scenario and at 128 rings; numerical_rank is the dense SVD.
+1. A velocity dxi that keeps every product to first order varies the
+   label f_v = -log(xi_v4 - xi_v3) by df_v = -(dxi_v4 - dxi_v3) / (xi_v4 - xi_v3).
+2. The moved points realize the same structure, so their label stays
+   flat to first order: J df = 0.
+3. Every df in ker J is reached: develop the varied flat label, and its
+   realization varies with the same products.
+4. df = 0 fixes every radius and, with the products, every edge length,
+   so the plane moves rigidly: the three Euclidean motions give df = 0.
 
-Both experiments take a layout alone: it carries its structure,
-label and realization, so checking many generators on one layout
-compiles, develops and realizes once; each Mobius check moves every
-row of the realization's (n, 4) array with one stacked product.
+So dim ker M = dim ker J + 3.  J 1 = J x = J y = 0 at a flat label
+(acceptance criterion 7: the Mobius label moves of mobius_orbit_check),
+so rank M = 4V - 6 exactly when ker J = span{1, x, y}: the flat label
+is locally unique up to Mobius moves.  row_rank_certificate proves that
+on the sparse J, which a similarity of the plane leaves unchanged;
+numerical_rank is the dense SVD, of M for rank --spectrum and of J for
+rank --jacobian.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from .complexes import AugmentedDisk
+from .conformal import _complex_of
 from .layout import PlaneLayout
 from .minkowski import InfinitesimalMobius, induced_label_variation, infinitesimal_generator
+from .solver import _SPLU_OPTIONS
 
 __all__ = [
     "constraint_matrix",
@@ -40,19 +45,6 @@ __all__ = [
     "OrbitReport",
     "mobius_orbit_check",
 ]
-
-
-def _constraint_csr(layout: PlaneLayout):
-    """M as CSR, each entry written once: the vertex rows, then the edge rows."""
-    from scipy import sparse
-
-    mpoints, E = layout.mpoints, layout.cs.complex.compiled.E
-    n, e = len(mpoints), len(E)
-    block = 4 * np.arange(n)[:, None] + np.arange(4)  # the 4 columns of each vertex
-    indices = np.concatenate([block.ravel(), np.hstack([block[E[:, 0]], block[E[:, 1]]]).ravel()])
-    data = np.concatenate([mpoints.ravel(), np.hstack([mpoints[E[:, 1]], mpoints[E[:, 0]]]).ravel()])
-    indptr = np.concatenate([4 * np.arange(n), 4 * n + 8 * np.arange(e + 1)])
-    return sparse.csr_array((data, indices, indptr), shape=(n + e, 4 * n))
 
 
 def constraint_matrix(layout: PlaneLayout) -> np.ndarray:
@@ -65,7 +57,14 @@ def constraint_matrix(layout: PlaneLayout) -> np.ndarray:
     Rows are written without the symmetrization factor 2, which leaves
     the rank unchanged.
     """
-    return _constraint_csr(layout).toarray()
+    mpoints, E = layout.mpoints, layout.cs.complex.compiled.E
+    n = len(mpoints)
+    block = 4 * np.arange(n)[:, None] + np.arange(4)  # the 4 columns of each vertex
+    m = np.zeros((n + len(E), 4 * n))
+    m[np.arange(n)[:, None], block] = mpoints
+    rows = n + np.arange(len(E))[:, None]
+    m[rows, np.hstack([block[E[:, 0]], block[E[:, 1]]])] = np.hstack([mpoints[E[:, 1]], mpoints[E[:, 0]]])
+    return m
 
 
 def numerical_rank(matrix, cutoff: float = 1e-10):
@@ -83,65 +82,60 @@ N_SMALLEST = 4
 
 def row_rank_certificate(layout: PlaneLayout, cutoff: float = 1e-10):
     """(rank, s_max, smallest) when M = constraint_matrix(layout) has
-    certified full row rank, else None; ``rank`` is M's row count and
-    ``smallest`` its N_SMALLEST smallest singular values, ascending.
+    certified full row rank, its row count 4V - 6, else None ("not
+    certified", not "rank deficient").  By the lemma above this is read
+    off J = dK/df at the layout's label; neither M nor the realization
+    is formed.  s_max is J's largest singular value and ``smallest`` its
+    min(N_SMALLEST, n - 3) smallest off span Z, Z = [1, x, y], ascending.
 
-    M stays sparse.  Pinning the six columns M_R that a pivoted QR of
-    the kernel basis picks leaves a square M_S, factored by splu; with
-    W = M_S^-1 M_R = Q diag(w) V^T (thin SVD), M M^T = M_S (I + W W^T)
-    M_S^T is inverted by two solves and the 6 x 6 capacitance step
-    (I + W W^T)^-1 = I - Q diag(w^2 / (1 + w^2)) Q^T: the OPinv of
-    shift-invert Lanczos.  s_max comes from Lanczos on x -> M (M^T x).
-    Both start from a fixed vector, so repeated calls give the same bits.
+    The apex and the two vertices that a pivoted QR of the positions
+    relative to it picks are pinned (P): the apex alone leaves J_SS
+    singular on exact flat labels, and its dense row kept out keeps the
+    factor sparse.  J on the rest (S) is factored with Newton's splu
+    settings.  As J Z = 0, J = T^T J_SS T with T = [I, -W] and
+    W = Z_S Z_P^-1, so x = [J_SS^-1 b_S; 0] solves J x = b exactly for
+    b orthogonal to Z: projected off span Z, the OPinv of shift-invert
+    Lanczos.  Both Lanczos runs start from a fixed vector, so repeated
+    calls give the same bits.
 
-    The margin is a first-order backward-error bound.  With partial
-    pivoting each solve is exact for some M_S + D with ||D|| of order
-    rows * eps * rho * ||M_S|| (Wilkinson), rho = max|U| / max|M_S|
-    being the factor's growth; the capacitance step is a contraction,
-    and cond(M_S) <= sqrt(1 + w_max^2) * s_max / s_min since M = M_S
-    [I W] up to the column order.  So the computed s_min is within
-    delta = rows * eps * rho * cond(M_S) of s_min, relatively, and the
-    rank is certified when delta < 1 and (1 - delta) * s_min > cutoff *
-    s_max.  None means "not certified", not "rank deficient" (a singular
-    factor, no Lanczos convergence, a failed bound, or too few rows).
+    Certified when |J Q_Z| <= cutoff * s_max (Q_Z orthonormal on span Z:
+    criterion 7) and (1 - delta) * sigma_4 > cutoff * s_max, where
+    delta = n * eps * rho * (1 + |W|^2) * s_max / sigma_4 bounds the
+    error to first order: a solve is exact for some J_SS + D, |D| of
+    order n * eps * rho * |J_SS| (Wilkinson; rho is the factor's growth),
+    that is for J + T^T D T, with |T|^2 = 1 + |W|^2 and |J_SS| <= s_max.
     """
     from scipy.linalg import qr
     from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-    m = _constraint_csr(layout)
-    rows, cols = m.shape
-    if rows <= N_SMALLEST + 1:
-        return None
-    xi = layout.mpoints
-    kernel = np.zeros((6, len(xi), 4))  # (A xi_v)_v for the six A = E_ij - E_ji
-    for k, (i, j) in enumerate(itertools.combinations(range(4), 2)):
-        kernel[k, :, i], kernel[k, :, j] = xi[:, j], -xi[:, i]
-    pinned = qr(kernel.reshape(6, cols), pivoting=True, mode="r")[1][:6]
-    m_s = m[:, np.setdiff1d(np.arange(cols), pinned)].tocsc()
-    gram = LinearOperator((rows, rows), matvec=lambda x: m @ (m.T @ x), dtype=float)
-    v0 = np.cos(0.7 * np.arange(rows)) + 2.0  # fixed: ARPACK's default start is random
+    n = len(_complex_of(layout.cs, AugmentedDisk).vertices)  # the apex is the last vertex
+    J = layout.cs.system.sparse_jacobian(layout.label)
+    Z = np.column_stack([np.ones(n), layout.positions])
+    q = np.linalg.qr(Z)[0]
+    pinned = np.append(qr((Z[:, 1:] - Z[-1, 1:]).T, pivoting=True, mode="r")[1][:2], n - 1)
+    rest = np.setdiff1d(np.arange(n), pinned)
+    j_ss = J[rest][:, rest]
+
+    def solve(b):  # off span Z
+        x = np.zeros(n)
+        x[rest] = lu.solve((b - q @ (q.T @ b))[rest])
+        return x - q @ (q.T @ x)
+
+    v0 = np.cos(0.7 * np.arange(n)) + 2.0  # fixed: ARPACK's default start is random
     try:
-        lam_max = eigsh(gram, k=1, which="LA", v0=v0, return_eigenvectors=False)[0]
-        lu = splu(m_s)
-        q, sw, _ = np.linalg.svd(lu.solve(m[:, pinned].toarray()), full_matrices=False)
-        damp = sw * sw / (1.0 + sw * sw)
-
-        def solve_gram(x):
-            y = lu.solve(x)
-            return lu.solve(y - q @ (damp * (q.T @ y)), trans="T")
-
-        inv = LinearOperator((rows, rows), matvec=solve_gram, dtype=float)
-        small = np.sort(eigsh(gram, k=N_SMALLEST, sigma=0.0, OPinv=inv, v0=v0, return_eigenvectors=False))
+        w = np.linalg.norm(np.linalg.solve(Z[pinned].T, Z[rest].T), 2)  # |W|
+        lu = splu(j_ss, **_SPLU_OPTIONS)
+        s_max = float(np.abs(eigsh(J, k=1, v0=v0, return_eigenvectors=False)[0]))
+        inv = LinearOperator((n, n), matvec=solve, dtype=float)
+        small = eigsh(J, k=min(N_SMALLEST, n - 3), sigma=0.0, OPinv=inv, v0=v0 - q @ (q.T @ v0), return_eigenvectors=False)
     except (RuntimeError, np.linalg.LinAlgError):  # a singular factor, or no convergence
         return None
-    if not (lam_max > 0 and small[0] > 0):
+    smallest = np.sort(np.abs(small))
+    if not (smallest[0] > 0 and np.linalg.norm(J @ q, 2) <= cutoff * s_max):
         return None
-    s_max, smallest = float(np.sqrt(lam_max)), np.sqrt(small)
-    growth = np.max(np.abs(lu.U.data)) / np.max(np.abs(m_s.data))
-    delta = rows * np.finfo(float).eps * growth * np.sqrt(1.0 + sw[0] ** 2) * s_max / smallest[0]
-    if not (delta < 1.0 and (1.0 - delta) * smallest[0] > cutoff * s_max):
-        return None
-    return rows, s_max, smallest
+    growth = np.max(np.abs(lu.U.data)) / np.max(np.abs(j_ss.data))
+    delta = n * np.finfo(float).eps * growth * (1.0 + w * w) * s_max / smallest[0]
+    return (4 * n - 6, s_max, smallest) if (1.0 - delta) * smallest[0] > cutoff * s_max else None
 
 
 @dataclass

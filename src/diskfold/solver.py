@@ -55,6 +55,10 @@ class SolverError(RuntimeError):
     """The iteration could not continue."""
 
 
+#: splu settings for a principal block of J: minimum degree on G + G^T, diagonal pivots preferred
+_SPLU_OPTIONS = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.1, "options": {"SymmetricMode": True}}
+
+
 def _newton_step(J, G, K: np.ndarray, svd_cutoff: float, residual: float, start: np.ndarray) -> tuple:
     """Truncated minimum-norm solution x of J x = K, and how many
     near-kernel directions the truncation dropped.
@@ -84,7 +88,7 @@ def _newton_step(J, G, K: np.ndarray, svd_cutoff: float, residual: float, start:
     """
     from scipy.sparse.linalg import splu
 
-    lu = splu(G, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+    lu = splu(G, **_SPLU_OPTIONS)
 
     def solve(b):
         # J grounded at the apex: b's mean would all land on the apex row
@@ -423,11 +427,11 @@ def curvature_flow(cs: ConformalStructure, f0, t_end: float, dt: float) -> FlowR
 
     ev = sys.accept(sys.evaluate(f0))
     f, k = ev.f, sign * ev.curvature
-    times = [0.0]
-    labels = [f]
-    residuals = [float(np.maximum.reduce(np.abs(k)))]
-    # hash of the bytes of labels[i] -> i, for every integrated full step
-    starts = {}
+    times, labels, residuals = np.zeros(n_steps + 1), np.empty((n_steps + 1, len(f))), np.empty(n_steps + 1)
+    labels[0], residuals[0] = f, np.maximum.reduce(np.abs(k))
+    # open addressing, at most half full: hash(labels[i] bytes) -> i, else -1
+    mask = (2 << n_steps.bit_length()) - 1
+    starts = np.full(mask + 1, -1, dtype=np.int32)  # n_steps <= MAX_FLOW_FLOATS
     t = 0.0
     integrated = halvings = 0
     for i in range(n_steps):
@@ -437,9 +441,11 @@ def curvature_flow(cs: ConformalStructure, f0, t_end: float, dt: float) -> FlowR
             # a full step is a function of its start label alone, so a
             # label seen before bit for bit repeats that step's successor
             raw = f.tobytes()
-            j = starts.get(hash(raw))
-            if j is None or labels[j].tobytes() != raw:
-                starts[hash(raw)], j = i, None
+            slot = hash(raw) & mask
+            while (j := int(starts[slot])) >= 0 and labels[j].tobytes() != raw:
+                slot = (slot + 1) & mask
+            if j < 0:
+                starts[slot], j = i, None
         if j is not None:
             f, k, r = labels[j + 1], None, residuals[j + 1]
         else:
@@ -465,10 +471,8 @@ def curvature_flow(cs: ConformalStructure, f0, t_end: float, dt: float) -> FlowR
             halvings += step_halvings
             r = float(np.maximum.reduce(np.abs(k)))
         t += h_goal
-        times.append(t)
-        labels.append(f)
-        residuals.append(r)
-    return FlowResult(np.array(times), np.array(labels), np.array(residuals), integrated, halvings)
+        times[i + 1], labels[i + 1], residuals[i + 1] = t, f, r
+    return FlowResult(times, labels, residuals, integrated, halvings)
 
 
 class _StageError(Exception):

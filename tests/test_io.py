@@ -550,13 +550,33 @@ def test_cli_rank_reports_the_certificate(hex_file, ring4_file, capsys, which):
     assert main(["rank", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert set(out) == {"matrix", "shape", "cutoff", "rank", "s_max", "smallest_singular_values", "certificate"}
-    assert out["certificate"] == "pinned_lu"
+    assert out["certificate"] == "jacobian_kernel"
     dense = json.loads(_spectrum_report(path))
     assert out["rank"] == dense["rank"] == out["shape"][0]
     assert out["shape"] == dense["shape"]
-    s = dense["singular_values"]
+    # s_max and the smallest values are J's, sigma_4 on: its first three are 0
+    assert main(["rank", str(path), "--jacobian", "--spectrum"]) == 0
+    s = json.loads(capsys.readouterr().out)["singular_values"]
     assert out["s_max"] == pytest.approx(s[0], rel=1e-12)
-    assert out["smallest_singular_values"] == pytest.approx(s[::-1][:4], rel=1e-8)
+    assert out["smallest_singular_values"] == pytest.approx(s[::-1][3:7], rel=1e-8)
+
+
+@pytest.mark.parametrize("which", ["hex", "ring4"])
+def test_cli_rank_never_builds_or_realizes_m(hex_file, ring4_file, capsys, monkeypatch, which):
+    import diskfold.cli as cli
+    import diskfold.layout as layout
+    import diskfold.rigidity as rigidity
+
+    def no_m(*args, **kwargs):
+        raise AssertionError("plain rank read M")
+
+    for owner, attr in ((rigidity, "constraint_matrix"), (cli, "constraint_matrix"), (layout, "realize_mpoints")):
+        monkeypatch.setattr(owner, attr, no_m)
+    path = hex_file if which == "hex" else ring4_file
+    assert main(["rank", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    n = out["shape"][1] // 4
+    assert out["rank"] == 4 * n - 6 == out["shape"][0]
 
 
 NOT_CERTIFIED = (
@@ -575,22 +595,15 @@ def test_cli_rank_exits_2_on_a_singular_factor(hex_file, capsys, monkeypatch):
     assert capsys.readouterr() == ("", NOT_CERTIFIED)
 
 
-def test_cli_rank_exits_2_on_a_duplicated_row(hex_file, capsys, monkeypatch):
-    from scipy import sparse
-
-    import diskfold.rigidity as rigidity
-
-    build_csr = rigidity._constraint_csr
+def test_cli_rank_spectrum_counts_a_duplicated_row(hex_file, capsys, monkeypatch):
+    import diskfold.cli as cli
 
     def duplicated(layout):
-        m = build_csr(layout).toarray()
+        m = constraint_matrix(layout)
         m[1] = m[0]
-        return sparse.csr_array(m)
+        return m
 
-    # the certificate and the dense SVD of --spectrum read M from the one builder
-    monkeypatch.setattr(rigidity, "_constraint_csr", duplicated)
-    assert main(["rank", str(hex_file)]) == 2
-    assert capsys.readouterr() == ("", NOT_CERTIFIED)
+    monkeypatch.setattr(cli, "constraint_matrix", duplicated)
     assert main(["rank", str(hex_file), "--spectrum"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["shape"] == [26, 32]
@@ -601,8 +614,7 @@ def test_cli_rank_exits_2_on_a_duplicated_row(hex_file, capsys, monkeypatch):
 @pytest.mark.parametrize("flags", [[], ["--spectrum"]])
 def test_cli_rank_without_room_for_the_dense_m_exits_2(hex_file, capsys, monkeypatch, flags):
     # the dense M takes 18.6 GiB at ring 64: --spectrum names its shape in
-    # one line, and plain rank, whose certificate keeps M sparse, never
-    # asks for it
+    # one line, and plain rank, whose certificate reads J, never asks for it
     import diskfold.cli as cli
 
     def no_room(layout):

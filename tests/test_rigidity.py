@@ -6,6 +6,8 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from diskfold import (
     InfinitesimalMobius,
+    attach_boundary_data,
+    augment,
     constraint_matrix,
     layout_augmented,
     mobius_orbit_check,
@@ -13,12 +15,12 @@ from diskfold import (
     normalize_to_unit_disk,
     numerical_rank,
     row_rank_certificate,
+    validate_disk,
 )
-from diskfold import rigidity
 from diskfold.minkowski import induced_label_variation, infinitesimal_generator
-from diskfold.presets import SCENARIOS, build
+from diskfold.presets import SCENARIOS, build, scenario_data
 
-from conftest import HEX_FLAT
+from conftest import HEX_FLAT, flipped_disk
 
 GENERATORS = [
     InfinitesimalMobius(a=1.0),
@@ -109,21 +111,34 @@ CERTIFIED = [("hex_tangent", {}), ("hex_orthogonal", {}), ("hex_inscribed", {})]
     "name, kw", CERTIFIED, ids=[f"ring{kw['n_rings']}-{kw['scenario']}" if kw else n for n, kw in CERTIFIED]
 )
 def test_certificate_matches_dense_rank(name, kw):
-    raw = _realized_layout(name, **kw)
-    lay = normalize_to_unit_disk(raw)
+    _assert_certified_as_dense(normalize_to_unit_disk(_realized_layout(name, **kw)))
+
+
+@pytest.mark.parametrize("scenario", ["tangent", "inscribed"])
+@pytest.mark.parametrize("seed", range(10))
+def test_certificate_matches_dense_rank_on_flipped_disks(seed, scenario):
+    disk = flipped_disk(4, seed)
+    cs = attach_boundary_data(augment(disk), *scenario_data(disk, scenario))
+    res = newton_flat(cs)
+    assert res.converged
+    _assert_certified_as_dense(normalize_to_unit_disk(layout_augmented(cs, res.f)))
+
+
+def _assert_certified_as_dense(lay):
     m = constraint_matrix(lay)
     assert m.tobytes() == _dense_reference(lay).tobytes()
     cert = row_rank_certificate(lay, 1e-10)
     assert cert is not None
     rank, s_max, smallest = cert
-    dense_rank, s = numerical_rank(m, 1e-10)
+    dense_rank = numerical_rank(m, 1e-10)[0]
+    j_rank, s = numerical_rank(lay.cs.system.jacobian(lay.label), 1e-10)
     assert rank == dense_rank == m.shape[0]
-    # the frame is a Lorentz move, so the raw development has the same rank
-    assert numerical_rank(constraint_matrix(raw), 1e-10)[0] == dense_rank
+    # the lemma: nullity(M) = nullity(J) + 3, and J's kernel is span{1, x, y}
+    assert len(s) - j_rank == 3
+    assert m.shape[1] - dense_rank == len(s) - j_rank + 3
     assert abs(s_max - s[0]) <= 1e-12 * s[0]
     assert np.all(np.diff(smallest) >= 0)
-    # M_S is factored, not M M^T, so the small end keeps its digits
-    assert np.allclose(smallest, s[::-1][:4], rtol=1e-8, atol=0)
+    assert np.allclose(smallest, s[::-1][3:7], rtol=1e-8, atol=0)
     again = row_rank_certificate(lay, 1e-10)
     assert again[1] == s_max and np.array_equal(again[2], smallest)
 
@@ -137,15 +152,17 @@ def test_certificate_holds_at_ring_12(scenario):
     assert row_rank_certificate(raw, 1e-10)[0] == rank
 
 
-def test_certificate_refuses_past_ring_32():
-    # at the raw development s_min / s_max is 2.8 times the cutoff, but the
-    # error bound of the factor is above 1, so the smallest value is not
-    # certain; the unit-disk frame of the same layout certifies 4V - 6
+def test_raw_and_unit_disk_frames_certify_alike():
+    # a similarity of the plane is a uniform label shift, which leaves J
+    # as it is: at ring 64 the raw development certifies like its unit disk
     raw = _realized_layout("ring_lattice", n_rings=64, scenario="inscribed")
-    assert row_rank_certificate(raw, 1e-10) is None
-    rank, s_max, smallest = row_rank_certificate(normalize_to_unit_disk(raw), 1e-10)
-    assert rank == 4 * len(raw.mpoints) - 6
+    rank, s_max, smallest = row_rank_certificate(raw, 1e-10)
+    assert rank == 4 * len(raw.label) - 6
     assert smallest[0] > 1e-10 * s_max
+    unit_rank, unit_s_max, unit_smallest = row_rank_certificate(normalize_to_unit_disk(raw), 1e-10)
+    assert unit_rank == rank
+    assert unit_s_max == pytest.approx(s_max, rel=1e-12)
+    assert np.allclose(unit_smallest, smallest, rtol=1e-8, atol=0)
 
 
 @pytest.mark.parametrize(
@@ -167,22 +184,31 @@ def test_certificate_refuses_a_failed_factor_or_lanczos(hex_layout, monkeypatch,
 
 
 def test_certificate_margin_follows_the_cutoff(hex_layout):
-    # the error bound of the factor is about 1e-12 here, so the
-    # certificate holds up to a cutoff just below s_min / s_max (about
-    # 0.0735) and fails just above it, where the dense rank drops too
-    m = constraint_matrix(hex_layout)
-    _, s = numerical_rank(m)
-    ratio = s[-1] / s[0]
+    # the error bound of the factor is about 1e-14 here, so the
+    # certificate holds up to a cutoff just below sigma_4 / sigma_1 of J
+    # (about 0.191) and fails just above it, where J's dense rank drops
+    # below n - 3
+    j = hex_layout.cs.system.jacobian(hex_layout.label)
+    _, s = numerical_rank(j)
+    ratio = s[-4] / s[0]
     assert row_rank_certificate(hex_layout, 0.999 * ratio) is not None
     assert row_rank_certificate(hex_layout, 1.001 * ratio) is None
-    assert numerical_rank(m, 0.999 * ratio)[0] == m.shape[0]
-    assert numerical_rank(m, 1.001 * ratio)[0] < m.shape[0]
+    assert numerical_rank(j, 0.999 * ratio)[0] == len(s) - 3
+    assert numerical_rank(j, 1.001 * ratio)[0] < len(s) - 3
 
 
-def test_certificate_needs_more_rows_than_eigenvalues(hex_layout, monkeypatch):
-    build_csr = rigidity._constraint_csr
-    monkeypatch.setattr(rigidity, "_constraint_csr", lambda layout: build_csr(layout)[:5])
-    assert row_rank_certificate(hex_layout) is None
+def test_tiny_disks_report_every_value_off_span_z():
+    # a disk of 3 to 6 vertices leaves 1 to 4 of J's values off span{1, x, y},
+    # fewer than N_SMALLEST or all of them: the certificate reports each one
+    for k in range(1, 5):
+        disk = validate_disk(range(k + 2), [(0, i, i + 1) for i in range(1, k + 1)])
+        cs = attach_boundary_data(augment(disk), *scenario_data(disk, "tangent"))
+        lay = layout_augmented(cs, newton_flat(cs).f)
+        rank, s_max, smallest = row_rank_certificate(lay, 1e-10)
+        s = numerical_rank(cs.system.jacobian(lay.label))[1]
+        assert rank == 4 * len(s) - 6 == numerical_rank(constraint_matrix(lay))[0]
+        assert s_max == pytest.approx(s[0], rel=1e-12)
+        assert np.allclose(smallest, s[::-1][3:], rtol=1e-8, atol=0) and len(smallest) == k
 
 
 def test_orbit_transport_stays_flat(hex_layout):

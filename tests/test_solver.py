@@ -530,6 +530,25 @@ def test_flow_bounds_the_recorded_samples(monkeypatch):
         curvature_flow(cs, HEX_FLAT["hex_tangent"], 1e200, 1e-100)
 
 
+def test_flow_peak_memory_is_about_its_samples():
+    # the samples are filled into arrays sized by flow_steps, never copied:
+    # a ring-2 flow (2001 labels of 20 entries, 1735 steps integrated and
+    # the rest replayed) peaks within 1.3 times the arrays it returns
+    import tracemalloc
+
+    cs = build("ring_lattice", n_rings=2)
+    f0 = default_start(cs)
+    curvature_flow(cs, f0, 0.1, 0.01)  # the evaluator's first-call allocations
+    tracemalloc.start()
+    try:
+        fr = curvature_flow(cs, f0, 20.0, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fr.labels.shape == (2001, 20) and fr.integrated < 2000
+    assert peak <= 1.3 * (fr.times.nbytes + fr.labels.nbytes + fr.residuals.nbytes)
+
+
 def test_flow_requires_admissible_start():
     cs = build("hex_tangent")
     with pytest.raises(InadmissibleLabelError):
