@@ -15,6 +15,14 @@ faces with +1, and the constant term is 2*pi at interior vertices, 0 at
 boundary vertices and -2*pi at the apex.  The total curvature vanishes
 identically.
 
+The curvature Jacobian J = dK/df is a fold-signed dual Laplacian, one
+weight per edge: in a face, d th_j / d f_i = d th_i / d f_j = h_ij / l_ij
+for the ends i, j of a side, h_ij the signed distance from the face's
+power center to that side (Glickenstein 2011, Glickenstein-Thomas 2017).
+Each edge's summed weight fills both of its entries and each diagonal
+entry is minus the rest of its row, so J is exactly symmetric with
+J 1 = 1^T J = 0 by construction.
+
 A structure carries its complex, and every entry that takes one reads
 the complex from it.  AngleSystem compiles a structure: it reads the compiled index
 (complexes.CompiledComplex: edge ends, face sides, fold signs,
@@ -241,32 +249,31 @@ class AngleSystem:
 
     @cached_property
     def _jacobian_buffer(self) -> tuple:
-        """(edges, slot, J, grounded, G), compiled at the first assembly.
+        """(d_side, d_other, slot, J, grounded, G), compiled at the first assembly.
 
-        J is an (n, n) CSC matrix whose nonzeros, the pairs of corners of
-        one face, are the diagonal and both directions of every edge.
-        Every scatter entry (corner vertex row, edge end column; the u
-        ends, then the v ends) maps to its data slot ``slot``, so bincount
-        sums each entry in scatter order; ``edges`` is the global edge of
-        each (face, corner, side) entry.  ``grounded`` masks J's entries
-        in G = J[:-1, :-1], J grounded at the apex, a CSC matrix of its own.
+        J is an (n, n) CSC matrix whose nonzeros are the diagonal and both
+        directions of every edge; ``slot`` gathers its data from the
+        values of the diagonal, every edge (u, v), then every edge (v, u).
+        At corner i of each face, ``d_side`` and ``d_other`` ((F, 3))
+        index i's entry of the flat (2, E) dl/df on its sides to corners
+        i + 1 and i + 2.  ``grounded`` masks J's entries in G = J[:-1, :-1],
+        J grounded at the apex, a CSC matrix of its own.
         """
         from scipy.sparse import csc_array
 
         ix, n = self.compiled, self.n_vertices
-        rows = np.repeat(ix.F[:, :, None], 3, axis=2).ravel()  # (F, corner, edge slot)
-        edges = ix.FE[:, None, :].repeat(3, axis=1).ravel()  # global edge per slot
-        cols = ix.E[edges]
         d, (u, v) = np.arange(n), ix.E.T
-        keys = np.sort(np.concatenate([d * n + d, u * n + v, v * n + u]))  # column-major
-        slot = np.searchsorted(keys, np.concatenate([cols[:, 0] * n + rows, cols[:, 1] * n + rows]))
+        keys = np.concatenate([d * n + d, u * n + v, v * n + u])  # column-major
+        slot = np.argsort(keys)
+        keys = keys[slot]
         grounded = (keys // n < n - 1) & (keys % n < n - 1)
 
         def csc(k, m):  # zeros at the sorted keys k, all in the leading (m, m) block
             ptr = np.searchsorted(k, np.arange(m + 1) * n)
             return csc_array((np.zeros(len(k)), (k % n).astype(np.int32), ptr.astype(np.int32)), shape=(m, m))
 
-        return edges, slot, csc(keys, n), grounded, csc(keys[grounded], n - 1)
+        d_side, d_other = (np.where(ix.E[k, 0] == ix.F, k, k + len(ix.E)) for k in (self._sides[2], self._sides[1]))
+        return d_side, d_other, slot, csc(keys, n), grounded, csc(keys[grounded], n - 1)
 
     # -- the one pass -------------------------------------------------
 
@@ -363,21 +370,20 @@ class AngleSystem:
     def sparse_jacobian(self, f):
         """J = dK/df as a sparse (n, n) CSC matrix of its own.
 
-        f is a label or an Evaluation of this system.  The nonzeros are
-        the diagonal and both directions of every edge, so nnz is
-        n + 2E.  J is assembled from exact angle derivatives.  In a face
-        with angles th_i opposite sides a = l_jk, b = l_ik, c = l_ij and
-        area A:
+        f is a label or an Evaluation of this system.  J is the dual
+        Laplacian of the module docstring: seen from corner i of a face
+        with fold sign fold, sides l_ij, l_ik and Heron area A, the face
+        gives its side ij the weight
 
-            d th_i / d a = a / (2 A)
-            d th_i / d b = -a cos(th_k) / (2 A)
-            d th_i / d c = -a cos(th_j) / (2 A)
+            d th_j / d f_i = fold (d l_ik / d f_i - d l_ij / d f_i cos(th_i)) l_ik / (2 A)
 
-        combined with d l_uv / d f_u = (alpha_u e^{2 f_u}
-        + eta_uv e^{f_u + f_v}) / l_uv.  J 1 = 0 since curvature is
-        shift-invariant, and on an augmented disk 1^T J = 0 as well,
-        since the curvatures sum to zero identically.  The result is a
-        copy of the system's buffer, which the next assembly refills.
+        with d l_uv / d f_u = (alpha_u e^{2 f_u} + eta_uv e^{f_u + f_v}) / l_uv.
+        An edge's summed weight fills (u, v) and (v, u), and each diagonal
+        entry is minus the rest of its row, so J is exactly symmetric,
+        J 1 = 0 (a uniform shift changes no angle) and 1^T J = 0; nnz is
+        n + 2E.  A face whose Heron area rounds to 0 makes J non-finite.
+        The result is a copy of the system's buffer, which the next
+        assembly refills.
         """
         return self._assemble(f)[0].copy()
 
@@ -385,34 +391,24 @@ class AngleSystem:
         """(J, G): sparse_jacobian's J and J[:-1, :-1] at f, refilled in
         the system's buffer, which the next assembly overwrites."""
         ev = self.accept(f if isinstance(f, Evaluation) else self.evaluate(f))
-        th, l = ev.angles, ev.lengths
-        ends, cross = ev.terms
-        cross = self.eta * cross
-        dl_du = (ends[0] + cross) / l
-        dl_dv = (ends[1] + cross) / l
-
-        L = l[self.compiled.FE]
-        a, b, c = L[:, 0], L[:, 1], L[:, 2]
+        (ends, cross), l = ev.terms, ev.lengths
+        dl = (ends + self.eta * cross) / l  # dl/df at both ends of every edge
+        a, b, c = l[self.compiled.FE].T
         s = (a + b + c) / 2
         area = np.sqrt(np.maximum(s * (s - a) * (s - b) * (s - c), 0.0))
-        cth = np.cos(th)
 
         # a face can pass the strict triangle inequality while Heron's
-        # formula rounds its area to zero; entries then come out inf and
-        # the caller decides what to do with a blown-up Jacobian
-        dth = np.empty((len(L), 3, 3))
+        # formula rounds its area to zero; its weights then come out
+        # non-finite and the caller decides what to do with a blown-up J
+        d_side, d_other, slot, J, grounded, G = self._jacobian_buffer
+        n, ne = self.n_vertices, len(l)
+        vals = np.empty(n + 2 * ne)
         with np.errstate(divide="ignore", invalid="ignore"):
-            for ci in range(3):
-                aa = L[:, ci]
-                dth[:, ci, ci] = aa / (2 * area)
-                dth[:, ci, (ci + 1) % 3] = -aa * cth[:, (ci + 2) % 3] / (2 * area)
-                dth[:, ci, (ci + 2) % 3] = -aa * cth[:, (ci + 1) % 3] / (2 * area)
-        dth *= self.compiled.fold_sign[:, None, None]
-
-        vals = dth.ravel()
-        edges, slot, J, grounded, G = self._jacobian_buffer
-        with np.errstate(invalid="ignore"):
-            w = np.concatenate([vals * dl_du[edges], vals * dl_dv[edges]])
-            J.data[:] = np.bincount(slot, w, minlength=len(J.data))
+            # at corner i: d th_{i+1} / d f_i, the face's weight of its side from i to i + 1
+            w = (np.take(dl, d_other) - np.take(dl, d_side) * np.cos(ev.angles)) * l[self._sides[1]]
+            w *= (self.compiled.fold_sign / (area + area))[:, None]
+            vals[n : n + ne] = vals[n + ne :] = np.bincount(self._sides[2].ravel(), w.ravel(), minlength=ne)
+            vals[:n] = -np.bincount(self._ends.ravel(), vals[n:], minlength=n)
+        np.take(vals, slot, out=J.data)
         np.compress(grounded, J.data, out=G.data)
         return J, G

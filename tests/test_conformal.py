@@ -22,10 +22,10 @@ from diskfold import (
 )
 from diskfold.complexes import edge_key
 from diskfold.conformal import COS_CLAMP_TOL, Evaluation
-from diskfold.presets import build, hex_flower, ring_lattice, scenario_data, triangle_disk
+from diskfold.presets import SCENARIOS, build, hex_flower, random_admissible, ring_lattice, scenario_data, triangle_disk
 from diskfold.solver import default_start
 
-from conftest import HEX_FLAT
+from conftest import HEX_FLAT, flipped_disk
 
 
 def _hex(scenario="tangent"):
@@ -547,9 +547,7 @@ def test_jacobian_matches_finite_differences():
     sysm = AngleSystem(cs)
     rng = np.random.default_rng(42)
     for _ in range(5):
-        f = rng.uniform(-0.2, 0.2, len(aug.vertices))
-        if not sysm.admissible(f):
-            continue
+        f = default_start(cs) + rng.uniform(-0.05, 0.05, len(aug.vertices))
         J = sysm.jacobian(f)
         ref = np.max(np.abs(J))
         assert np.max(np.abs(J - _fd_jacobian(sysm, f))) <= 1e-6 * max(1.0, ref)
@@ -576,13 +574,70 @@ def test_jacobian_rows_sum_to_zero():
         assert sysm.sparse_jacobian(f).nnz == n + 2 * len(aug.edges)
 
 
+def _scenario_structures(disks):
+    """(cs, default start) of each disk in every scenario."""
+    for disk in disks:
+        aug = augment(disk)
+        for scenario in SCENARIOS:
+            cs = attach_boundary_data(aug, *scenario_data(disk, scenario))
+            yield cs, default_start(cs)
+
+
+def _random_structures(count, seed):
+    """(cs, f) of count random_admissible draws on ring_lattice(3)."""
+    disk, rng = ring_lattice(3), np.random.default_rng(seed)
+    for _ in range(count):
+        _, cs, f = random_admissible(disk, rng)
+        yield cs, f
+
+
+def _chain_rule_jacobian(sysm, f):
+    """dK/df, dense, by the chain rule through the side lengths.
+
+    In a face with angles th_i opposite sides a = l_jk, b = l_ik,
+    c = l_ij and area A:
+
+        d th_i / d a = a / (2 A)
+        d th_i / d b = -a cos(th_k) / (2 A)
+        d th_i / d c = -a cos(th_j) / (2 A)
+
+    times d l_uv / d f_u = (alpha_u e^{2 f_u} + eta_uv e^{f_u + f_v}) / l_uv
+    and the face's fold sign.
+    """
+    ix, ev = sysm.compiled, sysm.accept(sysm.evaluate(f))
+    f, l = ev.f, ev.lengths
+    u, v = ix.E.T
+    cross = sysm.eta * np.exp(f[u] + f[v])
+    dl = np.array([sysm.alpha[u] * np.exp(2 * f[u]) + cross, sysm.alpha[v] * np.exp(2 * f[v]) + cross]) / l
+    J = np.zeros((len(f), len(f)))
+    for corners, sides, sign, th in zip(ix.F, ix.FE, ix.fold_sign, ev.angles):
+        L = l[sides]
+        s = L.sum() / 2
+        area = np.sqrt(s * np.prod(s - L))
+        for i in range(3):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            for side, dth in ((i, L[i]), (j, -L[i] * np.cos(th[k])), (k, -L[i] * np.cos(th[j]))):
+                e = sides[side]
+                for end in (0, 1):
+                    J[corners[i], ix.E[e, end]] += sign * dth / (2 * area) * dl[end, e]
+    return J
+
+
+def test_jacobian_matches_the_chain_rule():
+    # finite differences resolve about 1e-6; the chain rule resolves roundoff
+    disks = [hex_flower(), *map(ring_lattice, (1, 2, 3, 4)), *(flipped_disk(4, seed) for seed in range(5))]
+    cases = [*_scenario_structures(disks), *_random_structures(20, 8)]
+    for cs, f in cases:
+        J = cs.system.jacobian(f)
+        assert np.max(np.abs(J - _chain_rule_jacobian(cs.system, f))) <= 1e-13 * np.max(np.abs(J))
+
+
 def test_jacobian_is_symmetric_here():
-    aug, cs = _hex()
-    sysm = AngleSystem(cs)
-    rng = np.random.default_rng(10)
-    f = HEX_FLAT["hex_tangent"] + rng.uniform(-0.08, 0.08, 8)
-    J = sysm.jacobian(f)
-    assert np.max(np.abs(J - J.T)) <= 1e-9 * max(1.0, np.max(np.abs(J)))
+    # one weight per edge, written to both directions: exactly symmetric
+    cases = [*_scenario_structures([hex_flower(), ring_lattice(4)]), *_random_structures(3, 10)]
+    for cs, f in cases:
+        J = cs.system.jacobian(f)
+        assert np.array_equal(J, J.T)
 
 
 def test_jacobian_buffer_is_compiled_once_and_refilled():
@@ -598,7 +653,7 @@ def test_jacobian_buffer_is_compiled_once_and_refilled():
     J2, G2 = sysm._assemble(sysm.evaluate(f2))
     assert J2 is J and G2 is G and not np.array_equal(J.data, data1)
     assert np.array_equal(G.toarray(), J.toarray()[:-1, :-1])
-    assert G.shape == (7, 7) and G.nnz == np.count_nonzero(sysm._jacobian_buffer[3])
+    assert G.shape == (7, 7) and G.nnz == np.count_nonzero(sysm._jacobian_buffer[4])
     # sparse_jacobian's results are copies: the next assembly leaves them be
     J1 = sysm.sparse_jacobian(f1)
     sysm.sparse_jacobian(f2)

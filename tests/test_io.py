@@ -152,16 +152,47 @@ def test_id_rows_write_like_an_id_keyed_dict():
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _ring2_solved(tmp_path, scenario):
+    """ring_lattice --rings 2 as a problem file, and the label that
+    `diskfold solve` wrote for it (tests/golden/solve_ring2_*.json)."""
+    problem = tmp_path / "r2.json"
+    assert main(["preset", "ring_lattice", "--rings", "2", "--scenario", scenario, "--out", str(problem)]) == 0
+    return problem, json.loads((GOLDEN / f"solve_ring2_{scenario}.json").read_text())["f"]
+
+
 @pytest.mark.parametrize("traversal", ["bfs", "dfs"])
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_cli_layout_matches_golden(tmp_path, scenario, traversal):
     """`diskfold layout --normalize` of ring_lattice --rings 2, byte for
-    byte as written before the output stage moved to array passes."""
-    problem, out = tmp_path / "r2.json", tmp_path / "layout.json"
-    assert main(["preset", "ring_lattice", "--rings", "2", "--scenario", scenario, "--out", str(problem)]) == 0
+    byte as written before the output stage moved to array passes.
+
+    The problem carries the recorded solved label as f_init, which is
+    flat, so layout takes no Newton step: the file pins the output stage,
+    not which member of the Mobius family of flat labels Newton picks."""
+    problem, f = _ring2_solved(tmp_path, scenario)
+    problem.write_text(canonical_json({**json.loads(problem.read_text()), "f_init": f}) + "\n")
+    out = tmp_path / "layout.json"
     argv = ["layout", str(problem), "--normalize", "--traversal", traversal, "--out", str(out)]
     assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / f"layout_ring2_{scenario}_{traversal}.json").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_cli_solve_matches_the_recorded_label(tmp_path, scenario):
+    """Today's solve of ring_lattice --rings 2 against the recorded label.
+
+    A flat label is fixed only modulo span{1, x, y}, the Mobius moves at
+    the layout's centers x, y: the labels agree to 1e-12 once that span
+    is projected out and to 1e-8 raw."""
+    problem, recorded = _ring2_solved(tmp_path, scenario)
+    out = tmp_path / "solved.json"
+    assert main(["solve", str(problem), "--out", str(out)]) == 0
+    prob = problem_io.parse_problem(problem.read_text())
+    old = label_from_json(prob.aug, recorded)
+    d = label_from_json(prob.aug, json.loads(out.read_text())["f"]) - old
+    q = np.linalg.qr(np.column_stack([np.ones(len(old)), layout_augmented(prob.cs, old).positions]))[0]
+    assert np.max(np.abs(d - q @ (q.T @ d))) <= 1e-12
+    assert np.max(np.abs(d)) <= 1e-8
 
 
 def test_parse_reports_paths():
