@@ -13,12 +13,13 @@ Simplices are written as sorted vertex tuples: (v,) for vertices,
 Both kinds of complex store one CompiledComplex: the vertex ids, the
 index arrays (edge ends, face corners, face sides, the faces of each
 edge, the boundary cycle), the fold signs and the curvature's constant
-term.  validate_disk builds it in the integer-array passes that check
-the topology, augment extends it by the apex, and every layer reads
-these shared, read-only arrays.  The id views (faces, edges,
-boundary_cycle, vertex_index, simplex_index, ...) are built on first
-use.  Labels are coerced to vertex order by the one
-label_array.  A simplex's class is a code off the index: sign(const) of
+term.  One pass, _number_sides, numbers the edges and sides of both:
+validate_disk runs it on the disk's faces and then checks the topology
+on its arrays, augment runs it on the oriented disk faces followed by
+the apex faces, and every layer reads these shared, read-only arrays.
+The id views (faces, edges, boundary_cycle, vertex_index,
+simplex_index, ...) are built on first use.  Labels, a Mapping by id or
+an aligned array, are coerced to vertex order by the one label_array.  A simplex's class is a code off the index: sign(const) of
 a vertex, -fold_sign of a face, the mean of an edge's two faces.  A
 MultiplicityAssignment carries its complex and three read-only integer
 arrays over its vertices, edges and faces, so the functions of an
@@ -28,6 +29,7 @@ assignment take it alone; the standard one is (-1)^dim times the code.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, repeat
@@ -153,7 +155,7 @@ class _Indexed:
 
     def label_array(self, f) -> np.ndarray:
         """Coerce a label (mapping or aligned array) to a fresh array in vertex order."""
-        if isinstance(f, dict):
+        if isinstance(f, Mapping):
             missing = [v for v in self.vertices if v not in f]
             if missing:
                 raise ValueError(f"label misses vertices {missing}")
@@ -233,6 +235,39 @@ def _reject_face(vertices: tuple, faces: list):
         seen.add(k)
 
 
+def _number_sides(F: np.ndarray, rank: np.ndarray):
+    """(E, FE, sides, count): the edges of the faces F, numbered by their
+    sides.
+
+    Side c of face f, side 3f + c in all, joins corners c + 1 and c + 2.
+    Edges are numbered by their keys in id rank (``rank`` gives each
+    vertex's), so in sorted order of their id tuples, and each row of E
+    lists its ends in id order.  FE (F, 3) holds the edge of each side,
+    ``sides`` (E, 2) the first two sides of each edge in face order (-1
+    for a lone side) and ``count`` the sides of each edge.
+    """
+    n, ns = len(rank), 3 * len(F)
+    r0, r1 = rank[F[:, [1, 2, 0]]], rank[F[:, [2, 0, 1]]]
+    side_keys = (np.minimum(r0, r1) * n + np.maximum(r0, r1)).ravel()
+    # sorting the sides by key groups the sides of each edge
+    order = np.argsort(side_keys)
+    sorted_keys = side_keys[order]
+    first = np.empty(ns, dtype=bool)
+    first[0] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    FE = np.empty(ns, dtype=np.intp)
+    FE[order] = np.cumsum(first) - 1
+    group = np.flatnonzero(first)
+    keys = sorted_keys[group]
+    count = np.diff(np.append(group, ns))
+    lone = count == 1
+    a, b = order[group], order[np.minimum(group + 1, ns - 1)]
+    sides = np.stack([np.where(lone, a, np.minimum(a, b)), np.where(lone, -1, np.maximum(a, b))], axis=1)
+    by_rank = np.empty(n, dtype=np.intp)
+    by_rank[rank] = np.arange(n)
+    return by_rank[np.stack([keys // n, keys % n], axis=1)], FE.reshape(-1, 3), sides, count
+
+
 def validate_disk(vertices, faces) -> CombinatorialDisk:
     """Check that (vertices, faces) triangulates a disk and orient it.
 
@@ -245,12 +280,13 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
     boundary is one cycle.
 
     Every check is a pass over integer arrays: the faces as an (F, 3)
-    array of vertex positions, their sides grouped by sorted edge keys,
-    and the orientation as the components of the two-sheeted cover of
-    the face-adjacency graph.  Vertex links (connected components of
-    half-edges joined at face corners) need a pass of their own only
-    when the orientation or the edge-connectivity check fails.  The
-    arrays become the disk's compiled index.
+    array of vertex positions, their edges and sides numbered by
+    _number_sides (the pass augment runs too), and the orientation as
+    the components of the two-sheeted cover of the face-adjacency graph.
+    Vertex links (connected components of half-edges joined at face
+    corners) need a pass of their own only when the orientation or the
+    edge-connectivity check fails.  The arrays become the disk's
+    compiled index.
     """
     vertices = tuple(vertices)
     n = len(vertices)
@@ -265,35 +301,15 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
         _reject_face(vertices, faces)
     nf = len(F)
     ids, rank = _id_rank(vertices)
-
-    # side c of a face joins corners c + 1 and c + 2; edges are numbered
-    # by their keys in id rank, so in sorted order of their id tuples.
-    # Sorting the sides by key groups the sides of each edge.
-    start, end = F[:, [1, 2, 0]], F[:, [2, 0, 1]]
-    r0, r1 = rank[start], rank[end]
-    side_keys = (np.minimum(r0, r1) * n + np.maximum(r0, r1)).ravel()
-    order = np.argsort(side_keys)
-    sorted_keys = side_keys[order]
-    first = np.empty(3 * nf, dtype=bool)
-    first[0] = True
-    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
-    FE = np.empty(3 * nf, dtype=np.intp)
-    FE[order] = np.cumsum(first) - 1
-    FE = FE.reshape(nf, 3)
-    group = np.flatnonzero(first)
-    keys = sorted_keys[group]
-    count = np.diff(np.append(group, 3 * nf))
+    E, FE, sides, count = _number_sides(F, rank)
     on_boundary = count == 1
-    # the first two sides of each edge, in face order; -1 for a lone side
-    a, b = order[group], order[np.minimum(group + 1, 3 * nf - 1)]
-    first_side = np.where(on_boundary, a, np.minimum(a, b))
-    second_side = np.where(on_boundary, -1, np.maximum(a, b))
+    first_side, second_side = sides.T
     if count.max() > 2:
         _reject_face(vertices, faces)
         crowded = set(np.flatnonzero(count > 2).tolist())
         # the first crowded edge met, face by face, as the sides ab, bc, ac
-        for f, sides in zip(faces, FE[:, [2, 0, 1]].tolist()):
-            for e, (u, v) in zip(sides, ((f[0], f[1]), (f[1], f[2]), (f[0], f[2]))):
+        for f, row in zip(faces, FE[:, [2, 0, 1]].tolist()):
+            for e, (u, v) in zip(row, ((f[0], f[1]), (f[1], f[2]), (f[0], f[2]))):
                 if e in crowded:
                     raise _err("edge lies in more than two faces", edge=edge_key(u, v))
     # two triangles on two common edges have the same corners
@@ -306,22 +322,18 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
     if not used.all():
         raise _err("isolated vertices", vertices=sorted(vertices[i] for i in np.flatnonzero(~used).tolist()))
 
-    ne = len(keys)
+    ne = len(E)
     if n - ne + nf != 1:
         raise _err("Euler characteristic is not 1", chi=n - ne + nf)
     if not on_boundary.any():
         raise _err("no boundary edges; the complex is closed")
-
-    by_rank = np.empty(n, dtype=np.intp)
-    by_rank[rank] = np.arange(n)
-    E = by_rank[np.stack([keys // n, keys % n], axis=1)]
 
     # node 2f + t is face f, reversed when t = 1; two faces agree on an
     # edge when they run it in opposite directions, so a shared edge joins
     # (f, t) to (g, t) or to (g, 1 - t).  The faces orient consistently
     # when face 0 and its reversal (nodes 0 and 1) lie in different
     # components.
-    forward = (E[FE, 0] == start).ravel()
+    forward = (E[FE, 0] == F[:, [1, 2, 0]]).ravel()
     fa, fb = first_side[~on_boundary], second_side[~on_boundary]
     same = (forward[fa] == forward[fb]).astype(np.intp)
     fa, fb = 2 * (fa // 3), 2 * (fb // 3)
@@ -355,8 +367,7 @@ def validate_disk(vertices, faces) -> CombinatorialDisk:
         cycle.append(step[cycle[-1]])
     cycle = np.array(cycle, dtype=np.intp)
 
-    edge_faces = np.stack([first_side, second_side], axis=1) // 3
-    compiled = CompiledComplex(ids, E, F, FE, edge_faces, np.full(nf, -1.0), np.full(n, 2.0 * np.pi), cycle)
+    compiled = CompiledComplex(ids, E, F, FE, sides // 3, np.full(nf, -1.0), np.full(n, 2.0 * np.pi), cycle)
     disk = CombinatorialDisk(vertices, compiled)
     disk.__dict__["vertex_index"] = vertex_index  # hand over the view built above
     return disk
@@ -435,10 +446,10 @@ class AugmentedDisk(_Indexed):
 def augment(disk: CombinatorialDisk) -> AugmentedDisk:
     """Join a new apex vertex to every boundary edge of the disk.
 
-    The result is a combinatorial sphere: chi = 2 and 3F = 2E.  Its
-    compiled index extends the disk's: the apex is vertex n, the
-    augmented faces (apex, w, v) follow the disk faces, and the boundary
-    cycle is the disk's.
+    The result is a combinatorial sphere: chi = 2 and 3F = 2E.  The apex
+    is vertex n, the augmented faces (apex, w, v) follow the disk faces,
+    and the boundary cycle is the disk's.  Its compiled index comes from
+    the pass that numbers the disk's edges and sides, run on all faces.
     """
     ix = disk.compiled
     n, nf, ne = len(disk.vertices), len(ix.F), len(ix.E)
@@ -446,47 +457,20 @@ def augment(disk: CombinatorialDisk) -> AugmentedDisk:
     vertices = disk.vertices + (apex,)
     cyc = ix.cycle
     nb = len(cyc)
-    nxt = np.concatenate([cyc[1:], cyc[:1]])
-
-    # the apex has the largest id, so it ranks last; sort the disk and
-    # apex edges together by their keys in id rank
-    m = n + 1
     ids, rank = _id_rank(vertices)
-    ends = np.concatenate([ix.E, np.stack([cyc, np.full(nb, n)], axis=1)])
-    keys = rank[ends[:, 0]] * m + rank[ends[:, 1]]
-    source = np.argsort(keys)
-    position = np.empty_like(source)
-    position[source] = np.arange(len(source))
-    r0, r1 = rank[cyc], rank[nxt]
-    boundary = np.searchsorted(keys[:ne], np.minimum(r0, r1) * m + np.maximum(r0, r1))
-    k = np.arange(nb)
-    # face (apex, w, v) over the boundary edge (v, w): the side opposite
-    # the apex is that edge, opposite w the apex edge of v, opposite v
-    # the apex edge of w
-    aug_FE = np.stack([boundary, ne + k, ne + (k + 1) % nb], axis=1)
-    FE = position[np.concatenate([ix.FE, aug_FE])]
-    # a boundary edge gains the face over it, and the apex edge of v lies
-    # in the faces over the boundary edges into and out of v
-    disk_faces = ix.edge_faces.copy()
-    disk_faces[boundary, 1] = nf + k
-    prev = (k - 1) % nb
-    apex_faces = nf + np.stack([np.minimum(prev, k), np.maximum(prev, k)], axis=1)
-    F = np.concatenate([ix.F, np.stack([np.full(nb, n), nxt, cyc], axis=1)])
-    const = np.full(m, 2.0 * np.pi)
+    F = np.concatenate([ix.F, np.stack([np.full(nb, n), np.roll(cyc, -1), cyc], axis=1)])
+    E, FE, sides, _ = _number_sides(F, rank)
+    # every disk edge is a side of a disk face; side 1 of the face over
+    # the boundary edge out of cyc[k] is the apex edge of cyc[k]
+    source = np.empty(len(E), dtype=np.intp)
+    source[FE[:nf]] = ix.FE
+    source[FE[nf:, 1]] = ne + np.arange(nb)
+    source.flags.writeable = False
+    const = np.full(n + 1, 2.0 * np.pi)
     const[cyc] = 0.0
     const[n] = -2.0 * np.pi
-    source.flags.writeable = False
-    compiled = CompiledComplex(
-        ids,
-        ends[source],
-        F,
-        FE,
-        np.concatenate([disk_faces, apex_faces])[source],
-        np.concatenate([ix.fold_sign, np.ones(nb)]),
-        const,
-        cyc,
-    )
-    assert m - len(ends) + len(F) == 2 and 3 * len(F) == 2 * len(ends)
+    compiled = CompiledComplex(ids, E, F, FE, sides // 3, np.concatenate([ix.fold_sign, np.ones(nb)]), const, cyc)
+    assert n + 1 - len(E) + len(F) == 2 and 3 * len(F) == 2 * len(E)
     return AugmentedDisk(disk, apex, vertices, nf, source, compiled)
 
 

@@ -43,6 +43,7 @@ evaluates through it.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -97,8 +98,8 @@ class ConformalStructure:
         vertices = complex_.vertices
         a = _gather(alpha, len(vertices), lambda: vertices, "alpha misses vertices {}".format)
         h = _gather(eta, len(complex_.compiled.E), lambda: complex_.edges, "eta misses edges {}".format)
-        _require_finite("alpha", a if isinstance(alpha, np.ndarray) else alpha, lambda: vertices)
-        _require_finite("eta", h if isinstance(eta, np.ndarray) else eta, lambda: complex_.edges)
+        _require_finite("alpha", alpha if isinstance(alpha, Mapping) else a, lambda: vertices)
+        _require_finite("eta", eta if isinstance(eta, Mapping) else h, lambda: complex_.edges)
         a.flags.writeable = h.flags.writeable = False
         return cls(complex_, a, h)
 
@@ -132,11 +133,12 @@ def _complex_of(cs: ConformalStructure, kind: type):
 
 
 def _gather(values, n: int, keys, missing_message) -> np.ndarray:
-    """n floats: an aligned array, or a mapping read at the ids keys().
+    """n floats: a mapping read at the ids keys(), or anything else read
+    as an aligned array.
 
     ``missing_message`` makes the error text from the list of missing keys.
     """
-    if not isinstance(values, np.ndarray):
+    if isinstance(values, Mapping):
         keys = keys()
         missing = [k for k in keys if k not in values]
         if missing:
@@ -151,7 +153,7 @@ def _gather(values, n: int, keys, missing_message) -> np.ndarray:
 def _require_finite(name: str, values, keys) -> None:
     """StructureError naming the first non-finite entry of an array, whose
     ids keys() lists, or of a mapping's values, extra keys included."""
-    if not isinstance(values, np.ndarray):
+    if isinstance(values, Mapping):
         mapping = values
         values, keys = np.fromiter(mapping.values(), float, len(mapping)), lambda: list(mapping)
     bad = ~np.isfinite(values)

@@ -42,6 +42,7 @@ a 2-vector dot product is taken as a stacked matmul, which rounds as
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -341,7 +342,7 @@ def verify_boundary_condition(
     """
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
-    if isinstance(mpoints, dict):
+    if isinstance(mpoints, Mapping):
         mpoints = [mpoints[v].xi for v in aug.vertices]
     # the apex, then the boundary in cycle order
     P, W = project(np.asarray(mpoints, dtype=float)[np.insert(aug.compiled.cycle, 0, -1)])

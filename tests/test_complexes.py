@@ -128,10 +128,29 @@ def test_compiled_index_is_shared_and_read_only():
             a[0] = a[0]
 
 
-@pytest.mark.parametrize("make", [triangle_disk, hex_flower, lambda: ring_lattice(2)])
+def _shifted_to_int64_top(disk):
+    """The disk with every id raised so that its largest is 2**63 - 1:
+    its ids fit int64, its apex's does not."""
+    shift = 2**63 - 1 - max(disk.vertices)
+    return validate_disk([v + shift for v in disk.vertices], [[v + shift for v in f] for f in disk.faces])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        triangle_disk,
+        hex_flower,
+        lambda: ring_lattice(2),
+        pytest.param(lambda: flipped_disk(4, 0), id="flipped4_0"),
+        pytest.param(lambda: flipped_disk(8, 3), id="flipped8_3"),
+        pytest.param(lambda: validate_disk(*_scrambled(ring_lattice(3), 3)), id="scrambled_ring3"),
+        pytest.param(lambda: _shifted_to_int64_top(hex_flower()), id="hex_at_int64_top"),
+    ],
+)
 def test_compiled_index_matches_the_complex(make):
     disk = make()
-    for cx in (disk, augment(disk)):
+    aug = augment(disk)
+    for cx in (disk, aug):
         ix = cx.compiled
         verts = cx.vertices
         assert [(verts[u], verts[v]) for u, v in ix.E] == list(cx.edges)
@@ -143,7 +162,11 @@ def test_compiled_index_matches_the_complex(make):
         for e, edge in enumerate(cx.edges):
             in_face = [fi for fi, face in enumerate(cx.faces) if set(edge) <= set(face)]
             assert [fi for fi in ix.edge_faces[e] if fi >= 0] == in_face
-    aug_ix = augment(disk).compiled
+    # edge i of aug is row source[i] of the disk's edges, then the apex edges in cycle order
+    listed = disk.edges + tuple((v, aug.apex) for v in disk.boundary_cycle)
+    assert sorted(aug.source.tolist()) == list(range(len(listed)))
+    assert [listed[i] for i in aug.source] == list(aug.edges)
+    aug_ix = aug.compiled
     assert np.array_equal(disk.compiled.fold_sign, -np.ones(len(disk.faces)))
     assert np.array_equal(disk.compiled.const, np.full(len(disk.vertices), 2 * np.pi))
     assert aug_ix.const[-1] == -2 * np.pi

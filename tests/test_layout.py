@@ -2,6 +2,8 @@
 
 import dataclasses
 from collections import deque
+from collections.abc import Mapping
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -26,6 +28,7 @@ from diskfold.complexes import edge_key
 from diskfold.layout import _develop
 from diskfold.minkowski import ImproperVectorError, MPoint
 from diskfold.presets import SCENARIOS, build, hex_flower, scenario_data, triangle_disk
+from diskfold.problem_io import label_to_json
 
 from conftest import HEX_FLAT
 
@@ -157,6 +160,64 @@ def test_boundary_reports():
         assert rep.passed
         assert rep.max_residual <= 1e-12
         assert set(rep.residuals) == set(aug.disk.boundary_cycle)
+
+
+class _Lookup(Mapping):
+    """A minimal read-only mapping that is not a dict."""
+
+    def __init__(self, items):
+        self._items = dict(items)
+
+    def __getitem__(self, key):
+        return self._items[key]
+
+    def __iter__(self):
+        return iter(self._items)
+
+    def __len__(self):
+        return len(self._items)
+
+
+def test_every_mapping_is_read_by_key_and_every_sequence_by_position():
+    """A label, structure data and M-points read alike from a dict, a
+    MappingProxyType and a Mapping that is not a dict, and from an array
+    and a list; a mapping whose keys are not the ids misses them."""
+    cs = build("hex_tangent")
+    aug, disk = cs.complex, cs.complex.disk
+    f = HEX_FLAT["hex_tangent"]
+    by_id = dict(zip(aug.vertices, f.tolist()))
+    for label in (by_id, MappingProxyType(by_id), _Lookup(by_id), f, f.tolist()):
+        assert aug.label_array(label).tobytes() == f.tobytes()
+    with pytest.raises(ValueError, match="label misses vertices"):
+        aug.label_array(label_to_json(aug, f))  # keyed by str(v)
+
+    data = scenario_data(disk, "tangent")
+    orders = (disk.vertices, disk.edges, disk.boundary_cycle)
+    arrays = [np.array([m[k] for k in keys]) for m, keys in zip(data, orders)]
+    want = attach_boundary_data(aug, *data)
+    for args in (
+        [MappingProxyType(m) for m in data],
+        [_Lookup(m) for m in data],
+        arrays,
+        [a.tolist() for a in arrays],
+    ):
+        got = attach_boundary_data(aug, *args)
+        assert got.alpha_array.tobytes() == want.alpha_array.tobytes()
+        assert got.eta_array.tobytes() == want.eta_array.tobytes()
+    for alpha, eta in (
+        (MappingProxyType(want.alpha), MappingProxyType(want.eta)),
+        (_Lookup(want.alpha), _Lookup(want.eta)),
+        (want.alpha_array.tolist(), want.eta_array.tolist()),
+    ):
+        got = ConformalStructure.on(aug, alpha, eta)
+        assert got.alpha_array.tobytes() == want.alpha_array.tobytes()
+        assert got.eta_array.tobytes() == want.eta_array.tobytes()
+
+    xi = normalize_to_unit_disk(layout_augmented(cs, f)).mpoints
+    report = verify_boundary_condition(aug, xi, "tangent")
+    by_vertex = {v: MPoint(row) for v, row in zip(aug.vertices, xi)}
+    for mpoints in (by_vertex, MappingProxyType(by_vertex), _Lookup(by_vertex), xi.tolist()):
+        assert verify_boundary_condition(aug, mpoints, "tangent") == report
 
 
 def test_boundary_report_true_negatives():
