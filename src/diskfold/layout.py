@@ -333,8 +333,9 @@ def verify_boundary_condition(
     orthogonal:  |dist^2 - r_apex^2 - r_v^2|
     inscribed:   boundary points on the apex circle, ||p_v - p_apex| - r_apex|
 
-    ``mpoints`` is realize_mpoints' array, or a mapping from every vertex
-    to its MPoint.  The apex row and the boundary rows, those of
+    ``mpoints`` is realize_mpoints' (n, 4) array, or a mapping from every
+    vertex to its MPoint (ValueError for another shape or a missing
+    vertex).  The apex row and the boundary rows, those of
     aug.compiled.cycle, are projected at once by project, so an improper
     one raises its error, the apex first, then the boundary in cycle
     order.  Meant for normalized realizations (apex = unit circle); the
@@ -343,9 +344,14 @@ def verify_boundary_condition(
     if scenario not in SCENARIOS:
         raise ValueError(f"scenario must be one of {SCENARIOS}")
     if isinstance(mpoints, Mapping):
+        if missing := [v for v in aug.vertices if v not in mpoints]:
+            raise ValueError(f"mpoints misses vertex {missing[0]!r}")
         mpoints = [mpoints[v].xi for v in aug.vertices]
+    xi = np.asarray(mpoints, dtype=float)
+    if xi.shape != (len(aug.vertices), 4):
+        raise ValueError(f"mpoints must have shape ({len(aug.vertices)}, 4), got {xi.shape}")
     # the apex, then the boundary in cycle order
-    P, W = project(np.asarray(mpoints, dtype=float)[np.insert(aug.compiled.cycle, 0, -1)])
+    P, W = project(xi[np.insert(aug.compiled.cycle, 0, -1)])
     if W[0] < 0:
         raise ValueError("negative weight has no real radius")
     r_hat, dp, W = float(np.sqrt(W[0])), P[1:] - P[0], W[1:]

@@ -174,7 +174,7 @@ def _section(data: dict, name: str, keys: list, key=_vertex_id, unknown="unknown
 
 
 def parse_problem(source) -> Problem:
-    """Parse a problem from JSON text, a file object, or a dictionary.
+    """Parse a problem from JSON text (a str, never a path), a file object, or a dictionary.
 
     Each id-keyed section is read straight into an array in the compiled
     order of the disk's vertices, edges or boundary cycle when it holds
@@ -188,7 +188,8 @@ def parse_problem(source) -> Problem:
             data = json.loads(source) if isinstance(source, str) else json.load(source)
         except (json.JSONDecodeError, RecursionError) as exc:
             # RecursionError: arrays or objects nested past the parser's depth
-            raise ProblemFormatError(f"invalid JSON: {exc}") from None
+            hint = " (a str is read as JSON text: pass an open file to read a path)" if isinstance(source, str) else ""
+            raise ProblemFormatError(f"invalid JSON: {exc}{hint}") from None
         except UnicodeDecodeError as exc:
             raise ProblemFormatError(f"cannot decode the file: {exc}") from None
     else:

@@ -9,11 +9,11 @@ it.  On an augmented disk the curvatures sum to zero identically, so
 1^T J = 0 as well: the apex's row of J is minus the sum of the others.
 Each Newton step therefore factors J grounded at the apex, without its
 last row and column, once with splu (see _newton_step), and uses the
-same factor to find the two Mobius directions by inverse iteration and
-drop each from the step when it is numerically null, or when the step
-along it would move the label by more than one log-unit (away from a
-flat label such a direction can take over the step and stall the line
-search).
+same factor to find the two Mobius directions by inverse iteration or
+shift-invert Lanczos and drop each from the step when it is numerically
+null, or when the step along it would move the label by more than one
+log-unit (away from a flat label such a direction can take over the step
+and stall the line search).
 
 curvature_flow integrates the flow with fixed-step RK4 on the dt grid.
 A full grid step is a deterministic function of its start label, so
@@ -80,13 +80,17 @@ def _newton_step(J, G, K: np.ndarray, svd_cutoff: float, residual: float, start:
     thr = max(svd_cutoff * s_max, min(residual, sqrt(eps) * s_max))
     and s_max is J's largest singular value, estimated by power steps,
     or when |v^T K| > |J v|: then the step along v, |v^T K| / |J v|,
-    would move the label by more than one log-unit.  Near a flat label
-    v^T K is O(residual^2) and |J v| is O(residual), or both are roundoff
-    and v is below thr, so only away from one do the inverse steps go on
-    (see _SETTLE_STEPS), for the v above the first Ritz values' thr.
-    Raises RuntimeError when splu finds the grounded J exactly singular.
+    would move the label by more than one log-unit.  Two inverse steps
+    leave a v far from null off by about (|J v| / sigma_3)^2, so when some
+    v above thr has a step longer than _LOOSE_LENGTH, shift-invert Lanczos
+    on the same factor (eigsh from the sum of the block's columns)
+    converges J's two eigenpairs nearest 0, and the drop reads their Ritz
+    pairs.  Near a flat label v^T K is O(residual^2) and |J v| is
+    O(residual), or both are roundoff and v is below thr, so it only runs
+    away from one.  Raises RuntimeError when splu finds the grounded J
+    exactly singular or Lanczos does not converge (ArpackError).
     """
-    from scipy.sparse.linalg import splu
+    from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
     lu = splu(G, **_SPLU_OPTIONS)
 
@@ -108,25 +112,15 @@ def _newton_step(J, G, K: np.ndarray, svd_cutoff: float, residual: float, start:
         # thr grows with s_max and |J|_inf >= s_max (J is symmetric), so the
         # power steps only run when some Ritz value could be dropped
         thr = threshold(np.bincount(J.indices, np.abs(J.data)).max())
-        return threshold(_power_estimate(J, start[:, 0])) if sig[-1] <= thr else thr
+        return threshold(_power_estimate(J, start[:, 0])) if sig.min() <= thr else thr
 
     y = _orthonormal(solve(_orthonormal(solve(start))))
     sig, wt, kv = ritz_pairs(y)
-    # two steps leave a direction far from null off by about
-    # (sigma / sigma_3)^2, enough to misjudge its step length |v^T K| / sigma:
-    # iterate on while that step is not short, until those directions settle
-    first, thr = sig, drop_threshold(sig)
-    for _ in range(_SETTLE_STEPS):
-        loose = (kv > _SETTLE_LENGTH * sig) & (sig > thr)
-        if not loose.any():
-            break
-        prev = y @ wt[loose].T
-        y = _orthonormal(solve(y))
+    thr = drop_threshold(sig)
+    if ((kv > _LOOSE_LENGTH * sig) & (sig > thr)).any():  # a loose pair
+        inv = LinearOperator(J.shape, matvec=solve, dtype=float)
+        y = eigsh(J, k=2, sigma=0.0, OPinv=inv, v0=y.sum(axis=1))[1]
         sig, wt, kv = ritz_pairs(y)
-        cur = y @ wt[loose].T
-        if np.abs(prev - cur * np.sum(prev * cur, axis=0)).max() <= _SETTLE_TOL:
-            break
-    if sig is not first:  # the drop decision reads the settled Ritz values
         thr = drop_threshold(sig)
     drop = y @ wt[(sig <= thr) | (kv > sig)].T
 
@@ -136,14 +130,9 @@ def _newton_step(J, G, K: np.ndarray, svd_cutoff: float, residual: float, start:
     return x - drop @ (drop.T @ x), drop.shape[1]
 
 
-#: Inverse steps go on, up to _SETTLE_STEPS more, while the step along a
-#: Ritz direction above thr is longer than _SETTLE_LENGTH log-units, until
-#: those directions move by at most _SETTLE_TOL per step.  Near a flat
-#: label the Mobius directions' steps are O(residual) or their |J v| is
-#: below thr, so no step is added and the two-step directions are used.
-_SETTLE_STEPS = 500
-_SETTLE_LENGTH = 0.1
-_SETTLE_TOL = 1e-13
+#: A Ritz pair above thr is loose, and Lanczos converges both pairs, when
+#: the step along it is longer than this many log-units.
+_LOOSE_LENGTH = 0.1
 
 #: Power steps behind the estimate of J's largest singular value.
 _POWER_STEPS = 8
@@ -302,7 +291,8 @@ def newton_flat(
     always orthogonal to the constant vector, J's exact kernel.  The
     same factor gives, by two steps of block inverse iteration and a
     Rayleigh-Ritz step, the two directions v with the smallest |J v|;
-    near a flat label these are the Mobius translations.  Such a v is
+    near a flat label these are the Mobius translations (when the step
+    along one is long, Lanczos on the factor converges them).  Such a v is
     projected out of the step when |J v| <= thr, where
 
         thr = max(svd_cutoff * s_max, min(residual, sqrt(eps) * s_max))
@@ -330,7 +320,7 @@ def newton_flat(
     of the two directions were dropped.
     Returns a result with converged=False (status explains why) when the
     line search stalls (MAX_BACKTRACKS halvings), the budget runs out,
-    or the Jacobian breaks down (a non-finite entry or an exactly singular factor);
+    or the Jacobian breaks down (a non-finite entry, a singular factor or Lanczos failing);
     raises only for bad parameters or an inadmissible starting label.
     """
     if not (np.isfinite(tol) and tol > 0):
@@ -353,8 +343,8 @@ def newton_flat(
             return NewtonResult(f, K, residual, it, True, "converged", history, steps)
         J, G = sys._assemble(ev)
         try:
-            # a Heron area rounded to zero blows up the angle derivatives,
-            # and splu raises RuntimeError for an exactly singular factor
+            # a Heron area rounded to zero blows up the angle derivatives; splu
+            # (singular factor) and eigsh (no convergence) raise RuntimeError
             if not np.isfinite(J.data).all():
                 raise RuntimeError("non-finite jacobian")
             step, dropped = _newton_step(J, G, K, svd_cutoff, residual, start)

@@ -245,6 +245,23 @@ def test_deeply_nested_json_is_a_format_error(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_a_file_name_is_not_json_text(tmp_path, capsys):
+    # a str is JSON text, so a file name fails to decode; the message
+    # says how to read a path, and the CLI, which reads through an open
+    # file, keeps its message
+    hint = " (a str is read as JSON text: pass an open file to read a path)"
+    with pytest.raises(ProblemFormatError) as info:
+        parse_problem("r128_orthogonal.json")
+    assert str(info.value) == "invalid JSON: Expecting value: line 1 column 1 (char 0)" + hint
+    path = tmp_path / "name.json"
+    path.write_text("r128_orthogonal.json")
+    with open(path) as fh, pytest.raises(ProblemFormatError) as info:
+        parse_problem(fh)
+    assert str(info.value) == "invalid JSON: Expecting value: line 1 column 1 (char 0)"
+    assert main(["validate", str(path)]) == 1
+    assert capsys.readouterr().err == "diskfold: input error: invalid JSON: Expecting value: line 1 column 1 (char 0)\n"
+
+
 def test_f_init_round_trip():
     data = preset("hex_tangent")
     prob = parse_problem(data)

@@ -1,6 +1,7 @@
 """Plane development, M-point realization and boundary verification."""
 
 import dataclasses
+import re
 from collections import deque
 from collections.abc import Mapping
 from types import MappingProxyType
@@ -218,6 +219,25 @@ def test_every_mapping_is_read_by_key_and_every_sequence_by_position():
     by_vertex = {v: MPoint(row) for v, row in zip(aug.vertices, xi)}
     for mpoints in (by_vertex, MappingProxyType(by_vertex), _Lookup(by_vertex), xi.tolist()):
         assert verify_boundary_condition(aug, mpoints, "tangent") == report
+
+
+def test_boundary_check_rejects_a_realization_of_the_wrong_shape():
+    # a row too few or too many once read as max_residual 1.33 and 0.67
+    # (row -1 taken as the apex), three columns as numpy's IndexError
+    # and a mapping without vertex 0 as a bare KeyError
+    cs = build("hex_tangent")
+    aug = cs.complex
+    xi = normalize_to_unit_disk(layout_augmented(cs, HEX_FLAT["hex_tangent"])).mpoints
+    n = len(aug.vertices)
+    for bad, shape in ((xi[:-1], (n - 1, 4)), (np.vstack([xi, xi[:1]]), (n + 1, 4)), (xi[:, :3], (n, 3))):
+        with pytest.raises(ValueError, match=re.escape(f"mpoints must have shape ({n}, 4), got {shape}")):
+            verify_boundary_condition(aug, bad, "tangent")
+    partial = {v: MPoint(row) for v, row in zip(aug.vertices[1:], xi[1:])}
+    with pytest.raises(ValueError, match=r"^mpoints misses vertex 0$"):
+        verify_boundary_condition(aug, partial, "tangent")
+    report = verify_boundary_condition(aug, xi, "tangent")
+    assert report.passed
+    assert verify_boundary_condition(aug, {aug.vertices[0]: MPoint(xi[0]), **partial}, "tangent") == report
 
 
 def test_boundary_report_true_negatives():
